@@ -13,13 +13,12 @@ explicit margins.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .diophantine import chord_to
 from .eigenfields import EigenFamily, EigenPair, unimodular
-from .linspace import StateVector
 
 
 class CantorBuildError(RuntimeError):
@@ -45,10 +44,6 @@ class CantorField:
         return unimodular(self.nodes[label].pair.theta)
 
 
-def _chord(theta_a: float, theta_b: float) -> float:
-    return float(abs(unimodular(theta_a) - unimodular(theta_b)))
-
-
 def build_cantor_field(
     seed: EigenFamily, depth: int, root_index: int = 0
 ) -> CantorField:
@@ -61,10 +56,10 @@ def build_cantor_field(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    thetas = seed.thetas()
-    mat = seed.coordinate_matrix()
+    thetas = seed.thetas
+    mat = seed.vectors
 
-    root_pair = seed.pairs[root_index]
+    root_pair = seed.pair(root_index)
     theta0 = root_pair.theta
     # signed angle offsets from the root; all construction arithmetic is
     # done on these unwrapped coordinates
@@ -79,6 +74,19 @@ def build_cantor_field(
     meta = {"": (root_index, 0.0, -0.5, 0.5)}
     levels = [[""]]
 
+    def best_candidate(idx, chords, idx_v, lam_bound, vec_bound):
+        """Seed index among the candidates ``idx`` (chord gaps ``chords``)
+        that stay under the vector bound; None if none does."""
+        vec_dists = np.linalg.norm(mat[:, idx] - mat[:, idx_v][:, None], axis=0)
+        keep = vec_dists < vec_bound
+        idx, chords, vec_dists = idx[keep], chords[keep], vec_dists[keep]
+        if idx.size == 0:
+            return None
+        # both gaps become the children's budgets, so take the candidate
+        # whose thinner budget is largest; ties by smaller angle
+        score = -np.minimum(chords / lam_bound, vec_dists / vec_bound)
+        return int(idx[np.lexsort((thetas[idx], score))[0]])
+
     def pick_on_side(idx_v, off_v, sign, room, lam_bound, vec_bound, relaxed):
         bound_theta = float(np.arcsin(min(lam_bound, 2.0) / 2.0) / np.pi)
         if relaxed:
@@ -91,31 +99,16 @@ def build_cantor_field(
         if j_hi <= 0:
             return None
         deltas = sign * (offsets - off_v)
-        mask = available & (deltas > 0) & (deltas <= j_hi)
-        if not mask.any():
-            return None
-        idx = np.nonzero(mask)[0]
-        chords = 2.0 * np.abs(np.sin(np.pi * deltas[idx]))
+        idx = np.nonzero(available & (deltas > 0) & (deltas <= j_hi))[0]
+        chords = chord_to(deltas[idx], 0.0)
         keep = chords < lam_bound
-        idx = idx[keep]
-        if idx.size == 0:
+        best = best_candidate(idx[keep], chords[keep], idx_v, lam_bound, vec_bound)
+        if best is None:
             return None
-        chords = chords[keep]
-        vec_dists = np.linalg.norm(
-            mat[:, idx] - mat[:, idx_v][:, None], axis=0
-        )
-        keep = vec_dists < vec_bound
-        idx, chords, vec_dists = idx[keep], chords[keep], vec_dists[keep]
-        if idx.size == 0:
-            return None
-        # both gaps become the children's budgets, so take the candidate
-        # whose thinner budget is largest; ties by smaller angle
-        score = -np.minimum(chords / lam_bound, vec_dists / vec_bound)
-        best = int(idx[np.lexsort((thetas[idx], score))[0]])
         return (
             best,
             float(deltas[best]) * sign,
-            float(2.0 * np.abs(np.sin(np.pi * deltas[best]))),
+            float(chord_to(deltas[best], 0.0)),
             float(np.linalg.norm(mat[:, best] - mat[:, idx_v])),
         )
 
@@ -139,18 +132,11 @@ def build_cantor_field(
         # last resort: nearest unused member under the halving bounds,
         # ignoring the territory; the bound is tiny this deep, so the
         # intrusion into a neighboring arc is equally tiny
-        chords = 2.0 * np.abs(np.sin(np.pi * (offsets - off_v)))
-        mask = available & (chords > 0) & (chords < lam_bound)
-        if not mask.any():
+        chords = chord_to(offsets, off_v)
+        idx = np.nonzero(available & (chords > 0) & (chords < lam_bound))[0]
+        best = best_candidate(idx, chords[idx], idx_v, lam_bound, vec_bound)
+        if best is None:
             return None
-        idx = np.nonzero(mask)[0]
-        vec_dists = np.linalg.norm(mat[:, idx] - mat[:, idx_v][:, None], axis=0)
-        keep = vec_dists < vec_bound
-        idx, vec_dists = idx[keep], vec_dists[keep]
-        if idx.size == 0:
-            return None
-        score = -np.minimum(chords[idx] / lam_bound, vec_dists / vec_bound)
-        best = int(idx[np.lexsort((thetas[idx], score))[0]])
         return (
             best,
             float(offsets[best] - off_v),
@@ -175,7 +161,7 @@ def build_cantor_field(
                     f"(need chord < {lam_bound:.3g}, vector distance < {vec_bound:.3g})"
                 )
             best_idx, jump, gap_lambda, gap_vector = found
-            right_pair = seed.pairs[best_idx]
+            right_pair = seed.pair(best_idx)
             available[best_idx] = False
             off_r = off_v + jump
             # split the territory: buffers on the contested side sum to
@@ -292,16 +278,3 @@ def field_to_csv(field: CantorField, path) -> None:
             node = field.nodes[label]
             writer.writerow([label, repr(node.pair.theta), repr(node.pair.residual)])
 
-
-def field_to_json(field: CantorField) -> str:
-    return json.dumps(
-        {
-            "depth": field.depth,
-            "nodes": {
-                label: {"theta": node.pair.theta, "residual": node.pair.residual}
-                for label, node in sorted(field.nodes.items())
-            },
-        },
-        sort_keys=True,
-        indent=2,
-    )

@@ -220,20 +220,13 @@ def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
     angles = params.get("angles", [1.0, float(np.sqrt(2) % 1)])
     spec = ergo.CorrelationSpec(tuple(c), tuple(d), tuple(angles))
     N = params.get("N", 10**5)
-    cesaro_value = cesaro_of_correlation(spec, N)
+    cesaro_value = ergo.cesaro_average(spec.correlation, N)
     witness = ergo.nonergodicity_witness(spec, N)
     ergo.correlation_csv(spec, min(N, 10**4), out / "correlation.csv")
     passed = witness > 0
     return (
         {"cesaro": cesaro_value, "witness": witness, "N": N, "passed": passed},
         None,
-    )
-
-
-def cesaro_of_correlation(spec: ergo.CorrelationSpec, N: int) -> float:
-    return ergo.cesaro_average(
-        lambda ns: spec.product_term() - spec.diagonal_term() + spec.cross_terms(ns),
-        N,
     )
 
 
@@ -304,10 +297,10 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
     # are controlled by an explicit arc of angles
     coeff = params.get("coefficient", 0.5)
     radius = params.get("radius", 0.3)
-    pair0 = family.pairs[params.get("angle_index", 0)]
-    x = ef.EigenExpansion(((coeff, pair0),))
-    center = StateVector(coeff * pair0.vector.entries)
-    rec = density_mod.visit_times(op, x, density_mod.TargetBall(center, radius), horizon)
+    index = params.get("angle_index", 0)
+    x = ef.EigenExpansion([coeff], family.take([index]))
+    center = StateVector(coeff * family.vectors[:, index])
+    rec = density_mod.visit_times(x, density_mod.TargetBall(center, radius), horizon)
     arc = 2.0 * np.arcsin(min(radius / (2 * abs(coeff)), 1.0)) / np.pi
     frequency = len(rec.times) / horizon
     results["calibration"] = {
@@ -327,7 +320,7 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
             )
             for b in state.blocks
         ]
-        fhc = density_mod.fhc_harness(op, phi, targets, horizon)
+        fhc = density_mod.fhc_harness(phi, targets, horizon)
         with open(out / "visit_times.csv", "w") as fh:
             fh.write("block,n\n")
             for b, r in zip(state.blocks, fhc.records):
@@ -343,11 +336,9 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_invariance(cfg, op, family, params, rng, out, ctx):
-    n_terms = params.get("terms", 32)
-    coeffs = 0.5 ** np.arange(1, n_terms + 1)
-    series = st.SteinhausSeries(
-        tuple((c, p) for c, p in zip(coeffs, family.pairs[:n_terms])), seed=cfg.seed
-    )
+    coeffs = 0.5 ** np.arange(1, params.get("terms", 32) + 1)
+    n_terms = min(coeffs.size, len(family))
+    series = ef.EigenExpansion(coeffs[:n_terms], family.take(slice(n_terms)))
     probes = [
         DualFunctional(basis_vector(k, cfg.dimension).entries)
         for k in range(params.get("probes", 8))

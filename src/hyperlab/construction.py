@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .density import _ball_dist_sq
 from .diophantine import ReturnTimeSet, covering_scan
-from .eigenfields import EigenExpansion, EigenFamily, EigenPair
-from .linspace import StateVector, norm
+from .eigenfields import EigenExpansion, EigenFamily
+from .linspace import StateVector
 from .operators import OperatorSpec
+from .steinhaus import sample_steinhaus
 
 _UCB_Z = 2.326  # one-sided 99% normal quantile
 
@@ -49,13 +51,11 @@ def split_coefficient(a: complex, eps: float) -> CoefficientSplit:
     return CoefficientSplit(a, (a / n,) * n)
 
 
-def basis_constant(vectors) -> float:
-    """Smallest M with ||sum beta_k x_k|| <= M (sum |beta_k|**2)**(1/2),
-    i.e. the largest singular value of the column matrix."""
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("need at least one vector")
-    mat = np.column_stack([v.entries for v in vectors])
+def basis_constant(mat: np.ndarray) -> float:
+    """Smallest M with ||sum beta_k x_k|| <= M (sum |beta_k|**2)**(1/2)
+    over the columns x_k of mat, i.e. its largest singular value."""
+    if mat.ndim != 2 or mat.shape[1] == 0:
+        raise ValueError("need a matrix with at least one column")
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
@@ -97,7 +97,7 @@ class ConstructionTarget:
 @dataclass(frozen=True)
 class Block:
     index: int
-    terms: tuple  # of (complex, EigenPair), fresh distinct angles
+    terms: EigenExpansion  # over fresh distinct angles
     center: StateVector
     radius: float
     reach_power: int
@@ -106,28 +106,20 @@ class Block:
     budget: float  # 4**-n / ||T||**max(pi_<n)
     schedule: ScheduleEntry
 
-    def thetas(self) -> tuple:
-        return tuple(p.theta for _, p in self.terms)
-
-    def coefficient_l1(self) -> float:
-        return float(sum(abs(c) for c, _ in self.terms))
-
-    def expansion(self) -> EigenExpansion:
-        return EigenExpansion(self.terms)
-
 
 @dataclass
 class ConstructionState:
     op: OperatorSpec
     family: EigenFamily
     blocks: list = field(default_factory=list)
-    used_thetas: set = field(default_factory=set)
+    used: list = field(default_factory=list)  # family indices of all terms, in order
 
     def max_pi(self) -> int:
         return max((b.return_times.pi_max for b in self.blocks), default=0)
 
-    def all_terms(self) -> list:
-        return [t for b in self.blocks for t in b.terms]
+    def all_terms(self) -> EigenExpansion:
+        coeffs = [b.terms.coeffs for b in self.blocks]
+        return EigenExpansion(np.concatenate(coeffs or [[]]), self.family.take(self.used))
 
     def to_json(self) -> str:
         payload = {
@@ -139,8 +131,8 @@ class ConstructionState:
             "blocks": [
                 {
                     "index": b.index,
-                    "angles": list(b.thetas()),
-                    "coefficients": [[c.real, c.imag] for c, _ in b.terms],
+                    "angles": b.terms.terms.thetas.tolist(),
+                    "coefficients": [[c.real, c.imag] for c in b.terms.coeffs.tolist()],
                     "return_times": list(b.return_times.times),
                     "radius": b.radius,
                     "reach_power": b.reach_power,
@@ -153,24 +145,17 @@ class ConstructionState:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _fresh_pairs(family, used, anchor: EigenPair, count: int, gamma: float):
-    """The ``count`` unused family members nearest to the anchor in vector
-    distance, all within gamma; None if too few exist."""
-    mat = family.coordinate_matrix()
-    diff = mat - anchor.vector.entries[:, None]
-    dists = np.linalg.norm(diff, axis=0)
+def _fresh_members(family, used, anchor: int, count: int, gamma: float):
+    """(index, distance) of the ``count`` unused family members nearest to
+    member ``anchor`` in vector distance, all within gamma; None if too few
+    exist."""
+    mat = family.vectors
+    dists = np.linalg.norm(mat - mat[:, [anchor]], axis=0)
     order = np.argsort(dists)
-    chosen = []
-    for idx in order:
-        pair = family.pairs[idx]
-        if pair.theta in used:
-            continue
-        if dists[idx] >= gamma:
-            break
-        chosen.append((pair, float(dists[idx])))
-        if len(chosen) == count:
-            return chosen
-    return None
+    order = order[~np.isin(order, list(used))][:count]
+    if order.size < count or dists[order[-1]] >= gamma:
+        return None
+    return [(int(i), float(dists[i])) for i in order]
 
 
 def build_block(
@@ -190,6 +175,8 @@ def build_block(
     an unscaled center could never satisfy the budget at finite split
     sizes).  The block records the actual center used.
     """
+    if family is not state.family:
+        raise ValueError("family must be the state's family: terms are kept as its indices")
     n = len(state.blocks) + 1
     max_pi = state.max_pi()
     log_budget = -n * math.log(4.0) - max_pi * math.log(op.norm_bound)
@@ -199,13 +186,12 @@ def build_block(
         )
     budget = math.exp(log_budget)
 
-    seeds = [(c, family.pairs[i]) for c, i in target.coefficients]
-    total = sum(abs(c) for c, _ in seeds)
+    total = sum(abs(c) for c, _ in target.coefficients)
     scale = min(1.0, 0.4 * budget / total) if total > 0 else 1.0
-    alphas = [(c * scale, pair) for c, pair in seeds]
+    alphas = [(c * scale, i) for c, i in target.coefficients]
     scaled_total = total * scale
 
-    m_const = basis_constant([p.vector for _, p in alphas]) if alphas else 1.0
+    m_const = basis_constant(family.vectors[:, [i for _, i in alphas]]) if alphas else 1.0
     delta = 1.25 * scaled_total if scaled_total > 0 else 1.0
     rho = target.radius / (2.0 * op.norm_bound**target.reach_power)
 
@@ -216,7 +202,7 @@ def build_block(
             delta /= 2.0
             last_failure = "no admissible fresh neighbors at this gamma"
             continue
-        terms, gamma, used_now = built
+        terms, gamma, picked = built
         report = _certify_expectation(terms, rng, trials)
         if report < budget:
             break
@@ -230,31 +216,31 @@ def build_block(
             f"({last_failure})"
         )
 
-    l1 = sum(abs(c) for c, _ in terms)
+    l1 = sum(abs(c) for c in terms.coeffs.tolist())
     eta = min(1.9, rho / (2.0 * l1)) if l1 > 0 else 1.9
     kappa = target.radius / 4.0
-    prior_l1 = sum(abs(c) for c, _ in state.all_terms())
-    old_angles = [p.theta for _, p in state.all_terms()]
+    prior = state.all_terms()
+    prior_l1 = sum(abs(c) for c in prior.coeffs.tolist())
     old_eta = min(1.9, kappa / prior_l1) if prior_l1 > 0 else 2.0
 
     net = covering_scan(
-        [p.theta for _, p in terms],
+        terms.terms.thetas,
         eta,
         eta / 2.0,
-        fixed_angles=old_angles,
+        fixed_angles=prior.terms.thetas,
         fixed_eta=old_eta,
         p_max=p_max,
     )
     q_times = net.return_times.times
     p_times = ReturnTimeSet.from_times([target.reach_power + q for q in q_times])
 
-    center = EigenExpansion(terms).power(target.reach_power)
+    center = terms.power(target.reach_power)
     entry = ScheduleEntry(
         M=m_const, delta=delta, gamma=gamma, eta=eta, rho=rho, kappa=kappa
     )
     block = Block(
         index=n,
-        terms=tuple(terms),
+        terms=terms,
         center=center,
         radius=target.radius,
         reach_power=target.reach_power,
@@ -263,58 +249,57 @@ def build_block(
         budget=budget,
         schedule=entry,
     )
-    _check_block_invariants(state, block)
+    _check_block_invariants(state, block, picked)
     state.blocks.append(block)
-    state.used_thetas.update(used_now)
+    state.used.extend(picked)
     return block
 
 
 def _assemble_terms(state, family, alphas, delta, rho):
     """Split every coefficient under the delta schedule and pick fresh
-    nearby eigenpairs with unused angles; returns (terms, gamma, used) or
-    None when some coefficient has too few admissible neighbors."""
+    nearby family members with unused angles; returns (terms, gamma,
+    picked family indices) or None when some coefficient has too few
+    admissible neighbors."""
     n_coeffs = max(len(alphas), 1)
     eps = (delta / n_coeffs) ** 2
     l1 = 0.0
     splits = []
-    for c, pair in alphas:
+    for c, anchor in alphas:
         s = split_coefficient(c, eps)
-        splits.append((s, pair))
+        splits.append((s, anchor))
         l1 += sum(abs(x) for x in s.parts)
     gamma = min(delta / 4.0, rho / (2.0 * l1)) if l1 > 0 else delta / 4.0
-    used = set(state.used_thetas)
-    terms = []
+    used = set(state.used)
+    coeffs, picked = [], []
     drift = 0.0
     for s, anchor in splits:
-        found = _fresh_pairs(family, used, anchor, len(s.parts), gamma)
+        found = _fresh_members(family, used, anchor, len(s.parts), gamma)
         if found is None:
             return None
-        for a_j, (pair, dist) in zip(s.parts, found):
-            terms.append((a_j, pair))
-            used.add(pair.theta)
+        for a_j, (idx, dist) in zip(s.parts, found):
+            coeffs.append(a_j)
+            picked.append(idx)
+            used.add(idx)
             drift += abs(a_j) * dist
     # ||u_n - v_n|| <= gamma * sum|a_j| by the triangle inequality
     if drift > gamma * l1 + 1e-15:
         raise ConstructionError("fresh-neighbor drift exceeded the gamma bound")
-    return terms, gamma, used
+    return EigenExpansion(coeffs, family.take(picked)), gamma, picked
 
 
 def _certify_expectation(terms, rng, trials) -> float:
     """Upper 99% confidence bound on E||Phi_n|| by Monte Carlo."""
-    if not terms:
+    k = len(terms)
+    if k == 0:
         return 0.0
-    coeffs = np.array([c for c, _ in terms])
-    mat = np.column_stack([p.vector.entries for _, p in terms])
-    chi = np.exp(2j * np.pi * rng.random((trials, coeffs.size)))
-    norms = np.linalg.norm((chi * coeffs[None, :]) @ mat.T, axis=1)
+    chi = sample_steinhaus(rng, trials * k).reshape(trials, k)
+    norms = np.linalg.norm((chi * terms.coeffs[None, :]) @ terms.terms.vectors.T, axis=1)
     return float(np.mean(norms) + _UCB_Z * np.std(norms, ddof=1) / np.sqrt(trials))
 
 
-def _check_block_invariants(state: ConstructionState, block: Block) -> None:
-    thetas = block.thetas()
-    if len(set(thetas)) != len(thetas):
-        raise ConstructionError("block angles must be pairwise distinct")
-    if state.used_thetas.intersection(thetas):
+def _check_block_invariants(state: ConstructionState, block: Block, picked) -> None:
+    # angles within the block are distinct: EigenFamily enforces it
+    if set(state.used).intersection(picked):
         raise ConstructionError("block angles must avoid all earlier blocks")
     if not block.expected_norm_bound < block.budget:
         raise ConstructionError("certified expectation bound above the budget")
@@ -369,27 +354,24 @@ def run_construction(
         build_block(state, op, family, targets[n], rng, trials=trials, p_max=p_max)
 
     terms = state.all_terms()
-    if terms:
-        chi = np.exp(2j * np.pi * rng.random(len(terms)))
-        phi = EigenExpansion(
-            tuple((chi[t] * c, p) for t, (c, p) in enumerate(terms))
-        )
-    else:
-        phi = EigenExpansion(())
+    chi = sample_steinhaus(rng, len(terms))
+    # Python complex products: numpy's vectorised complex multiply rounds
+    # differently, and these coefficients fix every later visit time
+    phi = EigenExpansion(
+        [x * c for x, c in zip(chi.tolist(), terms.coeffs.tolist())], terms.terms
+    )
 
     certificates = []
     total_norms = []
-    if terms:
-        coeffs = np.array([c for c, _ in terms])
-        mat = np.column_stack([p.vector.entries for _, p in terms])
+    k = len(terms)
+    if k:
+        mat = terms.terms.vectors
         gram = mat.conj().T @ mat
-        omega = np.exp(2j * np.pi * rng.random((cert_samples, len(terms))))
-        weights = omega * coeffs[None, :]
-        total_norms = np.sqrt(
-            np.abs(np.einsum("oi,ij,oj->o", weights.conj(), gram, weights)).real
-        )
+        omega = sample_steinhaus(rng, cert_samples * k).reshape(cert_samples, k)
+        weights = omega * terms.coeffs[None, :]
+        total_norms = np.sqrt(np.abs(_ball_dist_sq(weights, gram, np.zeros(k), 0.0)))
         for b in state.blocks:
-            rate = _visit_rate(b, terms, weights, mat, gram)
+            rate = _visit_rate(b, terms, weights, gram)
             floor = 1.0 - (5.0 / 3.0) * 2.0 ** (-b.index)
             se = math.sqrt(max(rate * (1 - rate), 1e-12) / cert_samples)
             certificates.append(
@@ -399,29 +381,24 @@ def run_construction(
             )
     report = ConstructionReport(
         certificates=tuple(certificates),
-        total_norm_estimate=float(np.mean(total_norms)) if terms else 0.0,
+        total_norm_estimate=float(np.mean(total_norms)) if k else 0.0,
         total_norm_budget=sum(4.0**-n for n in range(1, n_steps + 1)),
     )
     return state, phi, report
 
 
-def _visit_rate(block: Block, terms, weights, mat, gram) -> float:
+def _visit_rate(block: Block, terms: EigenExpansion, weights, gram) -> float:
     """Fraction of sampled realizations for which some p in the block's
     return-time set carries T**p Phi - Phi into the inflated target."""
-    thetas = np.array([p.theta for _, p in terms])
     p_arr = np.array(block.return_times.times)
-    lam_pow = np.exp(2j * np.pi * np.outer(p_arr, thetas)) - 1.0  # P x terms
+    lam_pow = np.exp(2j * np.pi * np.outer(p_arr, terms.terms.thetas)) - 1.0  # P x terms
     c = block.center.entries
-    h = mat.conj().T @ c
+    h = terms.terms.vectors.conj().T @ c
     c_sq = float(np.real(np.vdot(c, c)))
     tol = block.radius + 2.0 ** (-(block.index - 1))
     hits = 0
     for w in weights:
-        wp = lam_pow * w[None, :]  # P x terms
-        quad = np.einsum("pi,ij,pj->p", wp.conj(), gram, wp).real
-        cross = 2.0 * (wp @ h.conj()).real
-        dist_sq = quad - cross + c_sq
-        if np.any(dist_sq < tol * tol):
+        if np.any(_ball_dist_sq(lam_pow * w[None, :], gram, h, c_sq) < tol * tol):
             hits += 1
     return hits / weights.shape[0]
 
@@ -435,7 +412,7 @@ def verify_visit(
 ):
     """First p in the block's return-time set with
     T**p phi - prior in ball(center, radius + slack); (False, None) if none."""
-    prior_vec = prior.to_vector().entries if prior and prior.terms else 0.0
+    prior_vec = prior.to_vector().entries if prior else 0.0
     tol = block.radius + slack
     for p in block.return_times.times:
         moved = phi.power(p).entries - prior_vec - block.center.entries

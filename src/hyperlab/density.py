@@ -8,7 +8,6 @@ window cut points; the true liminf is not finitely computable.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +16,6 @@ import numpy as np
 
 from .eigenfields import EigenExpansion
 from .linspace import StateVector
-from .operators import OperatorSpec
 
 _CHUNK = 1 << 15
 
@@ -52,14 +50,17 @@ class VisitRecord:
         if times and not (0 <= times[0] and times[-1] < self.horizon):
             raise ValueError("visit times must lie in [0, horizon)")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"horizon": self.horizon, "radius": self.target.radius,
-             "count": len(self.times), "times": list(self.times)}
-        )
+
+def _ball_dist_sq(w, gram, h, c_sq: float) -> np.ndarray:
+    """||X w - c||**2 for every row w of the coefficient array, from the
+    Gram matrix gram = X* X, h = X* c and c_sq = ||c||**2 of the term
+    matrix X and the center c."""
+    quad = np.einsum("ni,ij,nj->n", w.conj(), gram, w).real
+    cross = 2.0 * (w @ h.conj()).real
+    return quad - cross + c_sq
 
 
-def visit_times(op: OperatorSpec, x: EigenExpansion, target: TargetBall, N: int) -> VisitRecord:
+def visit_times(x: EigenExpansion, target: TargetBall, N: int) -> VisitRecord:
     """All n < N with ||T**n x - center|| < radius.
 
     Distances are evaluated through the Gram matrix of the expansion, so
@@ -68,13 +69,11 @@ def visit_times(op: OperatorSpec, x: EigenExpansion, target: TargetBall, N: int)
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    if not x.terms:
+    if not len(x):
         dist = float(np.linalg.norm(target.center.entries))
         times = tuple(range(N)) if dist < target.radius else ()
         return VisitRecord(times, N, target)
-    coeffs = x.coefficients()
-    thetas = x.thetas()
-    mat = x.matrix()
+    mat = x.terms.vectors
     gram = mat.conj().T @ mat
     h = mat.conj().T @ target.center.entries
     c_sq = float(np.real(np.vdot(target.center.entries, target.center.entries)))
@@ -82,15 +81,12 @@ def visit_times(op: OperatorSpec, x: EigenExpansion, target: TargetBall, N: int)
     hits = []
     for start in range(0, N, _CHUNK):
         ns = np.arange(start, min(start + _CHUNK, N))
-        w = np.exp(2j * np.pi * np.outer(ns, thetas)) * coeffs[None, :]
-        quad = np.einsum("ni,ij,nj->n", w.conj(), gram, w).real
-        cross = 2.0 * (w @ h.conj()).real
-        dist_sq = quad - cross + c_sq
-        hits.append(ns[dist_sq < r_sq])
+        w = np.exp(2j * np.pi * np.outer(ns, x.terms.thetas)) * x.coeffs[None, :]
+        hits.append(ns[_ball_dist_sq(w, gram, h, c_sq) < r_sq])
     return VisitRecord(tuple(np.concatenate(hits).tolist()), N, target)
 
 
-def recheck_visit(op: OperatorSpec, x: EigenExpansion, target: TargetBall, n: int) -> bool:
+def recheck_visit(x: EigenExpansion, target: TargetBall, n: int) -> bool:
     """Direct recomputation of a single membership, independent of the
     Gram-matrix fast path."""
     moved = x.power(n).entries - target.center.entries
@@ -125,18 +121,8 @@ class FhcReport:
     proxies: tuple
     passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "passed": self.passed,
-                "proxies": list(self.proxies),
-                "counts": [len(r.times) for r in self.records],
-            },
-            sort_keys=True,
-        )
 
-
-def fhc_harness(op: OperatorSpec, x: EigenExpansion, targets, N: int, windows=None) -> FhcReport:
+def fhc_harness(x: EigenExpansion, targets, N: int, windows=None) -> FhcReport:
     """Per-target visit records and density proxies; PASS iff every proxy
     is strictly positive. Targets are scanned in parallel, capped by
     HYPERLAB_THREADS."""
@@ -144,6 +130,6 @@ def fhc_harness(op: OperatorSpec, x: EigenExpansion, targets, N: int, windows=No
     if windows is None:
         windows = default_windows(N)
     with ThreadPoolExecutor(max_workers=min(worker_cap(), max(len(targets), 1))) as pool:
-        records = list(pool.map(lambda t: visit_times(op, x, t, N), targets))
+        records = list(pool.map(lambda t: visit_times(x, t, N), targets))
     proxies = tuple(lower_density_estimate(r, windows) for r in records)
     return FhcReport(tuple(records), proxies, all(p > 0 for p in proxies))

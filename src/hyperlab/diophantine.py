@@ -112,15 +112,6 @@ class CoveringNet:
     def return_times(self) -> ReturnTimeSet:
         return ReturnTimeSet.from_times(self.cell_to_p.tolist())
 
-    def cell_of(self, target_fracs) -> int:
-        idx = np.round(np.asarray(target_fracs) * self.mesh).astype(int) % self.mesh
-        return int(np.ravel_multi_index(idx, (self.mesh,) * len(self.angles)))
-
-    def solve_for(self, targets) -> int:
-        """Power covering an arbitrary unimodular target tuple."""
-        fracs = (np.angle(np.asarray(targets, dtype=complex)) / (2 * np.pi)) % 1.0
-        return int(self.cell_to_p[self.cell_of(fracs)])
-
 
 def covering_scan(
     angles,
@@ -198,13 +189,6 @@ def _verify_net(net: CoveringNet, fixed: np.ndarray, fixed_eta: float) -> None:
         frac = np.outer(p, fixed) % 1.0
         if not np.all(chord_to(frac, 0.0) < fixed_eta):
             raise AssertionError("covering scan violated the fixed-angle filter")
-
-
-def return_time_net(angles, eta: float, net_resolution: float, p_max: int = 10**6) -> ReturnTimeSet:
-    """Return-time set with the covering guarantee: for ANY unimodular
-    target tuple, some returned p satisfies |lambda_j**p - mu_j| < eta for
-    all j (net mesh <= eta/2 plus per-cell verification)."""
-    return covering_scan(angles, eta, net_resolution, p_max=p_max).return_times
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ finite-scale approximation-closure check used before tree constructions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,81 +34,133 @@ class EigenPair:
         return unimodular(self.theta)
 
 
-@dataclass(frozen=True)
+def _frozen(values, dtype, ndim: int) -> np.ndarray:
+    """Read-only C-contiguous array of ``values``: a private copy unless
+    ``values`` already is such an array."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable or not arr.flags.c_contiguous:
+        arr = np.array(arr, order="C")
+        arr.setflags(write=False)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class EigenFamily:
-    pairs: tuple
+    """Eigenpairs stored as arrays: member j has angle thetas[j], unit
+    eigenvector vectors[:, j] and truncation residual residuals[j].
+
+    ``vectors`` is d x k and C-contiguous, so every consumer hands BLAS
+    the same operands whichever way the family was built.
+    """
+
+    thetas: np.ndarray
+    vectors: np.ndarray
+    residuals: np.ndarray
     provenance: str = "unspecified"
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        thetas = [p.theta for p in self.pairs]
-        if len(set(thetas)) != len(thetas):
+        thetas = _frozen(self.thetas, float, 1)
+        vectors = _frozen(self.vectors, complex, 2)
+        residuals = _frozen(self.residuals, float, 1)
+        if not vectors.shape[1] == thetas.size == residuals.size:
+            raise ValueError("need one angle, vector column and residual per member")
+        if len(set(thetas.tolist())) != thetas.size:
             raise ValueError("family angles must be pairwise distinct")
-        for p in self.pairs:
-            if abs(norm(p.vector) - 1.0) > 1e-12:
-                raise ValueError("family vectors must be unit vectors")
+        sq = np.einsum("dk,dk->k", vectors.real, vectors.real)
+        sq += np.einsum("dk,dk->k", vectors.imag, vectors.imag)
+        if not np.all(np.abs(np.sqrt(sq) - 1.0) <= 1e-12):
+            raise ValueError("family vectors must be unit vectors")
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "residuals", residuals)
+
+    @classmethod
+    def from_pairs(cls, pairs, provenance: str = "unspecified") -> "EigenFamily":
+        pairs = list(pairs)
+        return cls(
+            [p.theta for p in pairs],
+            np.column_stack([p.vector.entries for p in pairs]),
+            [p.residual for p in pairs],
+            provenance,
+        )
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.thetas.size
 
-    def thetas(self) -> np.ndarray:
-        return np.array([p.theta for p in self.pairs])
+    def pair(self, i: int) -> EigenPair:
+        # the residual stays a numpy scalar, as sample_2B_family always
+        # gave it: cantor_field.csv writes its repr
+        return EigenPair(
+            float(self.thetas[i]), StateVector(self.vectors[:, i]), self.residuals[i]
+        )
 
-    def coordinate_matrix(self) -> np.ndarray:
-        """d x n matrix with the family vectors as columns."""
-        return np.column_stack([p.vector.entries for p in self.pairs])
+    def take(self, index) -> "EigenFamily":
+        """Sub-family of the members selected by an index list or slice."""
+        return EigenFamily(
+            self.thetas[index],
+            self.vectors[:, index],
+            self.residuals[index],
+            self.provenance,
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenExpansion:
-    """Finite combination sum_j c_j x_j over eigenpairs.
+    """Finite combination sum_j coeffs[j] x_j over the members of a family.
 
     Powers of the operator act on the eigenvalues only, so orbits of an
     expansion stay bounded whatever the operator norm is.
     """
 
-    terms: tuple  # of (complex coefficient, EigenPair)
+    coeffs: np.ndarray
+    terms: EigenFamily
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((complex(c), p) for c, p in self.terms)
-        )
+        coeffs = _frozen(self.coeffs, complex, 1)
+        if coeffs.size != len(self.terms):
+            raise ValueError("need one coefficient per family member")
+        object.__setattr__(self, "coeffs", coeffs)
 
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for c, _ in self.terms])
-
-    def thetas(self) -> np.ndarray:
-        return np.array([p.theta for _, p in self.terms])
-
-    def matrix(self) -> np.ndarray:
-        return np.column_stack([p.vector.entries for _, p in self.terms])
+    def __len__(self) -> int:
+        return len(self.terms)
 
     def to_vector(self) -> StateVector:
-        if not self.terms:
-            raise ValueError("empty expansion has no ambient dimension")
+        if not len(self):
+            raise ValueError("empty expansion has no terms")
         return self.power(0)
 
     def power(self, n: int) -> StateVector:
         """sum_j c_j lambda_j**n x_j, exact in the expansion."""
-        phases = np.exp(2j * np.pi * n * self.thetas())
-        out = self.matrix() @ (phases * self.coefficients())
-        return StateVector(out, self.terms[0][1].vector.space_p)
+        phases = np.exp(2j * np.pi * n * self.terms.thetas)
+        return StateVector(self.terms.vectors @ (phases * self.coeffs))
 
 
-def eigenvector_2B(theta: float, w: float, d: int) -> EigenPair:
-    """Truncated geometric eigenvector of the scaled backward shift.
+def _field_2B(thetas, w: float, d: int):
+    """Unit vectors (d x k) and residuals of the truncated eigenvector
+    field of w*B at the given angles.
 
     The untruncated field is E(lambda) = sum (lambda/w)**n e_n; truncating
-    at d leaves the exact residual (1/w)**(d-1) before normalization, which
-    is recorded on the pair after dividing by the normalizing constant.
+    at d leaves the exact residual (1/w)**(d-1) before normalization,
+    which is divided by the normalizing constant.
     """
     if not w > 1:
         raise ValueError("shift weight must be > 1")
-    lam = unimodular(theta)
-    raw = (lam / w) ** np.arange(d)
-    scale = float(np.linalg.norm(raw))
-    residual = (1.0 / w) ** (d - 1) / scale
-    return EigenPair(theta, StateVector(raw / scale), residual)
+    lam = np.exp(2j * np.pi * np.asarray(thetas, dtype=float))
+    raw = (lam[:, None] / w) ** np.arange(d)[None, :]
+    scales = np.linalg.norm(raw, axis=1)
+    raw /= scales[:, None]
+    vectors = np.ascontiguousarray(raw.T)
+    vectors.setflags(write=False)
+    return vectors, (1.0 / w) ** (d - 1) / scales
+
+
+def eigenvector_2B(theta: float, w: float, d: int) -> EigenPair:
+    """Truncated geometric eigenvector of the scaled backward shift, with
+    the truncation residual recorded on the pair."""
+    vectors, residuals = _field_2B([theta], w, d)
+    return EigenPair(theta, StateVector(vectors[:, 0]), residuals[0])
 
 
 def perturbed_diagonal_eigenvector(op: OperatorSpec, k: int) -> EigenPair:
@@ -173,20 +224,13 @@ def sample_2B_family(w: float, d: int, count: int) -> EigenFamily:
     """Eigenvector field of w*B sampled at the first ``count`` sqrt-prime
     angles."""
     thetas = qindependent_angles(count)
-    lam = np.exp(2j * np.pi * np.asarray(thetas))
-    raw = (lam[:, None] / w) ** np.arange(d)[None, :]
-    scales = np.linalg.norm(raw, axis=1)
-    tail = (1.0 / w) ** (d - 1)
-    pairs = [
-        EigenPair(t, StateVector(row / s), tail / s)
-        for t, row, s in zip(thetas, raw, scales)
-    ]
-    return EigenFamily(tuple(pairs), provenance="sqrt_prime_angles")
+    vectors, residuals = _field_2B(thetas, w, d)
+    return EigenFamily(thetas, vectors, residuals, provenance="sqrt_prime_angles")
 
 
 def diagonal_family(op: OperatorSpec) -> EigenFamily:
-    pairs = tuple(perturbed_diagonal_eigenvector(op, k) for k in range(op.dim))
-    return EigenFamily(pairs, provenance="diagonal")
+    pairs = (perturbed_diagonal_eigenvector(op, k) for k in range(op.dim))
+    return EigenFamily.from_pairs(pairs, provenance="diagonal")
 
 
 @dataclass(frozen=True)
@@ -208,10 +252,8 @@ def check_assumption_H(family: EigenFamily, F, tol: float) -> ApproximationRepor
     """
     if len(family) == 0:
         raise ValueError("family must be nonempty")
-    excluded = set(float(t) for t in F)
-    thetas = family.thetas()
-    admissible = np.array([t not in excluded for t in thetas])
-    mat = family.coordinate_matrix()
+    admissible = ~np.isin(family.thetas, np.asarray(list(F), dtype=float))
+    mat = family.vectors
     gram = mat.conj().T @ mat
     sq = np.real(np.diag(gram))
     dist2 = sq[:, None] + sq[None, :] - 2.0 * np.real(gram)
@@ -241,21 +283,7 @@ def spanning_rank(family: EigenFamily) -> int:
     stand-in for the density of the family's span; tolerance is
     1e-8 times the largest singular value.
     """
-    s = np.linalg.svd(family.coordinate_matrix(), compute_uv=False)
+    s = np.linalg.svd(family.vectors, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > 1e-8 * s[0]))
-
-
-def family_to_csv(family: EigenFamily, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d = family.pairs[0].vector.dim
-        writer.writerow(["theta", "residual"] + [f"re_{k}" for k in range(d)] + [f"im_{k}" for k in range(d)])
-        for p in family.pairs:
-            e = p.vector.entries
-            writer.writerow(
-                [repr(p.theta), repr(p.residual)]
-                + [repr(float(x)) for x in e.real]
-                + [repr(float(x)) for x in e.imag]
-            )

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linspace import DualFunctional, pair
-from .operators import OperatorSpec
-from .steinhaus import MCReport, SteinhausSeries
+from .eigenfields import EigenExpansion
+from .linspace import DualFunctional
+from .steinhaus import MCReport, sample_steinhaus
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,11 @@ class CorrelationSpec:
         """sum_p |c_p|**2 |d_p|**2, the all-equal-index fourth moment."""
         return float(np.sum((np.abs(self.c) * np.abs(self.d)) ** 2))
 
+    def correlation(self, ns) -> np.ndarray:
+        """product - diagonal + cross term: the exact correlation at each n
+        (see correlation_closed_form)."""
+        return self.product_term() - self.diagonal_term() + self.cross_terms(ns)
+
     def cross_terms(self, ns) -> np.ndarray:
         """|sum_p lambda_p**n c_p conj(d_p)|**2 for each n."""
         ns = np.asarray(ns)
@@ -50,10 +55,11 @@ class CorrelationSpec:
         return np.abs(phases @ weights) ** 2
 
     @classmethod
-    def from_probes(cls, series: SteinhausSeries, xstar: DualFunctional, ystar: DualFunctional):
-        c = [a * pair(xstar, p.vector) for a, p in series.terms]
-        d = [a * pair(ystar, p.vector) for a, p in series.terms]
-        return cls(tuple(c), tuple(d), tuple(p.theta for _, p in series.terms))
+    def from_probes(cls, series: EigenExpansion, xstar: DualFunctional, ystar: DualFunctional):
+        vectors = series.terms.vectors
+        c = series.coeffs * (np.conj(xstar.entries) @ vectors)
+        d = series.coeffs * (np.conj(ystar.entries) @ vectors)
+        return cls(c, d, series.terms.thetas)
 
 
 def correlation_closed_form(spec: CorrelationSpec, n: int) -> float:
@@ -66,26 +72,7 @@ def correlation_closed_form(spec: CorrelationSpec, n: int) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return (
-        spec.product_term()
-        - spec.diagonal_term()
-        + float(spec.cross_terms([n])[0])
-    )
-
-
-def pairing_correlation(spec: CorrelationSpec, n: int) -> float:
-    """Product term plus squared cross term at time n: the two-pairing
-    decomposition without the all-equal overlap correction.
-
-    This is the exact correlation when the phases are standard complex
-    Gaussian (E|chi|**4 = 2); for unimodular phases it exceeds the true
-    value by the constant diagonal term.  Its Cesaro limit is
-    product + witness, the quantity whose excess over the product term
-    exhibits non-ergodicity.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return spec.product_term() + float(spec.cross_terms([n])[0])
+    return float(spec.correlation([n])[0])
 
 
 def cesaro_average(values, N: int) -> float:
@@ -108,16 +95,8 @@ def nonergodicity_witness(spec: CorrelationSpec, N: int) -> float:
     return float(np.mean(spec.cross_terms(np.arange(N))))
 
 
-def cross_mass_fraction(spec: CorrelationSpec, eps: float, N: int) -> float:
-    """Fraction of n < N with squared cross term >= eps; a positive floor
-    persisting as N grows is the finite-horizon non-ergodicity rendering."""
-    vals = spec.cross_terms(np.arange(N))
-    return float(np.mean(vals >= eps))
-
-
 def correlation_monte_carlo(
-    op: OperatorSpec,
-    series: SteinhausSeries,
+    series: EigenExpansion,
     xstar: DualFunctional,
     ystar: DualFunctional,
     n: int,
@@ -127,12 +106,12 @@ def correlation_monte_carlo(
 ) -> MCReport:
     """MC estimate of E(|<x*, T**n Phi>|**2 |<y*, Phi>|**2) for the series;
     agrees with the closed form within Monte Carlo error."""
-    coeffs = series.coefficients()
-    thetas = series.thetas()
-    c = np.array([pair(xstar, p.vector) for _, p in series.terms])
-    d = np.array([pair(ystar, p.vector) for _, p in series.terms])
-    chi = np.exp(2j * np.pi * rng.random((trials, coeffs.size)))
-    lam_n = np.exp(2j * np.pi * n * thetas)
+    coeffs = series.coeffs
+    k = len(series)
+    c = np.conj(xstar.entries) @ series.terms.vectors
+    d = np.conj(ystar.entries) @ series.terms.vectors
+    chi = sample_steinhaus(rng, trials * k).reshape(trials, k)
+    lam_n = np.exp(2j * np.pi * n * series.terms.thetas)
     a = np.abs(chi @ (lam_n * coeffs * c)) ** 2
     b = np.abs(chi @ (coeffs * d)) ** 2
     vals = a * b
@@ -147,7 +126,7 @@ def correlation_monte_carlo(
 def correlation_csv(spec: CorrelationSpec, N: int, path) -> None:
     """(n, correlation, running Cesaro average) rows for plotting."""
     ns = np.arange(N)
-    vals = spec.product_term() - spec.diagonal_term() + spec.cross_terms(ns)
+    vals = spec.correlation(ns)
     running = np.cumsum(vals) / (ns + 1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

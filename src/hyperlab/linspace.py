@@ -77,9 +77,3 @@ def pair(f: DualFunctional, v: StateVector) -> complex:
         raise ValueError(f"dimension mismatch: functional {f.dim}, vector {v.dim}")
     return complex(np.vdot(f.entries, v.entries))
 
-
-def add_scaled(v: StateVector, c: complex, w: StateVector) -> StateVector:
-    """Entrywise v + c*w."""
-    if v.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    return StateVector(v.entries + c * w.entries, v.space_p)

@@ -18,7 +18,6 @@ from .linspace import StateVector, norm
 
 SCALED_BACKWARD_SHIFT = "scaled_backward_shift"
 PERTURBED_DIAGONAL = "perturbed_diagonal"
-DENSE_MATRIX = "dense_matrix"
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class OperatorSpec:
     weight: float | None = None
     angles: np.ndarray | None = None
     eps: float | None = None
-    matrix: np.ndarray | None = None
 
     def perturbation_weights(self) -> np.ndarray:
         """Superdiagonal entries eps * 4**-k of the perturbed diagonal."""
@@ -71,15 +69,6 @@ def make_perturbed_diagonal(angles, eps: float, d: int) -> OperatorSpec:
     )
 
 
-def make_dense(matrix) -> OperatorSpec:
-    matrix = np.array(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    bound = float(np.linalg.norm(matrix, ord=2))
-    matrix.setflags(write=False)
-    return OperatorSpec(DENSE_MATRIX, matrix.shape[0], bound, matrix=matrix)
-
-
 def apply(op: OperatorSpec, v: StateVector) -> StateVector:
     if op.dim != v.dim:
         raise ValueError(f"dimension mismatch: operator {op.dim}, vector {v.dim}")
@@ -90,8 +79,6 @@ def apply(op: OperatorSpec, v: StateVector) -> StateVector:
     elif op.kind == PERTURBED_DIAGONAL:
         out = op.diagonal() * e
         out[:-1] += op.perturbation_weights() * e[1:]
-    elif op.kind == DENSE_MATRIX:
-        out = op.matrix @ e
     else:
         raise ValueError(f"unknown operator kind {op.kind!r}")
     return StateVector(out, v.space_p)

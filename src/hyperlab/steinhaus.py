@@ -14,53 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfields import EigenPair
-from .linspace import DualFunctional, StateVector
+from .eigenfields import EigenExpansion
+from .linspace import StateVector
 from .operators import OperatorSpec, apply
-
-
-@dataclass(frozen=True)
-class SteinhausSeries:
-    """List of (coefficient, eigenpair) terms defining the random series
-    Phi = sum chi_j a_j x_j."""
-
-    terms: tuple  # of (complex, EigenPair)
-    seed: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((complex(c), p) for c, p in self.terms)
-        )
-        thetas = [p.theta for _, p in self.terms]
-        if len(set(thetas)) != len(thetas):
-            raise ValueError("eigenvalue angles must be pairwise distinct")
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for c, _ in self.terms])
-
-    def matrix(self) -> np.ndarray:
-        return np.column_stack([p.vector.entries for _, p in self.terms])
-
-    def thetas(self) -> np.ndarray:
-        return np.array([p.theta for _, p in self.terms])
-
-    def tail_error(self, n_kept: int) -> float:
-        """Sum of |a_j| over the dropped terms beyond index n_kept."""
-        return float(np.sum(np.abs(self.coefficients()[n_kept:])))
-
-
-@dataclass
-class EmpiricalMeasure:
-    samples: list  # of StateVector
-    seed: int | None
-    sample_count: int
-
-    def __post_init__(self):
-        if self.sample_count != len(self.samples):
-            raise ValueError("sample_count must match the number of samples")
 
 
 @dataclass(frozen=True)
@@ -89,47 +45,32 @@ def sample_steinhaus(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(n))
 
 
-def sample_series(series: SteinhausSeries, rng: np.random.Generator) -> StateVector:
-    """One draw sum_j chi_j a_j x_j."""
-    if not series.terms:
-        raise ValueError("series must have at least one term")
-    chi = sample_steinhaus(rng, len(series))
-    return StateVector(series.matrix() @ (chi * series.coefficients()))
-
-
 def sample_series_batch(
-    series: SteinhausSeries, rng: np.random.Generator, trials: int
+    series: EigenExpansion, rng: np.random.Generator, trials: int
 ) -> np.ndarray:
-    """trials x d array of independent draws of the series."""
-    chi = np.exp(2j * np.pi * rng.random((trials, len(series))))
-    return (chi * series.coefficients()[None, :]) @ series.matrix().T
+    """trials x d array of independent draws sum_j chi_j a_j x_j of the
+    random series over the expansion's terms."""
+    k = len(series)
+    if k == 0:
+        raise ValueError("series must have at least one term")
+    chi = sample_steinhaus(rng, trials * k).reshape(trials, k)
+    return (chi * series.coeffs[None, :]) @ series.terms.vectors.T
 
 
-def empirical_measure(
-    series: SteinhausSeries, rng: np.random.Generator, trials: int, seed=None
-) -> EmpiricalMeasure:
-    batch = sample_series_batch(series, rng, trials)
-    return EmpiricalMeasure([StateVector(row) for row in batch], seed, trials)
-
-
-def khinchine_ratio(coeffs, trials: int, rng: np.random.Generator) -> float:
+def khinchine_report(coeffs, trials: int, rng: np.random.Generator, seed=None) -> MCReport:
     """Monte Carlo estimate of E|sum chi_j a_j| / sqrt(sum |a_j|^2).
 
     The exact one-sided comparison E|sum chi a| <= (sum |a|^2)^(1/2) holds
     with constant 1 (Cauchy-Schwarz plus orthogonality of the phases), so
     the ratio always lies in (0, 1].
     """
-    return khinchine_report(coeffs, trials, rng).estimate
-
-
-def khinchine_report(coeffs, trials: int, rng: np.random.Generator, seed=None) -> MCReport:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.size == 0:
         raise ValueError("need at least one coefficient")
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
     l2 = float(np.linalg.norm(coeffs))
-    chi = np.exp(2j * np.pi * rng.random((trials, coeffs.size)))
+    chi = sample_steinhaus(rng, trials * coeffs.size).reshape(trials, coeffs.size)
     sums = np.abs(chi @ coeffs) / l2
     return MCReport(
         estimate=float(np.mean(sums)),
@@ -153,7 +94,7 @@ class InvarianceReport:
 
 def invariance_gap(
     op: OperatorSpec,
-    series: SteinhausSeries,
+    series: EigenExpansion,
     trials: int,
     probes,
     rng: np.random.Generator,

@@ -22,6 +22,7 @@ from hyperlab.density import TargetBall, fhc_harness, visit_times
 from hyperlab.diophantine import TorusTarget, solve_simultaneous, syndetic_return_set
 from hyperlab.eigenfields import (
     EigenExpansion,
+    EigenFamily,
     EigenPair,
     eigenvector_2B,
     qindependent_angles,
@@ -36,7 +37,7 @@ from hyperlab.ergodicity import (
 )
 from hyperlab.linspace import DualFunctional, StateVector, basis_vector, norm
 from hyperlab.operators import apply, make_scaled_backward_shift
-from hyperlab.steinhaus import SteinhausSeries, invariance_gap, khinchine_report
+from hyperlab.steinhaus import invariance_gap, khinchine_report
 
 SQRT2 = float(np.sqrt(2) % 1)
 SQRT3 = float(np.sqrt(3) % 1)
@@ -98,7 +99,7 @@ def test_criterion_03_measure_invariance(op64):
     start = time.perf_counter()
     family = sample_2B_family(2.0, 64, 32)
     coeffs = 0.5 ** np.arange(1, 33)
-    series = SteinhausSeries(tuple(zip(coeffs, family.pairs)))
+    series = EigenExpansion(coeffs, family)
     probes = [DualFunctional(basis_vector(k, 64).entries) for k in range(8)]
     rep = invariance_gap(op64, series, 10**4, probes, np.random.default_rng(3))
     elapsed = time.perf_counter() - start
@@ -106,11 +107,11 @@ def test_criterion_03_measure_invariance(op64):
     assert report(3, "invariance", ok), (rep.max_gap, elapsed)
 
 
-def test_criterion_04_nonergodicity_witness(op64):
+def test_criterion_04_nonergodicity_witness():
     start = time.perf_counter()
     e0 = basis_vector(0, 64)
     pairs = (EigenPair(1.0, e0, 0.0), EigenPair(SQRT2, e0, 0.0))
-    series = SteinhausSeries(((2**-0.5, pairs[0]), (2**-0.5, pairs[1])))
+    series = EigenExpansion((2**-0.5, 2**-0.5), EigenFamily.from_pairs(pairs))
     f0 = DualFunctional(e0.entries)
     spec = CorrelationSpec.from_probes(series, f0, f0)
     N = 10**5
@@ -120,7 +121,7 @@ def test_criterion_04_nonergodicity_witness(op64):
     )
     witness = nonergodicity_witness(spec, N)
     mc = correlation_monte_carlo(
-        op64, series, f0, f0, 7, 10**5, np.random.default_rng(4)
+        series, f0, f0, 7, 10**5, np.random.default_rng(4)
     )
     closed = correlation_closed_form(spec, 7)
     elapsed = time.perf_counter() - start
@@ -196,7 +197,7 @@ def test_criterion_08_construction_end_to_end(construction64):
     ]
 
 
-def test_criterion_09_density_harness(op64, construction64):
+def test_criterion_09_density_harness(construction64):
     state, phi, _, _, family = construction64
     phi_vec = phi.to_vector().entries
     balls = [
@@ -206,13 +207,13 @@ def test_criterion_09_density_harness(op64, construction64):
         )
         for b in state.blocks
     ]
-    fhc = fhc_harness(op64, phi, balls, 2 * 10**5)
+    fhc = fhc_harness(phi, balls, 2 * 10**5)
     # calibration: a single eigen-term orbits a circle; visits to a ball
     # around the term itself happen exactly on an explicit arc of angles
-    pair0 = family.pairs[0]
-    x = EigenExpansion(((0.5, pair0),))
+    pair0 = family.pair(0)
+    x = EigenExpansion((0.5,), family.take([0]))
     center = StateVector(0.5 * pair0.vector.entries)
-    rec = visit_times(op64, x, TargetBall(center, 0.3), 2 * 10**5)
+    rec = visit_times(x, TargetBall(center, 0.3), 2 * 10**5)
     arc = 2.0 * np.arcsin(0.3 / (2 * 0.5)) / np.pi
     frequency = len(rec.times) / (2 * 10**5)
     ok = all(p > 0 for p in fhc.proxies) and abs(frequency - arc) < 0.01

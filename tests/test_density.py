@@ -21,8 +21,8 @@ from hyperlab.operators import make_scaled_backward_shift
 def setup():
     op = make_scaled_backward_shift(2.0, 16)
     fam = sample_2B_family(2.0, 16, 8)
-    x = EigenExpansion(((0.5, fam.pairs[0]), (0.25, fam.pairs[1])))
-    center = StateVector(0.5 * fam.pairs[0].vector.entries)
+    x = EigenExpansion((0.5, 0.25), fam.take([0, 1]))
+    center = StateVector(0.5 * fam.vectors[:, 0])
     return op, x, TargetBall(center, 0.4)
 
 
@@ -38,7 +38,7 @@ def test_target_and_record_validation():
 def test_visit_times_matches_direct_orbit_scan(setup):
     op, x, ball = setup
     N = 3000
-    rec = visit_times(op, x, ball, N)
+    rec = visit_times(x, ball, N)
     manual = [
         n
         for n in range(N)
@@ -50,19 +50,18 @@ def test_visit_times_matches_direct_orbit_scan(setup):
 
 def test_recheck_visit_agrees_with_fast_path(setup):
     op, x, ball = setup
-    rec = visit_times(op, x, ball, 500)
+    rec = visit_times(x, ball, 500)
     inside = set(rec.times)
     for n in range(0, 500, 37):
-        assert recheck_visit(op, x, ball, n) == (n in inside)
+        assert recheck_visit(x, ball, n) == (n in inside)
 
 
 def test_empty_expansion_visits_iff_center_is_near_zero():
-    op = make_scaled_backward_shift(2.0, 4)
-    x = EigenExpansion(())
+    x = EigenExpansion((), sample_2B_family(2.0, 4, 1).take([]))
     near = TargetBall(zero_vector(4), 0.5)
     far = TargetBall(StateVector([3.0, 0, 0, 0]), 0.5)
-    assert len(visit_times(op, x, near, 100).times) == 100
-    assert len(visit_times(op, x, far, 100).times) == 0
+    assert len(visit_times(x, near, 100).times) == 100
+    assert len(visit_times(x, far, 100).times) == 0
 
 
 def test_default_windows_ladder():
@@ -85,11 +84,11 @@ def test_lower_density_estimate_manual():
 def test_fhc_harness_passes_iff_all_proxies_positive(setup):
     op, x, ball = setup
     never = TargetBall(StateVector(np.full(16, 5.0 + 0j)), 0.1)
-    report = fhc_harness(op, x, [ball, never], 2000, windows=[1000, 2000])
+    report = fhc_harness(x, [ball, never], 2000, windows=[1000, 2000])
     assert isinstance(report, FhcReport)
     assert report.proxies[0] > 0 and report.proxies[1] == 0.0
     assert not report.passed
-    good = fhc_harness(op, x, [ball], 2000, windows=[1000, 2000])
+    good = fhc_harness(x, [ball], 2000, windows=[1000, 2000])
     assert good.passed
 
 

@@ -8,7 +8,6 @@ from hyperlab.diophantine import (
     TorusTarget,
     chord_to,
     covering_scan,
-    return_time_net,
     solve_simultaneous,
     syndetic_return_set,
 )
@@ -72,9 +71,11 @@ def test_covering_net_solves_arbitrary_targets():
     rng = np.random.default_rng(3)
     lams = np.exp(2j * np.pi * np.array([SQRT2, SQRT3]))
     for _ in range(100):
-        targets = np.exp(2j * np.pi * rng.random(2))
-        p = net.solve_for(targets)
-        assert np.all(np.abs(lams**p - targets) < 0.4)
+        fracs = rng.random(2)
+        # nearest net point, then its stored power
+        i, j = np.round(fracs * net.mesh).astype(int) % net.mesh
+        p = int(net.cell_to_p[i * net.mesh + j])
+        assert np.all(np.abs(lams**p - np.exp(2j * np.pi * fracs)) < 0.4)
 
 
 def test_covering_scan_respects_fixed_angle_filter():
@@ -101,8 +102,9 @@ def test_covering_scan_parameter_validation():
 
 
 def test_return_time_net_covers_the_whole_torus():
-    times = return_time_net((SQRT2,), 0.5, 0.25, p_max=10**6)
-    assert len(times) >= 1
+    net = covering_scan((SQRT2,), 0.5, 0.25, p_max=10**6)
+    times = net.return_times
+    assert len(times) >= 1 and np.all(net.cell_to_p >= 1)
     assert times.pi_max == max(times.times)
 
 

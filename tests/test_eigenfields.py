@@ -1,10 +1,10 @@
-import csv
-
 import numpy as np
 import pytest
 
 from hyperlab.eigenfields import (
     EigenExpansion,
+    EigenFamily,
+    EigenPair,
     check_assumption_H,
     diagonal_family,
     eigenvector_2B,
@@ -14,9 +14,8 @@ from hyperlab.eigenfields import (
     sample_2B_family,
     spanning_rank,
     unimodular,
-    family_to_csv,
 )
-from hyperlab.linspace import StateVector, norm
+from hyperlab.linspace import StateVector, basis_vector, norm
 from hyperlab.operators import apply, make_perturbed_diagonal
 
 
@@ -66,12 +65,14 @@ def test_eigenvector_2B_rejects_small_weight():
 
 
 def test_sample_2B_family_matches_single_construction():
-    fam = sample_2B_family(2.0, 16, 10)
-    assert len(fam) == 10
-    for p in fam.pairs:
-        single = eigenvector_2B(p.theta, 2.0, 16)
-        assert np.allclose(p.vector.entries, single.vector.entries)
-        assert p.residual == pytest.approx(single.residual)
+    fam = sample_2B_family(2.0, 64, 300)
+    assert len(fam) == 300 and fam.vectors.shape == (64, 300)
+    assert fam.vectors.flags.c_contiguous and not fam.vectors.flags.writeable
+    for i in range(len(fam)):
+        p = fam.pair(i)
+        single = eigenvector_2B(p.theta, 2.0, 64)
+        assert np.array_equal(p.vector.entries, single.vector.entries)
+        assert p.residual == single.residual
 
 
 def test_perturbed_diagonal_eigenvector_is_actual_eigenvector():
@@ -106,7 +107,7 @@ def test_expansion_power_matches_repeated_operator_application():
 
     op = make_scaled_backward_shift(2.0, 32)
     fam = sample_2B_family(2.0, 32, 4)
-    x = EigenExpansion(tuple((0.3 * (j + 1), p) for j, p in enumerate(fam.pairs)))
+    x = EigenExpansion(0.3 * np.arange(1, 5), fam)
     slow = x.to_vector()
     for _ in range(5):
         slow = apply(op, slow)
@@ -116,15 +117,18 @@ def test_expansion_power_matches_repeated_operator_application():
 
 def test_expansion_power_zero_is_to_vector():
     fam = sample_2B_family(2.0, 8, 2)
-    x = EigenExpansion(((1.0, fam.pairs[0]), (2j, fam.pairs[1])))
+    x = EigenExpansion((1.0, 2j), fam)
     assert np.allclose(x.to_vector().entries, x.power(0).entries)
-    manual = fam.pairs[0].vector.entries + 2j * fam.pairs[1].vector.entries
+    manual = fam.vectors[:, 0] + 2j * fam.vectors[:, 1]
     assert np.allclose(x.to_vector().entries, manual)
 
 
 def test_empty_expansion_has_no_vector():
+    fam = sample_2B_family(2.0, 8, 2)
     with pytest.raises(ValueError):
-        EigenExpansion(()).to_vector()
+        EigenExpansion((), fam.take([])).to_vector()
+    with pytest.raises(ValueError):
+        EigenExpansion((1.0,), fam)  # one coefficient per member
 
 
 def test_spanning_rank_saturates_at_dimension():
@@ -138,30 +142,27 @@ def test_check_assumption_H_passes_on_dense_sampling():
     assert report.passed
     assert report.max_nearest_distance <= 0.2
     # excluding every other angle leaves no admissible neighbor
-    all_but_first = fam.thetas()[1:].tolist()
+    all_but_first = fam.thetas[1:].tolist()
     bad = check_assumption_H(fam, all_but_first, tol=0.2)
     assert not bad.passed
     assert "no admissible neighbor" in bad.diagnostic
 
 
 def test_family_rejects_duplicate_angles_and_non_unit_vectors():
-    from hyperlab.eigenfields import EigenFamily, EigenPair
-    from hyperlab.linspace import basis_vector
-
     p = EigenPair(0.25, basis_vector(0, 4), 0.0)
     with pytest.raises(ValueError):
-        EigenFamily((p, p))
+        EigenFamily.from_pairs((p, p))
     with pytest.raises(ValueError):
-        EigenFamily((EigenPair(0.5, StateVector([2.0, 0.0]), 0.0),))
-
-
-def test_family_to_csv_round_trips_angles(tmp_path):
-    fam = sample_2B_family(2.0, 8, 5)
-    path = tmp_path / "family.csv"
-    family_to_csv(fam, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [float(r["theta"]) for r in rows] == [p.theta for p in fam.pairs]
+        EigenFamily.from_pairs((EigenPair(0.5, StateVector([2.0, 0.0]), 0.0),))
+    eye = np.eye(3, dtype=complex)
+    EigenFamily((0.1, 0.2, 0.3), eye, (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        EigenFamily((0.1, 0.2, 0.1), eye, (0.0, 0.0, 0.0))
+    eye[2, 2] = 1.0 + 1e-9
+    with pytest.raises(ValueError):
+        EigenFamily((0.1, 0.2, 0.3), eye, (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        EigenFamily((0.1, 0.2), np.eye(3), (0.0, 0.0))
 
 
 def test_unimodular_has_unit_modulus():

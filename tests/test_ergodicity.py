@@ -9,14 +9,10 @@ from hyperlab.ergodicity import (
     correlation_closed_form,
     correlation_csv,
     correlation_monte_carlo,
-    cross_mass_fraction,
     nonergodicity_witness,
-    pairing_correlation,
 )
-from hyperlab.eigenfields import EigenPair
+from hyperlab.eigenfields import EigenExpansion, EigenFamily, EigenPair
 from hyperlab.linspace import DualFunctional, basis_vector
-from hyperlab.operators import make_scaled_backward_shift
-from hyperlab.steinhaus import SteinhausSeries
 
 SQRT2 = float(np.sqrt(2) % 1)
 
@@ -46,9 +42,11 @@ def test_terms_match_manual_formulas():
 def test_closed_form_and_pairing_differ_by_the_diagonal():
     spec = two_pair_spec()
     for n in (0, 1, 9):
-        assert pairing_correlation(spec, n) - correlation_closed_form(
-            spec, n
-        ) == pytest.approx(spec.diagonal_term())
+        # two-pairing decomposition: exact for Gaussian phases (E|chi|**4 = 2)
+        pairing = spec.product_term() + spec.cross_terms([n])[0]
+        assert pairing - correlation_closed_form(spec, n) == pytest.approx(
+            spec.diagonal_term()
+        )
     with pytest.raises(ValueError):
         correlation_closed_form(spec, -1)
 
@@ -56,12 +54,11 @@ def test_closed_form_and_pairing_differ_by_the_diagonal():
 def test_closed_form_matches_monte_carlo(rng):
     e0 = basis_vector(0, 4)
     pairs = (EigenPair(1.0, e0, 0.0), EigenPair(SQRT2, e0, 0.0))
-    series = SteinhausSeries(((2**-0.5, pairs[0]), (2**-0.5, pairs[1])))
+    series = EigenExpansion((2**-0.5, 2**-0.5), EigenFamily.from_pairs(pairs))
     f0 = DualFunctional(e0.entries)
     spec = CorrelationSpec.from_probes(series, f0, f0)
-    op = make_scaled_backward_shift(2.0, 4)
     for n in (0, 7):
-        mc = correlation_monte_carlo(op, series, f0, f0, n, 50000, rng)
+        mc = correlation_monte_carlo(series, f0, f0, n, 50000, rng)
         assert abs(mc.estimate - correlation_closed_form(spec, n)) <= 4 * mc.stderr
 
 
@@ -83,22 +80,16 @@ def test_witness_stabilizes_at_the_coefficient_mass():
         nonergodicity_witness(spec, 100)
 
 
-def test_cross_mass_fraction_monotone_and_bounded():
-    spec = two_pair_spec()
-    low = cross_mass_fraction(spec, 0.05, 5000)
-    high = cross_mass_fraction(spec, 0.9, 5000)
-    assert 0.0 <= high <= low <= 1.0
-    assert low > 0.5  # the cross term persists on a positive fraction
-
-
 def test_from_probes_extracts_pairings(family32):
-    series = SteinhausSeries(tuple((0.5, p) for p in family32.pairs[:3]))
+    series = EigenExpansion(np.full(3, 0.5), family32.take([0, 1, 2]))
     f = DualFunctional(basis_vector(0, 32).entries)
     g = DualFunctional(basis_vector(1, 32).entries)
     spec = CorrelationSpec.from_probes(series, f, g)
-    manual_c = [0.5 * np.vdot(f.entries, p.vector.entries) for p in family32.pairs[:3]]
-    assert np.allclose(spec.c, manual_c)
-    assert spec.angles == tuple(p.theta for p in family32.pairs[:3])
+    pairs = [family32.pair(i) for i in range(3)]
+    manual_c = [0.5 * np.vdot(f.entries, p.vector.entries) for p in pairs]
+    manual_d = [0.5 * np.vdot(g.entries, p.vector.entries) for p in pairs]
+    assert np.allclose(spec.c, manual_c) and np.allclose(spec.d, manual_d)
+    assert spec.angles == tuple(p.theta for p in pairs)
 
 
 def test_correlation_csv_running_average_converges(tmp_path):

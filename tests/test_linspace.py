@@ -4,7 +4,6 @@ import pytest
 from hyperlab.linspace import (
     DualFunctional,
     StateVector,
-    add_scaled,
     basis_vector,
     norm,
     pair,
@@ -77,12 +76,3 @@ def test_pair_dimension_mismatch():
     with pytest.raises(ValueError):
         pair(DualFunctional([1.0]), StateVector([1.0, 2.0]))
 
-
-def test_add_scaled():
-    v = StateVector([1.0, 2.0])
-    w = StateVector([0.0, 1.0])
-    out = add_scaled(v, 2j, w)
-    assert np.allclose(out.entries, [1.0, 2.0 + 2j])
-    assert out.space_p == v.space_p
-    with pytest.raises(ValueError):
-        add_scaled(v, 1.0, StateVector([1.0]))

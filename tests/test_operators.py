@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from hyperlab.eigenfields import EigenExpansion, eigenvector_2B, qindependent_angles
+from hyperlab.eigenfields import (
+    EigenExpansion,
+    EigenFamily,
+    eigenvector_2B,
+    qindependent_angles,
+)
 from hyperlab.linspace import StateVector, basis_vector, norm
 from hyperlab.operators import (
     apply,
-    make_dense,
     make_perturbed_diagonal,
     make_scaled_backward_shift,
     power_apply,
@@ -35,19 +39,10 @@ def test_perturbed_diagonal_matches_dense_matrix():
         assert np.allclose(apply(op, StateVector(e)).entries, dense @ e)
 
 
-def test_dense_apply_is_matmul():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    op = make_dense(m)
-    e = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    assert np.allclose(apply(op, StateVector(e)).entries, m @ e)
-
-
 def test_norm_bound_dominates_power_iteration_norm():
     ops = [
         make_scaled_backward_shift(2.0, 16),
         make_perturbed_diagonal(qindependent_angles(16), 0.2, 16),
-        make_dense(np.diag([1.0, 2.0, 0.5])),
     ]
     for op in ops:
         assert op.norm_bound >= power_iteration_norm(op) - 1e-9
@@ -71,7 +66,7 @@ def test_power_apply_equals_repeated_application():
 def test_power_apply_uses_eigen_expansion_exactly():
     op = make_scaled_backward_shift(2.0, 32)
     p = eigenvector_2B(float(np.sqrt(2) % 1), 2.0, 32)
-    x = EigenExpansion(((0.7, p),))
+    x = EigenExpansion((0.7,), EigenFamily.from_pairs([p]))
     n = 6
     fast = power_apply(op, x, n)
     slow = x.to_vector()
@@ -99,8 +94,6 @@ def test_constructor_validation():
         make_perturbed_diagonal([0.1], -0.5, 1)
     with pytest.raises(ValueError):
         make_perturbed_diagonal([0.1, 0.2], 0.5, 3)
-    with pytest.raises(ValueError):
-        make_dense(np.ones((2, 3)))
 
 
 def test_apply_dimension_mismatch():

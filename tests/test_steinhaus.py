@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from hyperlab.eigenfields import sample_2B_family
+from hyperlab.eigenfields import EigenExpansion
 from hyperlab.linspace import DualFunctional, basis_vector
 from hyperlab.operators import make_scaled_backward_shift
 from hyperlab.steinhaus import (
-    SteinhausSeries,
-    empirical_measure,
     invariance_gap,
-    khinchine_ratio,
     khinchine_report,
-    sample_series,
     sample_series_batch,
     sample_steinhaus,
 )
@@ -22,6 +18,13 @@ def test_sample_steinhaus_is_unimodular_and_centered(rng):
     assert abs(np.mean(chi)) < 0.02
     with pytest.raises(ValueError):
         sample_steinhaus(rng, -1)
+
+
+def test_batched_draw_is_the_same_stream_as_a_shaped_draw():
+    t, k = 300, 7
+    flat = sample_steinhaus(np.random.default_rng(5), t * k).reshape(t, k)
+    shaped = np.exp(2j * np.pi * np.random.default_rng(5).random((t, k)))
+    assert np.array_equal(flat, shaped)
 
 
 def test_khinchine_single_coefficient_is_exactly_one(rng):
@@ -41,7 +44,7 @@ def test_khinchine_ratio_never_exceeds_one(rng):
     for _ in range(25):
         k = int(rng.integers(1, 12))
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        assert khinchine_ratio(coeffs, 1000, rng) <= 1.0 + 1e-12
+        assert khinchine_report(coeffs, 1000, rng).estimate <= 1.0 + 1e-12
 
 
 def test_khinchine_second_moment_is_exactly_the_l2_mass(rng):
@@ -60,49 +63,39 @@ def test_khinchine_input_validation(rng):
 
 
 def test_series_requires_distinct_angles(family32):
-    p = family32.pairs[0]
     with pytest.raises(ValueError):
-        SteinhausSeries(((1.0, p), (2.0, p)))
-
-
-def test_series_tail_error_is_dropped_l1_mass(family32):
-    series = SteinhausSeries(
-        tuple((0.5**j, p) for j, p in enumerate(family32.pairs[:4]))
-    )
-    assert series.tail_error(2) == pytest.approx(0.25 + 0.125)
-    assert series.tail_error(4) == 0.0
+        EigenExpansion((1.0, 2.0), family32.take([0, 0]))
 
 
 def test_sample_series_draw_lies_in_the_span(family32, rng):
-    series = SteinhausSeries(tuple((1.0, p) for p in family32.pairs[:3]))
-    draw = sample_series(series, rng)
+    series = EigenExpansion(np.ones(3), family32.take([0, 1, 2]))
+    (draw,) = sample_series_batch(series, rng, 1)
     # the draw is a combination of the three columns: residual after
     # projecting onto their span is zero
-    mat = series.matrix()
-    proj, *_ = np.linalg.lstsq(mat, draw.entries, rcond=None)
-    assert np.linalg.norm(mat @ proj - draw.entries) < 1e-10
+    mat = series.terms.vectors
+    proj, *_ = np.linalg.lstsq(mat, draw, rcond=None)
+    assert np.linalg.norm(mat @ proj - draw) < 1e-10
     assert np.allclose(np.abs(proj), 1.0, atol=1e-10)
 
 
 def test_sample_series_batch_shape_and_measure(family32, rng):
-    series = SteinhausSeries(tuple((0.5, p) for p in family32.pairs[:3]))
-    batch = sample_series_batch(series, rng, 50)
-    assert batch.shape == (50, 32)
-    measure = empirical_measure(series, rng, 25)
-    assert measure.sample_count == 25 and len(measure.samples) == 25
+    series = EigenExpansion(np.full(3, 0.5), family32.take([0, 1, 2]))
+    batch = sample_series_batch(series, rng, 4000)
+    assert batch.shape == (4000, 32)
+    # second moment of every coordinate: sum_j |a_j|**2 |x_j[m]|**2
+    exact = np.abs(series.terms.vectors) ** 2 @ np.abs(series.coeffs) ** 2
+    assert np.allclose(np.mean(np.abs(batch) ** 2, axis=0), exact, rtol=0.1)
 
 
-def test_empty_series_cannot_be_sampled(rng):
+def test_empty_series_cannot_be_sampled(family32, rng):
     with pytest.raises(ValueError):
-        sample_series(SteinhausSeries(()), rng)
+        sample_series_batch(EigenExpansion((), family32.take([])), rng, 10)
 
 
 def test_invariance_gap_within_monte_carlo_error(family32, rng):
     op = make_scaled_backward_shift(2.0, 32)
     coeffs = 0.5 ** np.arange(1, 9)
-    series = SteinhausSeries(
-        tuple((c, p) for c, p in zip(coeffs, family32.pairs[:8]))
-    )
+    series = EigenExpansion(coeffs, family32.take(slice(8)))
     probes = [DualFunctional(basis_vector(k, 32).entries) for k in range(4)]
     report = invariance_gap(op, series, 4000, probes, rng)
     assert len(report.rows) == 8  # 4 probes x 2 moment orders
