@@ -8,6 +8,12 @@ is confined to its own arc territory, so descendant drift can never erase
 the separation created at a split; the geometrically halving jump bounds
 make the leaf limits a Cantor-style injective parametrization with
 explicit margins.
+
+The tree is stored in breadth-first label order: node j has children
+2j+1 (label + "0") and 2j+2 (label + "1"), level n is the slice
+[2**n - 1, 2**(n+1) - 1), and the leaves are the last 2**depth nodes, so
+the leaves of every subtree form one contiguous slice.  In binary, j + 1
+is "1" followed by node j's label.
 """
 
 from __future__ import annotations
@@ -18,61 +24,54 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diophantine import chord_to
-from .eigenfields import EigenFamily, EigenPair, unimodular
+from .eigenfields import EigenFamily
 
 
 class CantorBuildError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CantorNode:
-    label: str  # binary string, root is ""
-    pair: EigenPair
-    # gap between this node's two children (set when the node is split)
-    child_gap_lambda: float | None = None
-    child_gap_vector: float | None = None
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CantorField:
+    """A full binary tree of the given depth over ``seed_family``:
+    ``nodes[j]`` is the seed index of breadth-first node j's eigenpair."""
+
     depth: int
-    nodes: dict  # label -> CantorNode
     seed_family: EigenFamily
-
-    def lambda_of(self, label: str) -> complex:
-        return unimodular(self.nodes[label].pair.theta)
+    nodes: np.ndarray
 
 
-def build_cantor_field(
-    seed: EigenFamily, depth: int, root_index: int = 0
-) -> CantorField:
+def _label(j: int) -> str:
+    return format(j + 1, "b")[1:]
+
+
+def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     """Grow the full binary tree of the halving construction to ``depth``.
 
-    Right children are searched among unused seed members inside the
-    node's territory arc, aiming at a deterministic target jump (ties by
-    smaller angle).  A node with no admissible neighbor fails the build,
-    naming the node.
+    The root is seed member 0.  Right children are searched among unused
+    seed members inside the node's territory arc, aiming at a
+    deterministic target jump (ties by smaller angle).  A node with no
+    admissible neighbor fails the build, naming the node.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     thetas = seed.thetas
     mat = seed.vectors
 
-    root_pair = seed.pair(root_index)
-    theta0 = root_pair.theta
     # signed angle offsets from the root; all construction arithmetic is
     # done on these unwrapped coordinates
-    offsets = np.mod(thetas - theta0 + 0.5, 1.0) - 0.5
+    offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
     available = np.ones(len(seed), dtype=bool)
-    available[root_index] = False
-    nodes = {"": CantorNode("", root_pair)}
-    # label -> (seed index, offset, territory lo, territory hi).  The
-    # territory is the arc this node's whole subtree must stay inside;
-    # disjoint territories across a split are what make the separation
-    # margin delta_p hold for every descendant pair, not just the children.
-    meta = {"": (root_index, 0.0, -0.5, 0.5)}
-    levels = [[""]]
+    available[0] = False
+    size = 2 ** (depth + 1) - 1
+    nodes = np.zeros(size, dtype=np.intp)
+    # per node: its offset and the territory [lo, hi], the arc its whole
+    # subtree must stay inside; disjoint territories across a split are
+    # what make the separation margin delta_p hold for every descendant
+    # pair, not just the children
+    off = np.zeros(size)
+    lo = np.full(size, -0.5)
+    hi = np.full(size, 0.5)
 
     def best_candidate(idx, chords, idx_v, lam_bound, vec_bound):
         """Seed index among the candidates ``idx`` (chord gaps ``chords``)
@@ -105,21 +104,16 @@ def build_cantor_field(
         best = best_candidate(idx[keep], chords[keep], idx_v, lam_bound, vec_bound)
         if best is None:
             return None
-        return (
-            best,
-            float(deltas[best]) * sign,
-            float(chord_to(deltas[best], 0.0)),
-            float(np.linalg.norm(mat[:, best] - mat[:, idx_v])),
-        )
+        return best, float(deltas[best]) * sign
 
-    def find_right_child(idx_v, off_v, lo, hi, lam_bound, vec_bound):
+    def find_right_child(idx_v, off_v, lo_v, hi_v, lam_bound, vec_bound):
         """Pick a right child inside the node's territory.
 
         The jump prefers the roomier side, aiming near the halving bound;
         the thinner side serves as a fallback.  Returns (seed index, jump
-        offset, chord gap, vector gap) or None.
+        offset) or None.
         """
-        room_plus, room_minus = hi - off_v, off_v - lo
+        room_plus, room_minus = hi_v - off_v, off_v - lo_v
         sides = [(1.0, room_plus), (-1.0, room_minus)]
         sides.sort(key=lambda t: -t[1])
         for relaxed in (False, True):
@@ -137,78 +131,72 @@ def build_cantor_field(
         best = best_candidate(idx, chords[idx], idx_v, lam_bound, vec_bound)
         if best is None:
             return None
-        return (
-            best,
-            float(offsets[best] - off_v),
-            float(chords[best]),
-            float(np.linalg.norm(mat[:, best] - mat[:, idx_v])),
+        return best, float(offsets[best] - off_v)
+
+    for j in range(2**depth - 1):
+        level = (j + 1).bit_length()  # level of node j's children
+        idx_v, off_v = int(nodes[j]), float(off[j])
+        # level-n jumps must stay under 2**-n in both the eigenvalue
+        # and the vector; the schedule is absolute, so one short jump
+        # never starves its whole subtree
+        bound = 2.0**-level
+        found = find_right_child(
+            idx_v, off_v, float(lo[j]), float(hi[j]), bound, bound
         )
+        if found is None:
+            raise CantorBuildError(
+                f"no admissible right child for node {_label(j)!r} at level {level} "
+                f"(need chord < {bound:.3g}, vector distance < {bound:.3g})"
+            )
+        best, jump = found
+        available[best] = False
+        left, right = 2 * j + 1, 2 * j + 2
+        nodes[left], nodes[right] = idx_v, best
+        off[left], off[right] = off_v, off_v + jump
+        lo[left] = lo[right] = lo[j]
+        hi[left] = hi[right] = hi[j]
+        # split the territory: buffers on the contested side sum to
+        # under half the jump, keeping cross-split leaf sets disjoint
+        # with a gap; the jumping child gets the larger share because
+        # its left-descendants stay at its anchor and spread back inward
+        buf_left = 0.20 * abs(jump)
+        buf_right = 0.29 * abs(jump)
+        if jump > 0:
+            hi[left] = off_v + buf_left
+            lo[right] = off[right] - buf_right
+        else:
+            lo[left] = off_v - buf_left
+            hi[right] = off[right] + buf_right
 
-    for level in range(1, depth + 1):
-        new_labels = []
-        for label in levels[level - 1]:
-            node = nodes[label]
-            idx_v, off_v, lo, hi = meta[label]
-            # level-n jumps must stay under 2**-n in both the eigenvalue
-            # and the vector; the schedule is absolute, so one short jump
-            # never starves its whole subtree
-            lam_bound = 2.0**-level
-            vec_bound = 2.0**-level
-            found = find_right_child(idx_v, off_v, lo, hi, lam_bound, vec_bound)
-            if found is None:
-                raise CantorBuildError(
-                    f"no admissible right child for node {label!r} at level {level} "
-                    f"(need chord < {lam_bound:.3g}, vector distance < {vec_bound:.3g})"
-                )
-            best_idx, jump, gap_lambda, gap_vector = found
-            right_pair = seed.pair(best_idx)
-            available[best_idx] = False
-            off_r = off_v + jump
-            # split the territory: buffers on the contested side sum to
-            # under half the jump, keeping cross-split leaf sets disjoint
-            # with a gap; the jumping child gets the larger share because
-            # its left-descendants stay at its anchor and spread back inward
-            buf_left = 0.20 * abs(jump)
-            buf_right = 0.29 * abs(jump)
-            if jump > 0:
-                meta[label + "0"] = (idx_v, off_v, lo, off_v + buf_left)
-                meta[label + "1"] = (best_idx, off_r, off_r - buf_right, hi)
-            else:
-                meta[label + "0"] = (idx_v, off_v, off_v - buf_left, hi)
-                meta[label + "1"] = (best_idx, off_r, lo, off_r + buf_right)
-            nodes[label] = CantorNode(label, node.pair, gap_lambda, gap_vector)
-            nodes[label + "0"] = CantorNode(label + "0", node.pair)
-            nodes[label + "1"] = CantorNode(label + "1", right_pair)
-            new_labels.extend([label + "0", label + "1"])
-        levels.append(new_labels)
-
-    field = CantorField(depth, nodes, seed)
+    nodes.setflags(write=False)
+    field = CantorField(depth, seed, nodes)
     _check_field_invariants(field)
     return field
 
 
 def _check_field_invariants(field: CantorField) -> None:
-    for label, node in field.nodes.items():
-        n = len(label)
-        if n == 0:
-            continue
-        parent = field.nodes[label[:-1]]
-        jump_l = abs(field.lambda_of(label) - field.lambda_of(label[:-1]))
-        jump_u = float(
-            np.linalg.norm(node.pair.vector.entries - parent.pair.vector.entries)
+    nodes = field.nodes
+    bad = np.flatnonzero(nodes[1::2] != nodes[: nodes.size // 2])
+    if bad.size:
+        label = _label(2 * int(bad[0]) + 1)
+        raise CantorBuildError(f"left child {label!r} must copy its parent")
+    # node j > 0 has parent (j - 1) // 2 and sits at level floor(log2(j + 1))
+    parent = np.arange(nodes.size - 1) // 2
+    level = np.repeat(np.arange(1, field.depth + 1), 2 ** np.arange(1, field.depth + 1))
+    thetas = field.seed_family.thetas[nodes]
+    lam = np.exp(2j * np.pi * thetas)
+    vectors = field.seed_family.vectors[:, nodes]
+    jump_l = np.abs(lam[1:] - lam[parent])
+    jump_u = np.linalg.norm(vectors[:, 1:] - vectors[:, parent], axis=0)
+    bad = np.flatnonzero(~((jump_l < 2.0**-level) & (jump_u < 2.0**-level)))
+    if bad.size:
+        k = int(bad[0])
+        raise CantorBuildError(
+            f"level-{level[k]} jump bound violated at {_label(k + 1)!r}"
         )
-        if label[-1] == "0":
-            if node.pair.theta != parent.pair.theta:
-                raise CantorBuildError(f"left child {label!r} must copy its parent")
-        if not (jump_l < 2.0**-n and jump_u < 2.0**-n):
-            raise CantorBuildError(f"level-{n} jump bound violated at {label!r}")
     for n in range(field.depth + 1):
-        level_thetas = [
-            node.pair.theta
-            for label, node in field.nodes.items()
-            if len(label) == n
-        ]
-        if len(set(level_thetas)) != len(level_thetas):
+        level_thetas = thetas[2**n - 1 : 2 ** (n + 1) - 1]
+        if np.unique(level_thetas).size != level_thetas.size:
             raise CantorBuildError(f"duplicate angles at level {n}")
 
 
@@ -218,17 +206,22 @@ def cantor_lookup(field: CantorField, s) -> tuple:
     label = "".join(str(int(b)) for b in s)
     if len(label) > field.depth:
         raise ValueError(f"string longer than field depth {field.depth}")
-    if label not in field.nodes:
+    if set(label) - {"0", "1"}:
         raise ValueError(f"unknown node {label!r}")
-    node = field.nodes[label]
-    return node.pair.theta, node.pair.vector
+    pair = field.seed_family.pair(int(field.nodes[int("1" + label, 2) - 1]))
+    return pair.theta, pair.vector
 
 
 @dataclass(frozen=True)
 class SeparationReport:
+    """Per-split results in breadth-first order of the splitting nodes:
+    ``margins[j]`` is half the smallest distance between leaf eigenvalues
+    below node j's two children, ``deltas[j]`` half the children's gap."""
+
     passed: bool
     min_margin: float
-    node_margins: tuple  # (label, margin, delta, worst separation)
+    margins: np.ndarray
+    deltas: np.ndarray
     delta_respected_fraction: float
 
 
@@ -242,39 +235,32 @@ def verify_cantor_separation(field: CantorField) -> SeparationReport:
     meet the stronger lower bound delta = half the child gap, which a
     finite seed family can only sustain near the top of the tree.
     """
-    rows = []
-    min_margin = float("inf")
-    passed = True
-    respected = 0
-    leaves = {
-        label: field.lambda_of(label)
-        for label in field.nodes
-        if len(label) == field.depth
-    }
-    splits = [label for label in field.nodes if len(label) < field.depth]
-    for label in splits:
-        delta = abs(field.lambda_of(label + "0") - field.lambda_of(label + "1")) / 2.0
-        left = np.array(
-            [lam for leaf, lam in leaves.items() if leaf.startswith(label + "0")]
-        )
-        right = np.array(
-            [lam for leaf, lam in leaves.items() if leaf.startswith(label + "1")]
-        )
-        sep = float(np.abs(left[:, None] - right[None, :]).min())
-        margin = sep / 2.0
-        passed = passed and margin > 0
-        respected += sep >= delta > 0
-        min_margin = min(min_margin, margin)
-        rows.append((label, margin, delta, sep))
-    frac = respected / len(splits) if splits else 1.0
-    return SeparationReport(passed, min_margin, tuple(rows), frac)
+    lam = np.exp(2j * np.pi * field.seed_family.thetas[field.nodes])
+    leaves = lam[2**field.depth - 1 :]
+    seps = []
+    for n in range(field.depth):
+        # row p holds the leaves below the level-n node p, split in halves
+        halves = leaves.reshape(2**n, 2, -1)
+        cross = np.abs(halves[:, 0, :, None] - halves[:, 1, None, :])
+        seps.append(cross.min(axis=(1, 2)))
+    seps = np.concatenate(seps) if seps else np.zeros(0)
+    deltas = np.abs(lam[1::2] - lam[2::2]) / 2.0
+    margins = seps / 2.0
+    respected = np.count_nonzero((seps >= deltas) & (deltas > 0))
+    return SeparationReport(
+        passed=bool(np.all(margins > 0)),
+        min_margin=float(margins.min()) if margins.size else float("inf"),
+        margins=margins,
+        deltas=deltas,
+        delta_respected_fraction=respected / margins.size if margins.size else 1.0,
+    )
 
 
 def field_to_csv(field: CantorField, path) -> None:
+    family = field.seed_family
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "theta", "residual"])
-        for label in sorted(field.nodes, key=lambda s: (len(s), s)):
-            node = field.nodes[label]
-            writer.writerow([label, repr(node.pair.theta), repr(node.pair.residual)])
-
+        for j, i in enumerate(field.nodes.tolist()):
+            theta, residual = float(family.thetas[i]), float(family.residuals[i])
+            writer.writerow([_label(j), repr(theta), repr(residual)])

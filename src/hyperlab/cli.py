@@ -86,6 +86,11 @@ def validate_config(text: str):
     pipelines = raw.get("pipelines", {})
     if not pipelines:
         errors.append("no pipelines requested")
+    if kind == "perturbed_diagonal" and "seed_count" in pipelines.get("cantor", {}):
+        errors.append(
+            "pipelines.cantor.seed_count needs a scaled_backward_shift operator: "
+            "it samples the shift's eigenvector field"
+        )
     for name, params in pipelines.items():
         if name not in KNOWN_PIPELINES:
             errors.append(f"unknown pipeline {name!r}")
@@ -236,7 +241,10 @@ def _run_cantor(cfg, op, family, params, rng, out, ctx):
     seed_family = family
     if count is not None and count != len(family):
         seed_family = ef.sample_2B_family(op.weight, cfg.dimension, count)
-    field = cantor_mod.build_cantor_field(seed_family, depth)
+    try:
+        field = cantor_mod.build_cantor_field(seed_family, depth)
+    except cantor_mod.CantorBuildError as exc:
+        return {"error": str(exc), "passed": False}, None
     sep = cantor_mod.verify_cantor_separation(field)
     cantor_mod.field_to_csv(field, out / "cantor_field.csv")
     return (
@@ -308,7 +316,7 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
         "visit_frequency": frequency,
         "error": abs(frequency - arc),
     }
-    passed = passed and abs(frequency - arc) < 0.01
+    passed = passed and bool(abs(frequency - arc) < 0.01)
 
     if params.get("use_construction") and ctx is not None:
         state, phi = ctx

@@ -160,23 +160,21 @@ def _fresh_members(family, used, anchor: int, count: int, gamma: float):
 
 def build_block(
     state: ConstructionState,
-    op: OperatorSpec,
-    family: EigenFamily,
     target: ConstructionTarget,
     rng: np.random.Generator,
     trials: int = 2000,
     max_tighten: int = 8,
     p_max: int = 10**6,
 ) -> Block:
-    """Build block n against the given target and append it to the state.
+    """Build block n against the given target and append it to the state,
+    with the budget of the state's operator and terms from its family.
 
     The target center is rescaled into the block's expectation budget when
     necessary (later blocks operate at geometrically shrinking amplitude;
     an unscaled center could never satisfy the budget at finite split
     sizes).  The block records the actual center used.
     """
-    if family is not state.family:
-        raise ValueError("family must be the state's family: terms are kept as its indices")
+    op, family = state.op, state.family
     n = len(state.blocks) + 1
     max_pi = state.max_pi()
     log_budget = -n * math.log(4.0) - max_pi * math.log(op.norm_bound)
@@ -197,7 +195,7 @@ def build_block(
 
     last_failure = ""
     for _ in range(max_tighten + 1):
-        built = _assemble_terms(state, family, alphas, delta, rho)
+        built = _assemble_terms(state, alphas, delta, rho)
         if built is None:
             delta /= 2.0
             last_failure = "no admissible fresh neighbors at this gamma"
@@ -255,7 +253,7 @@ def build_block(
     return block
 
 
-def _assemble_terms(state, family, alphas, delta, rho):
+def _assemble_terms(state, alphas, delta, rho):
     """Split every coefficient under the delta schedule and pick fresh
     nearby family members with unused angles; returns (terms, gamma,
     picked family indices) or None when some coefficient has too few
@@ -269,6 +267,7 @@ def _assemble_terms(state, family, alphas, delta, rho):
         splits.append((s, anchor))
         l1 += sum(abs(x) for x in s.parts)
     gamma = min(delta / 4.0, rho / (2.0 * l1)) if l1 > 0 else delta / 4.0
+    family = state.family
     used = set(state.used)
     coeffs, picked = [], []
     drift = 0.0
@@ -351,7 +350,7 @@ def run_construction(
         raise ValueError("need one target per construction step")
     state = ConstructionState(op=op, family=family)
     for n in range(n_steps):
-        build_block(state, op, family, targets[n], rng, trials=trials, p_max=p_max)
+        build_block(state, targets[n], rng, trials=trials, p_max=p_max)
 
     terms = state.all_terms()
     chi = sample_steinhaus(rng, len(terms))
@@ -404,7 +403,6 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, gram) -> float:
 
 
 def verify_visit(
-    op: OperatorSpec,
     phi: EigenExpansion,
     block: Block,
     prior: EigenExpansion | None = None,

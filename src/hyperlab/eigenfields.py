@@ -90,10 +90,10 @@ class EigenFamily:
         return self.thetas.size
 
     def pair(self, i: int) -> EigenPair:
-        # the residual stays a numpy scalar, as sample_2B_family always
-        # gave it: cantor_field.csv writes its repr
         return EigenPair(
-            float(self.thetas[i]), StateVector(self.vectors[:, i]), self.residuals[i]
+            float(self.thetas[i]),
+            StateVector(self.vectors[:, i]),
+            float(self.residuals[i]),
         )
 
     def take(self, index) -> "EigenFamily":
@@ -160,7 +160,7 @@ def eigenvector_2B(theta: float, w: float, d: int) -> EigenPair:
     """Truncated geometric eigenvector of the scaled backward shift, with
     the truncation residual recorded on the pair."""
     vectors, residuals = _field_2B([theta], w, d)
-    return EigenPair(theta, StateVector(vectors[:, 0]), residuals[0])
+    return EigenPair(theta, StateVector(vectors[:, 0]), float(residuals[0]))
 
 
 def perturbed_diagonal_eigenvector(op: OperatorSpec, k: int) -> EigenPair:

@@ -27,6 +27,7 @@ from hyperlab.eigenfields import (
     eigenvector_2B,
     qindependent_angles,
     sample_2B_family,
+    unimodular,
 )
 from hyperlab.ergodicity import (
     CorrelationSpec,
@@ -166,19 +167,22 @@ def test_criterion_07_cantor_field():
     start = time.perf_counter()
     family = sample_2B_family(2.0, 64, 2**16)
     field = build_cantor_field(family, 10)
-    leaves = [node.pair.theta for lbl, node in field.nodes.items() if len(lbl) == 10]
+    # breadth-first node j: parent (j - 1) // 2, left children at odd j,
+    # level n = floor(log2(j + 1)), leaves the last 2**10 nodes
+    thetas = family.thetas[field.nodes].tolist()
+    leaves = thetas[-(2**10) :]
     distinct = len(set(leaves)) == 2**10 == len(leaves)
     invariants = True
-    for label, node in field.nodes.items():
-        n = len(label)
-        if n == 0:
-            continue
-        parent = field.nodes[label[:-1]]
-        jump_l = abs(field.lambda_of(label) - field.lambda_of(label[:-1]))
-        jump_u = np.linalg.norm(node.pair.vector.entries - parent.pair.vector.entries)
+    for j in range(1, len(field.nodes)):
+        n = (j + 1).bit_length() - 1
+        parent = (j - 1) // 2
+        jump_l = abs(unimodular(thetas[j]) - unimodular(thetas[parent]))
+        jump_u = np.linalg.norm(
+            family.vectors[:, field.nodes[j]] - family.vectors[:, field.nodes[parent]]
+        )
         invariants = invariants and jump_l < 2.0**-n and jump_u < 2.0**-n
-        if label.endswith("0"):
-            invariants = invariants and node.pair.theta == parent.pair.theta
+        if j % 2 == 1:
+            invariants = invariants and thetas[j] == thetas[parent]
     sep = verify_cantor_separation(field)
     elapsed = time.perf_counter() - start
     ok = distinct and invariants and sep.passed and sep.min_margin > 0 and elapsed < 120.0

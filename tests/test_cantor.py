@@ -1,3 +1,6 @@
+import csv
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from hyperlab.cantor import (
     field_to_csv,
     verify_cantor_separation,
 )
-from hyperlab.eigenfields import sample_2B_family
+from hyperlab.eigenfields import sample_2B_family, unimodular
 
 
 @pytest.fixture(scope="module")
@@ -16,66 +19,80 @@ def field3():
     return build_cantor_field(sample_2B_family(2.0, 32, 256), 3)
 
 
+def labels(depth):
+    """Every node label up to ``depth``, by level, each level in
+    lexicographic order."""
+    return [
+        "".join(bits) for n in range(depth + 1) for bits in itertools.product("01", repeat=n)
+    ]
+
+
+def lam(field, label):
+    return unimodular(cantor_lookup(field, label)[0])
+
+
 def test_depth_zero_is_just_the_root():
     fam = sample_2B_family(2.0, 16, 8)
     field = build_cantor_field(fam, 0)
-    assert set(field.nodes) == {""}
-    assert field.nodes[""].pair.theta == fam.thetas[0]
+    assert field.nodes.tolist() == [0]
+    assert cantor_lookup(field, "")[0] == fam.thetas[0]
 
 
 def test_tree_is_full_binary(field3):
-    assert len(field3.nodes) == 2**4 - 1
-    for label in field3.nodes:
+    assert len(field3.nodes) == 2 ** (3 + 1) - 1
+    thetas = field3.seed_family.thetas
+    # breadth-first label order: node j has children 2j+1 and 2j+2, and
+    # the leaves are the last 2**depth nodes
+    for j, label in enumerate(labels(3)):
+        assert cantor_lookup(field3, label)[0] == thetas[field3.nodes[j]]
         if len(label) < 3:
-            assert label + "0" in field3.nodes and label + "1" in field3.nodes
+            assert cantor_lookup(field3, label + "0")[0] == thetas[field3.nodes[2 * j + 1]]
+            assert cantor_lookup(field3, label + "1")[0] == thetas[field3.nodes[2 * j + 2]]
+    leaves = [cantor_lookup(field3, s)[0] for s in labels(3) if len(s) == 3]
+    assert leaves == thetas[field3.nodes[-(2**3) :]].tolist()
 
 
 def test_invariants_verified_independently(field3):
     # left child copies parent exactly; jumps below 2**-n in both the
     # eigenvalue chord and the vector norm; per-level angles distinct
-    for label, node in field3.nodes.items():
+    for label in labels(3):
         n = len(label)
         if n == 0:
             continue
-        parent = field3.nodes[label[:-1]]
+        theta, vector = cantor_lookup(field3, label)
+        parent_theta, parent_vector = cantor_lookup(field3, label[:-1])
         if label.endswith("0"):
-            assert node.pair.theta == parent.pair.theta
-            assert np.array_equal(
-                node.pair.vector.entries, parent.pair.vector.entries
-            )
-        jump_l = abs(field3.lambda_of(label) - field3.lambda_of(label[:-1]))
-        jump_u = np.linalg.norm(
-            node.pair.vector.entries - parent.pair.vector.entries
-        )
+            assert theta == parent_theta
+            assert np.array_equal(vector.entries, parent_vector.entries)
+        jump_l = abs(lam(field3, label) - lam(field3, label[:-1]))
+        jump_u = np.linalg.norm(vector.entries - parent_vector.entries)
         assert jump_l < 2.0**-n and jump_u < 2.0**-n
     for n in range(4):
-        thetas = [
-            node.pair.theta for lbl, node in field3.nodes.items() if len(lbl) == n
-        ]
+        thetas = [cantor_lookup(field3, s)[0] for s in labels(3) if len(s) == n]
         assert len(set(thetas)) == len(thetas)
 
 
 def test_right_children_come_from_the_seed_family(field3):
     seed_thetas = set(field3.seed_family.thetas.tolist())
-    for label, node in field3.nodes.items():
-        assert node.pair.theta in seed_thetas
+    for label in labels(3):
+        assert cantor_lookup(field3, label)[0] in seed_thetas
     # each seed angle is used at most once across right children and root
     introduced = [
-        node.pair.theta
-        for label, node in field3.nodes.items()
+        cantor_lookup(field3, label)[0]
+        for label in labels(3)
         if label == "" or label.endswith("1")
     ]
     assert len(set(introduced)) == len(introduced)
 
 
 def test_lookup_matches_nodes_and_validates(field3):
-    assert cantor_lookup(field3, "000") == (
-        field3.nodes["000"].pair.theta,
-        field3.nodes["000"].pair.vector,
-    )
+    fam = field3.seed_family
+    theta, vector = cantor_lookup(field3, "000")
+    assert theta == fam.thetas[field3.nodes[7]]
+    assert np.array_equal(vector.entries, fam.vectors[:, field3.nodes[7]])
     # the all-zeros string is the root seed member
     theta, _ = cantor_lookup(field3, (0, 0, 0))
-    assert theta == field3.nodes[""].pair.theta
+    assert theta == cantor_lookup(field3, "")[0] == fam.thetas[0]
     with pytest.raises(ValueError):
         cantor_lookup(field3, "0000")
     with pytest.raises(ValueError):
@@ -83,15 +100,14 @@ def test_lookup_matches_nodes_and_validates(field3):
 
 
 def test_continuity_modulus_from_shared_prefix(field3):
-    leaves = [lbl for lbl in field3.nodes if len(lbl) == 3]
+    leaves = [lbl for lbl in labels(3) if len(lbl) == 3]
     for a in leaves:
         for b in leaves:
             p = 0
             while p < 3 and a[p] == b[p]:
                 p += 1
             gap = np.linalg.norm(
-                field3.nodes[a].pair.vector.entries
-                - field3.nodes[b].pair.vector.entries
+                cantor_lookup(field3, a)[1].entries - cantor_lookup(field3, b)[1].entries
             )
             assert gap <= 2.0 * 2.0**-p + 1e-12
 
@@ -100,7 +116,7 @@ def test_depth_one_margin_is_half_the_child_gap():
     fam = sample_2B_family(2.0, 16, 64)
     field = build_cantor_field(fam, 1)
     rep = verify_cantor_separation(field)
-    child_gap = abs(field.lambda_of("0") - field.lambda_of("1"))
+    child_gap = abs(lam(field, "0") - lam(field, "1"))
     assert rep.min_margin == pytest.approx(child_gap / 2.0)
     assert rep.passed and rep.delta_respected_fraction == 1.0
 
@@ -108,9 +124,35 @@ def test_depth_one_margin_is_half_the_child_gap():
 def test_separation_positive_at_every_branching_node(field3):
     rep = verify_cantor_separation(field3)
     assert rep.passed and rep.min_margin > 0
-    assert len(rep.node_margins) == 2**3 - 1
-    for _, margin, _, sep in rep.node_margins:
-        assert margin == pytest.approx(sep / 2.0)
+    assert len(rep.margins) == len(rep.deltas) == 2**3 - 1
+    assert np.all(rep.margins > 0) and rep.min_margin == rep.margins.min()
+
+
+def brute_force_separation(field):
+    """Per-split (margin, delta) in breadth-first order, from pairwise
+    leaf distances grouped by label prefix."""
+    leaves = [s for s in labels(field.depth) if len(s) == field.depth]
+    rows = []
+    for label in labels(field.depth - 1):
+        left = np.array([lam(field, s) for s in leaves if s.startswith(label + "0")])
+        right = np.array([lam(field, s) for s in leaves if s.startswith(label + "1")])
+        sep = float(np.abs(left[:, None] - right[None, :]).min())
+        delta = abs(lam(field, label + "0") - lam(field, label + "1")) / 2.0
+        rows.append((sep / 2.0, delta, sep >= delta > 0))
+    return rows
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_separation_matches_brute_force_reference(depth):
+    field = build_cantor_field(sample_2B_family(2.0, 64, 4096), depth)
+    rep = verify_cantor_separation(field)
+    rows = brute_force_separation(field)
+    margins = [m for m, _, _ in rows]
+    assert rep.margins.tolist() == margins
+    assert rep.min_margin == min(margins)
+    assert rep.delta_respected_fraction == sum(r for _, _, r in rows) / len(rows)
+    # numpy's and Python's complex abs may round the child gap apart by an ulp
+    assert rep.deltas.tolist() == pytest.approx([d for _, d, _ in rows], rel=1e-15)
 
 
 def test_build_fails_on_exhausted_seed_family():
@@ -124,5 +166,11 @@ def test_build_fails_on_exhausted_seed_family():
 def test_serializers(field3, tmp_path):
     path = tmp_path / "field.csv"
     field_to_csv(field3, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(field3.nodes) + 1
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["label", "theta", "residual"]
+    assert len(rows) == len(field3.nodes) + 1
+    for label, (row_label, theta, residual) in zip(labels(3), rows[1:]):
+        assert row_label == label
+        assert float(theta) == cantor_lookup(field3, label)[0]
+        assert 0.0 <= float(residual) <= 2.0**-31

@@ -183,3 +183,49 @@ def test_perturbed_diagonal_config(tmp_path):
     cfg, errors = validate_config(json.dumps(cfg_raw))
     assert not errors
     assert run_experiment(cfg, tmp_path / "pd") == 0
+
+
+def test_density_without_construction_writes_summary(tmp_path):
+    cfg_raw = {
+        "seed": 3,
+        "dimension": 12,
+        "operator": {"kind": "perturbed_diagonal", "eps": 0.2},
+        "family": {"count": 12},
+        "pipelines": {"density": {"horizon": 3000}},
+    }
+    cfg, errors = validate_config(json.dumps(cfg_raw))
+    assert not errors
+    status = run_experiment(cfg, tmp_path / "density")
+    summary = json.loads((tmp_path / "density" / "summary.json").read_text())
+    result = summary["results"]["density"]
+    assert result["passed"] is summary["passed"] is (status == 0)
+    assert set(result) == {"calibration", "passed"}
+
+
+def test_validate_rejects_cantor_seed_count_without_shift():
+    cfg_raw = {
+        "seed": 3,
+        "dimension": 12,
+        "operator": {"kind": "perturbed_diagonal", "eps": 0.2},
+        "pipelines": {"cantor": {"depth": 0, "seed_count": 64}},
+    }
+    cfg, errors = validate_config(json.dumps(cfg_raw))
+    assert cfg is None and any("pipelines.cantor.seed_count" in e for e in errors)
+    del cfg_raw["pipelines"]["cantor"]["seed_count"]
+    cfg, errors = validate_config(json.dumps(cfg_raw))
+    assert not errors
+
+
+def test_cantor_seed_family_too_small_reports_failure(tmp_path):
+    config = tmp_path / "small_seed.json"
+    config.write_text(
+        json.dumps(small_config(pipelines={"cantor": {"depth": 3, "seed_count": 4}}))
+    )
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    # exit 1 through sys.exit, not an escaped CantorBuildError
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    summary = json.loads((out / "summary.json").read_text())
+    cantor = summary["results"]["cantor"]
+    assert cantor["passed"] is False and "no admissible right child" in cantor["error"]
+    assert summary["passed"] is False

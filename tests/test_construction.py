@@ -56,17 +56,14 @@ def test_build_block_certifies_and_visits(rng):
     fam = sample_2B_family(2.0, 32, 256)
     state = ConstructionState(op=op, family=fam)
     target = ConstructionTarget(((0.5, 3),), 0.5, 1)
-    block = build_block(state, op, fam, target, rng)
+    block = build_block(state, target, rng)
     assert block.expected_norm_bound < block.budget
     thetas = block.terms.terms.thetas
     assert len(set(thetas)) == len(thetas)
     # deterministic visit: the un-randomized expansion itself must be
     # carried into the target ball by some certified return time
-    hit, p = verify_visit(op, block.terms, block, slack=1e-9)
+    hit, p = verify_visit(block.terms, block, slack=1e-9)
     assert hit and p in block.return_times.times
-    # terms are recorded as indices into the state's own family
-    with pytest.raises(ValueError):
-        build_block(state, op, sample_2B_family(2.0, 32, 256), target, rng)
 
 
 def test_blocks_use_disjoint_fresh_angles(rng):
