@@ -56,8 +56,26 @@ class ExperimentConfig:
         }
 
 
-def validate_config(text: str):
-    """Parse a config; returns (ExperimentConfig or None, list of errors)."""
+# (pipeline, key, smallest value): integer parameters whose library
+# functions refuse smaller values
+_INT_FLOORS = (
+    ("khinchine", "trials", 1000),
+    ("syndetic", "horizon", 1000),
+    ("cantor", "depth", 0),
+    ("cantor", "seed_count", 1),
+    ("density", "horizon", 1),
+)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def validate_config(text: str, horizon=None):
+    """Parse a config; returns (ExperimentConfig or None, list of errors).
+
+    ``horizon`` replaces every pipeline's ``horizon`` before the checks,
+    so the returned config records the values the run uses."""
     errors = []
     try:
         raw = json.loads(text) if text.strip() else {}
@@ -65,6 +83,8 @@ def validate_config(text: str):
         return None, [f"invalid JSON: {exc}"]
     if not raw:
         return None, ["empty config"]
+    if not isinstance(raw, dict):
+        return None, ["config must be a JSON object"]
     if "seed" not in raw:
         errors.append("missing seed (runs must be reproducible)")
     elif not isinstance(raw["seed"], int):
@@ -73,19 +93,33 @@ def validate_config(text: str):
     if not isinstance(dim, int) or dim < 1:
         errors.append("dimension must be >= 1")
     operator = raw.get("operator", {"kind": "scaled_backward_shift", "weight": 2.0})
+    family = raw.get("family", {"count": 256})
+    pipelines = raw.get("pipelines", {})
+    objects = {"operator": operator, "family": family, "pipelines": pipelines}
+    if isinstance(pipelines, dict):
+        objects.update((f"pipelines.{name}", v) for name, v in pipelines.items())
+    for name, value in objects.items():
+        if not isinstance(value, dict):
+            errors.append(f"{name} must be a JSON object")
+    if errors:
+        return None, errors
     kind = operator.get("kind")
+    weight, eps = operator.get("weight", 0), operator.get("eps", 0)
     if kind not in ("scaled_backward_shift", "perturbed_diagonal"):
         errors.append(f"unknown operator kind {kind!r}")
-    elif kind == "scaled_backward_shift" and not operator.get("weight", 0) > 1:
-        errors.append("shift weight must be > 1")
-    elif kind == "perturbed_diagonal" and operator.get("eps", 0) < 0:
-        errors.append("perturbation eps must be >= 0")
-    family = raw.get("family", {"count": 256})
+    elif kind == "scaled_backward_shift" and not (_is_number(weight) and weight > 1):
+        errors.append("shift weight must be a number > 1")
+    elif kind == "perturbed_diagonal" and not (_is_number(eps) and eps >= 0):
+        errors.append("perturbation eps must be a number >= 0")
     if not isinstance(family.get("count", 256), int) or family.get("count", 256) < 1:
         errors.append("family count must be a positive integer")
-    pipelines = raw.get("pipelines", {})
     if not pipelines:
         errors.append("no pipelines requested")
+    if horizon is not None:
+        pipelines = {
+            name: {**params, "horizon": horizon} if "horizon" in params else params
+            for name, params in pipelines.items()
+        }
     if kind == "perturbed_diagonal" and "seed_count" in pipelines.get("cantor", {}):
         errors.append(
             "pipelines.cantor.seed_count needs a scaled_backward_shift operator: "
@@ -96,8 +130,12 @@ def validate_config(text: str):
             errors.append(f"unknown pipeline {name!r}")
             continue
         for key in ("eta", "radius", "coefficient", "tolerance"):
-            if key in params and not params[key] > 0:
+            if key in params and not (_is_number(params[key]) and params[key] > 0):
                 errors.append(f"pipelines.{name}.{key} must be positive")
+    for name, key, floor in _INT_FLOORS:
+        value = pipelines.get(name, {}).get(key, floor)
+        if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+            errors.append(f"pipelines.{name}.{key} must be an integer >= {floor}")
     if errors:
         return None, errors
     return ExperimentConfig(raw["seed"], dim, operator, family, pipelines), []
@@ -125,7 +163,7 @@ def _complexes(rows) -> list:
     return [complex(re, im) for re, im in rows]
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, horizon_override=None) -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     """Run every configured pipeline; write summary.json and CSV details.
 
     Returns 0 iff every pipeline's PASS criterion holds.
@@ -141,11 +179,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, horizon_override=None) -> int
     for name in KNOWN_PIPELINES:
         if name not in cfg.pipelines:
             continue
-        params = dict(cfg.pipelines[name])
-        if horizon_override is not None and "horizon" in params:
-            params["horizon"] = horizon_override
         runner = _RUNNERS[name]
-        result, extra_ctx = runner(cfg, op, family, params, _rng(cfg, name), out, construct_ctx)
+        result, extra_ctx = runner(
+            cfg, op, family, cfg.pipelines[name], _rng(cfg, name), out, construct_ctx
+        )
         if extra_ctx is not None:
             construct_ctx = extra_ctx
         summary["results"][name] = result
@@ -332,7 +369,7 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
         with open(out / "visit_times.csv", "w") as fh:
             fh.write("block,n\n")
             for b, r in zip(state.blocks, fhc.records):
-                for n in r.times[:10000]:
+                for n in r.times[:10000].tolist():
                     fh.write(f"{b.index},{n}\n")
         results["construction_orbit"] = {
             "proxies": list(fhc.proxies),
@@ -392,14 +429,14 @@ def validate(config_path):
 @click.option("--horizon", type=int, default=None, help="override pipeline horizons")
 def run(config_path, seed, out_dir, horizon):
     """Run the configured pipelines and write summary.json + CSV details."""
-    cfg, errors = validate_config(Path(config_path).read_text())
+    cfg, errors = validate_config(Path(config_path).read_text(), horizon=horizon)
     if errors:
         for e in errors:
             click.echo(f"error: {e}", err=True)
         sys.exit(2)
     if seed is not None:
         cfg.seed = seed
-    status = run_experiment(cfg, out_dir, horizon_override=horizon)
+    status = run_experiment(cfg, out_dir)
     click.echo(f"summary written to {Path(out_dir) / 'summary.json'}")
     sys.exit(status)
 

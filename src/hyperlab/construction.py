@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _ball_dist_sq
+from .density import _CHUNK, _ball_dist_sq
 from .diophantine import ReturnTimeSet, covering_scan
 from .eigenfields import EigenExpansion, EigenFamily
 from .linspace import StateVector
@@ -395,10 +395,15 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, gram) -> float:
     h = terms.terms.vectors.conj().T @ c
     c_sq = float(np.real(np.vdot(c, c)))
     tol = block.radius + 2.0 ** (-(block.index - 1))
+    # every (sample, return time) pair at once, at most about _CHUNK rows
+    # of terms per call; lam_pow stays the left factor, because numpy's
+    # complex multiply rounds a*b and b*a differently on a third of inputs
+    step = max(1, _CHUNK // len(p_arr))
     hits = 0
-    for w in weights:
-        if np.any(_ball_dist_sq(lam_pow * w[None, :], gram, h, c_sq) < tol * tol):
-            hits += 1
+    for start in range(0, weights.shape[0], step):
+        w = lam_pow[None, :, :] * weights[start : start + step, None, :]
+        dist = _ball_dist_sq(w.reshape(-1, w.shape[-1]), gram, h, c_sq)
+        hits += int(np.count_nonzero((dist < tol * tol).reshape(w.shape[:2]).any(axis=1)))
     return hits / weights.shape[0]
 
 

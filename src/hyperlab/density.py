@@ -8,8 +8,6 @@ window cut points; the true liminf is not finitely computable.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +16,6 @@ from .eigenfields import EigenExpansion
 from .linspace import StateVector
 
 _CHUNK = 1 << 15
-
-
-def worker_cap() -> int:
-    """Worker count, capped by the HYPERLAB_THREADS environment variable."""
-    cap = os.environ.get("HYPERLAB_THREADS")
-    if cap is None:
-        return os.cpu_count() or 1
-    return max(1, int(cap))
 
 
 @dataclass(frozen=True)
@@ -40,50 +30,85 @@ class TargetBall:
 
 @dataclass(frozen=True)
 class VisitRecord:
-    times: tuple  # sorted, unique, in [0, horizon)
+    times: np.ndarray  # read-only int64, sorted, unique, in [0, horizon)
     horizon: int
     target: TargetBall
 
     def __post_init__(self):
-        times = tuple(sorted(set(int(t) for t in self.times)))
+        times = np.asarray(self.times, dtype=np.int64)
+        if times.ndim != 1:
+            raise ValueError("visit times must be one-dimensional")
+        if np.any(times[1:] <= times[:-1]):
+            times = np.unique(times)
+        elif times is self.times and times.flags.writeable:
+            times = times.copy()
+        times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        if times and not (0 <= times[0] and times[-1] < self.horizon):
+        if times.size and not (0 <= times[0] and times[-1] < self.horizon):
             raise ValueError("visit times must lie in [0, horizon)")
 
 
-def _ball_dist_sq(w, gram, h, c_sq: float) -> np.ndarray:
+def _quad_form(w, gram) -> np.ndarray:
+    """||X w||**2 for every row w of the coefficient array, from the Gram
+    matrix gram = X* X of the term matrix X."""
+    return np.einsum("ni,ij,nj->n", w.conj(), gram, w).real
+
+
+def _ball_dist_sq(w, gram, h, c_sq: float, quad=None) -> np.ndarray:
     """||X w - c||**2 for every row w of the coefficient array, from the
     Gram matrix gram = X* X, h = X* c and c_sq = ||c||**2 of the term
-    matrix X and the center c."""
-    quad = np.einsum("ni,ij,nj->n", w.conj(), gram, w).real
+    matrix X and the center c; ``quad`` is ``_quad_form(w, gram)`` when
+    the caller already has it."""
+    if quad is None:
+        quad = _quad_form(w, gram)
     cross = 2.0 * (w @ h.conj()).real
     return quad - cross + c_sq
 
 
-def visit_times(x: EigenExpansion, target: TargetBall, N: int) -> VisitRecord:
-    """All n < N with ||T**n x - center|| < radius.
+def _scan(x: EigenExpansion, targets: list, N: int) -> list:
+    """One VisitRecord per target: all n < N with
+    ||T**n x - center|| < radius.
 
     Distances are evaluated through the Gram matrix of the expansion, so
     the cost per step is quadratic in the number of terms, not in the
-    ambient dimension.
+    ambient dimension.  The phases and the quadratic term of a chunk of
+    powers are shared by all targets; each target adds only its cross
+    term.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
     if not len(x):
-        dist = float(np.linalg.norm(target.center.entries))
-        times = tuple(range(N)) if dist < target.radius else ()
-        return VisitRecord(times, N, target)
+        return [
+            VisitRecord(
+                np.arange(N if float(np.linalg.norm(t.center.entries)) < t.radius else 0), N, t
+            )
+            for t in targets
+        ]
     mat = x.terms.vectors
     gram = mat.conj().T @ mat
-    h = mat.conj().T @ target.center.entries
-    c_sq = float(np.real(np.vdot(target.center.entries, target.center.entries)))
-    r_sq = target.radius**2
-    hits = []
+    balls = [
+        (
+            mat.conj().T @ t.center.entries,
+            float(np.real(np.vdot(t.center.entries, t.center.entries))),
+            t.radius**2,
+        )
+        for t in targets
+    ]
+    hits = [[] for _ in balls]
     for start in range(0, N, _CHUNK):
         ns = np.arange(start, min(start + _CHUNK, N))
         w = np.exp(2j * np.pi * np.outer(ns, x.terms.thetas)) * x.coeffs[None, :]
-        hits.append(ns[_ball_dist_sq(w, gram, h, c_sq) < r_sq])
-    return VisitRecord(tuple(np.concatenate(hits).tolist()), N, target)
+        quad = _quad_form(w, gram)
+        for found, (h, c_sq, r_sq) in zip(hits, balls):
+            found.append(ns[_ball_dist_sq(w, gram, h, c_sq, quad) < r_sq])
+    return [
+        VisitRecord(np.concatenate(found), N, t) for found, t in zip(hits, targets)
+    ]
+
+
+def visit_times(x: EigenExpansion, target: TargetBall, N: int) -> VisitRecord:
+    """All n < N with ||T**n x - center|| < radius."""
+    return _scan(x, [target], N)[0]
 
 
 def recheck_visit(x: EigenExpansion, target: TargetBall, n: int) -> bool:
@@ -111,8 +136,8 @@ def lower_density_estimate(rec: VisitRecord, windows) -> float:
         raise ValueError("need at least one window")
     if sorted(windows) != windows or windows[-1] > rec.horizon:
         raise ValueError("windows must be ascending and at most the horizon")
-    times = np.asarray(rec.times)
-    return min(float(np.sum(times < w)) / w for w in windows)
+    counts = np.searchsorted(rec.times, windows).tolist()
+    return min(float(c) / w for c, w in zip(counts, windows))
 
 
 @dataclass(frozen=True)
@@ -124,12 +149,9 @@ class FhcReport:
 
 def fhc_harness(x: EigenExpansion, targets, N: int, windows=None) -> FhcReport:
     """Per-target visit records and density proxies; PASS iff every proxy
-    is strictly positive. Targets are scanned in parallel, capped by
-    HYPERLAB_THREADS."""
-    targets = list(targets)
+    is strictly positive. All targets share one scan of the orbit."""
     if windows is None:
         windows = default_windows(N)
-    with ThreadPoolExecutor(max_workers=min(worker_cap(), max(len(targets), 1))) as pool:
-        records = list(pool.map(lambda t: visit_times(x, t, N), targets))
+    records = _scan(x, list(targets), N)
     proxies = tuple(lower_density_estimate(r, windows) for r in records)
     return FhcReport(tuple(records), proxies, all(p > 0 for p in proxies))

@@ -229,3 +229,61 @@ def test_cantor_seed_family_too_small_reports_failure(tmp_path):
     cantor = summary["results"]["cantor"]
     assert cantor["passed"] is False and "no admissible right child" in cantor["error"]
     assert summary["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "pipeline, params, key",
+    [
+        ("density", {"horizon": 0}, "horizon"),
+        ("khinchine", {"trials": 999}, "trials"),
+        ("cantor", {"depth": -1, "seed_count": 64}, "depth"),
+        ("cantor", {"depth": 2, "seed_count": 0}, "seed_count"),
+        ("syndetic", {"horizon": 999}, "horizon"),
+    ],
+    ids=["density.horizon", "khinchine.trials", "cantor.depth", "cantor.seed_count", "syndetic.horizon"],
+)
+def test_validate_rejects_what_run_refuses(pipeline, params, key):
+    cfg, errors = validate_config(json.dumps(small_config(pipelines={pipeline: params})))
+    assert cfg is None and any(f"pipelines.{pipeline}.{key}" in e for e in errors)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"operator": 3},
+        {"family": [96]},
+        {"pipelines": {"syndetic": {"eta": "big"}}},
+        {"pipelines": {"khinchine": 5}},
+    ],
+    ids=["operator", "family", "eta", "pipeline"],
+)
+def test_validate_reports_mistyped_fields(tmp_path, overrides):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps(small_config(**overrides)))
+    result = CliRunner().invoke(main, ["validate", "--config", str(config)])
+    # exit 1 through sys.exit with a diagnostic, not an escaped exception
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "error:" in result.output
+
+
+def test_horizon_override_is_recorded_and_replays(tmp_path):
+    config = tmp_path / "syndetic.json"
+    config.write_text(
+        json.dumps(small_config(pipelines={"syndetic": {"eta": 0.5, "horizon": 2000}}))
+    )
+    out = tmp_path / "out"
+    runner = CliRunner()
+    result = runner.invoke(
+        main, ["run", "--config", str(config), "--out", str(out), "--horizon", "5000"]
+    )
+    assert result.exit_code == 0, result.output
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["pipelines"]["syndetic"]["horizon"] == 5000
+    result = runner.invoke(
+        main,
+        ["replay", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "re")],
+    )
+    assert result.exit_code == 0 and "replay identical" in result.output
+    # an override below a pipeline's floor is refused like a config value
+    result = runner.invoke(main, ["run", "--config", str(config), "--horizon", "10"])
+    assert result.exit_code == 2 and "pipelines.syndetic.horizon" in result.output

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from hyperlab import construction
 from hyperlab.construction import (
     ConstructionState,
     ConstructionTarget,
@@ -12,8 +14,10 @@ from hyperlab.construction import (
     split_coefficient,
     verify_visit,
 )
+from hyperlab.density import _ball_dist_sq
 from hyperlab.eigenfields import sample_2B_family
 from hyperlab.operators import make_scaled_backward_shift
+from hyperlab.steinhaus import sample_steinhaus
 
 
 def test_split_coefficient_reassembles_exactly():
@@ -111,3 +115,49 @@ def test_zero_steps_yields_empty_series(rng):
     state, phi, report = run_construction(op, fam, [], 0, rng)
     assert state.blocks == [] and len(phi) == 0
     assert report.total_norm_estimate == 0.0
+
+
+def _closest_sq_per_sample(block, terms, weights, gram):
+    """Reference: one distance call per sampled realization, giving its
+    smallest squared distance to the block's center over the return
+    times."""
+    p_arr = np.array(block.return_times.times)
+    lam_pow = np.exp(2j * np.pi * np.outer(p_arr, terms.terms.thetas)) - 1.0
+    c = block.center.entries
+    h = terms.terms.vectors.conj().T @ c
+    c_sq = float(np.real(np.vdot(c, c)))
+    return np.array(
+        [_ball_dist_sq(lam_pow * w[None, :], gram, h, c_sq).min() for w in weights]
+    )
+
+
+def test_vectorised_visit_rate_matches_per_sample_loop(rng, monkeypatch):
+    op = make_scaled_backward_shift(2.0, 32)
+    fam = sample_2B_family(2.0, 32, 256)
+    targets = [
+        ConstructionTarget(((0.5, 3),), 0.5, 1),
+        ConstructionTarget(((0.4, 11),), 0.5, 1),
+    ]
+    state, _, _ = run_construction(op, fam, targets, 2, rng, cert_samples=50)
+    terms = state.all_terms()
+    mat = terms.terms.vectors
+    gram = mat.conj().T @ mat
+    samples = 300
+    omega = sample_steinhaus(rng, samples * len(terms)).reshape(samples, len(terms))
+    weights = omega * terms.coeffs[None, :]
+    # every sample visits the construction's own balls; a ball whose
+    # radius is the median closest approach is visited by about half
+    closest = _closest_sq_per_sample(state.blocks[0], terms, weights, gram)
+    probe = dataclasses.replace(
+        state.blocks[0], radius=float(np.sqrt(np.median(closest))), index=60
+    )
+    for b in (*state.blocks, probe):
+        tol = b.radius + 2.0 ** (-(b.index - 1))
+        closest = _closest_sq_per_sample(b, terms, weights, gram)
+        expected = np.count_nonzero(closest < tol * tol) / samples
+        assert construction._visit_rate(b, terms, weights, gram) == expected
+        # chunks of 7 samples, the last one short
+        monkeypatch.setattr(construction, "_CHUNK", 7 * len(b.return_times.times))
+        assert construction._visit_rate(b, terms, weights, gram) == expected
+        monkeypatch.undo()
+    assert 0 < expected < 1

@@ -10,7 +10,6 @@ from hyperlab.density import (
     lower_density_estimate,
     recheck_visit,
     visit_times,
-    worker_cap,
 )
 from hyperlab.eigenfields import EigenExpansion, sample_2B_family
 from hyperlab.linspace import StateVector, zero_vector
@@ -29,21 +28,35 @@ def setup():
 def test_target_and_record_validation():
     with pytest.raises(ValueError):
         TargetBall(zero_vector(4), -0.1)
+    ball = TargetBall(zero_vector(4), 1.0)
+    for bad in ((5,), (-1, 2), (4, 0, 5)):
+        with pytest.raises(ValueError):
+            VisitRecord(bad, 5, ball)
+    rec = VisitRecord((3, 1, 3), 10, ball)
+    assert rec.times.dtype == np.int64 and rec.times.tolist() == [1, 3]
     with pytest.raises(ValueError):
-        VisitRecord((5,), 5, TargetBall(zero_vector(4), 1.0))
-    rec = VisitRecord((3, 1, 3), 10, TargetBall(zero_vector(4), 1.0))
-    assert rec.times == (1, 3)
+        rec.times[0] = 2
+    # a strictly increasing array is kept as is, but never shared writable
+    given = np.array([0, 4, 9])
+    rec = VisitRecord(given, 10, ball)
+    given[0] = 7
+    assert rec.times.tolist() == [0, 4, 9] and not rec.times.flags.writeable
+    assert VisitRecord((), 10, ball).times.size == 0
+
+
+def _brute_force_times(x, ball, N):
+    return [
+        n
+        for n in range(N)
+        if np.linalg.norm(x.power(n).entries - ball.center.entries) < ball.radius
+    ]
 
 
 def test_visit_times_matches_direct_orbit_scan(setup):
     op, x, ball = setup
     N = 3000
     rec = visit_times(x, ball, N)
-    manual = [
-        n
-        for n in range(N)
-        if np.linalg.norm(x.power(n).entries - ball.center.entries) < ball.radius
-    ]
+    manual = _brute_force_times(x, ball, N)
     assert list(rec.times) == manual
     assert len(manual) > 0
 
@@ -92,10 +105,32 @@ def test_fhc_harness_passes_iff_all_proxies_positive(setup):
     assert good.passed
 
 
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.setenv("HYPERLAB_THREADS", "2")
-    assert worker_cap() == 2
-    monkeypatch.setenv("HYPERLAB_THREADS", "0")
-    assert worker_cap() == 1
-    monkeypatch.delenv("HYPERLAB_THREADS")
-    assert worker_cap() >= 1
+def test_fhc_harness_records_match_per_target_and_direct_scans(setup):
+    op, x, ball = setup
+    vecs = x.terms.vectors
+    targets = [
+        ball,
+        TargetBall(StateVector(np.full(16, 5.0 + 0j)), 0.1),  # never visited
+        TargetBall(StateVector(0.25 * vecs[:, 1]), 0.3),
+        TargetBall(StateVector(0.5 * vecs[:, 0] - 0.25 * vecs[:, 1]), 0.2),
+        TargetBall(zero_vector(16), 2.0),  # always visited
+    ]
+    N = 1500
+    report = fhc_harness(x, targets, N, windows=[N])
+    counts = []
+    for target, rec in zip(targets, report.records):
+        expected = _brute_force_times(x, target, N)
+        assert rec.times.tolist() == expected
+        assert np.array_equal(rec.times, visit_times(x, target, N).times)
+        assert rec.horizon == N and rec.target is target
+        counts.append(len(expected))
+    assert counts[1] == 0 and counts[-1] == N
+    assert any(0 < c < N for c in counts)
+
+    empty = EigenExpansion((), sample_2B_family(2.0, 16, 1).take([]))
+    report = fhc_harness(empty, targets, 50, windows=[50])
+    for target, rec in zip(targets, report.records):
+        assert rec.times.tolist() == _brute_force_times(empty, target, 50)
+        assert np.array_equal(rec.times, visit_times(empty, target, 50).times)
+    assert [len(r.times) for r in report.records] == [0, 0, 50, 0, 50]
+    assert fhc_harness(x, [], N).records == ()
