@@ -9,6 +9,7 @@ summary, which is what ``replay`` checks.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ from . import eigenfields as ef
 from . import ergodicity as ergo
 from . import operators as ops
 from . import steinhaus as st
-from .linspace import DualFunctional, StateVector, basis_vector
+from .linspace import StateVector
 
 KNOWN_PIPELINES = (
     "khinchine",
@@ -56,19 +57,61 @@ class ExperimentConfig:
         }
 
 
-# (pipeline, key, smallest value): integer parameters whose library
-# functions refuse smaller values
-_INT_FLOORS = (
-    ("khinchine", "trials", 1000),
-    ("syndetic", "horizon", 1000),
-    ("cantor", "depth", 0),
-    ("cantor", "seed_count", 1),
-    ("density", "horizon", 1),
+# (pipeline, key, smallest value, largest value or None): integer
+# parameters that the run refuses outside these bounds; a largest value
+# names a bound taken from the config (see validate_config's ``ceilings``)
+_INT_BOUNDS = (
+    ("khinchine", "trials", 1000, None),
+    ("syndetic", "horizon", 1000, None),
+    ("cantor", "depth", 0, None),
+    ("cantor", "seed_count", 1, None),
+    ("density", "horizon", 1, None),
+    ("density", "angle_index", 0, "last family index"),
+    ("construct", "trials", 2, None),
+    ("construct", "cert_samples", 1, None),
+    ("construct", "steps", 1, "number of targets"),
+    ("invariance", "terms", 1, None),
+    ("invariance", "probes", 1, "dimension"),
 )
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _is_int(value, floor, ceiling=None) -> bool:
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and floor <= value
+        and (ceiling is None or value <= ceiling)
+    )
+
+
+def _is_target(t, last_index: int) -> bool:
+    """A construction target that ConstructionTarget and build_block accept:
+    [re, im, family index] coefficient triples, a positive radius and a
+    reach power >= 0."""
+    if not isinstance(t, dict):
+        return False
+    coeffs, radius = t.get("coefficients"), t.get("radius", 0.5)
+    return (
+        isinstance(coeffs, list)
+        and len(coeffs) > 0
+        and all(
+            isinstance(c, list)
+            and len(c) == 3
+            and _is_number(c[0])
+            and _is_number(c[1])
+            and _is_int(c[2], 0, last_index)
+            for c in coeffs
+        )
+        and _is_number(radius)
+        and radius > 0
+        and _is_int(t.get("reach_power", 1), 0)
+    )
 
 
 def validate_config(text: str, horizon=None):
@@ -101,6 +144,8 @@ def validate_config(text: str, horizon=None):
     for name, value in objects.items():
         if not isinstance(value, dict):
             errors.append(f"{name} must be a JSON object")
+    if not errors and not _is_int(family.get("count", 256), 1):
+        errors.append("family count must be a positive integer")
     if errors:
         return None, errors
     kind = operator.get("kind")
@@ -111,8 +156,6 @@ def validate_config(text: str, horizon=None):
         errors.append("shift weight must be a number > 1")
     elif kind == "perturbed_diagonal" and not (_is_number(eps) and eps >= 0):
         errors.append("perturbation eps must be a number >= 0")
-    if not isinstance(family.get("count", 256), int) or family.get("count", 256) < 1:
-        errors.append("family count must be a positive integer")
     if not pipelines:
         errors.append("no pipelines requested")
     if horizon is not None:
@@ -132,10 +175,29 @@ def validate_config(text: str, horizon=None):
         for key in ("eta", "radius", "coefficient", "tolerance"):
             if key in params and not (_is_number(params[key]) and params[key] > 0):
                 errors.append(f"pipelines.{name}.{key} must be positive")
-    for name, key, floor in _INT_FLOORS:
-        value = pipelines.get(name, {}).get(key, floor)
-        if not isinstance(value, int) or isinstance(value, bool) or value < floor:
-            errors.append(f"pipelines.{name}.{key} must be an integer >= {floor}")
+    family_size = dim if kind == "perturbed_diagonal" else family.get("count", 256)
+    targets = pipelines.get("construct", {}).get("targets")
+    if "construct" in pipelines and not (
+        isinstance(targets, list)
+        and targets
+        and all(_is_target(t, family_size - 1) for t in targets)
+    ):
+        errors.append(
+            "pipelines.construct.targets must be a non-empty list of targets with "
+            f"[re, im, index] coefficients, index <= {family_size - 1}, the last "
+            "family index, a positive radius and an integer reach_power >= 0"
+        )
+    ceilings = {
+        "dimension": dim,
+        "last family index": family_size - 1,
+        # a missing or empty target list is reported above
+        "number of targets": len(targets) if isinstance(targets, list) and targets else None,
+    }
+    for name, key, floor, ceiling in _INT_BOUNDS:
+        hi = ceilings.get(ceiling)
+        if not _is_int(pipelines.get(name, {}).get(key, floor), floor, hi):
+            bound = f" and <= {hi}, the {ceiling}" if hi is not None else ""
+            errors.append(f"pipelines.{name}.{key} must be an integer >= {floor}{bound}")
     if errors:
         return None, errors
     return ExperimentConfig(raw["seed"], dim, operator, family, pipelines), []
@@ -384,10 +446,8 @@ def _run_invariance(cfg, op, family, params, rng, out, ctx):
     coeffs = 0.5 ** np.arange(1, params.get("terms", 32) + 1)
     n_terms = min(coeffs.size, len(family))
     series = ef.EigenExpansion(coeffs[:n_terms], family.take(slice(n_terms)))
-    probes = [
-        DualFunctional(basis_vector(k, cfg.dimension).entries)
-        for k in range(params.get("probes", 8))
-    ]
+    # probe k is the coordinate functional of e_k
+    probes = np.eye(params.get("probes", min(8, cfg.dimension)), cfg.dimension, dtype=complex)
     report = st.invariance_gap(op, series, params.get("trials", 10**4), probes, rng)
     passed = report.within(3.0)
     return ({"max_gap": report.max_gap, "passed": passed}, None)

@@ -51,27 +51,6 @@ def split_coefficient(a: complex, eps: float) -> CoefficientSplit:
     return CoefficientSplit(a, (a / n,) * n)
 
 
-def basis_constant(mat: np.ndarray) -> float:
-    """Smallest M with ||sum beta_k x_k|| <= M (sum |beta_k|**2)**(1/2)
-    over the columns x_k of mat, i.e. its largest singular value."""
-    if mat.ndim != 2 or mat.shape[1] == 0:
-        raise ValueError("need a matrix with at least one column")
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """Per-step tolerances, recorded in the order they were fixed:
-    M first, then delta, then gamma, then (rho, eta, kappa)."""
-
-    M: float
-    delta: float
-    gamma: float
-    eta: float
-    rho: float
-    kappa: float
-
-
 @dataclass(frozen=True)
 class ConstructionTarget:
     """Target ball: an eigencombination over the seed family (coefficient,
@@ -104,7 +83,6 @@ class Block:
     return_times: ReturnTimeSet
     expected_norm_bound: float  # MC upper 99% confidence on E||Phi_n||
     budget: float  # 4**-n / ||T||**max(pi_<n)
-    schedule: ScheduleEntry
 
 
 @dataclass
@@ -174,7 +152,7 @@ def build_block(
     an unscaled center could never satisfy the budget at finite split
     sizes).  The block records the actual center used.
     """
-    op, family = state.op, state.family
+    op = state.op
     n = len(state.blocks) + 1
     max_pi = state.max_pi()
     log_budget = -n * math.log(4.0) - max_pi * math.log(op.norm_bound)
@@ -189,7 +167,6 @@ def build_block(
     alphas = [(c * scale, i) for c, i in target.coefficients]
     scaled_total = total * scale
 
-    m_const = basis_constant(family.vectors[:, [i for _, i in alphas]]) if alphas else 1.0
     delta = 1.25 * scaled_total if scaled_total > 0 else 1.0
     rho = target.radius / (2.0 * op.norm_bound**target.reach_power)
 
@@ -200,7 +177,7 @@ def build_block(
             delta /= 2.0
             last_failure = "no admissible fresh neighbors at this gamma"
             continue
-        terms, gamma, picked = built
+        terms, picked = built
         report = _certify_expectation(terms, rng, trials)
         if report < budget:
             break
@@ -232,20 +209,15 @@ def build_block(
     q_times = net.return_times.times
     p_times = ReturnTimeSet.from_times([target.reach_power + q for q in q_times])
 
-    center = terms.power(target.reach_power)
-    entry = ScheduleEntry(
-        M=m_const, delta=delta, gamma=gamma, eta=eta, rho=rho, kappa=kappa
-    )
     block = Block(
         index=n,
         terms=terms,
-        center=center,
+        center=terms.power(target.reach_power),
         radius=target.radius,
         reach_power=target.reach_power,
         return_times=p_times,
         expected_norm_bound=report,
         budget=budget,
-        schedule=entry,
     )
     _check_block_invariants(state, block, picked)
     state.blocks.append(block)
@@ -255,9 +227,9 @@ def build_block(
 
 def _assemble_terms(state, alphas, delta, rho):
     """Split every coefficient under the delta schedule and pick fresh
-    nearby family members with unused angles; returns (terms, gamma,
-    picked family indices) or None when some coefficient has too few
-    admissible neighbors."""
+    nearby family members with unused angles; returns (terms, picked
+    family indices) or None when some coefficient has too few admissible
+    neighbors."""
     n_coeffs = max(len(alphas), 1)
     eps = (delta / n_coeffs) ** 2
     l1 = 0.0
@@ -283,7 +255,7 @@ def _assemble_terms(state, alphas, delta, rho):
     # ||u_n - v_n|| <= gamma * sum|a_j| by the triangle inequality
     if drift > gamma * l1 + 1e-15:
         raise ConstructionError("fresh-neighbor drift exceeded the gamma bound")
-    return EigenExpansion(coeffs, family.take(picked)), gamma, picked
+    return EigenExpansion(coeffs, family.take(picked)), picked
 
 
 def _certify_expectation(terms, rng, trials) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linspace import StateVector, norm
+from .linspace import StateVector
 from .operators import OperatorSpec, PERTURBED_DIAGONAL, apply
 
 
@@ -186,11 +186,8 @@ def perturbed_diagonal_eigenvector(op: OperatorSpec, k: int) -> EigenPair:
     for j in range(k - 1, -1, -1):
         v[j] = -weights[j] * v[j + 1] / (lam[j] - lam[k])
     v /= np.linalg.norm(v)
-    vec = StateVector(v)
-    resid = norm(
-        StateVector(apply(op, vec).entries - lam[k] * v)
-    )
-    return EigenPair(float(op.angles[k]), vec, resid)
+    resid = float(np.linalg.norm(apply(op, v) - lam[k] * v))
+    return EigenPair(float(op.angles[k]), StateVector(v), resid)
 
 
 def primes(k: int) -> list[int]:

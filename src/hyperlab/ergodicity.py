@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenfields import EigenExpansion
-from .linspace import DualFunctional
 from .steinhaus import MCReport, sample_steinhaus
 
 
@@ -55,10 +54,11 @@ class CorrelationSpec:
         return np.abs(phases @ weights) ** 2
 
     @classmethod
-    def from_probes(cls, series: EigenExpansion, xstar: DualFunctional, ystar: DualFunctional):
+    def from_probes(cls, series: EigenExpansion, xstar, ystar):
+        """Spec of the probe rows x* and y*, paired conjugate-linearly."""
         vectors = series.terms.vectors
-        c = series.coeffs * (np.conj(xstar.entries) @ vectors)
-        d = series.coeffs * (np.conj(ystar.entries) @ vectors)
+        c = series.coeffs * (np.conj(xstar) @ vectors)
+        d = series.coeffs * (np.conj(ystar) @ vectors)
         return cls(c, d, series.terms.thetas)
 
 
@@ -97,8 +97,8 @@ def nonergodicity_witness(spec: CorrelationSpec, N: int) -> float:
 
 def correlation_monte_carlo(
     series: EigenExpansion,
-    xstar: DualFunctional,
-    ystar: DualFunctional,
+    xstar,
+    ystar,
     n: int,
     trials: int,
     rng: np.random.Generator,
@@ -108,8 +108,8 @@ def correlation_monte_carlo(
     agrees with the closed form within Monte Carlo error."""
     coeffs = series.coeffs
     k = len(series)
-    c = np.conj(xstar.entries) @ series.terms.vectors
-    d = np.conj(ystar.entries) @ series.terms.vectors
+    c = np.conj(xstar) @ series.terms.vectors
+    d = np.conj(ystar) @ series.terms.vectors
     chi = sample_steinhaus(rng, trials * k).reshape(trials, k)
     lam_n = np.exp(2j * np.pi * n * series.terms.thetas)
     a = np.abs(chi @ (lam_n * coeffs * c)) ** 2

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linspace import StateVector, norm
-
 SCALED_BACKWARD_SHIFT = "scaled_backward_shift"
 PERTURBED_DIAGONAL = "perturbed_diagonal"
 
@@ -69,44 +67,39 @@ def make_perturbed_diagonal(angles, eps: float, d: int) -> OperatorSpec:
     )
 
 
-def apply(op: OperatorSpec, v: StateVector) -> StateVector:
-    if op.dim != v.dim:
-        raise ValueError(f"dimension mismatch: operator {op.dim}, vector {v.dim}")
-    e = v.entries
+def apply(op: OperatorSpec, x) -> np.ndarray:
+    """T applied along the last axis of a complex array of shape (..., d)."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-1:] != (op.dim,):
+        raise ValueError(f"dimension mismatch: operator {op.dim}, array {x.shape}")
     if op.kind == SCALED_BACKWARD_SHIFT:
-        out = np.zeros_like(e)
-        out[:-1] = op.weight * e[1:]
+        out = np.zeros_like(x)
+        out[..., :-1] = op.weight * x[..., 1:]
     elif op.kind == PERTURBED_DIAGONAL:
-        out = op.diagonal() * e
-        out[:-1] += op.perturbation_weights() * e[1:]
+        out = op.diagonal() * x
+        out[..., :-1] += op.perturbation_weights() * x[..., 1:]
     else:
         raise ValueError(f"unknown operator kind {op.kind!r}")
-    return StateVector(out, v.space_p)
+    return out
 
 
-def power_apply(op: OperatorSpec, v, n: int):
-    """T**n v.
+def power_apply(op: OperatorSpec, x, n: int) -> np.ndarray:
+    """T**n applied along the last axis of x by repeated application.
 
-    When ``v`` carries an eigen-expansion (anything exposing a ``power``
-    method, e.g. :class:`hyperlab.eigenfields.EigenExpansion`), the powers
-    are taken on the eigenvalues directly instead of by repeated
-    application; this is exact in the expansion and never grows with n.
+    An eigen-expansion takes its powers on the eigenvalues instead, exactly
+    and without growth: see :meth:`hyperlab.eigenfields.EigenExpansion.power`.
     """
     if n < 0:
         raise ValueError("power must be >= 0")
-    if hasattr(v, "power"):
-        return v.power(n)
-    if not isinstance(v, StateVector):
-        raise TypeError("expected a StateVector or an eigen-expansion")
-    # overflow guard: ||T^n v|| <= norm_bound**n * ||v||
-    nv = norm(v)
-    if nv > 0 and n * math.log(max(op.norm_bound, 1.0)) + math.log(nv) > math.log(
+    out = np.asarray(x, dtype=complex)
+    # overflow guard: ||T^n x|| <= norm_bound**n * ||x||
+    nx = float(np.linalg.norm(out))
+    if nx > 0 and n * math.log(max(op.norm_bound, 1.0)) + math.log(nx) > math.log(
         sys.float_info.max
     ):
         raise OverflowError(
-            f"norm_bound**{n} * ||v|| exceeds float range for this operator"
+            f"norm_bound**{n} * ||x|| exceeds float range for this operator"
         )
-    out = v
     for _ in range(n):
         out = apply(op, out)
     return out
@@ -119,9 +112,8 @@ def power_iteration_norm(op: OperatorSpec, iterations: int = 200, seed: int = 7)
     invariant norm_bound >= true operator norm.
     """
     rng = np.random.default_rng(seed)
-    mat = np.column_stack(
-        [apply(op, basis).entries for basis in _basis(op.dim)]
-    )
+    # column k is T e_k
+    mat = apply(op, np.eye(op.dim, dtype=complex)).T
     x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     x /= np.linalg.norm(x)
     for _ in range(iterations):
@@ -131,9 +123,3 @@ def power_iteration_norm(op: OperatorSpec, iterations: int = 200, seed: int = 7)
             return 0.0
         x = y / ny
     return float(np.sqrt(np.linalg.norm(mat.conj().T @ (mat @ x))))
-
-
-def _basis(d: int):
-    from .linspace import basis_vector
-
-    return [basis_vector(k, d) for k in range(d)]

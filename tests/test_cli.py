@@ -287,3 +287,78 @@ def test_horizon_override_is_recorded_and_replays(tmp_path):
     # an override below a pipeline's floor is refused like a config value
     result = runner.invoke(main, ["run", "--config", str(config), "--horizon", "10"])
     assert result.exit_code == 2 and "pipelines.syndetic.horizon" in result.output
+
+
+def _holes_config(pipelines, kind="scaled_backward_shift"):
+    operator = {"kind": kind, "weight": 2.0, "eps": 0.2}
+    return {
+        "seed": 3,
+        "dimension": 12,
+        "operator": operator,
+        "family": {"count": 16},
+        "pipelines": pipelines,
+    }
+
+
+TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
+
+
+@pytest.mark.parametrize(
+    "pipelines, kind",
+    [
+        ({"invariance": {"probes": 20}}, "scaled_backward_shift"),
+        ({"invariance": {"probes": 0}}, "scaled_backward_shift"),
+        ({"invariance": {"terms": 0}}, "scaled_backward_shift"),
+        ({"density": {"angle_index": 99}}, "scaled_backward_shift"),
+        ({"density": {"angle_index": 12}}, "perturbed_diagonal"),
+        ({"density": {"coefficient": float("inf")}}, "scaled_backward_shift"),
+        ({"construct": {"targets": [TARGET], "trials": "many"}}, "scaled_backward_shift"),
+        (
+            {"construct": {"targets": [{"coefficients": [[0.5, 0.0, 300]]}]}},
+            "scaled_backward_shift",
+        ),
+        ({"construct": {"trials": 100}}, "scaled_backward_shift"),
+        ({"construct": {"targets": [TARGET], "steps": 2}}, "scaled_backward_shift"),
+        ({"construct": {"targets": [TARGET], "cert_samples": 0}}, "scaled_backward_shift"),
+        (
+            {
+                "construct": {"targets": [TARGET], "steps": 0},
+                "density": {"horizon": 100, "use_construction": True},
+            },
+            "scaled_backward_shift",
+        ),
+    ],
+    ids=[
+        "invariance.probes>dimension",
+        "invariance.probes=0",
+        "invariance.terms=0",
+        "density.angle_index>family",
+        "density.angle_index>diagonal-family",
+        "density.coefficient=Infinity",
+        "construct.trials=many",
+        "construct.target-index>family",
+        "construct.no-targets",
+        "construct.steps>targets",
+        "construct.cert_samples=0",
+        "construct.steps=0",
+    ],
+)
+def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
+    config = tmp_path / "hole.json"
+    config.write_text(json.dumps(_holes_config(pipelines, kind)))
+    result = CliRunner().invoke(main, ["validate", "--config", str(config)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "error: pipelines." in result.output
+
+
+def test_validate_accepts_the_bounds_and_run_completes(tmp_path):
+    pipelines = {
+        "invariance": {"trials": 1000, "probes": 12, "terms": 1},
+        "construct": {"targets": [TARGET], "steps": 1, "trials": 2, "cert_samples": 1},
+        "density": {"horizon": 100, "angle_index": 11},
+    }
+    for kind in ("scaled_backward_shift", "perturbed_diagonal"):
+        cfg, errors = validate_config(json.dumps(_holes_config(pipelines, kind)))
+        assert not errors, errors
+        assert run_experiment(cfg, tmp_path / kind) in (0, 1)
+        assert (tmp_path / kind / "summary.json").exists()

@@ -8,7 +8,6 @@ from hyperlab import construction
 from hyperlab.construction import (
     ConstructionState,
     ConstructionTarget,
-    basis_constant,
     build_block,
     run_construction,
     split_coefficient,
@@ -32,20 +31,6 @@ def test_split_coefficient_reassembles_exactly():
         assert len(set(s.parts)) == 1
     with pytest.raises(ValueError):
         split_coefficient(1.0, 0.0)
-
-
-def test_basis_constant_bounds_all_combinations():
-    rng = np.random.default_rng(1)
-    mat = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    m = basis_constant(mat)
-    for _ in range(300):
-        beta = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        lhs = np.linalg.norm(mat @ beta)
-        assert lhs <= m * np.linalg.norm(beta) * (1 + 1e-9)
-    # tight for orthonormal columns
-    assert basis_constant(np.eye(4)[:, :2]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        basis_constant(np.zeros((4, 0)))
 
 
 def test_target_validation():

@@ -12,7 +12,7 @@ from hyperlab.ergodicity import (
     nonergodicity_witness,
 )
 from hyperlab.eigenfields import EigenExpansion, EigenFamily, EigenPair
-from hyperlab.linspace import DualFunctional, basis_vector
+from hyperlab.linspace import basis_vector
 
 SQRT2 = float(np.sqrt(2) % 1)
 
@@ -55,7 +55,7 @@ def test_closed_form_matches_monte_carlo(rng):
     e0 = basis_vector(0, 4)
     pairs = (EigenPair(1.0, e0, 0.0), EigenPair(SQRT2, e0, 0.0))
     series = EigenExpansion((2**-0.5, 2**-0.5), EigenFamily.from_pairs(pairs))
-    f0 = DualFunctional(e0.entries)
+    f0 = e0.entries
     spec = CorrelationSpec.from_probes(series, f0, f0)
     for n in (0, 7):
         mc = correlation_monte_carlo(series, f0, f0, n, 50000, rng)
@@ -82,12 +82,11 @@ def test_witness_stabilizes_at_the_coefficient_mass():
 
 def test_from_probes_extracts_pairings(family32):
     series = EigenExpansion(np.full(3, 0.5), family32.take([0, 1, 2]))
-    f = DualFunctional(basis_vector(0, 32).entries)
-    g = DualFunctional(basis_vector(1, 32).entries)
+    f, g = np.eye(2, 32, dtype=complex)
     spec = CorrelationSpec.from_probes(series, f, g)
     pairs = [family32.pair(i) for i in range(3)]
-    manual_c = [0.5 * np.vdot(f.entries, p.vector.entries) for p in pairs]
-    manual_d = [0.5 * np.vdot(g.entries, p.vector.entries) for p in pairs]
+    manual_c = [0.5 * np.vdot(f, p.vector.entries) for p in pairs]
+    manual_d = [0.5 * np.vdot(g, p.vector.entries) for p in pairs]
     assert np.allclose(spec.c, manual_c) and np.allclose(spec.d, manual_d)
     assert spec.angles == tuple(p.theta for p in pairs)
 

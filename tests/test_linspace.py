@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperlab.linspace import (
-    DualFunctional,
-    StateVector,
-    basis_vector,
-    norm,
-    pair,
-    zero_vector,
-)
+from hyperlab.linspace import StateVector, basis_vector, norm, zero_vector
 
 
 def test_vector_construction_rejects_bad_entries():
@@ -20,8 +13,6 @@ def test_vector_construction_rejects_bad_entries():
         StateVector([1.0, np.inf])
     with pytest.raises(ValueError):
         StateVector([1.0, np.nan])
-    with pytest.raises(ValueError):
-        StateVector([1.0, 2.0], space_p=0.5)
 
 
 def test_entries_are_immutable():
@@ -55,24 +46,5 @@ def test_norm_triangle_inequality_and_homogeneity():
 
 def test_norm_matches_manual_lp():
     a = np.array([3.0, -4.0, 1j])
-    assert norm(StateVector(a, 2.0)) == pytest.approx(np.sqrt(26.0))
-    assert norm(StateVector(a, 1.0)) == pytest.approx(8.0)
-
-
-def test_pair_is_conjugate_linear_in_functional_linear_in_vector():
-    rng = np.random.default_rng(1)
-    f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    manual = complex(np.sum(np.conj(f) * v))
-    assert pair(DualFunctional(f), StateVector(v)) == pytest.approx(manual)
-    c = 2.0 - 1.5j
-    assert pair(DualFunctional(c * f), StateVector(v)) == pytest.approx(
-        np.conj(c) * manual
-    )
-    assert pair(DualFunctional(f), StateVector(c * v)) == pytest.approx(c * manual)
-
-
-def test_pair_dimension_mismatch():
-    with pytest.raises(ValueError):
-        pair(DualFunctional([1.0]), StateVector([1.0, 2.0]))
+    assert norm(StateVector(a)) == pytest.approx(np.sqrt(26.0))
 

@@ -7,7 +7,7 @@ from hyperlab.eigenfields import (
     eigenvector_2B,
     qindependent_angles,
 )
-from hyperlab.linspace import StateVector, basis_vector, norm
+from hyperlab.linspace import basis_vector
 from hyperlab.operators import (
     apply,
     make_perturbed_diagonal,
@@ -21,9 +21,9 @@ def test_shift_apply_matches_manual_shift():
     op = make_scaled_backward_shift(3.0, 6)
     rng = np.random.default_rng(0)
     e = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    out = apply(op, StateVector(e))
+    out = apply(op, e)
     manual = np.concatenate([3.0 * e[1:], [0.0]])
-    assert np.allclose(out.entries, manual)
+    assert np.allclose(out, manual)
 
 
 def test_perturbed_diagonal_matches_dense_matrix():
@@ -36,7 +36,7 @@ def test_perturbed_diagonal_matches_dense_matrix():
     rng = np.random.default_rng(1)
     for _ in range(10):
         e = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        assert np.allclose(apply(op, StateVector(e)).entries, dense @ e)
+        assert np.allclose(apply(op, e), dense @ e)
 
 
 def test_norm_bound_dominates_power_iteration_norm():
@@ -55,12 +55,17 @@ def test_shift_norm_is_exactly_the_weight():
 
 def test_power_apply_equals_repeated_application():
     op = make_scaled_backward_shift(2.0, 8)
-    v = basis_vector(5, 8)
+    v = basis_vector(5, 8).entries
     out = power_apply(op, v, 3)
     manual = v
     for _ in range(3):
         manual = apply(op, manual)
-    assert np.allclose(out.entries, manual.entries)
+    assert np.array_equal(out, manual)
+    # a batch of vectors at once, row by row the same
+    batch = np.eye(8, dtype=complex)
+    assert np.array_equal(
+        power_apply(op, batch, 3), np.stack([power_apply(op, row, 3) for row in batch])
+    )
 
 
 def test_power_apply_uses_eigen_expansion_exactly():
@@ -68,21 +73,19 @@ def test_power_apply_uses_eigen_expansion_exactly():
     p = eigenvector_2B(float(np.sqrt(2) % 1), 2.0, 32)
     x = EigenExpansion((0.7,), EigenFamily.from_pairs([p]))
     n = 6
-    fast = power_apply(op, x, n)
-    slow = x.to_vector()
-    for _ in range(n):
-        slow = apply(op, slow)
+    fast = x.power(n).entries
+    slow = power_apply(op, x.to_vector().entries, n)
     # truncation residual grows at most like w**n per application
-    assert norm(StateVector(fast.entries - slow.entries)) < 2.0**n * p.residual * 2
-    assert norm(fast) == pytest.approx(0.7, rel=1e-12)
+    assert np.linalg.norm(fast - slow) < 2.0**n * p.residual * 2
+    assert np.linalg.norm(fast) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_power_apply_overflow_guard():
     op = make_scaled_backward_shift(2.0, 4)
     with pytest.raises(OverflowError):
-        power_apply(op, basis_vector(3, 4), 10**6)
+        power_apply(op, basis_vector(3, 4).entries, 10**6)
     with pytest.raises(ValueError):
-        power_apply(op, basis_vector(3, 4), -1)
+        power_apply(op, basis_vector(3, 4).entries, -1)
 
 
 def test_constructor_validation():
@@ -99,4 +102,48 @@ def test_constructor_validation():
 def test_apply_dimension_mismatch():
     op = make_scaled_backward_shift(2.0, 4)
     with pytest.raises(ValueError):
-        apply(op, basis_vector(0, 5))
+        apply(op, basis_vector(0, 5).entries)
+    with pytest.raises(ValueError):
+        apply(op, np.ones((3, 5), dtype=complex))
+    with pytest.raises(ValueError):
+        apply(op, np.ones((4, 3), dtype=complex))
+    with pytest.raises(ValueError):
+        apply(op, np.complex128(1.0))
+
+
+def _operators(d):
+    return [
+        make_scaled_backward_shift(2.5, d),
+        make_perturbed_diagonal(qindependent_angles(d), 0.3, d),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["shift", "diagonal"])
+def test_batched_apply_equals_row_by_row_bit_for_bit(kind):
+    d = 64
+    op = _operators(d)[kind == "diagonal"]
+    rng = np.random.default_rng(5)
+    batch = rng.standard_normal((500, d)) + 1j * rng.standard_normal((500, d))
+    batch.setflags(write=False)
+    # reference: T applied to one row at a time
+    rows = np.empty_like(batch)
+    for i, row in enumerate(batch):
+        rows[i] = apply(op, row)
+    out = apply(op, batch)
+    assert out.shape == batch.shape and out.dtype == complex
+    assert np.array_equal(out.view(float), rows.view(float))
+    # any leading shape maps over the last axis
+    cube = batch.reshape(5, 100, d)
+    assert np.array_equal(apply(op, cube).view(float), rows.reshape(5, 100, d).view(float))
+
+
+def test_power_iteration_matrix_is_the_column_stacked_basis_images():
+    for op in _operators(16):
+        mat = apply(op, np.eye(op.dim, dtype=complex)).T
+        columns = np.column_stack(
+            [apply(op, basis_vector(k, op.dim).entries) for k in range(op.dim)]
+        )
+        assert np.array_equal(np.ascontiguousarray(mat).view(float), columns.view(float))
+        assert power_iteration_norm(op) == pytest.approx(
+            np.linalg.norm(columns, 2), rel=1e-9
+        )

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hyperlab.eigenfields import EigenExpansion
-from hyperlab.linspace import DualFunctional, basis_vector
 from hyperlab.operators import make_scaled_backward_shift
 from hyperlab.steinhaus import (
     invariance_gap,
@@ -96,13 +95,16 @@ def test_invariance_gap_within_monte_carlo_error(family32, rng):
     op = make_scaled_backward_shift(2.0, 32)
     coeffs = 0.5 ** np.arange(1, 9)
     series = EigenExpansion(coeffs, family32.take(slice(8)))
-    probes = [DualFunctional(basis_vector(k, 32).entries) for k in range(4)]
+    probes = np.eye(4, 32, dtype=complex)
     report = invariance_gap(op, series, 4000, probes, rng)
     assert len(report.rows) == 8  # 4 probes x 2 moment orders
     assert report.within(4.0)
     assert report.max_gap == pytest.approx(
         max(gap for _, _, gap, _ in report.rows)
     )
+    # no probe rows would make the check vacuous
+    with pytest.raises(ValueError):
+        invariance_gap(op, series, 4000, probes[:0], rng)
 
 
 def test_mc_report_json_is_sorted(rng):
