@@ -61,6 +61,10 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     # signed angle offsets from the root; all construction arithmetic is
     # done on these unwrapped coordinates
     offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
+    # seed indices by offset: the members a jump of at most j reaches on
+    # one side of a node are one contiguous run of this order
+    by_offset = np.argsort(offsets, kind="stable")
+    sorted_offsets = offsets[by_offset]
     available = np.ones(len(seed), dtype=bool)
     available[0] = False
     size = 2 ** (depth + 1) - 1
@@ -97,41 +101,42 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
             j_hi = min(0.98 * bound_theta, 0.95 * room)
         if j_hi <= 0:
             return None
-        deltas = sign * (offsets - off_v)
-        idx = np.nonzero(available & (deltas > 0) & (deltas <= j_hi))[0]
-        chords = chord_to(deltas[idx], 0.0)
+        # a rounded gap 0 < sign * (offset - off_v) <= j_hi puts the offset
+        # strictly inside off_v + sign * (0, 2 j_hi); the exact test on
+        # that window keeps the same members a scan of all seeds would
+        ends = sorted((off_v, off_v + 2.0 * sign * j_hi))
+        start = np.searchsorted(sorted_offsets, ends[0], side="left")
+        stop = np.searchsorted(sorted_offsets, ends[1], side="right")
+        window = np.sort(by_offset[start:stop])
+        deltas = sign * (offsets[window] - off_v)
+        keep = available[window] & (deltas > 0) & (deltas <= j_hi)
+        idx, chords = window[keep], chord_to(deltas[keep], 0.0)
         keep = chords < lam_bound
-        best = best_candidate(idx[keep], chords[keep], idx_v, lam_bound, vec_bound)
-        if best is None:
-            return None
-        return best, float(deltas[best]) * sign
+        return best_candidate(idx[keep], chords[keep], idx_v, lam_bound, vec_bound)
 
     def find_right_child(idx_v, off_v, lo_v, hi_v, lam_bound, vec_bound):
         """Pick a right child inside the node's territory.
 
         The jump prefers the roomier side, aiming near the halving bound;
-        the thinner side serves as a fallback.  Returns (seed index, jump
-        offset) or None.
+        the thinner side serves as a fallback.  Returns the seed index or
+        None.
         """
         room_plus, room_minus = hi_v - off_v, off_v - lo_v
         sides = [(1.0, room_plus), (-1.0, room_minus)]
         sides.sort(key=lambda t: -t[1])
         for relaxed in (False, True):
             for sign, room in sides:
-                found = pick_on_side(
+                best = pick_on_side(
                     idx_v, off_v, sign, room, lam_bound, vec_bound, relaxed
                 )
-                if found is not None:
-                    return found
+                if best is not None:
+                    return best
         # last resort: nearest unused member under the halving bounds,
         # ignoring the territory; the bound is tiny this deep, so the
         # intrusion into a neighboring arc is equally tiny
         chords = chord_to(offsets, off_v)
         idx = np.nonzero(available & (chords > 0) & (chords < lam_bound))[0]
-        best = best_candidate(idx, chords[idx], idx_v, lam_bound, vec_bound)
-        if best is None:
-            return None
-        return best, float(offsets[best] - off_v)
+        return best_candidate(idx, chords[idx], idx_v, lam_bound, vec_bound)
 
     for j in range(2**depth - 1):
         level = (j + 1).bit_length()  # level of node j's children
@@ -140,15 +145,15 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
         # and the vector; the schedule is absolute, so one short jump
         # never starves its whole subtree
         bound = 2.0**-level
-        found = find_right_child(
+        best = find_right_child(
             idx_v, off_v, float(lo[j]), float(hi[j]), bound, bound
         )
-        if found is None:
+        if best is None:
             raise CantorBuildError(
                 f"no admissible right child for node {_label(j)!r} at level {level} "
                 f"(need chord < {bound:.3g}, vector distance < {bound:.3g})"
             )
-        best, jump = found
+        jump = float(offsets[best] - off_v)
         available[best] = False
         left, right = 2 * j + 1, 2 * j + 2
         nodes[left], nodes[right] = idx_v, best

@@ -62,7 +62,12 @@ class ExperimentConfig:
 # names a bound taken from the config (see validate_config's ``ceilings``)
 _INT_BOUNDS = (
     ("khinchine", "trials", 1000, None),
+    ("diophantine", "angle_count", 1, None),
+    ("diophantine", "targets_per_angle", 1, None),
+    ("diophantine", "p_max", 1, None),
+    ("syndetic", "angle_count", 1, None),
     ("syndetic", "horizon", 1000, None),
+    ("ergodicity", "N", 1000, None),
     ("cantor", "depth", 0, None),
     ("cantor", "seed_count", 1, None),
     ("density", "horizon", 1, None),
@@ -70,6 +75,7 @@ _INT_BOUNDS = (
     ("construct", "trials", 2, None),
     ("construct", "cert_samples", 1, None),
     ("construct", "steps", 1, "number of targets"),
+    ("construct", "p_max", 1, None),
     ("invariance", "terms", 1, None),
     ("invariance", "probes", 1, "dimension"),
 )
@@ -87,6 +93,21 @@ def _is_int(value, floor, ceiling=None) -> bool:
         and not isinstance(value, bool)
         and floor <= value
         and (ceiling is None or value <= ceiling)
+    )
+
+
+def _is_coefficients(spec) -> bool:
+    """Khinchine coefficients the run accepts: {"equal": n} with n >= 1,
+    or a non-empty list of [re, im] pairs."""
+    if isinstance(spec, dict):
+        return _is_int(spec.get("equal"), 1)
+    return (
+        isinstance(spec, list)
+        and len(spec) > 0
+        and all(
+            isinstance(c, list) and len(c) == 2 and all(_is_number(x) for x in c)
+            for c in spec
+        )
     )
 
 
@@ -175,6 +196,17 @@ def validate_config(text: str, horizon=None):
         for key in ("eta", "radius", "coefficient", "tolerance"):
             if key in params and not (_is_number(params[key]) and params[key] > 0):
                 errors.append(f"pipelines.{name}.{key} must be positive")
+    for name in ("diophantine", "syndetic"):
+        # chords never exceed 2, so eta >= 2 makes every power a return
+        eta = pipelines.get(name, {}).get("eta", 0.1)
+        if _is_number(eta) and eta >= 2:
+            errors.append(f"pipelines.{name}.eta must be below 2")
+    coefficients = pipelines.get("khinchine", {}).get("coefficients", {"equal": 100})
+    if not _is_coefficients(coefficients):
+        errors.append(
+            'pipelines.khinchine.coefficients must be {"equal": n} with an integer '
+            "n >= 1 or a non-empty list of [re, im] pairs"
+        )
     family_size = dim if kind == "perturbed_diagonal" else family.get("count", 256)
     targets = pipelines.get("construct", {}).get("targets")
     if "construct" in pipelines and not (
@@ -366,16 +398,19 @@ def _run_construct(cfg, op, family, params, rng, out, ctx):
         )
         for t in params["targets"]
     ]
-    state, phi, report = cons.run_construction(
-        op,
-        family,
-        targets,
-        params.get("steps", len(targets)),
-        rng,
-        trials=params.get("trials", 2000),
-        cert_samples=params.get("cert_samples", 200),
-        p_max=params.get("p_max", 10**6),
-    )
+    try:
+        state, phi, report = cons.run_construction(
+            op,
+            family,
+            targets,
+            params.get("steps", len(targets)),
+            rng,
+            trials=params.get("trials", 2000),
+            cert_samples=params.get("cert_samples", 200),
+            p_max=params.get("p_max", 10**6),
+        )
+    except (cons.ConstructionError, dio.NetCoverageError) as exc:
+        return {"error": str(exc), "passed": False}, None
     (out / "construction_state.json").write_text(state.to_json() + "\n")
     result = {
         "blocks": [

@@ -232,6 +232,10 @@ def _assemble_terms(state, alphas, delta, rho):
     neighbors."""
     n_coeffs = max(len(alphas), 1)
     eps = (delta / n_coeffs) ** 2
+    if eps == 0:
+        raise ConstructionError(
+            f"split tolerance ({delta:.3g}/{n_coeffs})**2 underflows double precision"
+        )
     l1 = 0.0
     splits = []
     for c, anchor in alphas:

@@ -167,7 +167,7 @@ def covering_scan(
     if remaining > 0:
         missing = int(np.flatnonzero(cell_to_p < 0)[0])
         point = np.unravel_index(missing, (m,) * k)
-        nu = tuple(np.exp(2j * np.pi * i / m) for i in point)
+        nu = tuple(complex(np.exp(2j * np.pi * i / m)) for i in point)
         raise NetCoverageError(nu, p_max)
     net = CoveringNet(tuple(angles.tolist()), float(eta), m, cell_to_p)
     _verify_net(net, fixed, fixed_eta)
@@ -205,6 +205,8 @@ def syndetic_return_set(angles, eta: float, horizon: int) -> SyndeticResult:
     (D' - D') n N n [1, horizon] subset of D."""
     if horizon < 10**3:
         raise ValueError("horizon must be at least 10**3")
+    if not 0 < eta < 2:
+        raise ValueError("eta must lie in (0, 2)")
     angles = np.asarray([float(a) for a in angles])
     p = np.arange(1, horizon + 1)
     if angles.size:
@@ -223,10 +225,26 @@ def syndetic_return_set(angles, eta: float, horizon: int) -> SyndeticResult:
     d_prime = p[dp_mask]
     gaps = np.diff(np.concatenate(([0], d)))
     gap_bound = int(gaps.max())
-    d_set = set(d.tolist())
-    diffs = (d_prime[None, :] - d_prime[:, None]).ravel()
-    diffs = np.unique(diffs[(diffs >= 1) & (diffs <= horizon)])
-    violations = tuple(int(x) for x in diffs if int(x) not in d_set)
     return SyndeticResult(
-        tuple(int(x) for x in d), gap_bound, tuple(int(x) for x in d_prime), violations
+        tuple(d.tolist()),
+        gap_bound,
+        tuple(d_prime.tolist()),
+        _differences_outside(d_prime, d_mask),
     )
+
+
+def _differences_outside(d_prime: np.ndarray, d_mask: np.ndarray) -> tuple:
+    """Sorted positive differences of the ascending powers ``d_prime``
+    that are not in D, where ``d_mask[p - 1]`` says whether p is in D and
+    ``d_prime`` lies in [1, d_mask.size].
+
+    The difference matrix is formed a block of rows at a time, so memory
+    stays O(_CHUNK) whatever the size of D'.
+    """
+    missing = np.zeros(d_mask.size + 1, dtype=bool)
+    rows = max(1, _CHUNK // max(d_prime.size, 1))
+    for start in range(0, d_prime.size, rows):
+        diffs = d_prime[None, :] - d_prime[start : start + rows, None]
+        diffs = diffs[diffs >= 1]
+        missing[diffs[~d_mask[diffs - 1]]] = True
+    return tuple(np.flatnonzero(missing).tolist())

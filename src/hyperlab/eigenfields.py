@@ -137,21 +137,49 @@ class EigenExpansion:
         return StateVector(self.terms.vectors @ (phases * self.coeffs))
 
 
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norms of the k columns of an n x k complex array, the terms
+    added in the order numpy's pairwise summation adds one contiguous
+    length-n row (eight running sums up to 128 terms, halving above).
+    They thus equal, bit for bit, the sums ``np.linalg.norm(..., axis=1)``
+    takes over the rows of the k x n transpose, without the full-size
+    temporaries it makes."""
+    n = rows.shape[0]
+    if n < 8:
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += (row.conj() * row).real
+        return total
+    if n <= 128:
+        m = n - n % 8
+        r = (rows[:8].conj() * rows[:8]).real
+        for i in range(8, m, 8):
+            r += (rows[i : i + 8].conj() * rows[i : i + 8]).real
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in rows[m:]:
+            total += (row.conj() * row).real
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _squared_norms(rows[:half]) + _squared_norms(rows[half:])
+
+
 def _field_2B(thetas, w: float, d: int):
     """Unit vectors (d x k) and residuals of the truncated eigenvector
     field of w*B at the given angles.
 
     The untruncated field is E(lambda) = sum (lambda/w)**n e_n; truncating
     at d leaves the exact residual (1/w)**(d-1) before normalization,
-    which is divided by the normalizing constant.
+    which is divided by the normalizing constant.  The field is built
+    d x k, the layout EigenFamily stores, and its column norms are summed
+    in the order numpy sums the rows of the k x d field, so the result does
+    not depend on the layout down to the last bit.
     """
     if not w > 1:
         raise ValueError("shift weight must be > 1")
     lam = np.exp(2j * np.pi * np.asarray(thetas, dtype=float))
-    raw = (lam[:, None] / w) ** np.arange(d)[None, :]
-    scales = np.linalg.norm(raw, axis=1)
-    raw /= scales[:, None]
-    vectors = np.ascontiguousarray(raw.T)
+    vectors = (lam[None, :] / w) ** np.arange(d)[:, None]
+    scales = np.sqrt(_squared_norms(vectors))
+    vectors /= scales
     vectors.setflags(write=False)
     return vectors, (1.0 / w) ** (d - 1) / scales
 
@@ -214,7 +242,7 @@ def qindependent_angles(k: int) -> list[float]:
     returned angles are irrational and Q-independent by construction; this
     is never re-tested numerically (it is undecidable from floats).
     """
-    return [float(np.sqrt(p) % 1.0) for p in primes(k)]
+    return (np.sqrt(np.asarray(primes(k), dtype=float)) % 1.0).tolist()
 
 
 def sample_2B_family(w: float, d: int, count: int) -> EigenFamily:

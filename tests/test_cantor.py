@@ -11,7 +11,8 @@ from hyperlab.cantor import (
     field_to_csv,
     verify_cantor_separation,
 )
-from hyperlab.eigenfields import sample_2B_family, unimodular
+from hyperlab.diophantine import chord_to
+from hyperlab.eigenfields import EigenFamily, _field_2B, sample_2B_family, unimodular
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +175,103 @@ def test_serializers(field3, tmp_path):
         assert row_label == label
         assert float(theta) == cantor_lookup(field3, label)[0]
         assert 0.0 <= float(residual) <= 2.0**-31
+
+
+def full_scan_build(seed, depth):
+    """Node array of the halving construction with every right-child
+    search scanning all seed members, and how often each search branch
+    chose the child: {"territory": ..., "relaxed": ..., "last_resort": ...}."""
+    thetas, mat = seed.thetas, seed.vectors
+    offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
+    available = np.ones(len(seed), dtype=bool)
+    available[0] = False
+    size = 2 ** (depth + 1) - 1
+    nodes, off = np.zeros(size, dtype=np.intp), np.zeros(size)
+    lo, hi = np.full(size, -0.5), np.full(size, 0.5)
+    branches = {"territory": 0, "relaxed": 0, "last_resort": 0}
+
+    def best(idx, chords, idx_v, bound):
+        dists = np.linalg.norm(mat[:, idx] - mat[:, idx_v][:, None], axis=0)
+        keep = dists < bound
+        idx, chords, dists = idx[keep], chords[keep], dists[keep]
+        if idx.size == 0:
+            return None
+        score = -np.minimum(chords / bound, dists / bound)
+        return int(idx[np.lexsort((thetas[idx], score))[0]])
+
+    def right_child(idx_v, off_v, lo_v, hi_v, bound):
+        bound_theta = float(np.arcsin(min(bound, 2.0) / 2.0) / np.pi)
+        sides = sorted([(1.0, hi_v - off_v), (-1.0, off_v - lo_v)], key=lambda t: -t[1])
+        for relaxed in (False, True):
+            for sign, room in sides:
+                j_hi = 0.98 * bound_theta if relaxed else min(0.98 * bound_theta, 0.95 * room)
+                if j_hi <= 0:
+                    continue
+                deltas = sign * (offsets - off_v)
+                idx = np.nonzero(available & (deltas > 0) & (deltas <= j_hi))[0]
+                chords = chord_to(deltas[idx], 0.0)
+                keep = chords < bound
+                found = best(idx[keep], chords[keep], idx_v, bound)
+                if found is not None:
+                    branches["relaxed" if relaxed else "territory"] += 1
+                    return found
+        chords = chord_to(offsets, off_v)
+        idx = np.nonzero(available & (chords > 0) & (chords < bound))[0]
+        found = best(idx, chords[idx], idx_v, bound)
+        branches["last_resort"] += found is not None
+        return found
+
+    for j in range(2**depth - 1):
+        bound = 2.0 ** -(j + 1).bit_length()
+        idx_v, off_v = int(nodes[j]), float(off[j])
+        found = right_child(idx_v, off_v, float(lo[j]), float(hi[j]), bound)
+        if found is None:
+            raise CantorBuildError(f"no admissible right child for node {j}")
+        available[found] = False
+        jump = float(offsets[found] - off_v)
+        left, right = 2 * j + 1, 2 * j + 2
+        nodes[left], nodes[right] = idx_v, found
+        off[left], off[right] = off_v, off_v + jump
+        lo[left] = lo[right] = lo[j]
+        hi[left] = hi[right] = hi[j]
+        if jump > 0:
+            hi[left], lo[right] = off_v + 0.20 * jump, off[right] - 0.29 * jump
+        else:
+            lo[left], hi[right] = off_v - 0.20 * abs(jump), off[right] + 0.29 * abs(jump)
+    return nodes, branches
+
+
+def last_resort_family():
+    """Root at 0.1 whose only members within the level-1 chord bound sit
+    between 0.98 and 1 times its angle bound, beyond both side windows."""
+    bound_theta = float(np.arcsin(0.25) / np.pi)
+    thetas = [0.1, 0.1 + 0.99 * bound_theta, 0.1 - 0.995 * bound_theta, 0.6]
+    return EigenFamily(thetas, *_field_2B(thetas, 2.0, 16))
+
+
+def test_windowed_search_matches_full_scan():
+    cases = [
+        (sample_2B_family(2.0, 16, 8), 0),
+        (sample_2B_family(2.0, 16, 64), 1),
+        (sample_2B_family(2.0, 32, 256), 3),
+        (sample_2B_family(1.5, 24, 128), 3),
+        (sample_2B_family(2.0, 64, 4096), 7),
+        (sample_2B_family(2.0, 16, 2**13), 8),
+        (last_resort_family(), 1),
+    ]
+    used = {"territory": 0, "relaxed": 0, "last_resort": 0}
+    for seed, depth in cases:
+        nodes, branches = full_scan_build(seed, depth)
+        assert np.array_equal(build_cantor_field(seed, depth).nodes, nodes)
+        for name, count in branches.items():
+            used[name] += count
+    assert all(count > 0 for count in used.values()), used
+
+
+def test_windowed_search_fails_where_full_scan_fails():
+    seed = sample_2B_family(1.5, 8, 512)
+    # breadth-first node 15 has the label "0000"
+    with pytest.raises(CantorBuildError, match="node 15$"):
+        full_scan_build(seed, 5)
+    with pytest.raises(CantorBuildError, match="node '0000'"):
+        build_cantor_field(seed, 5)

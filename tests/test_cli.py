@@ -327,6 +327,16 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
             },
             "scaled_backward_shift",
         ),
+        ({"ergodicity": {"N": 10}}, "scaled_backward_shift"),
+        ({"syndetic": {"angle_count": 0}}, "scaled_backward_shift"),
+        ({"syndetic": {"eta": 5}}, "scaled_backward_shift"),
+        ({"diophantine": {"angle_count": "two"}}, "scaled_backward_shift"),
+        ({"diophantine": {"targets_per_angle": 0}}, "scaled_backward_shift"),
+        ({"diophantine": {"p_max": 0}}, "scaled_backward_shift"),
+        ({"diophantine": {"eta": 2.0}}, "scaled_backward_shift"),
+        ({"construct": {"targets": [TARGET], "p_max": 0}}, "scaled_backward_shift"),
+        ({"khinchine": {"coefficients": {"equal": 0}}}, "scaled_backward_shift"),
+        ({"khinchine": {"coefficients": []}}, "scaled_backward_shift"),
     ],
     ids=[
         "invariance.probes>dimension",
@@ -341,6 +351,16 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         "construct.steps>targets",
         "construct.cert_samples=0",
         "construct.steps=0",
+        "ergodicity.N=10",
+        "syndetic.angle_count=0",
+        "syndetic.eta=5",
+        "diophantine.angle_count=two",
+        "diophantine.targets_per_angle=0",
+        "diophantine.p_max=0",
+        "diophantine.eta=2",
+        "construct.p_max=0",
+        "khinchine.coefficients=equal-0",
+        "khinchine.coefficients=empty",
     ],
 )
 def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
@@ -356,9 +376,45 @@ def test_validate_accepts_the_bounds_and_run_completes(tmp_path):
         "invariance": {"trials": 1000, "probes": 12, "terms": 1},
         "construct": {"targets": [TARGET], "steps": 1, "trials": 2, "cert_samples": 1},
         "density": {"horizon": 100, "angle_index": 11},
+        "ergodicity": {"N": 1000},
+        "syndetic": {"angle_count": 1, "horizon": 1000, "eta": 1.9},
+        "diophantine": {"angle_count": 1, "targets_per_angle": 1, "p_max": 1, "eta": 1.9},
+        "khinchine": {"coefficients": {"equal": 1}, "trials": 1000},
     }
     for kind in ("scaled_backward_shift", "perturbed_diagonal"):
         cfg, errors = validate_config(json.dumps(_holes_config(pipelines, kind)))
         assert not errors, errors
         assert run_experiment(cfg, tmp_path / kind) in (0, 1)
         assert (tmp_path / kind / "summary.json").exists()
+
+
+def _many_targets(n):
+    return [{"coefficients": [[0.5, 0.0, 3 * i + 1]], "radius": 0.5} for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "construct, error",
+    [
+        ({"targets": [TARGET], "p_max": 1}, "no power p <= 1 solves the net point"),
+        # the sixth block's budget is so small that its split tolerance
+        # squares to zero
+        (
+            {"targets": _many_targets(6), "trials": 200, "cert_samples": 20},
+            "underflows double precision",
+        ),
+    ],
+    ids=["net-coverage", "construction"],
+)
+def test_construction_errors_are_reported_not_raised(tmp_path, construct, error):
+    config = tmp_path / "construct.json"
+    cfg = _holes_config({"construct": construct})
+    cfg["family"]["count"] = 64
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    # exit 1 through sys.exit, not an escaped NetCoverageError or ConstructionError
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    summary = json.loads((out / "summary.json").read_text())
+    construct_result = summary["results"]["construct"]
+    assert construct_result["passed"] is False and error in construct_result["error"]
+    assert summary["passed"] is False

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hyperlab.diophantine import (
     NetCoverageError,
     ReturnTimeSet,
     TorusTarget,
+    _differences_outside,
     chord_to,
     covering_scan,
     solve_simultaneous,
@@ -139,3 +142,19 @@ def test_syndetic_validation_errors():
         syndetic_return_set((SQRT2,), 0.4, 999)
     with pytest.raises(ValueError):
         syndetic_return_set((SQRT2,), 1e-9, 1000)
+    for eta in (0.0, 2.0, 5.0):
+        with pytest.raises(ValueError, match="eta"):
+            syndetic_return_set((SQRT2,), eta, 1000)
+
+
+@pytest.mark.parametrize("horizon, density", [(50, 0.3), (400, 0.1), (3000, 0.15)])
+def test_difference_check_matches_brute_force(horizon, density):
+    # random sets, unlike return-time sets, have differences outside D;
+    # at (3000, 0.15) the difference matrix spans several row blocks
+    rng = np.random.default_rng(horizon)
+    d_mask = rng.random(horizon) < 0.5
+    d_prime = np.flatnonzero(rng.random(horizon) < density) + 1
+    pairs = itertools.combinations(d_prime.tolist(), 2)
+    expected = sorted({b - a for a, b in pairs if not d_mask[b - a - 1]})
+    assert expected
+    assert _differences_outside(d_prime, d_mask) == tuple(expected)

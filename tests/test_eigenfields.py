@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from hyperlab import eigenfields
 from hyperlab.eigenfields import (
     EigenExpansion,
     EigenFamily,
     EigenPair,
+    _field_2B,
     check_assumption_H,
     diagonal_family,
     eigenvector_2B,
@@ -42,6 +44,10 @@ def test_qindependent_angles_are_distinct_irrational_fracs():
     assert len(set(angles)) == 40
     assert all(0 < a < 1 for a in angles)
     assert angles[0] == pytest.approx(np.sqrt(2) % 1)
+    # one vectorised square root gives the scalar loop's floats exactly
+    for k in (1, 2, 5, 6, 40, 2**12):
+        expected = [float(np.sqrt(p) % 1.0) for p in primes(k)]
+        assert qindependent_angles(k) == expected
 
 
 def test_eigenvector_2B_is_unit_eigenvector_with_recorded_residual():
@@ -73,6 +79,34 @@ def test_sample_2B_family_matches_single_construction():
         single = eigenvector_2B(p.theta, 2.0, 64)
         assert np.array_equal(p.vector.entries, single.vector.entries)
         assert p.residual == single.residual
+
+
+def test_sample_2B_family_keeps_the_field_array(monkeypatch):
+    built = []
+
+    def field(thetas, w, d):
+        built.append(_field_2B(thetas, w, d))
+        return built[-1]
+
+    monkeypatch.setattr(eigenfields, "_field_2B", field)
+    fam = sample_2B_family(2.0, 16, 50)
+    vectors, _ = built[0]
+    assert vectors.shape == (16, 50)
+    assert vectors.flags.c_contiguous and not vectors.flags.writeable
+    assert fam.vectors is vectors
+
+
+@pytest.mark.parametrize("w", [2.0, 1.5, 3.7])
+@pytest.mark.parametrize("d", [1, 7, 8, 12, 64, 129, 300])
+def test_field_2B_column_norms_match_row_norms_of_the_transpose(w, d):
+    # the d x k field normalizes each column by exactly the norm numpy
+    # gives the same entries laid out k x d
+    thetas = qindependent_angles(40)
+    vectors, residuals = _field_2B(thetas, w, d)
+    raw = (np.exp(2j * np.pi * np.asarray(thetas))[:, None] / w) ** np.arange(d)
+    scales = np.linalg.norm(raw, axis=1)
+    assert np.array_equal(vectors, (raw / scales[:, None]).T)
+    assert np.array_equal(residuals, (1.0 / w) ** (d - 1) / scales)
 
 
 def test_perturbed_diagonal_eigenvector_is_actual_eigenvector():
