@@ -76,6 +76,7 @@ _INT_BOUNDS = (
     ("construct", "cert_samples", 1, None),
     ("construct", "steps", 1, "number of targets"),
     ("construct", "p_max", 1, None),
+    ("invariance", "trials", 2, None),
     ("invariance", "terms", 1, None),
     ("invariance", "probes", 1, "dimension"),
 )
@@ -96,11 +97,8 @@ def _is_int(value, floor, ceiling=None) -> bool:
     )
 
 
-def _is_coefficients(spec) -> bool:
-    """Khinchine coefficients the run accepts: {"equal": n} with n >= 1,
-    or a non-empty list of [re, im] pairs."""
-    if isinstance(spec, dict):
-        return _is_int(spec.get("equal"), 1)
+def _is_pairs(spec) -> bool:
+    """A non-empty list of [re, im] pairs of finite numbers."""
     return (
         isinstance(spec, list)
         and len(spec) > 0
@@ -109,6 +107,14 @@ def _is_coefficients(spec) -> bool:
             for c in spec
         )
     )
+
+
+def _is_coefficients(spec) -> bool:
+    """Khinchine coefficients the run accepts: {"equal": n} with n >= 1,
+    or a non-empty list of [re, im] pairs."""
+    if isinstance(spec, dict):
+        return _is_int(spec.get("equal"), 1)
+    return _is_pairs(spec)
 
 
 def _is_target(t, last_index: int) -> bool:
@@ -207,6 +213,16 @@ def validate_config(text: str, horizon=None):
             'pipelines.khinchine.coefficients must be {"equal": n} with an integer '
             "n >= 1 or a non-empty list of [re, im] pairs"
         )
+    c, d, angles = _ergodicity_lists(pipelines.get("ergodicity", {}))
+    pairs = _is_pairs(c) and _is_pairs(d)
+    if not pairs:
+        errors.append(
+            "pipelines.ergodicity.c and d must be non-empty lists of [re, im] pairs"
+        )
+    if not (isinstance(angles, list) and all(_is_number(a) for a in angles)):
+        errors.append("pipelines.ergodicity.angles must be a list of finite numbers")
+    elif pairs and not len(c) == len(d) == len(angles):
+        errors.append("pipelines.ergodicity.c, d and angles must have equal lengths")
     family_size = dim if kind == "perturbed_diagonal" else family.get("count", 256)
     targets = pipelines.get("construct", {}).get("targets")
     if "construct" in pipelines and not (
@@ -255,6 +271,12 @@ def _rng(cfg: ExperimentConfig, pipeline: str) -> np.random.Generator:
 
 def _complexes(rows) -> list:
     return [complex(re, im) for re, im in rows]
+
+
+def _ergodicity_lists(params) -> tuple:
+    """The ergodicity pipeline's c, d and angles lists, defaults filled in."""
+    c = params.get("c", [[2**-0.5, 0], [2**-0.5, 0]])
+    return c, params.get("d", c), params.get("angles", [1.0, float(np.sqrt(2) % 1)])
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
@@ -313,23 +335,18 @@ def _run_diophantine(cfg, op, family, params, rng, out, ctx):
     k = params.get("angle_count", 2)
     per_angle = params.get("targets_per_angle", 4)
     p_max = params.get("p_max", 10**6)
-    angles = ef.qindependent_angles(k)
+    angles = np.asarray(ef.qindependent_angles(k))
     grid = [np.exp(2j * np.pi * (i + 0.5) / per_angle) for i in range(per_angle)]
+    cells = list(np.ndindex((per_angle,) * k))
+    targets = [[grid[i] for i in idx] for idx in cells]
     solved = []
     passed = True
-    for flat in range(per_angle**k):
-        idx = np.unravel_index(flat, (per_angle,) * k)
-        targets = [grid[i] for i in idx]
-        t = dio.TorusTarget(tuple(angles), tuple(targets), eta)
-        p = dio.solve_simultaneous(t, p_max)
+    for idx, mu, p in zip(cells, targets, dio.first_returns(angles, targets, eta, p_max)):
         ok = p is not None and bool(
-            np.all(
-                np.abs(np.exp(2j * np.pi * p * np.asarray(angles)) - np.asarray(targets))
-                < eta
-            )
+            np.all(np.abs(np.exp(2j * np.pi * p * angles) - np.asarray(mu)) < eta)
         )
         passed = passed and ok
-        solved.append({"target_cell": [int(i) for i in idx], "p": p, "verified": ok})
+        solved.append({"target_cell": list(idx), "p": p, "verified": ok})
     return ({"eta": eta, "solutions": solved, "passed": passed}, None)
 
 
@@ -351,17 +368,18 @@ def _run_syndetic(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
-    c = _complexes(params.get("c", [[2**-0.5, 0], [2**-0.5, 0]]))
-    d = _complexes(params["d"]) if "d" in params else c
-    angles = params.get("angles", [1.0, float(np.sqrt(2) % 1)])
-    spec = ergo.CorrelationSpec(tuple(c), tuple(d), tuple(angles))
+    c, d, angles = _ergodicity_lists(params)
+    spec = ergo.CorrelationSpec(_complexes(c), _complexes(d), angles)
     N = params.get("N", 10**5)
-    cesaro_value = ergo.cesaro_average(spec.correlation, N)
-    witness = ergo.nonergodicity_witness(spec, N)
-    ergo.correlation_csv(spec, min(N, 10**4), out / "correlation.csv")
-    passed = witness > 0
+    report = ergo.witness_report(spec, N)
+    ergo.correlation_csv(report.correlation[: 10**4], out / "correlation.csv")
     return (
-        {"cesaro": cesaro_value, "witness": witness, "N": N, "passed": passed},
+        {
+            "cesaro": report.cesaro,
+            "witness": report.witness,
+            "N": N,
+            "passed": report.witness > 0,
+        },
         None,
     )
 

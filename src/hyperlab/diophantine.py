@@ -1,13 +1,21 @@
 """Simultaneous approximation on the torus and return-time sets.
 
-Everything here is exhaustive scanning: for Q-independent irrational
-angles the joint powers equidistribute, so a solving power always exists
-and a finite scan finds the smallest one.  Correctness over speed; every
-returned power re-verifies its defining inequalities.
+Everything here scans the powers p = 1, 2, ... in order: for
+Q-independent irrational angles the joint powers equidistribute, so a
+solving power always exists and a finite scan finds the smallest one.
+First returns to many targets share one scan (:func:`first_returns`),
+which computes each chunk's phase fractions once for all unsolved
+targets.  Per target, a distance test on the first coordinate keeps the
+powers whose chord there can be below eta, and the exact chord test runs
+on those alone.  The test is a necessary condition with margins above
+the chord's rounding, so it never drops a solving power: every result is
+the power the full chord test finds.  Covering nets re-verify every
+stored power.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +45,12 @@ class TorusTarget:
             raise ValueError("eta must lie in (0, 2)")
 
     def target_fracs(self) -> np.ndarray:
-        return (np.angle(np.asarray(self.targets)) / (2 * np.pi)) % 1.0
+        return _phase_fracs(self.targets)
+
+
+def _phase_fracs(z) -> np.ndarray:
+    """Phase of each unimodular z as a fraction of a turn, in [0, 1)."""
+    return (np.angle(np.asarray(z, dtype=complex)) / (2 * np.pi)) % 1.0
 
 
 @dataclass(frozen=True)
@@ -73,23 +86,55 @@ class NetCoverageError(RuntimeError):
         )
 
 
-def solve_simultaneous(t: TorusTarget, p_max: int) -> int | None:
-    """Smallest p in [1, p_max] with |lambda_j**p - mu_j| < eta for all j,
-    or None if the finite scan is exhausted."""
+def first_returns(angles, targets, eta: float, p_max: int) -> list[int | None]:
+    """For each row mu of ``targets``, the smallest p in [1, p_max] with
+    |lambda_j**p - mu_j| < eta for all j, or None if the finite scan is
+    exhausted; lambda_j = exp(2*pi*i*angles[j]).
+
+    One scan serves every target: each chunk of powers computes its phase
+    fractions once for all targets still unsolved.  A power can only solve
+    mu if its first coordinate does, and 2 |sin(pi delta)| < eta holds
+    exactly when delta lies within asin(eta/2)/pi of an integer.  So each
+    target first keeps the powers that pass that distance test and runs
+    the exact chord test on those alone.  The test's margins (1e-14 on
+    eta/2, 1e-9 on the distance) exceed the rounding of the computed
+    chord, so it never drops a power the chord test accepts, and every
+    result equals that of a full chord test.
+    """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    if not t.angles:
-        return 1
-    angles = np.asarray(t.angles)
-    mu_fracs = t.target_fracs()
+    if not 0 < eta < 2:
+        raise ValueError("eta must lie in (0, 2)")
+    angles = np.asarray(angles, dtype=float)
+    mu_fracs = _phase_fracs(targets)
+    if mu_fracs.ndim != 2 or mu_fracs.shape[1] != angles.size:
+        raise ValueError("targets must be an (n, k) array for k angles")
+    if angles.size == 0:
+        return [1] * len(mu_fracs)
+    slack = math.asin(min(1.0, eta / 2 + 1e-14)) / math.pi + 1e-9
+    powers = [None] * len(mu_fracs)
+    unsolved = list(range(len(mu_fracs)))
     for start in range(1, p_max + 1, _CHUNK):
         p = np.arange(start, min(start + _CHUNK, p_max + 1))
         frac = np.outer(p, angles) % 1.0
-        ok = np.all(chord_to(frac, mu_fracs[None, :]) < t.eta, axis=1)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return int(p[hits[0]])
-    return None
+        for i in list(unsolved):
+            delta = frac[:, 0] - mu_fracs[i, 0]
+            rows = np.flatnonzero(np.abs(delta - np.round(delta)) < slack)
+            ok = np.all(chord_to(frac[rows], mu_fracs[i]) < eta, axis=1)
+            hits = np.flatnonzero(ok)
+            if hits.size:
+                powers[i] = int(p[rows[hits[0]]])
+                unsolved.remove(i)
+        if not unsolved:
+            break
+    return powers
+
+
+def solve_simultaneous(t: TorusTarget, p_max: int) -> int | None:
+    """Smallest p in [1, p_max] with |lambda_j**p - mu_j| < eta for all j,
+    or None if the finite scan is exhausted (:func:`first_returns` for
+    the one target)."""
+    return first_returns(t.angles, [t.targets], t.eta, p_max)[0]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ value is the witness.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +87,32 @@ def cesaro_average(values, N: int) -> float:
     return float(np.mean(vals))
 
 
-def nonergodicity_witness(spec: CorrelationSpec, N: int) -> float:
-    """Cesaro average of the squared cross term over n < N."""
+@dataclass(frozen=True)
+class WitnessReport:
+    """Cesaro averages over n < N of the correlation (``cesaro``) and of
+    the squared cross term (``witness``), with the correlation at each
+    n < N."""
+
+    cesaro: float
+    witness: float
+    correlation: np.ndarray
+
+
+def witness_report(spec: CorrelationSpec, N: int) -> WitnessReport:
+    """The non-ergodicity witness and the correlation's Cesaro average
+    from one evaluation of the cross term over n < N."""
     if N < 10**3:
         raise ValueError("N must be at least 10**3")
-    return float(np.mean(spec.cross_terms(np.arange(N))))
+    cross = spec.cross_terms(np.arange(N))
+    correlation = spec.product_term() - spec.diagonal_term() + cross
+    return WitnessReport(
+        float(np.mean(correlation)), float(np.mean(cross)), correlation
+    )
+
+
+def nonergodicity_witness(spec: CorrelationSpec, N: int) -> float:
+    """Cesaro average of the squared cross term over n < N."""
+    return witness_report(spec, N).witness
 
 
 def correlation_monte_carlo(
@@ -123,13 +143,14 @@ def correlation_monte_carlo(
     )
 
 
-def correlation_csv(spec: CorrelationSpec, N: int, path) -> None:
-    """(n, correlation, running Cesaro average) rows for plotting."""
-    ns = np.arange(N)
-    vals = spec.correlation(ns)
-    running = np.cumsum(vals) / (ns + 1)
+def correlation_csv(correlation, path) -> None:
+    """(n, correlation, running Cesaro average) rows for plotting, one per
+    entry of ``correlation``, in the csv module's excel dialect."""
+    vals = np.asarray(correlation, dtype=float)
+    running = np.cumsum(vals) / np.arange(1, vals.size + 1)
+    rows = "".join(
+        f"{n},{v!r},{r!r}\r\n"
+        for n, (v, r) in enumerate(zip(vals.tolist(), running.tolist()))
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "correlation", "running_cesaro"])
-        for n, v, r in zip(ns, vals, running):
-            writer.writerow([int(n), repr(float(v)), repr(float(r))])
+        fh.write("n,correlation,running_cesaro\r\n" + rows)

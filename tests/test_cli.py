@@ -337,6 +337,12 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         ({"construct": {"targets": [TARGET], "p_max": 0}}, "scaled_backward_shift"),
         ({"khinchine": {"coefficients": {"equal": 0}}}, "scaled_backward_shift"),
         ({"khinchine": {"coefficients": []}}, "scaled_backward_shift"),
+        ({"ergodicity": {"N": 1000, "c": [[1]]}}, "scaled_backward_shift"),
+        ({"ergodicity": {"N": 1000, "d": []}}, "scaled_backward_shift"),
+        ({"ergodicity": {"N": 1000, "angles": "x"}}, "scaled_backward_shift"),
+        ({"ergodicity": {"N": 1000, "angles": [0.1, 0.2, 0.3]}}, "scaled_backward_shift"),
+        ({"invariance": {"trials": "many"}}, "scaled_backward_shift"),
+        ({"invariance": {"trials": 1}}, "scaled_backward_shift"),
     ],
     ids=[
         "invariance.probes>dimension",
@@ -361,6 +367,12 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         "construct.p_max=0",
         "khinchine.coefficients=equal-0",
         "khinchine.coefficients=empty",
+        "ergodicity.c=[[1]]",
+        "ergodicity.d=empty",
+        "ergodicity.angles=x",
+        "ergodicity.angles-longer-than-c",
+        "invariance.trials=many",
+        "invariance.trials=1",
     ],
 )
 def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
@@ -373,10 +385,10 @@ def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
 
 def test_validate_accepts_the_bounds_and_run_completes(tmp_path):
     pipelines = {
-        "invariance": {"trials": 1000, "probes": 12, "terms": 1},
+        "invariance": {"trials": 2, "probes": 12, "terms": 1},
         "construct": {"targets": [TARGET], "steps": 1, "trials": 2, "cert_samples": 1},
         "density": {"horizon": 100, "angle_index": 11},
-        "ergodicity": {"N": 1000},
+        "ergodicity": {"N": 1000, "c": [[1, 0]], "angles": [0.5]},
         "syndetic": {"angle_count": 1, "horizon": 1000, "eta": 1.9},
         "diophantine": {"angle_count": 1, "targets_per_angle": 1, "p_max": 1, "eta": 1.9},
         "khinchine": {"coefficients": {"equal": 1}, "trials": 1000},

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hyperlab import diophantine
 from hyperlab.diophantine import (
     CoveringNet,
     NetCoverageError,
@@ -11,6 +12,7 @@ from hyperlab.diophantine import (
     _differences_outside,
     chord_to,
     covering_scan,
+    first_returns,
     solve_simultaneous,
     syndetic_return_set,
 )
@@ -66,6 +68,84 @@ def test_solve_simultaneous_trivial_cases():
     assert solve_simultaneous(TorusTarget((), (), 0.5), 10) == 1
     with pytest.raises(ValueError):
         solve_simultaneous(TorusTarget((0.1,), (1.0,), 0.5), 0)
+
+
+def per_target_scan(t: TorusTarget, p_max: int):
+    """The scan of one target over full chord tests, which first_returns
+    replaced; kept as the reference for its results."""
+    if not t.angles:
+        return 1
+    angles = np.asarray(t.angles)
+    mu_fracs = t.target_fracs()
+    for start in range(1, p_max + 1, diophantine._CHUNK):
+        p = np.arange(start, min(start + diophantine._CHUNK, p_max + 1))
+        frac = np.outer(p, angles) % 1.0
+        ok = np.all(chord_to(frac, mu_fracs[None, :]) < t.eta, axis=1)
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return int(p[hits[0]])
+    return None
+
+
+def _edge_case(rng, k):
+    """Angles, targets and eta such that, at a power q, every coordinate
+    but the first matches its target exactly and the first one's chord
+    lies within 1e-12 of eta, on either side."""
+    angles = rng.random(k)
+    q = int(rng.integers(1, 400))
+    frac = (np.outer([q], angles) % 1.0)[0]
+    offset = rng.uniform(0.02, 0.2) * rng.choice([-1, 1])
+    targets = np.exp(2j * np.pi * frac)
+    targets[0] = np.exp(2j * np.pi * (frac[0] + offset))
+    mu = TorusTarget(angles, targets, 1.0).target_fracs()
+    chord = float(chord_to(frac[:1], mu[:1])[0])
+    eta = chord + rng.choice([-1, 1]) * rng.uniform(1e-15, 1e-12)
+    return angles, [targets], eta
+
+
+@pytest.mark.parametrize("chunk", [97, diophantine._CHUNK])
+def test_first_returns_matches_the_per_target_scan(chunk, monkeypatch):
+    monkeypatch.setattr(diophantine, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    cases = []
+    for _ in range(40):
+        k = int(rng.integers(0, 5))
+        angles = rng.random(k)
+        # a rational angle never comes near most targets: None results
+        if k and rng.random() < 0.2:
+            angles[0] = 0.5
+        eta = float(rng.uniform(0.05, 1.9))
+        n = int(rng.integers(1, 6))
+        targets = np.exp(2j * np.pi * rng.random((n, k)))
+        p_max = int(rng.choice([1, 7, 500, 20_000]))
+        cases.append((angles, targets, eta, p_max))
+    for k in (1, 2, 3, 4):
+        for _ in range(12):
+            angles, targets, eta = _edge_case(rng, k)
+            cases.append((angles, targets, eta, 1000))
+    results = []
+    for angles, targets, eta, p_max in cases:
+        got = first_returns(angles, targets, eta, p_max)
+        expected = [
+            per_target_scan(TorusTarget(angles, mu, eta), p_max) for mu in targets
+        ]
+        assert got == expected, (angles, targets, eta, p_max)
+        results += got
+    assert None in results and 1 in results
+    if chunk < 1000:
+        # targets solved in later chunks than others
+        assert any(p is not None and p > chunk for p in results)
+
+
+def test_first_returns_argument_checks():
+    assert first_returns([], np.ones((3, 0)), 0.5, 10) == [1, 1, 1]
+    with pytest.raises(ValueError, match="p_max"):
+        first_returns([SQRT2], [[1.0]], 0.5, 0)
+    for eta in (0.0, 2.0):
+        with pytest.raises(ValueError, match="eta"):
+            first_returns([SQRT2], [[1.0]], eta, 10)
+    with pytest.raises(ValueError, match="targets"):
+        first_returns([SQRT2, SQRT3], [[1.0]], 0.5, 10)
 
 
 def test_covering_net_solves_arbitrary_targets():

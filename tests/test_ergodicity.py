@@ -1,8 +1,10 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
+from hyperlab.cli import run_experiment, validate_config
 from hyperlab.ergodicity import (
     CorrelationSpec,
     cesaro_average,
@@ -10,6 +12,7 @@ from hyperlab.ergodicity import (
     correlation_csv,
     correlation_monte_carlo,
     nonergodicity_witness,
+    witness_report,
 )
 from hyperlab.eigenfields import EigenExpansion, EigenFamily, EigenPair
 from hyperlab.linspace import basis_vector
@@ -94,7 +97,7 @@ def test_from_probes_extracts_pairings(family32):
 def test_correlation_csv_running_average_converges(tmp_path):
     spec = two_pair_spec()
     path = tmp_path / "corr.csv"
-    correlation_csv(spec, 5000, path)
+    correlation_csv(spec.correlation(np.arange(5000)), path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5000
@@ -106,3 +109,50 @@ def test_correlation_csv_running_average_converges(tmp_path):
     assert float(rows[n]["correlation"]) == pytest.approx(
         correlation_closed_form(spec, n)
     )
+
+
+def reference_csv(spec, N, path):
+    """The correlation CSV through csv.writer, one row at a time: the
+    writer that correlation_csv replaced, kept as the reference."""
+    ns = np.arange(N)
+    vals = spec.correlation(ns)
+    running = np.cumsum(vals) / (ns + 1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "correlation", "running_cesaro"])
+        for n, v, r in zip(ns, vals, running):
+            writer.writerow([int(n), repr(float(v)), repr(float(r))])
+
+
+@pytest.mark.parametrize("N", [1000, 9999, 10**4, 10**4 + 1, 23456])
+def test_ergodicity_run_matches_the_separate_evaluations(tmp_path, N):
+    rng = np.random.default_rng(N)
+    k = 3
+    params = {
+        "N": N,
+        "c": rng.normal(size=(k, 2)).tolist(),
+        "d": rng.normal(size=(k, 2)).tolist(),
+        "angles": rng.random(k).tolist(),
+    }
+    config = {"seed": 1, "dimension": 8, "family": {"count": 8}}
+    cfg, errors = validate_config(json.dumps({**config, "pipelines": {"ergodicity": params}}))
+    assert not errors, errors
+    run_experiment(cfg, tmp_path)
+    result = json.loads((tmp_path / "summary.json").read_text())["results"]["ergodicity"]
+    spec = CorrelationSpec(
+        [complex(*z) for z in params["c"]],
+        [complex(*z) for z in params["d"]],
+        params["angles"],
+    )
+    # JSON floats round-trip exactly, so == compares every bit
+    assert result["cesaro"] == cesaro_average(spec.correlation, N)
+    assert result["witness"] == nonergodicity_witness(spec, N)
+    assert result["witness"] == float(np.mean(spec.cross_terms(np.arange(N))))
+    reference_csv(spec, min(N, 10**4), tmp_path / "reference.csv")
+    written = (tmp_path / "correlation.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_witness_report_refuses_short_averages():
+    with pytest.raises(ValueError, match="N must be at least"):
+        witness_report(two_pair_spec(), 999)
