@@ -4,6 +4,12 @@ report emission.
 Configs are JSON with nested keys; reports are a sorted-key JSON summary
 plus CSV detail files.  Same config and seed give a byte-identical
 summary, which is what ``replay`` checks.
+
+Each pipeline parameter's default and check is one row of ``_PARAMS``;
+``validate_config`` refuses a key that no row names and hands each runner
+its parameters with the defaults filled in.  ``run --horizon`` sets the
+horizon of the syndetic and density pipelines, whether the config sets
+one or not, and the summary records it, so ``replay`` reproduces the run.
 """
 
 from __future__ import annotations
@@ -27,125 +33,190 @@ from . import operators as ops
 from . import steinhaus as st
 from .linspace import StateVector
 
-KNOWN_PIPELINES = (
-    "khinchine",
-    "diophantine",
-    "syndetic",
-    "ergodicity",
-    "cantor",
-    "construct",
-    "density",
-    "invariance",
-)
+# the family a config that omits "family" runs, as its summary records it
+_FAMILY = {"count": 256}
+# ceilings of the torus scans: the diophantine pipeline scans one target
+# per cell of a targets_per_angle ** angle_count grid, and the prime sieve
+# behind the angles and every array of phases grow with angle_count
+_MAX_CELLS = 4096
+_MAX_ANGLES = 64
 
 
 @dataclass
 class ExperimentConfig:
+    """A validated config.  ``to_dict`` is the config the summary records;
+    ``params`` maps "operator", "family" and each configured pipeline to
+    its parameters with every default filled in."""
+
     seed: int
     dimension: int
     operator: dict
     family: dict
     pipelines: dict
+    params: dict
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dimension": self.dimension,
-            "operator": self.operator,
-            "family": self.family,
-            "pipelines": self.pipelines,
-        }
+        keys = ("seed", "dimension", "operator", "family", "pipelines")
+        return {key: getattr(self, key) for key in keys}
 
 
-# (pipeline, key, smallest value, largest value or None): integer
-# parameters that the run refuses outside these bounds; a largest value
-# names a bound taken from the config (see validate_config's ``ceilings``)
-_INT_BOUNDS = (
-    ("khinchine", "trials", 1000, None),
-    ("diophantine", "angle_count", 1, None),
-    ("diophantine", "targets_per_angle", 1, None),
-    ("diophantine", "p_max", 1, None),
-    ("syndetic", "angle_count", 1, None),
-    ("syndetic", "horizon", 1000, None),
-    ("ergodicity", "N", 1000, None),
-    ("cantor", "depth", 0, None),
-    ("cantor", "seed_count", 1, None),
-    ("density", "horizon", 1, None),
-    ("density", "angle_index", 0, "last family index"),
-    ("construct", "trials", 2, None),
-    ("construct", "cert_samples", 1, None),
-    ("construct", "steps", 1, "number of targets"),
-    ("construct", "p_max", 1, None),
-    ("invariance", "trials", 2, None),
-    ("invariance", "terms", 1, None),
-    ("invariance", "probes", 1, "dimension"),
-)
+# Checks of the parameter tables: each takes a value and the config's
+# bounds (see validate_config) and returns what is wrong with the value,
+# or None.
 
 
+# JSON numbers parse to exactly int or float; a bool is neither
 def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or math.isfinite(value)
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 def _is_int(value, floor, ceiling=None) -> bool:
-    return (
-        isinstance(value, int)
-        and not isinstance(value, bool)
-        and floor <= value
-        and (ceiling is None or value <= ceiling)
-    )
+    return type(value) is int and floor <= value and (ceiling is None or value <= ceiling)
 
 
-def _is_pairs(spec) -> bool:
-    """A non-empty list of [re, im] pairs of finite numbers."""
-    return (
-        isinstance(spec, list)
-        and len(spec) > 0
-        and all(
-            isinstance(c, list) and len(c) == 2 and all(_is_number(x) for x in c)
-            for c in spec
+def _is_list(value, item) -> bool:
+    """A non-empty list whose entries all pass ``item``."""
+    return isinstance(value, list) and len(value) > 0 and all(item(x) for x in value)
+
+
+def _is_numbers(value, n) -> bool:
+    """A list of n finite numbers."""
+    return isinstance(value, list) and len(value) == n and all(map(_is_number, value))
+
+
+def _is_pairs(value) -> bool:
+    return _is_list(value, lambda c: _is_numbers(c, 2))
+
+
+def _check(message, ok):
+    """The check that refuses with ``message`` each value ``ok`` rejects."""
+    return lambda value, bounds: None if ok(value) else message
+
+
+def _int(floor, ceiling=None):
+    """An integer >= floor and <= ceiling, a number or the name of a bound
+    taken from the config."""
+
+    def check(value, bounds):
+        hi = bounds[ceiling] if isinstance(ceiling, str) else ceiling
+        if not _is_int(value, floor, hi):
+            named = f", the {ceiling}" if isinstance(ceiling, str) else ""
+            bound = f" and <= {hi}{named}" if hi is not None else ""
+            return f"must be an integer >= {floor}{bound}"
+
+    return check
+
+
+_positive = _check("must be positive", lambda v: _is_number(v) and v > 0)
+_bool = _check("must be true or false", lambda v: isinstance(v, bool))
+_pairs = _check("must be a non-empty list of [re, im] pairs", _is_pairs)
+_numbers = _check(
+    "must be a list of finite numbers",
+    lambda v: isinstance(v, list) and all(map(_is_number, v)),
+)
+_coefficients = _check(
+    'must be {"equal": n} with an integer n >= 1 or a non-empty list of [re, im] pairs',
+    lambda v: _is_int(v.get("equal"), 1) if isinstance(v, dict) else _is_pairs(v),
+)
+# chords never exceed 2, so eta >= 2 makes every power a return
+_eta = _check("must be positive and below 2", lambda v: _is_number(v) and 0 < v < 2)
+
+
+def _triples(value, bounds):
+    """Construction target coefficients: [re, im, family index] triples."""
+    last = bounds["last family index"]
+    if not _is_list(value, lambda c: _is_numbers(c, 3) and _is_int(c[2], 0, last)):
+        return (
+            "must be a non-empty list of [re, im, index] triples with "
+            f"index <= {last}, the last family index"
         )
-    )
 
 
-def _is_coefficients(spec) -> bool:
-    """Khinchine coefficients the run accepts: {"equal": n} with n >= 1,
-    or a non-empty list of [re, im] pairs."""
-    if isinstance(spec, dict):
-        return _is_int(spec.get("equal"), 1)
-    return _is_pairs(spec)
+# One row per parameter of each pipeline: (pipeline, key, default, check).
+# A default may be a function of one dict that holds the bounds and the
+# parameters resolved before it; a None default makes the key required.
+# A check that names a table takes a non-empty list of objects, each
+# resolved against that table's rows.
+_PARAMS = (
+    ("khinchine", "coefficients", {"equal": 100}, _coefficients),
+    ("khinchine", "trials", 10**5, _int(1000)),
+    ("diophantine", "eta", 0.05, _eta),
+    ("diophantine", "angle_count", 2, _int(1, _MAX_ANGLES)),
+    ("diophantine", "targets_per_angle", 4, _int(1, _MAX_CELLS)),
+    ("diophantine", "p_max", 10**6, _int(1)),
+    ("syndetic", "eta", 0.1, _eta),
+    ("syndetic", "angle_count", 2, _int(1, _MAX_ANGLES)),
+    ("syndetic", "horizon", 10**5, _int(1000)),
+    ("ergodicity", "c", [[2**-0.5, 0], [2**-0.5, 0]], _pairs),
+    ("ergodicity", "d", lambda b: b["c"], _pairs),
+    ("ergodicity", "angles", [1.0, float(np.sqrt(2) % 1)], _numbers),
+    ("ergodicity", "N", 10**5, _int(1000)),
+    ("cantor", "depth", 6, _int(0)),
+    # a seed family of another size is sampled from the shift's field
+    ("cantor", "seed_count", lambda b: b["family size"], _int(1)),
+    ("construct", "targets", None, "target"),
+    ("construct", "steps", lambda b: b["number of targets"], _int(1, "number of targets")),
+    ("construct", "trials", 2000, _int(2)),
+    ("construct", "cert_samples", 200, _int(1)),
+    ("construct", "p_max", 10**6, _int(1)),
+    ("density", "horizon", 2 * 10**5, _int(1)),
+    ("density", "coefficient", 0.5, _positive),
+    ("density", "radius", 0.3, _positive),
+    ("density", "angle_index", 0, _int(0, "last family index")),
+    ("density", "use_construction", False, _bool),
+    ("invariance", "trials", 10**4, _int(2)),
+    ("invariance", "terms", 32, _int(1)),
+    ("invariance", "probes", lambda b: min(8, b["dimension"]), _int(1, "dimension")),
+    # a construction target: what ConstructionTarget and build_block accept
+    ("target", "coefficients", None, _triples),
+    ("target", "radius", 0.5, _positive),
+    ("target", "reach_power", 1, _int(0)),
+)
 
 
-def _is_target(t, last_index: int) -> bool:
-    """A construction target that ConstructionTarget and build_block accept:
-    [re, im, family index] coefficient triples, a positive radius and a
-    reach power >= 0."""
-    if not isinstance(t, dict):
-        return False
-    coeffs, radius = t.get("coefficients"), t.get("radius", 0.5)
-    return (
-        isinstance(coeffs, list)
-        and len(coeffs) > 0
-        and all(
-            isinstance(c, list)
-            and len(c) == 3
-            and _is_number(c[0])
-            and _is_number(c[1])
-            and _is_int(c[2], 0, last_index)
-            for c in coeffs
-        )
-        and _is_number(radius)
-        and radius > 0
-        and _is_int(t.get("reach_power", 1), 0)
-    )
+def _rows(table: str) -> dict:
+    return {key: (default, check) for t, key, default, check in _PARAMS if t == table}
+
+
+def _resolve(table: str, given: dict, where: str, bounds: dict, errors: list) -> dict:
+    """The ``given`` parameters with the defaults of ``table``'s rows filled
+    in; appends to ``errors`` each key no row names and each given value
+    that its row's check refuses."""
+    rows = _rows(table)
+    for key in given:
+        if key not in rows:
+            errors.append(f"{where}: unknown key {key!r}; known keys: {', '.join(rows)}")
+    resolved = {}
+    for key, (default, check) in rows.items():
+        if key not in given and default is not None:
+            if callable(default):
+                default = default({**bounds, **resolved})
+            resolved[key] = default
+            continue
+        value = resolved[key] = given.get(key)
+        if not isinstance(check, str):
+            problem = check(value, bounds)
+        elif _is_list(value, lambda v: isinstance(v, dict)):
+            resolved[key] = [
+                _resolve(check, v, f"{where}.{key}[{i}]", bounds, errors)
+                for i, v in enumerate(value)
+            ]
+            problem = None
+        else:
+            problem = f"must be a non-empty list of {check} objects"
+        if problem:
+            errors.append(f"{where}.{key} {problem}")
+    return resolved
 
 
 def validate_config(text: str, horizon=None):
     """Parse a config; returns (ExperimentConfig or None, list of errors).
 
-    ``horizon`` replaces every pipeline's ``horizon`` before the checks,
-    so the returned config records the values the run uses."""
+    Each pipeline parameter's default and check is a row of ``_PARAMS``,
+    and a key that no row names is refused.  ``horizon`` replaces the
+    ``horizon`` of every configured pipeline that has one (syndetic and
+    density), whether the config sets it or not, before the checks, so the
+    returned config records the values the run uses."""
     errors = []
     try:
         raw = json.loads(text) if text.strip() else {}
@@ -163,7 +234,7 @@ def validate_config(text: str, horizon=None):
     if not isinstance(dim, int) or dim < 1:
         errors.append("dimension must be >= 1")
     operator = raw.get("operator", {"kind": "scaled_backward_shift", "weight": 2.0})
-    family = raw.get("family", {"count": 256})
+    family = raw.get("family", _FAMILY)
     pipelines = raw.get("pipelines", {})
     objects = {"operator": operator, "family": family, "pipelines": pipelines}
     if isinstance(pipelines, dict):
@@ -171,12 +242,12 @@ def validate_config(text: str, horizon=None):
     for name, value in objects.items():
         if not isinstance(value, dict):
             errors.append(f"{name} must be a JSON object")
-    if not errors and not _is_int(family.get("count", 256), 1):
-        errors.append("family count must be a positive integer")
     if errors:
         return None, errors
-    kind = operator.get("kind")
-    weight, eps = operator.get("weight", 0), operator.get("eps", 0)
+    op, count = {"eps": 0.1, **operator}, {**_FAMILY, **family}["count"]
+    if not _is_int(count, 1):
+        return None, ["family count must be a positive integer"]
+    kind, weight, eps = op.get("kind"), op.get("weight"), op["eps"]
     if kind not in ("scaled_backward_shift", "perturbed_diagonal"):
         errors.append(f"unknown operator kind {kind!r}")
     elif kind == "scaled_backward_shift" and not (_is_number(weight) and weight > 1):
@@ -185,98 +256,60 @@ def validate_config(text: str, horizon=None):
         errors.append("perturbation eps must be a number >= 0")
     if not pipelines:
         errors.append("no pipelines requested")
-    if horizon is not None:
-        pipelines = {
-            name: {**params, "horizon": horizon} if "horizon" in params else params
-            for name, params in pipelines.items()
-        }
+    family_size = dim if kind == "perturbed_diagonal" else count
+    targets = pipelines.get("construct", {}).get("targets")
+    bounds = {
+        "dimension": dim,
+        "family size": family_size,
+        "last family index": family_size - 1,
+        # a missing or empty target list is reported by its own check
+        "number of targets": len(targets) if isinstance(targets, list) and targets else None,
+    }
+    params = {"operator": op, "family": {"count": count}}
+    for name, given in pipelines.items():
+        if name not in _PIPELINES:
+            errors.append(f"unknown pipeline {name!r}; known: {', '.join(_PIPELINES)}")
+            continue
+        if horizon is not None and "horizon" in _rows(name):
+            given = pipelines[name] = {**given, "horizon": horizon}
+        params[name] = _resolve(name, given, f"pipelines.{name}", bounds, errors)
+    if errors:
+        return None, errors
+    # checks that span several parameters, made on valid values
+    erg = params.get("ergodicity")
+    if erg and not len(erg["c"]) == len(erg["d"]) == len(erg["angles"]):
+        errors.append("pipelines.ergodicity.c, d and angles must have equal lengths")
+    if "diophantine" in params:
+        per_angle = params["diophantine"]["targets_per_angle"]
+        k = params["diophantine"]["angle_count"]
+        # per_angle >= 2 passes the ceiling by k = _MAX_CELLS.bit_length(),
+        # so the exponent stops there and the power stays small
+        if per_angle ** min(k, _MAX_CELLS.bit_length()) > _MAX_CELLS:
+            errors.append(
+                "pipelines.diophantine.targets_per_angle ** angle_count, the cell "
+                f"count, must be <= {_MAX_CELLS}"
+            )
     if kind == "perturbed_diagonal" and "seed_count" in pipelines.get("cantor", {}):
         errors.append(
             "pipelines.cantor.seed_count needs a scaled_backward_shift operator: "
             "it samples the shift's eigenvector field"
         )
-    for name, params in pipelines.items():
-        if name not in KNOWN_PIPELINES:
-            errors.append(f"unknown pipeline {name!r}")
-            continue
-        for key in ("eta", "radius", "coefficient", "tolerance"):
-            if key in params and not (_is_number(params[key]) and params[key] > 0):
-                errors.append(f"pipelines.{name}.{key} must be positive")
-    for name in ("diophantine", "syndetic"):
-        # chords never exceed 2, so eta >= 2 makes every power a return
-        eta = pipelines.get(name, {}).get("eta", 0.1)
-        if _is_number(eta) and eta >= 2:
-            errors.append(f"pipelines.{name}.eta must be below 2")
-    coefficients = pipelines.get("khinchine", {}).get("coefficients", {"equal": 100})
-    if not _is_coefficients(coefficients):
-        errors.append(
-            'pipelines.khinchine.coefficients must be {"equal": n} with an integer '
-            "n >= 1 or a non-empty list of [re, im] pairs"
-        )
-    c, d, angles = _ergodicity_lists(pipelines.get("ergodicity", {}))
-    pairs = _is_pairs(c) and _is_pairs(d)
-    if not pairs:
-        errors.append(
-            "pipelines.ergodicity.c and d must be non-empty lists of [re, im] pairs"
-        )
-    if not (isinstance(angles, list) and all(_is_number(a) for a in angles)):
-        errors.append("pipelines.ergodicity.angles must be a list of finite numbers")
-    elif pairs and not len(c) == len(d) == len(angles):
-        errors.append("pipelines.ergodicity.c, d and angles must have equal lengths")
-    family_size = dim if kind == "perturbed_diagonal" else family.get("count", 256)
-    targets = pipelines.get("construct", {}).get("targets")
-    if "construct" in pipelines and not (
-        isinstance(targets, list)
-        and targets
-        and all(_is_target(t, family_size - 1) for t in targets)
-    ):
-        errors.append(
-            "pipelines.construct.targets must be a non-empty list of targets with "
-            f"[re, im, index] coefficients, index <= {family_size - 1}, the last "
-            "family index, a positive radius and an integer reach_power >= 0"
-        )
-    ceilings = {
-        "dimension": dim,
-        "last family index": family_size - 1,
-        # a missing or empty target list is reported above
-        "number of targets": len(targets) if isinstance(targets, list) and targets else None,
-    }
-    for name, key, floor, ceiling in _INT_BOUNDS:
-        hi = ceilings.get(ceiling)
-        if not _is_int(pipelines.get(name, {}).get(key, floor), floor, hi):
-            bound = f" and <= {hi}, the {ceiling}" if hi is not None else ""
-            errors.append(f"pipelines.{name}.{key} must be an integer >= {floor}{bound}")
     if errors:
         return None, errors
-    return ExperimentConfig(raw["seed"], dim, operator, family, pipelines), []
+    return ExperimentConfig(raw["seed"], dim, operator, family, pipelines, params), []
 
 
-def _make_operator(cfg: ExperimentConfig) -> ops.OperatorSpec:
-    if cfg.operator["kind"] == "scaled_backward_shift":
-        return ops.make_scaled_backward_shift(cfg.operator["weight"], cfg.dimension)
-    angles = ef.qindependent_angles(cfg.dimension)
-    return ops.make_perturbed_diagonal(angles, cfg.operator.get("eps", 0.1), cfg.dimension)
-
-
-def _make_family(cfg: ExperimentConfig, op) -> ef.EigenFamily:
-    if op.kind == ops.PERTURBED_DIAGONAL:
-        return ef.diagonal_family(op)
-    return ef.sample_2B_family(op.weight, cfg.dimension, cfg.family.get("count", 256))
-
-
-def _rng(cfg: ExperimentConfig, pipeline: str) -> np.random.Generator:
-    # disjoint deterministic streams per pipeline
-    return np.random.default_rng([cfg.seed, KNOWN_PIPELINES.index(pipeline)])
+def _operator_and_family(cfg: ExperimentConfig) -> tuple:
+    params, d = cfg.params["operator"], cfg.dimension
+    if params["kind"] == "scaled_backward_shift":
+        op = ops.make_scaled_backward_shift(params["weight"], d)
+        return op, ef.sample_2B_family(op.weight, d, cfg.params["family"]["count"])
+    op = ops.make_perturbed_diagonal(ef.qindependent_angles(d), params["eps"], d)
+    return op, ef.diagonal_family(op)
 
 
 def _complexes(rows) -> list:
     return [complex(re, im) for re, im in rows]
-
-
-def _ergodicity_lists(params) -> tuple:
-    """The ergodicity pipeline's c, d and angles lists, defaults filled in."""
-    c = params.get("c", [[2**-0.5, 0], [2**-0.5, 0]])
-    return c, params.get("d", c), params.get("angles", [1.0, float(np.sqrt(2) % 1)])
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
@@ -286,133 +319,103 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    op = _make_operator(cfg)
-    family = _make_family(cfg, op)
-    summary = {"config": cfg.to_dict(), "results": {}}
-    all_pass = True
-    construct_ctx = None
-
-    for name in KNOWN_PIPELINES:
+    op, family = _operator_and_family(cfg)
+    results = {}
+    # what a pipeline leaves for a later one: the construction's orbit
+    ctx = {}
+    for stream, (name, runner) in enumerate(_PIPELINES.items()):
         if name not in cfg.pipelines:
             continue
-        runner = _RUNNERS[name]
-        result, extra_ctx = runner(
-            cfg, op, family, cfg.pipelines[name], _rng(cfg, name), out, construct_ctx
-        )
-        if extra_ctx is not None:
-            construct_ctx = extra_ctx
-        summary["results"][name] = result
-        all_pass = all_pass and result["passed"]
+        # disjoint deterministic streams per pipeline
+        rng = np.random.default_rng([cfg.seed, stream])
+        results[name] = runner(cfg, op, family, cfg.params[name], rng, out, ctx)
 
-    summary["passed"] = all_pass
+    passed = all(result["passed"] for result in results.values())
+    summary = {"config": cfg.to_dict(), "results": results, "passed": passed}
     (out / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
-    return 0 if all_pass else 1
+    return 0 if passed else 1
 
 
 def _run_khinchine(cfg, op, family, params, rng, out, ctx):
-    spec = params.get("coefficients", {"equal": 100})
+    spec = params["coefficients"]
     if isinstance(spec, dict):
         coeffs = np.ones(spec["equal"], dtype=complex)
     else:
         coeffs = np.asarray(_complexes(spec))
-    report = st.khinchine_report(coeffs, params.get("trials", 10**5), rng, seed=cfg.seed)
-    passed = 0 < report.estimate <= 1.0
-    return (
-        {
-            "estimate": report.estimate,
-            "stderr": report.stderr,
-            "trials": report.trials,
-            "passed": passed,
-        },
-        None,
-    )
+    report = st.khinchine_report(coeffs, params["trials"], rng)
+    return {
+        "estimate": report.estimate,
+        "stderr": report.stderr,
+        "trials": report.trials,
+        "passed": 0 < report.estimate <= 1.0,
+    }
 
 
 def _run_diophantine(cfg, op, family, params, rng, out, ctx):
-    eta = params.get("eta", 0.05)
-    k = params.get("angle_count", 2)
-    per_angle = params.get("targets_per_angle", 4)
-    p_max = params.get("p_max", 10**6)
+    eta, k, per_angle = params["eta"], params["angle_count"], params["targets_per_angle"]
     angles = np.asarray(ef.qindependent_angles(k))
     grid = [np.exp(2j * np.pi * (i + 0.5) / per_angle) for i in range(per_angle)]
     cells = list(np.ndindex((per_angle,) * k))
     targets = [[grid[i] for i in idx] for idx in cells]
     solved = []
-    passed = True
-    for idx, mu, p in zip(cells, targets, dio.first_returns(angles, targets, eta, p_max)):
+    powers = dio.first_returns(angles, targets, eta, params["p_max"])
+    for idx, mu, p in zip(cells, targets, powers):
         ok = p is not None and bool(
             np.all(np.abs(np.exp(2j * np.pi * p * angles) - np.asarray(mu)) < eta)
         )
-        passed = passed and ok
         solved.append({"target_cell": list(idx), "p": p, "verified": ok})
-    return ({"eta": eta, "solutions": solved, "passed": passed}, None)
+    return {"eta": eta, "solutions": solved, "passed": all(s["verified"] for s in solved)}
 
 
 def _run_syndetic(cfg, op, family, params, rng, out, ctx):
-    angles = ef.qindependent_angles(params.get("angle_count", 2))
-    res = dio.syndetic_return_set(
-        angles, params.get("eta", 0.1), params.get("horizon", 10**5)
-    )
-    passed = len(res.times) > 0 and not res.violations
-    return (
-        {
-            "set_size": len(res.times),
-            "gap_bound": res.gap_bound,
-            "inclusion_violations": len(res.violations),
-            "passed": passed,
-        },
-        None,
-    )
+    angles = ef.qindependent_angles(params["angle_count"])
+    res = dio.syndetic_return_set(angles, params["eta"], params["horizon"])
+    return {
+        "set_size": len(res.times),
+        "gap_bound": res.gap_bound,
+        "inclusion_violations": len(res.violations),
+        "passed": len(res.times) > 0 and not res.violations,
+    }
 
 
 def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
-    c, d, angles = _ergodicity_lists(params)
-    spec = ergo.CorrelationSpec(_complexes(c), _complexes(d), angles)
-    N = params.get("N", 10**5)
-    report = ergo.witness_report(spec, N)
+    c, d, N = _complexes(params["c"]), _complexes(params["d"]), params["N"]
+    report = ergo.witness_report(ergo.CorrelationSpec(c, d, params["angles"]), N)
     ergo.correlation_csv(report.correlation[: 10**4], out / "correlation.csv")
-    return (
-        {
-            "cesaro": report.cesaro,
-            "witness": report.witness,
-            "N": N,
-            "passed": report.witness > 0,
-        },
-        None,
-    )
+    return {
+        "cesaro": report.cesaro,
+        "witness": report.witness,
+        "N": N,
+        "passed": report.witness > 0,
+    }
 
 
 def _run_cantor(cfg, op, family, params, rng, out, ctx):
-    depth = params.get("depth", 6)
-    count = params.get("seed_count")
-    seed_family = family
-    if count is not None and count != len(family):
-        seed_family = ef.sample_2B_family(op.weight, cfg.dimension, count)
+    depth, count = params["depth"], params["seed_count"]
+    if count != len(family):
+        family = ef.sample_2B_family(op.weight, cfg.dimension, count)
     try:
-        field = cantor_mod.build_cantor_field(seed_family, depth)
+        field = cantor_mod.build_cantor_field(family, depth)
     except cantor_mod.CantorBuildError as exc:
-        return {"error": str(exc), "passed": False}, None
+        return {"error": str(exc), "passed": False}
     sep = cantor_mod.verify_cantor_separation(field)
     cantor_mod.field_to_csv(field, out / "cantor_field.csv")
-    return (
-        {
-            "depth": depth,
-            "leaves": 2**depth,
-            "min_margin": sep.min_margin,
-            "passed": sep.passed,
-        },
-        None,
-    )
+    return {
+        "depth": depth,
+        "leaves": 2**depth,
+        "min_margin": sep.min_margin,
+        "passed": sep.passed,
+    }
 
 
 def _run_construct(cfg, op, family, params, rng, out, ctx):
     targets = [
         cons.ConstructionTarget(
             tuple((complex(re, im), int(i)) for re, im, i in t["coefficients"]),
-            t.get("radius", 0.5),
-            t.get("reach_power", 1),
+            t["radius"],
+            t["reach_power"],
         )
         for t in params["targets"]
     ]
@@ -421,16 +424,17 @@ def _run_construct(cfg, op, family, params, rng, out, ctx):
             op,
             family,
             targets,
-            params.get("steps", len(targets)),
+            params["steps"],
             rng,
-            trials=params.get("trials", 2000),
-            cert_samples=params.get("cert_samples", 200),
-            p_max=params.get("p_max", 10**6),
+            trials=params["trials"],
+            cert_samples=params["cert_samples"],
+            p_max=params["p_max"],
         )
     except (cons.ConstructionError, dio.NetCoverageError) as exc:
-        return {"error": str(exc), "passed": False}, None
+        return {"error": str(exc), "passed": False}
     (out / "construction_state.json").write_text(state.to_json() + "\n")
-    result = {
+    ctx["construction"] = state, phi
+    return {
         "blocks": [
             {
                 "index": c.index,
@@ -445,33 +449,25 @@ def _run_construct(cfg, op, family, params, rng, out, ctx):
         "total_norm_budget": report.total_norm_budget,
         "passed": report.all_passed(),
     }
-    return result, (state, phi)
 
 
 def _run_density(cfg, op, family, params, rng, out, ctx):
-    horizon = params.get("horizon", 2 * 10**5)
-    results = {}
-    passed = True
+    horizon = params["horizon"]
 
     # calibration: a single eigen-term whose visits to a ball around itself
     # are controlled by an explicit arc of angles
-    coeff = params.get("coefficient", 0.5)
-    radius = params.get("radius", 0.3)
-    index = params.get("angle_index", 0)
+    coeff, radius, index = params["coefficient"], params["radius"], params["angle_index"]
     x = ef.EigenExpansion([coeff], family.take([index]))
     center = StateVector(coeff * family.vectors[:, index])
     rec = density_mod.visit_times(x, density_mod.TargetBall(center, radius), horizon)
     arc = 2.0 * np.arcsin(min(radius / (2 * abs(coeff)), 1.0)) / np.pi
     frequency = len(rec.times) / horizon
-    results["calibration"] = {
-        "arc_length": float(arc),
-        "visit_frequency": frequency,
-        "error": abs(frequency - arc),
-    }
-    passed = passed and bool(abs(frequency - arc) < 0.01)
+    error = abs(frequency - arc)
+    calibration = {"arc_length": float(arc), "visit_frequency": frequency, "error": error}
+    results = {"calibration": calibration, "passed": bool(error < 0.01)}
 
-    if params.get("use_construction") and ctx is not None:
-        state, phi = ctx
+    if params["use_construction"] and "construction" in ctx:
+        state, phi = ctx["construction"]
         phi_vec = phi.to_vector().entries
         targets = [
             density_mod.TargetBall(
@@ -490,23 +486,23 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
             "proxies": list(fhc.proxies),
             "passed": fhc.passed,
         }
-        passed = passed and fhc.passed
-    results["passed"] = passed
-    return results, None
+        results["passed"] = results["passed"] and fhc.passed
+    return results
 
 
 def _run_invariance(cfg, op, family, params, rng, out, ctx):
-    coeffs = 0.5 ** np.arange(1, params.get("terms", 32) + 1)
+    coeffs = 0.5 ** np.arange(1, params["terms"] + 1)
     n_terms = min(coeffs.size, len(family))
     series = ef.EigenExpansion(coeffs[:n_terms], family.take(slice(n_terms)))
     # probe k is the coordinate functional of e_k
-    probes = np.eye(params.get("probes", min(8, cfg.dimension)), cfg.dimension, dtype=complex)
-    report = st.invariance_gap(op, series, params.get("trials", 10**4), probes, rng)
-    passed = report.within(3.0)
-    return ({"max_gap": report.max_gap, "passed": passed}, None)
+    probes = np.eye(params["probes"], cfg.dimension, dtype=complex)
+    report = st.invariance_gap(op, series, params["trials"], probes, rng)
+    return {"max_gap": report.max_gap, "passed": report.within(3.0)}
 
 
-_RUNNERS = {
+# Every pipeline in run order with its runner.  A pipeline's position is
+# the id of its random stream, so new pipelines go at the end.
+_PIPELINES = {
     "khinchine": _run_khinchine,
     "diophantine": _run_diophantine,
     "syndetic": _run_syndetic,
@@ -523,15 +519,22 @@ def main():
     """Numerical laboratory for linear operator dynamics."""
 
 
+def _validated(text: str, status: int, horizon=None) -> ExperimentConfig:
+    """The config ``text`` validates to; prints each error and exits with
+    ``status`` if there are any."""
+    cfg, errors = validate_config(text, horizon)
+    for e in errors:
+        click.echo(f"error: {e}", err=True)
+    if errors:
+        sys.exit(status)
+    return cfg
+
+
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def validate(config_path):
     """Validate a config file; nonzero exit with diagnostics on failure."""
-    cfg, errors = validate_config(Path(config_path).read_text())
-    if errors:
-        for e in errors:
-            click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+    _validated(Path(config_path).read_text(), 1)
     click.echo("config OK")
 
 
@@ -542,11 +545,7 @@ def validate(config_path):
 @click.option("--horizon", type=int, default=None, help="override pipeline horizons")
 def run(config_path, seed, out_dir, horizon):
     """Run the configured pipelines and write summary.json + CSV details."""
-    cfg, errors = validate_config(Path(config_path).read_text(), horizon=horizon)
-    if errors:
-        for e in errors:
-            click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    cfg = _validated(Path(config_path).read_text(), 2, horizon)
     if seed is not None:
         cfg.seed = seed
     status = run_experiment(cfg, out_dir)
@@ -560,12 +559,7 @@ def run(config_path, seed, out_dir, horizon):
 def replay(summary_path, out_dir):
     """Re-run the config embedded in a summary and check byte-identity."""
     old = Path(summary_path).read_text()
-    cfg_dict = json.loads(old)["config"]
-    cfg, errors = validate_config(json.dumps(cfg_dict))
-    if errors:
-        for e in errors:
-            click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    cfg = _validated(json.dumps(json.loads(old)["config"]), 2)
     run_experiment(cfg, out_dir)
     new = (Path(out_dir) / "summary.json").read_text()
     if new == old:

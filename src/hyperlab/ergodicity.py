@@ -122,7 +122,6 @@ def correlation_monte_carlo(
     n: int,
     trials: int,
     rng: np.random.Generator,
-    seed=None,
 ) -> MCReport:
     """MC estimate of E(|<x*, T**n Phi>|**2 |<y*, Phi>|**2) for the series;
     agrees with the closed form within Monte Carlo error."""
@@ -139,7 +138,6 @@ def correlation_monte_carlo(
         estimate=float(np.mean(vals)),
         stderr=float(np.std(vals, ddof=1) / np.sqrt(trials)),
         trials=trials,
-        seed=seed,
     )
 
 

@@ -33,16 +33,6 @@ class StateVector:
         return self.entries.size
 
 
-def zero_vector(d: int) -> StateVector:
-    return StateVector(np.zeros(d, dtype=complex))
-
-
-def basis_vector(k: int, d: int) -> StateVector:
-    e = np.zeros(d, dtype=complex)
-    e[k] = 1.0
-    return StateVector(e)
-
-
 def norm(v: StateVector) -> float:
     """l2 norm of the entries; zero exactly for the zero vector."""
     return float(np.linalg.norm(v.entries))

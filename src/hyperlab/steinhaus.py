@@ -9,7 +9,6 @@ ids give independent blocks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +22,6 @@ class MCReport:
     estimate: float
     stderr: float
     trials: int
-    seed: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "estimate": self.estimate,
-                "stderr": self.stderr,
-                "trials": self.trials,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
 
 
 def sample_steinhaus(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -56,7 +43,7 @@ def sample_series_batch(
     return (chi * series.coeffs[None, :]) @ series.terms.vectors.T
 
 
-def khinchine_report(coeffs, trials: int, rng: np.random.Generator, seed=None) -> MCReport:
+def khinchine_report(coeffs, trials: int, rng: np.random.Generator) -> MCReport:
     """Monte Carlo estimate of E|sum chi_j a_j| / sqrt(sum |a_j|^2).
 
     The exact one-sided comparison E|sum chi a| <= (sum |a|^2)^(1/2) holds
@@ -75,7 +62,6 @@ def khinchine_report(coeffs, trials: int, rng: np.random.Generator, seed=None) -
         estimate=float(np.mean(sums)),
         stderr=float(np.std(sums, ddof=1) / np.sqrt(trials)),
         trials=trials,
-        seed=seed,
     )
 
 

@@ -36,7 +36,7 @@ from hyperlab.ergodicity import (
     correlation_monte_carlo,
     nonergodicity_witness,
 )
-from hyperlab.linspace import StateVector, basis_vector, norm
+from hyperlab.linspace import StateVector, norm
 from hyperlab.operators import apply, make_scaled_backward_shift
 from hyperlab.steinhaus import invariance_gap, khinchine_report
 
@@ -110,7 +110,7 @@ def test_criterion_03_measure_invariance(op64):
 
 def test_criterion_04_nonergodicity_witness():
     start = time.perf_counter()
-    e0 = basis_vector(0, 64)
+    e0 = StateVector(np.eye(64)[0])
     pairs = (EigenPair(1.0, e0, 0.0), EigenPair(SQRT2, e0, 0.0))
     series = EigenExpansion((2**-0.5, 2**-0.5), EigenFamily.from_pairs(pairs))
     f0 = e0.entries

@@ -287,6 +287,23 @@ def test_horizon_override_is_recorded_and_replays(tmp_path):
     # an override below a pipeline's floor is refused like a config value
     result = runner.invoke(main, ["run", "--config", str(config), "--horizon", "10"])
     assert result.exit_code == 2 and "pipelines.syndetic.horizon" in result.output
+    # the override reaches pipelines whose config leaves horizon to its default
+    config.write_text(
+        json.dumps(small_config(pipelines={"density": {}, "syndetic": {"eta": 0.5}}))
+    )
+    out = tmp_path / "omitted"
+    result = runner.invoke(
+        main, ["run", "--config", str(config), "--out", str(out), "--horizon", "1000"]
+    )
+    assert result.exit_code == 0, result.output
+    summary = json.loads((out / "summary.json").read_text())
+    for name in ("density", "syndetic"):
+        assert summary["config"]["pipelines"][name]["horizon"] == 1000
+    result = runner.invoke(
+        main,
+        ["replay", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "re2")],
+    )
+    assert result.exit_code == 0 and "replay identical" in result.output
 
 
 def _holes_config(pipelines, kind="scaled_backward_shift"):
@@ -343,6 +360,9 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         ({"ergodicity": {"N": 1000, "angles": [0.1, 0.2, 0.3]}}, "scaled_backward_shift"),
         ({"invariance": {"trials": "many"}}, "scaled_backward_shift"),
         ({"invariance": {"trials": 1}}, "scaled_backward_shift"),
+        ({"diophantine": {"angle_count": 30, "targets_per_angle": 2}}, "scaled_backward_shift"),
+        ({"diophantine": {"angle_count": 10**9, "targets_per_angle": 1}}, "scaled_backward_shift"),
+        ({"syndetic": {"angle_count": 10**9}}, "scaled_backward_shift"),
     ],
     ids=[
         "invariance.probes>dimension",
@@ -373,6 +393,9 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         "ergodicity.angles-longer-than-c",
         "invariance.trials=many",
         "invariance.trials=1",
+        "diophantine.cells=2**30",
+        "diophantine.angle_count=10**9",
+        "syndetic.angle_count=10**9",
     ],
 )
 def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
@@ -381,6 +404,38 @@ def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
     result = CliRunner().invoke(main, ["validate", "--config", str(config)])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert "error: pipelines." in result.output
+
+
+def test_validate_names_the_diophantine_cell_count():
+    def errors(angle_count, targets_per_angle):
+        params = {"angle_count": angle_count, "targets_per_angle": targets_per_angle}
+        return validate_config(json.dumps(_holes_config({"diophantine": params})))[1]
+
+    assert errors(6, 4) == [] and errors(12, 2) == []  # 4096 cells
+    assert errors(64, 1) == []
+    for angle_count, targets_per_angle in ((13, 2), (2, 65), (7, 4)):
+        (error,) = errors(angle_count, targets_per_angle)
+        assert "pipelines.diophantine" in error and "cell count" in error
+
+
+@pytest.mark.parametrize(
+    "pipelines, key, known",
+    [
+        ({"syndetic": {"eta": 0.5, "horizn": 1000}}, "horizn", "eta, angle_count, horizon"),
+        (
+            {"construct": {"targets": [{**TARGET, "radus": 0.5}]}},
+            "radus",
+            "coefficients, radius, reach_power",
+        ),
+    ],
+    ids=["syndetic.horizn", "construct.targets.radus"],
+)
+def test_validate_refuses_unknown_keys(tmp_path, pipelines, key, known):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps(_holes_config(pipelines)))
+    result = CliRunner().invoke(main, ["validate", "--config", str(config)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert f"unknown key {key!r}" in result.output and known in result.output
 
 
 def test_validate_accepts_the_bounds_and_run_completes(tmp_path):

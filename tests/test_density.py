@@ -12,7 +12,7 @@ from hyperlab.density import (
     visit_times,
 )
 from hyperlab.eigenfields import EigenExpansion, sample_2B_family
-from hyperlab.linspace import StateVector, zero_vector
+from hyperlab.linspace import StateVector
 from hyperlab.operators import make_scaled_backward_shift
 
 
@@ -27,8 +27,8 @@ def setup():
 
 def test_target_and_record_validation():
     with pytest.raises(ValueError):
-        TargetBall(zero_vector(4), -0.1)
-    ball = TargetBall(zero_vector(4), 1.0)
+        TargetBall(StateVector(np.zeros(4)), -0.1)
+    ball = TargetBall(StateVector(np.zeros(4)), 1.0)
     for bad in ((5,), (-1, 2), (4, 0, 5)):
         with pytest.raises(ValueError):
             VisitRecord(bad, 5, ball)
@@ -71,7 +71,7 @@ def test_recheck_visit_agrees_with_fast_path(setup):
 
 def test_empty_expansion_visits_iff_center_is_near_zero():
     x = EigenExpansion((), sample_2B_family(2.0, 4, 1).take([]))
-    near = TargetBall(zero_vector(4), 0.5)
+    near = TargetBall(StateVector(np.zeros(4)), 0.5)
     far = TargetBall(StateVector([3.0, 0, 0, 0]), 0.5)
     assert len(visit_times(x, near, 100).times) == 100
     assert len(visit_times(x, far, 100).times) == 0
@@ -83,7 +83,8 @@ def test_default_windows_ladder():
 
 
 def test_lower_density_estimate_manual():
-    rec = VisitRecord(tuple(range(0, 100, 2)), 1000, TargetBall(zero_vector(2), 1.0))
+    ball = TargetBall(StateVector(np.zeros(2)), 1.0)
+    rec = VisitRecord(tuple(range(0, 100, 2)), 1000, ball)
     # 50 visits below 100, none later
     assert lower_density_estimate(rec, [100, 1000]) == pytest.approx(0.05)
     with pytest.raises(ValueError):
@@ -113,7 +114,7 @@ def test_fhc_harness_records_match_per_target_and_direct_scans(setup):
         TargetBall(StateVector(np.full(16, 5.0 + 0j)), 0.1),  # never visited
         TargetBall(StateVector(0.25 * vecs[:, 1]), 0.3),
         TargetBall(StateVector(0.5 * vecs[:, 0] - 0.25 * vecs[:, 1]), 0.2),
-        TargetBall(zero_vector(16), 2.0),  # always visited
+        TargetBall(StateVector(np.zeros(16)), 2.0),  # always visited
     ]
     N = 1500
     report = fhc_harness(x, targets, N, windows=[N])

@@ -17,7 +17,7 @@ from hyperlab.eigenfields import (
     spanning_rank,
     unimodular,
 )
-from hyperlab.linspace import StateVector, basis_vector, norm
+from hyperlab.linspace import StateVector, norm
 from hyperlab.operators import apply, make_perturbed_diagonal
 
 
@@ -183,7 +183,7 @@ def test_check_assumption_H_passes_on_dense_sampling():
 
 
 def test_family_rejects_duplicate_angles_and_non_unit_vectors():
-    p = EigenPair(0.25, basis_vector(0, 4), 0.0)
+    p = EigenPair(0.25, StateVector(np.eye(4)[0]), 0.0)
     with pytest.raises(ValueError):
         EigenFamily.from_pairs((p, p))
     with pytest.raises(ValueError):

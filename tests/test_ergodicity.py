@@ -15,7 +15,7 @@ from hyperlab.ergodicity import (
     witness_report,
 )
 from hyperlab.eigenfields import EigenExpansion, EigenFamily, EigenPair
-from hyperlab.linspace import basis_vector
+from hyperlab.linspace import StateVector
 
 SQRT2 = float(np.sqrt(2) % 1)
 
@@ -55,7 +55,7 @@ def test_closed_form_and_pairing_differ_by_the_diagonal():
 
 
 def test_closed_form_matches_monte_carlo(rng):
-    e0 = basis_vector(0, 4)
+    e0 = StateVector(np.eye(4)[0])
     pairs = (EigenPair(1.0, e0, 0.0), EigenPair(SQRT2, e0, 0.0))
     series = EigenExpansion((2**-0.5, 2**-0.5), EigenFamily.from_pairs(pairs))
     f0 = e0.entries

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperlab.linspace import StateVector, basis_vector, norm, zero_vector
+from hyperlab.linspace import StateVector, norm
 
 
 def test_vector_construction_rejects_bad_entries():
@@ -19,14 +19,6 @@ def test_entries_are_immutable():
     v = StateVector([1.0, 2.0])
     with pytest.raises(ValueError):
         v.entries[0] = 5.0
-
-
-def test_zero_and_basis_vectors():
-    z = zero_vector(5)
-    assert z.dim == 5 and norm(z) == 0.0
-    e = basis_vector(2, 5)
-    assert e.entries[2] == 1.0 and norm(e) == 1.0
-    assert np.sum(np.abs(e.entries)) == 1.0
 
 
 def test_norm_triangle_inequality_and_homogeneity():

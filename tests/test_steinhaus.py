@@ -105,9 +105,3 @@ def test_invariance_gap_within_monte_carlo_error(family32, rng):
     # no probe rows would make the check vacuous
     with pytest.raises(ValueError):
         invariance_gap(op, series, 4000, probes[:0], rng)
-
-
-def test_mc_report_json_is_sorted(rng):
-    rep = khinchine_report([1.0, 2.0], 1000, rng, seed=9)
-    text = rep.to_json()
-    assert text.index("estimate") < text.index("seed") < text.index("stderr")
