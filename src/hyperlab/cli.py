@@ -9,7 +9,9 @@ Each pipeline parameter's default and check is one row of ``_PARAMS``;
 ``validate_config`` refuses a key that no row names and hands each runner
 its parameters with the defaults filled in.  ``run --horizon`` sets the
 horizon of the syndetic and density pipelines, whether the config sets
-one or not, and the summary records it, so ``replay`` reproduces the run.
+one or not, and ``run --seed`` the seed; both pass the checks a config
+value passes, and the summary records them, so ``replay`` reproduces the
+run.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ _FAMILY = {"count": 256}
 # behind the angles and every array of phases grow with angle_count
 _MAX_CELLS = 4096
 _MAX_ANGLES = 64
+# ceilings of the horizons: the syndetic pipeline builds a horizon x
+# angle_count phase array in one piece, and a density record holds up to
+# horizon visit times per target
+_MAX_SYNDETIC_HORIZON = 10**6
+_MAX_SYNDETIC_PHASES = 1 << 24
+_MAX_DENSITY_HORIZON = 10**7
 
 
 @dataclass
@@ -146,7 +154,7 @@ _PARAMS = (
     ("diophantine", "p_max", 10**6, _int(1)),
     ("syndetic", "eta", 0.1, _eta),
     ("syndetic", "angle_count", 2, _int(1, _MAX_ANGLES)),
-    ("syndetic", "horizon", 10**5, _int(1000)),
+    ("syndetic", "horizon", 10**5, _int(1000, _MAX_SYNDETIC_HORIZON)),
     ("ergodicity", "c", [[2**-0.5, 0], [2**-0.5, 0]], _pairs),
     ("ergodicity", "d", lambda b: b["c"], _pairs),
     ("ergodicity", "angles", [1.0, float(np.sqrt(2) % 1)], _numbers),
@@ -159,7 +167,7 @@ _PARAMS = (
     ("construct", "trials", 2000, _int(2)),
     ("construct", "cert_samples", 200, _int(1)),
     ("construct", "p_max", 10**6, _int(1)),
-    ("density", "horizon", 2 * 10**5, _int(1)),
+    ("density", "horizon", 2 * 10**5, _int(1, _MAX_DENSITY_HORIZON)),
     ("density", "coefficient", 0.5, _positive),
     ("density", "radius", 0.3, _positive),
     ("density", "angle_index", 0, _int(0, "last family index")),
@@ -209,14 +217,15 @@ def _resolve(table: str, given: dict, where: str, bounds: dict, errors: list) ->
     return resolved
 
 
-def validate_config(text: str, horizon=None):
+def validate_config(text: str, horizon=None, seed=None):
     """Parse a config; returns (ExperimentConfig or None, list of errors).
 
     Each pipeline parameter's default and check is a row of ``_PARAMS``,
-    and a key that no row names is refused.  ``horizon`` replaces the
-    ``horizon`` of every configured pipeline that has one (syndetic and
-    density), whether the config sets it or not, before the checks, so the
-    returned config records the values the run uses."""
+    and a key that no row names is refused.  ``seed`` replaces the config's
+    seed, and ``horizon`` the ``horizon`` of every configured pipeline that
+    has one (syndetic and density), whether the config sets it or not,
+    before the checks, so the returned config records the values the run
+    uses."""
     errors = []
     try:
         raw = json.loads(text) if text.strip() else {}
@@ -226,13 +235,15 @@ def validate_config(text: str, horizon=None):
         return None, ["empty config"]
     if not isinstance(raw, dict):
         return None, ["config must be a JSON object"]
+    if seed is not None:
+        raw["seed"] = seed
     if "seed" not in raw:
         errors.append("missing seed (runs must be reproducible)")
-    elif not isinstance(raw["seed"], int):
-        errors.append("seed must be an integer")
+    elif not _is_int(raw["seed"], 0):
+        errors.append("seed must be an integer >= 0")
     dim = raw.get("dimension", 64)
-    if not isinstance(dim, int) or dim < 1:
-        errors.append("dimension must be >= 1")
+    if not _is_int(dim, 1):
+        errors.append("dimension must be an integer >= 1")
     operator = raw.get("operator", {"kind": "scaled_backward_shift", "weight": 2.0})
     family = raw.get("family", _FAMILY)
     pipelines = raw.get("pipelines", {})
@@ -289,6 +300,12 @@ def validate_config(text: str, horizon=None):
                 "pipelines.diophantine.targets_per_angle ** angle_count, the cell "
                 f"count, must be <= {_MAX_CELLS}"
             )
+    syndetic = params.get("syndetic")
+    if syndetic and syndetic["horizon"] * syndetic["angle_count"] > _MAX_SYNDETIC_PHASES:
+        errors.append(
+            "pipelines.syndetic.horizon * angle_count, the size of the phase "
+            f"array, must be <= {_MAX_SYNDETIC_PHASES}"
+        )
     if kind == "perturbed_diagonal" and "seed_count" in pipelines.get("cantor", {}):
         errors.append(
             "pipelines.cantor.seed_count needs a scaled_backward_shift operator: "
@@ -371,12 +388,15 @@ def _run_diophantine(cfg, op, family, params, rng, out, ctx):
 
 def _run_syndetic(cfg, op, family, params, rng, out, ctx):
     angles = ef.qindependent_angles(params["angle_count"])
-    res = dio.syndetic_return_set(angles, params["eta"], params["horizon"])
+    try:
+        res = dio.syndetic_return_set(angles, params["eta"], params["horizon"])
+    except ValueError as exc:  # the return set is empty within the horizon
+        return {"error": str(exc), "passed": False}
     return {
         "set_size": len(res.times),
         "gap_bound": res.gap_bound,
         "inclusion_violations": len(res.violations),
-        "passed": len(res.times) > 0 and not res.violations,
+        "passed": not res.violations,
     }
 
 
@@ -519,10 +539,10 @@ def main():
     """Numerical laboratory for linear operator dynamics."""
 
 
-def _validated(text: str, status: int, horizon=None) -> ExperimentConfig:
+def _validated(text: str, status: int, horizon=None, seed=None) -> ExperimentConfig:
     """The config ``text`` validates to; prints each error and exits with
     ``status`` if there are any."""
-    cfg, errors = validate_config(text, horizon)
+    cfg, errors = validate_config(text, horizon, seed)
     for e in errors:
         click.echo(f"error: {e}", err=True)
     if errors:
@@ -545,9 +565,7 @@ def validate(config_path):
 @click.option("--horizon", type=int, default=None, help="override pipeline horizons")
 def run(config_path, seed, out_dir, horizon):
     """Run the configured pipelines and write summary.json + CSV details."""
-    cfg = _validated(Path(config_path).read_text(), 2, horizon)
-    if seed is not None:
-        cfg.seed = seed
+    cfg = _validated(Path(config_path).read_text(), 2, horizon, seed)
     status = run_experiment(cfg, out_dir)
     click.echo(f"summary written to {Path(out_dir) / 'summary.json'}")
     sys.exit(status)

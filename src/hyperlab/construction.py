@@ -20,7 +20,7 @@ import numpy as np
 
 from .density import _CHUNK, _ball_dist_sq
 from .diophantine import ReturnTimeSet, covering_scan
-from .eigenfields import EigenExpansion, EigenFamily
+from .eigenfields import EigenExpansion, EigenFamily, _unit_phases
 from .linspace import StateVector
 from .operators import OperatorSpec
 from .steinhaus import sample_steinhaus
@@ -366,7 +366,7 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, gram) -> float:
     """Fraction of sampled realizations for which some p in the block's
     return-time set carries T**p Phi - Phi into the inflated target."""
     p_arr = np.array(block.return_times.times)
-    lam_pow = np.exp(2j * np.pi * np.outer(p_arr, terms.terms.thetas)) - 1.0  # P x terms
+    lam_pow = _unit_phases(np.outer(p_arr, terms.terms.thetas)) - 1.0  # P x terms
     c = block.center.entries
     h = terms.terms.vectors.conj().T @ c
     c_sq = float(np.real(np.vdot(c, c)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfields import EigenExpansion
+from .eigenfields import EigenExpansion, _unit_phases
 from .linspace import StateVector
 
 _CHUNK = 1 << 15
@@ -97,7 +97,7 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     hits = [[] for _ in balls]
     for start in range(0, N, _CHUNK):
         ns = np.arange(start, min(start + _CHUNK, N))
-        w = np.exp(2j * np.pi * np.outer(ns, x.terms.thetas)) * x.coeffs[None, :]
+        w = _unit_phases(np.outer(ns, x.terms.thetas)) * x.coeffs[None, :]
         quad = _quad_form(w, gram)
         for found, (h, c_sq, r_sq) in zip(hits, balls):
             found.append(ns[_ball_dist_sq(w, gram, h, c_sq, quad) < r_sq])

@@ -8,6 +8,9 @@ finite-scale approximation-closure check used before tree constructions.
 
 from __future__ import annotations
 
+import _thread
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +18,83 @@ import numpy as np
 from .linspace import StateVector
 from .operators import OperatorSpec, PERTURBED_DIAGONAL, apply
 
+# _unit_phases computes phases _SLICE elements at a time, and shares the
+# slices of an array of _INLINE or more elements out among the allowed
+# cores; below that, starting and waking a helper costs about as much as
+# its share of the work saves
+_INLINE = 1 << 15
+_SLICE = 1 << 14
+
 
 def unimodular(theta: float) -> complex:
     return complex(np.exp(2j * np.pi * theta))
+
+
+def _cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _unit_phases(t) -> np.ndarray:
+    """exp(2*pi*i*t) for a float array t, equal bit for bit to
+    ``np.exp(2j * np.pi * t)``.
+
+    The phases are written into one array, a contiguous slice at a time:
+    the same multiply, by the same scalar, then exp in place, so no
+    full-size complex temporary is made.  From _INLINE elements on, the
+    slices are shared out among one thread per core the process may run on
+    (the calling thread included); numpy releases the interpreter lock
+    inside both ufuncs.  Every element goes through the same two ufunc
+    calls whichever thread computes it, so the result does not depend on
+    the number of threads.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape, dtype=complex)
+    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+    starts = range(0, flat_t.size, _SLICE)
+    pending, lock, errors = iter(starts), threading.Lock(), []
+
+    def fill():
+        try:
+            while True:
+                with lock:
+                    start = next(pending, None)
+                if start is None:
+                    return
+                o = flat_out[start : start + _SLICE]
+                np.multiply(2j * np.pi, flat_t[start : start + _SLICE], out=o)
+                np.exp(o, out=o)
+        except Exception as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    def helper(done):
+        try:
+            fill()
+        finally:
+            done.release()
+
+    helpers = min(_cores(), len(starts)) - 1 if flat_t.size >= _INLINE else 0
+    running = []
+    for _ in range(helpers):
+        done = threading.Lock()
+        done.acquire()
+        # threading.Thread.start would wait until the helper runs (a median
+        # 0.6 ms, at times 6 ms, on a busy 2-core host); this returns at
+        # once, so the calling thread computes while the helper starts
+        _thread.start_new_thread(helper, (done,))
+        running.append(done)
+    try:
+        fill()
+    finally:
+        for done in running:
+            done.acquire()
+    if errors:
+        raise errors[0]
+    return out
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfields import EigenExpansion
+from .eigenfields import EigenExpansion, _unit_phases
 from .steinhaus import MCReport, sample_steinhaus
 
 
@@ -49,7 +49,7 @@ class CorrelationSpec:
         """|sum_p lambda_p**n c_p conj(d_p)|**2 for each n."""
         ns = np.asarray(ns)
         weights = np.asarray(self.c) * np.conj(self.d)
-        phases = np.exp(2j * np.pi * np.outer(ns, self.angles))
+        phases = _unit_phases(np.outer(ns, self.angles))
         return np.abs(phases @ weights) ** 2
 
     @classmethod

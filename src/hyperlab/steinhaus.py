@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfields import EigenExpansion
+from .eigenfields import EigenExpansion, _unit_phases
 from .operators import OperatorSpec, apply
 
 
@@ -28,7 +28,7 @@ def sample_steinhaus(rng: np.random.Generator, n: int) -> np.ndarray:
     """n i.i.d. points uniform on the unit circle."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return np.exp(2j * np.pi * rng.random(n))
+    return _unit_phases(rng.random(n))
 
 
 def sample_series_batch(

@@ -37,7 +37,7 @@ def test_validate_config_field_errors():
     _, errors = validate_config(
         json.dumps({"seed": 1, "dimension": 0, "pipelines": {"khinchine": {}}})
     )
-    assert "dimension must be >= 1" in errors
+    assert "dimension must be an integer >= 1" in errors
     _, errors = validate_config(
         json.dumps(
             {"seed": 1, "operator": {"kind": "rotation"}, "pipelines": {"khinchine": {}}}
@@ -363,6 +363,11 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         ({"diophantine": {"angle_count": 30, "targets_per_angle": 2}}, "scaled_backward_shift"),
         ({"diophantine": {"angle_count": 10**9, "targets_per_angle": 1}}, "scaled_backward_shift"),
         ({"syndetic": {"angle_count": 10**9}}, "scaled_backward_shift"),
+        ({"syndetic": {"horizon": 10**6 + 1, "angle_count": 1}}, "scaled_backward_shift"),
+        ({"syndetic": {"horizon": 10**6, "angle_count": 17}}, "scaled_backward_shift"),
+        ({"syndetic": {"horizon": 10**12}}, "scaled_backward_shift"),
+        ({"density": {"horizon": 10**7 + 1}}, "scaled_backward_shift"),
+        ({"density": {"horizon": 10**12}}, "scaled_backward_shift"),
     ],
     ids=[
         "invariance.probes>dimension",
@@ -396,6 +401,11 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         "diophantine.cells=2**30",
         "diophantine.angle_count=10**9",
         "syndetic.angle_count=10**9",
+        "syndetic.horizon>10**6",
+        "syndetic.phases>2**24",
+        "syndetic.horizon=10**12",
+        "density.horizon>10**7",
+        "density.horizon=10**12",
     ],
 )
 def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
@@ -416,6 +426,82 @@ def test_validate_names_the_diophantine_cell_count():
     for angle_count, targets_per_angle in ((13, 2), (2, 65), (7, 4)):
         (error,) = errors(angle_count, targets_per_angle)
         assert "pipelines.diophantine" in error and "cell count" in error
+
+
+def test_validate_names_the_horizon_ceilings():
+    def errors(pipelines):
+        return validate_config(json.dumps(_holes_config(pipelines)))[1]
+
+    # the ceilings themselves pass; nothing here is run
+    assert errors({"syndetic": {"horizon": 10**6, "angle_count": 16}}) == []
+    assert errors({"density": {"horizon": 10**7}}) == []
+    (error,) = errors({"syndetic": {"horizon": 10**6 + 1, "angle_count": 1}})
+    assert "pipelines.syndetic.horizon" in error and "1000000" in error
+    (error,) = errors({"syndetic": {"horizon": 10**6, "angle_count": 17}})
+    assert "pipelines.syndetic.horizon * angle_count" in error and str(2**24) in error
+    (error,) = errors({"density": {"horizon": 10**7 + 1}})
+    assert "pipelines.density.horizon" in error and "10000000" in error
+
+
+def test_horizon_override_meets_the_ceilings():
+    # run --horizon passes its value to validate_config; nothing here is run
+    text = json.dumps(_holes_config({"syndetic": {}, "density": {}}))
+    for horizon, key in ((10**6 + 1, "syndetic.horizon"), (10**7 + 1, "density.horizon")):
+        cfg, errors = validate_config(text, horizon=horizon)
+        assert cfg is None and any(e.startswith(f"pipelines.{key}") for e in errors)
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"dimension": True}, "dimension must be an integer >= 1"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"seed": True}, "seed must be an integer >= 0"),
+    ],
+    ids=["dimension=true", "seed=-1", "seed=true"],
+)
+def test_validate_refuses_bool_and_negative_seed_and_dimension(tmp_path, overrides, error):
+    raw = {**_holes_config({"invariance": {"trials": 1000}}), **overrides}
+    config = tmp_path / "top.json"
+    config.write_text(json.dumps(raw))
+    result = CliRunner().invoke(main, ["validate", "--config", str(config)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert f"error: {error}" in result.output
+
+
+def test_seed_override_is_checked_like_a_config_seed(tmp_path):
+    config = tmp_path / "seeded.json"
+    config.write_text(json.dumps(_holes_config({"invariance": {"trials": 1000}})))
+    runner = CliRunner()
+    out = tmp_path / "negative"
+    result = runner.invoke(
+        main, ["run", "--config", str(config), "--out", str(out), "--seed", "-1"]
+    )
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "error: seed must be an integer >= 0" in result.output and not out.exists()
+    out = tmp_path / "override"
+    result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out), "--seed", "4"])
+    assert result.exit_code in (0, 1), result.output
+    assert json.loads((out / "summary.json").read_text())["config"]["seed"] == 4
+
+
+def test_empty_syndetic_return_set_reports_failure(tmp_path):
+    config = tmp_path / "tight.json"
+    raw = {
+        "seed": 1,
+        "dimension": 8,
+        "family": {"count": 8},
+        "pipelines": {"syndetic": {"angle_count": 10, "eta": 0.1, "horizon": 1000}},
+    }
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    runner = CliRunner()
+    assert runner.invoke(main, ["validate", "--config", str(config)]).exit_code == 0
+    result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    # exit 1 through sys.exit, not an escaped ValueError
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    syndetic = json.loads((out / "summary.json").read_text())["results"]["syndetic"]
+    assert syndetic["passed"] is False and "return set empty" in syndetic["error"]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,20 @@
+import _thread
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from hyperlab import eigenfields
 from hyperlab.eigenfields import (
+    _INLINE,
+    _SLICE,
     EigenExpansion,
     EigenFamily,
     EigenPair,
     _field_2B,
+    _unit_phases,
     check_assumption_H,
     diagonal_family,
     eigenvector_2B,
@@ -19,6 +27,7 @@ from hyperlab.eigenfields import (
 )
 from hyperlab.linspace import StateVector, norm
 from hyperlab.operators import apply, make_perturbed_diagonal
+from hyperlab.steinhaus import sample_steinhaus
 
 
 def _is_prime(n: int) -> bool:
@@ -202,3 +211,102 @@ def test_family_rejects_duplicate_angles_and_non_unit_vectors():
 def test_unimodular_has_unit_modulus():
     for theta in (0.0, 0.25, 0.5, 1.0, float(np.sqrt(3) % 1)):
         assert abs(unimodular(theta)) == pytest.approx(1.0, abs=1e-15)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal bit patterns (so -0.0 differs from 0.0)."""
+    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (a, b)]
+    return a.shape == b.shape and np.array_equal(*bits)
+
+
+_PHASE_SIZES = sorted(
+    {0, 1, _INLINE - 1, _INLINE, _INLINE + 1}
+    | {k * _SLICE + e for k in (1, 2, 3, 7) for e in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("n", _PHASE_SIZES)
+def test_unit_phases_match_the_inline_formula_bit_for_bit(n):
+    t = np.random.default_rng(n).random(n)
+    # negative and large angles too: the sign of every zero must survive
+    t[: n // 2] *= -1e3
+    assert _same_bits(_unit_phases(t), np.exp(2j * np.pi * t))
+
+
+def test_unit_phases_of_two_dimensional_and_strided_inputs():
+    rng = np.random.default_rng(3)
+    ns = np.arange(3 * _SLICE + 5)
+    outer = np.outer(ns, rng.random(3))
+    assert _same_bits(_unit_phases(outer), np.exp(2j * np.pi * outer))
+    strided = rng.random((_INLINE // 64 + 3, 130))[:, ::2]
+    assert not strided.flags.c_contiguous and strided.size > _INLINE
+    assert _same_bits(_unit_phases(strided), np.exp(2j * np.pi * strided))
+    transposed = rng.random((130, _INLINE // 64 + 3)).T
+    assert _same_bits(_unit_phases(transposed), np.exp(2j * np.pi * transposed))
+
+
+@pytest.mark.parametrize("cores", [1, 2, 5])
+def test_unit_phases_do_not_depend_on_the_worker_count(monkeypatch, cores):
+    t = np.random.default_rng(cores).random(7 * _SLICE + 3)
+    monkeypatch.setattr(eigenfields, "_cores", lambda: cores)
+    started = []
+    real_start = _thread.start_new_thread
+    monkeypatch.setattr(
+        _thread, "start_new_thread", lambda fn, args: started.append(fn) or real_start(fn, args)
+    )
+    assert _same_bits(_unit_phases(t), np.exp(2j * np.pi * t))
+    # the calling thread takes a share, so one core starts no thread
+    assert len(started) == cores - 1
+
+
+def test_unit_phases_thread_count_follows_the_cpu_affinity(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert eigenfields._cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert eigenfields._cores() == (os.cpu_count() or 1)
+
+
+def test_unit_phases_reraise_an_error_of_a_helper_thread(monkeypatch):
+    class HelperFails:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, out=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("helper failed")
+            # leaves the helper time to take a slice, even on one core
+            time.sleep(0.01)
+            return np.exp(x, out=out)
+
+    monkeypatch.setattr(eigenfields, "_cores", lambda: 2)
+    monkeypatch.setattr(eigenfields, "np", HelperFails())
+    with pytest.raises(FloatingPointError, match="helper failed"):
+        _unit_phases(np.zeros(4 * _SLICE))
+
+
+def test_unit_phases_wait_for_a_slow_helper(monkeypatch):
+    class SlowHelper:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, out=None):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            return np.exp(x, out=out)
+
+    t = np.random.default_rng(11).random(16 * _SLICE)
+    monkeypatch.setattr(eigenfields, "_cores", lambda: 2)
+    monkeypatch.setattr(eigenfields, "np", SlowHelper())
+    # copied at once: a slice still being written when the call returns
+    # would be missing from the copy
+    got = _unit_phases(t).copy()
+    assert _same_bits(got, np.exp(2j * np.pi * t))
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000, _INLINE + 1, 3 * _SLICE + 7, 2 * 10**5])
+def test_sample_steinhaus_is_the_inline_draw(n):
+    for seed in (0, 7):
+        reference = np.exp(2j * np.pi * np.random.default_rng(seed).random(n))
+        assert _same_bits(sample_steinhaus(np.random.default_rng(seed), n), reference)
