@@ -20,12 +20,13 @@ import numpy as np
 
 from .density import _CHUNK, _ball_dist_sq
 from .diophantine import ReturnTimeSet, covering_scan
-from .eigenfields import EigenExpansion, EigenFamily, _unit_phases
+from .eigenfields import EigenExpansion, EigenFamily, _blocks, _unit_phases
 from .linspace import StateVector
 from .operators import OperatorSpec
 from .steinhaus import sample_steinhaus
 
 _UCB_Z = 2.326  # one-sided 99% normal quantile
+_NORM_ROWS = 1024  # trials per block of the Monte Carlo norms
 
 
 class ConstructionError(RuntimeError):
@@ -268,7 +269,15 @@ def _certify_expectation(terms, rng, trials) -> float:
     if k == 0:
         return 0.0
     chi = sample_steinhaus(rng, trials * k).reshape(trials, k)
-    norms = np.linalg.norm((chi * terms.coeffs[None, :]) @ terms.terms.vectors.T, axis=1)
+    # one product for all trials: BLAS rounds a short tail block of rows
+    # differently, so only the row norms are shared out
+    y = (chi * terms.coeffs[None, :]) @ terms.terms.vectors.T
+    norms = np.empty(trials)
+
+    def fill(start, stop):
+        norms[start:stop] = np.linalg.norm(y[start:stop], axis=1)
+
+    _blocks(trials, _NORM_ROWS, fill)
     return float(np.mean(norms) + _UCB_Z * np.std(norms, ddof=1) / np.sqrt(trials))
 
 
@@ -371,16 +380,20 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, gram) -> float:
     h = terms.terms.vectors.conj().T @ c
     c_sq = float(np.real(np.vdot(c, c)))
     tol = block.radius + 2.0 ** (-(block.index - 1))
-    # every (sample, return time) pair at once, at most about _CHUNK rows
-    # of terms per call; lam_pow stays the left factor, because numpy's
-    # complex multiply rounds a*b and b*a differently on a third of inputs
-    step = max(1, _CHUNK // len(p_arr))
-    hits = 0
-    for start in range(0, weights.shape[0], step):
-        w = lam_pow[None, :, :] * weights[start : start + step, None, :]
+    # every (sample, return time) pair of a block of samples at once, at
+    # most about _CHUNK rows of terms per call, the blocks shared out by
+    # _blocks and each adding its own count; lam_pow stays the left factor,
+    # because numpy's complex multiply rounds a*b and b*a differently on a
+    # third of inputs
+    hits = []
+
+    def count(start, stop):
+        w = lam_pow[None, :, :] * weights[start:stop, None, :]
         dist = _ball_dist_sq(w.reshape(-1, w.shape[-1]), gram, h, c_sq)
-        hits += int(np.count_nonzero((dist < tol * tol).reshape(w.shape[:2]).any(axis=1)))
-    return hits / weights.shape[0]
+        hits.append(int(np.count_nonzero((dist < tol * tol).reshape(w.shape[:2]).any(axis=1))))
+
+    _blocks(weights.shape[0], max(1, _CHUNK // len(p_arr)), count)
+    return sum(hits) / weights.shape[0]
 
 
 def verify_visit(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfields import EigenExpansion, _unit_phases
+from .eigenfields import EigenExpansion, _blocks, _unit_phases
 from .linspace import StateVector
 
 _CHUNK = 1 << 15
@@ -72,8 +72,11 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     Distances are evaluated through the Gram matrix of the expansion, so
     the cost per step is quadratic in the number of terms, not in the
     ambient dimension.  The phases and the quadratic term of a chunk of
-    powers are shared by all targets; each target adds only its cross
-    term.
+    _CHUNK powers are shared by all targets; each target adds only its
+    cross term.  The chunks go through :func:`eigenfields._blocks`, one
+    whole chunk per block, so they run on all the cores the process may
+    use; each chunk's hits are stored under its index and joined in order,
+    so the visit times do not depend on the number of threads.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -94,15 +97,21 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
         )
         for t in targets
     ]
-    hits = [[] for _ in balls]
-    for start in range(0, N, _CHUNK):
-        ns = np.arange(start, min(start + _CHUNK, N))
-        w = _unit_phases(np.outer(ns, x.terms.thetas)) * x.coeffs[None, :]
+    thetas, coeffs = x.terms.thetas, x.coeffs[None, :]
+    hits = [None] * -(-N // _CHUNK)
+
+    def scan(start, stop):
+        ns = np.arange(start, stop)
+        w = _unit_phases(np.outer(ns, thetas)) * coeffs
         quad = _quad_form(w, gram)
-        for found, (h, c_sq, r_sq) in zip(hits, balls):
-            found.append(ns[_ball_dist_sq(w, gram, h, c_sq, quad) < r_sq])
+        hits[start // _CHUNK] = [
+            ns[_ball_dist_sq(w, gram, h, c_sq, quad) < r_sq] for h, c_sq, r_sq in balls
+        ]
+
+    _blocks(N, _CHUNK, scan)
     return [
-        VisitRecord(np.concatenate(found), N, t) for found, t in zip(hits, targets)
+        VisitRecord(np.concatenate([chunk[i] for chunk in hits]), N, t)
+        for i, t in enumerate(targets)
     ]
 
 

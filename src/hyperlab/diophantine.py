@@ -21,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _CHUNK = 65536
+# covering_scan's first chunk; each next one is twice as long, up to
+# _CHUNK, since a small net is often covered by the first few powers
+_FIRST_CHUNK = 1024
 
 
 def chord_to(frac: np.ndarray, target_frac) -> np.ndarray:
@@ -170,6 +173,8 @@ def covering_scan(
     phase tuple lands on it, optionally restricted to p with
     |lambda_old**p - 1| < fixed_eta for every fixed angle.
 
+    The powers are scanned in chunks of _FIRST_CHUNK, then twice as many
+    each time up to _CHUNK, in order, so every cell keeps its first power.
     The scan stops once every cell is marked; otherwise it raises
     :class:`NetCoverageError` carrying an uncovered net point.
     """
@@ -186,8 +191,10 @@ def covering_scan(
     cell_to_p = np.full(n_cells, -1, dtype=np.int64)
     remaining = n_cells
     strides = m ** np.arange(k - 1, -1, -1) if k else None
-    for start in range(1, p_max + 1, _CHUNK):
-        p = np.arange(start, min(start + _CHUNK, p_max + 1))
+    start, size = 1, _FIRST_CHUNK
+    while start <= p_max:
+        p = np.arange(start, min(start + size, p_max + 1))
+        start, size = start + size, min(2 * size, _CHUNK)
         if fixed.size:
             mask = np.all(
                 chord_to(np.outer(p, fixed) % 1.0, 0.0) < fixed_eta, axis=1

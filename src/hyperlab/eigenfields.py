@@ -24,6 +24,12 @@ from .operators import OperatorSpec, PERTURBED_DIAGONAL, apply
 # its share of the work saves
 _INLINE = 1 << 15
 _SLICE = 1 << 14
+# _field_2B builds and normalizes the field this many columns at a time
+_FIELD_COLUMNS = 2048
+
+# set on a thread while it works through the blocks of a _blocks call, so
+# that a nested call runs inline instead of starting helpers of its own
+_in_block = threading.local()
 
 
 def unimodular(theta: float) -> complex:
@@ -39,47 +45,47 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _unit_phases(t) -> np.ndarray:
-    """exp(2*pi*i*t) for a float array t, equal bit for bit to
-    ``np.exp(2j * np.pi * t)``.
+def _blocks(n: int, size: int, fn) -> None:
+    """Call fn(start, stop) once for each block [start, start + size) of
+    [0, n), the last block cut at n, sharing the blocks among one thread
+    per core the process may run on (the calling thread included).
 
-    The phases are written into one array, a contiguous slice at a time:
-    the same multiply, by the same scalar, then exp in place, so no
-    full-size complex temporary is made.  From _INLINE elements on, the
-    slices are shared out among one thread per core the process may run on
-    (the calling thread included); numpy releases the interpreter lock
-    inside both ufuncs.  Every element goes through the same two ufunc
-    calls whichever thread computes it, so the result does not depend on
-    the number of threads.
+    A block is handed to whichever thread asks next, so ``fn`` must write
+    each block's result to its own place and call only numpy and private
+    functions; numpy releases the interpreter lock inside its loops.  The
+    call returns once every block is done and re-raises the first error of
+    any thread on the calling thread.  A call made from inside a block
+    runs all its blocks inline on that thread, so helpers never nest.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape, dtype=complex)
-    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
-    starts = range(0, flat_t.size, _SLICE)
+    starts = range(0, n, size)
+    if getattr(_in_block, "active", False):
+        for start in starts:
+            fn(start, min(start + size, n))
+        return
     pending, lock, errors = iter(starts), threading.Lock(), []
 
-    def fill():
+    def work():
+        _in_block.active = True
         try:
             while True:
                 with lock:
                     start = next(pending, None)
                 if start is None:
                     return
-                o = flat_out[start : start + _SLICE]
-                np.multiply(2j * np.pi, flat_t[start : start + _SLICE], out=o)
-                np.exp(o, out=o)
+                fn(start, min(start + size, n))
         except Exception as exc:  # re-raised on the calling thread
             errors.append(exc)
+        finally:
+            _in_block.active = False
 
     def helper(done):
         try:
-            fill()
+            work()
         finally:
             done.release()
 
-    helpers = min(_cores(), len(starts)) - 1 if flat_t.size >= _INLINE else 0
     running = []
-    for _ in range(helpers):
+    for _ in range(min(_cores(), len(starts)) - 1):
         done = threading.Lock()
         done.acquire()
         # threading.Thread.start would wait until the helper runs (a median
@@ -88,12 +94,38 @@ def _unit_phases(t) -> np.ndarray:
         _thread.start_new_thread(helper, (done,))
         running.append(done)
     try:
-        fill()
+        work()
     finally:
         for done in running:
             done.acquire()
     if errors:
         raise errors[0]
+
+
+def _unit_phases(t) -> np.ndarray:
+    """exp(2*pi*i*t) for a float array t, equal bit for bit to
+    ``np.exp(2j * np.pi * t)``.
+
+    The phases are written into one array, a contiguous slice at a time:
+    the same multiply, by the same scalar, then exp in place, so no
+    full-size complex temporary is made.  From _INLINE elements on, the
+    _SLICE-element slices go through :func:`_blocks`.  Every element goes
+    through the same two ufunc calls whichever thread computes it, so the
+    result does not depend on the number of threads.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape, dtype=complex)
+    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+
+    def fill(start, stop):
+        o = flat_out[start:stop]
+        np.multiply(2j * np.pi, flat_t[start:stop], out=o)
+        np.exp(o, out=o)
+
+    if flat_t.size < _INLINE:
+        fill(0, flat_t.size)
+    else:
+        _blocks(flat_t.size, _SLICE, fill)
     return out
 
 
@@ -249,14 +281,25 @@ def _field_2B(thetas, w: float, d: int):
     which is divided by the normalizing constant.  The field is built
     d x k, the layout EigenFamily stores, and its column norms are summed
     in the order numpy sums the rows of the k x d field, so the result does
-    not depend on the layout down to the last bit.
+    not depend on the layout down to the last bit.  Blocks of
+    _FIELD_COLUMNS columns go through :func:`_blocks`: each is written in
+    place by the same power, norm and divide, so no block is copied and the
+    bits do not depend on the number of threads.
     """
     if not w > 1:
         raise ValueError("shift weight must be > 1")
-    lam = np.exp(2j * np.pi * np.asarray(thetas, dtype=float))
-    vectors = (lam[None, :] / w) ** np.arange(d)[:, None]
-    scales = np.sqrt(_squared_norms(vectors))
-    vectors /= scales
+    base = np.exp(2j * np.pi * np.asarray(thetas, dtype=float))[None, :] / w
+    powers = np.arange(d)[:, None]
+    vectors = np.empty((d, base.shape[1]), dtype=complex)
+    scales = np.empty(base.shape[1])
+
+    def fill(start, stop):
+        block = vectors[:, start:stop]
+        np.power(base[:, start:stop], powers, out=block)
+        scales[start:stop] = np.sqrt(_squared_norms(block))
+        block /= scales[start:stop]
+
+    _blocks(base.shape[1], _FIELD_COLUMNS, fill)
     vectors.setflags(write=False)
     return vectors, (1.0 / w) ** (d - 1) / scales
 

@@ -177,6 +177,76 @@ def test_covering_scan_raises_when_uncoverable():
     assert err.value.p_max == 100
 
 
+def _fixed_chunk_cells(angles, eta, net_resolution, fixed_angles=(), fixed_eta=2.0, p_max=10**6):
+    """Reference: covering_scan's first power per cell from chunks of
+    _CHUNK powers throughout, or the NetCoverageError it raises."""
+    angles, fixed = np.asarray(angles, dtype=float), np.asarray(fixed_angles, dtype=float)
+    k = angles.size
+    m = int(np.ceil(2 * np.pi / net_resolution))
+    cell_to_p = np.full(m**k, -1, dtype=np.int64)
+    strides = m ** np.arange(k - 1, -1, -1)
+    for start in range(1, p_max + 1, diophantine._CHUNK):
+        p = np.arange(start, min(start + diophantine._CHUNK, p_max + 1))
+        if fixed.size:
+            p = p[np.all(chord_to(np.outer(p, fixed) % 1.0, 0.0) < fixed_eta, axis=1)]
+        flat = (np.round((np.outer(p, angles) % 1.0) * m).astype(np.int64) % m) @ strides
+        uniq, first = np.unique(flat, return_index=True)
+        new = cell_to_p[uniq] < 0
+        cell_to_p[uniq[new]] = p[first[new]]
+        if np.all(cell_to_p >= 0):
+            break
+    if np.any(cell_to_p < 0):
+        point = np.unravel_index(int(np.flatnonzero(cell_to_p < 0)[0]), (m,) * k)
+        raise NetCoverageError(tuple(complex(np.exp(2j * np.pi * i / m)) for i in point), p_max)
+    return cell_to_p
+
+
+def _same_outcome(args, kwargs):
+    try:
+        expected = _fixed_chunk_cells(*args, **kwargs)
+    except NetCoverageError as err:
+        with pytest.raises(NetCoverageError) as got:
+            covering_scan(*args, **kwargs)
+        assert got.value.net_point == err.net_point and got.value.p_max == err.p_max
+        return False
+    assert np.array_equal(covering_scan(*args, **kwargs).cell_to_p, expected)
+    return True
+
+
+@pytest.mark.parametrize("first_chunk", [3, diophantine._FIRST_CHUNK])
+def test_growing_chunks_find_the_fixed_chunk_powers(first_chunk, monkeypatch):
+    monkeypatch.setattr(diophantine, "_FIRST_CHUNK", first_chunk)
+    rng = np.random.default_rng(first_chunk)
+    covered = 0
+    for n_fixed in (0, 1, 2):
+        for _ in range(8):
+            k = int(rng.integers(1, 3))
+            eta = float(rng.uniform(0.6, 1.8))
+            fixed = tuple(rng.random(n_fixed))
+            fixed_eta = float(rng.uniform(0.3, 1.9))
+            args = (tuple(rng.random(k)), eta, eta / 2 * float(rng.uniform(0.5, 1.0)))
+            p_max = int(rng.choice([50, 10**6]))
+            kwargs = dict(fixed_angles=fixed, fixed_eta=fixed_eta, p_max=p_max)
+            covered += _same_outcome(args, kwargs)
+    assert 0 < covered < 24
+
+
+def test_growing_chunks_skip_an_early_chunk_the_fixed_angles_empty():
+    # lambda_fixed**p stays far from 1 for every p of the first chunk and
+    # comes back near 1 only close to multiples of 1500
+    fixed = (1 / 1500 + 1e-9 * SQRT2,)
+    p = np.arange(1, diophantine._FIRST_CHUNK + 1)
+    assert not np.any(chord_to(np.outer(p, fixed) % 1.0, 0.0) < 0.004)
+    kwargs = dict(fixed_angles=fixed, fixed_eta=0.004)
+    assert _same_outcome(((SQRT2,), 1.0, 0.5), kwargs)
+    assert not _same_outcome(((SQRT2,), 1.0, 0.5), dict(kwargs, p_max=4000))
+
+
+def test_growing_chunks_report_the_same_uncovered_point():
+    assert not _same_outcome(((SQRT2,), 0.3, 0.15), dict(p_max=20))
+    assert not _same_outcome(((SQRT2, SQRT3), 0.8, 0.4), dict(p_max=diophantine._FIRST_CHUNK + 1))
+
+
 def test_covering_scan_parameter_validation():
     with pytest.raises(ValueError):
         covering_scan((SQRT2,), -0.1, 0.05)
