@@ -23,10 +23,9 @@ from .diophantine import ReturnTimeSet, covering_scan
 from .eigenfields import EigenExpansion, EigenFamily, _blocks, _unit_phases
 from .linspace import StateVector
 from .operators import OperatorSpec
-from .steinhaus import sample_steinhaus
+from .steinhaus import _phase_rows, sample_steinhaus
 
 _UCB_Z = 2.326  # one-sided 99% normal quantile
-_NORM_ROWS = 1024  # trials per block of the Monte Carlo norms
 
 
 class ConstructionError(RuntimeError):
@@ -268,16 +267,21 @@ def _certify_expectation(terms, rng, trials) -> float:
     k = len(terms)
     if k == 0:
         return 0.0
-    chi = sample_steinhaus(rng, trials * k).reshape(trials, k)
-    # one product for all trials: BLAS rounds a short tail block of rows
-    # differently, so only the row norms are shared out
-    y = (chi * terms.coeffs[None, :]) @ terms.terms.vectors.T
+    coeffs, vt = terms.coeffs[None, :], terms.terms.vectors.T
+    d = vt.shape[1]
     norms = np.empty(trials)
 
-    def fill(start, stop):
-        norms[start:stop] = np.linalg.norm(y[start:stop], axis=1)
+    # one product per block of trials: every block has at least two rows,
+    # so BLAS rounds each row as it would in one product for all trials
+    def block(start, stop, chi, scratch):
+        y, sq = scratch.reshape(2, stop - start, d)
+        np.matmul(np.multiply(chi, coeffs, out=chi), vt, out=y)
+        # np.linalg.norm(y, axis=1), its steps written into the scratch
+        out = norms[start:stop]
+        np.add.reduce(np.multiply(np.conjugate(y, out=sq), y, out=sq).real, axis=1, out=out)
+        np.sqrt(out, out=out)
 
-    _blocks(trials, _NORM_ROWS, fill)
+    _phase_rows(rng, trials, k, block, 2 * d)
     return float(np.mean(norms) + _UCB_Z * np.std(norms, ddof=1) / np.sqrt(trials))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenfields import EigenExpansion, _unit_phases
-from .steinhaus import MCReport, sample_steinhaus
+from .steinhaus import MCReport, _phase_rows
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,14 @@ def correlation_monte_carlo(
     k = len(series)
     c = np.conj(xstar) @ series.terms.vectors
     d = np.conj(ystar) @ series.terms.vectors
-    chi = sample_steinhaus(rng, trials * k).reshape(trials, k)
     lam_n = np.exp(2j * np.pi * n * series.terms.thetas)
-    a = np.abs(chi @ (lam_n * coeffs * c)) ** 2
-    b = np.abs(chi @ (coeffs * d)) ** 2
-    vals = a * b
+    u, v = lam_n * coeffs * c, coeffs * d
+    vals = np.empty(trials)
+
+    def block(start, stop, chi, scratch):
+        vals[start:stop] = np.abs(chi @ u) ** 2 * np.abs(chi @ v) ** 2
+
+    _phase_rows(rng, trials, k, block)
     return MCReport(
         estimate=float(np.mean(vals)),
         stderr=float(np.std(vals, ddof=1) / np.sqrt(trials)),

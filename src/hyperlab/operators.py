@@ -37,12 +37,20 @@ class OperatorSpec:
         """Superdiagonal entries eps * 4**-k of the perturbed diagonal."""
         if self.kind != PERTURBED_DIAGONAL:
             raise ValueError("only defined for perturbed_diagonal operators")
-        return self.eps * 4.0 ** (-np.arange(self.dim - 1, dtype=float))
+        return _coupling(self)
 
     def diagonal(self) -> np.ndarray:
         if self.kind != PERTURBED_DIAGONAL:
             raise ValueError("only defined for perturbed_diagonal operators")
-        return np.exp(2j * np.pi * self.angles)
+        return _diagonal(self)
+
+
+def _coupling(op: OperatorSpec) -> np.ndarray:
+    return op.eps * 4.0 ** (-np.arange(op.dim - 1, dtype=float))
+
+
+def _diagonal(op: OperatorSpec) -> np.ndarray:
+    return np.exp(2j * np.pi * op.angles)
 
 
 def make_scaled_backward_shift(w: float, d: int) -> OperatorSpec:
@@ -72,12 +80,18 @@ def apply(op: OperatorSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape[-1:] != (op.dim,):
         raise ValueError(f"dimension mismatch: operator {op.dim}, array {x.shape}")
+    return _apply(op, x)
+
+
+def _apply(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
+    """:func:`apply` on a complex array already checked against op.dim.
+    It calls no public function, so a row-block helper thread may run it."""
     if op.kind == SCALED_BACKWARD_SHIFT:
         out = np.zeros_like(x)
         out[..., :-1] = op.weight * x[..., 1:]
     elif op.kind == PERTURBED_DIAGONAL:
-        out = op.diagonal() * x
-        out[..., :-1] += op.perturbation_weights() * x[..., 1:]
+        out = _diagonal(op) * x
+        out[..., :-1] += _coupling(op) * x[..., 1:]
     else:
         raise ValueError(f"unknown operator kind {op.kind!r}")
     return out

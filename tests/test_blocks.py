@@ -1,5 +1,6 @@
-"""The row-block kernel ``eigenfields._blocks`` and the sites that share
-their work out through it.
+"""The row-block kernel ``eigenfields._blocks``, the Steinhaus batch kernel
+``steinhaus._phase_rows`` built on it, and the sites that share their work
+out through them.
 
 Each site is compared, on one core and on three, with the single-threaded
 expression it replaced, kept here as the reference: the blocks must give
@@ -8,13 +9,15 @@ the same bits whatever the number of threads that computes them.
 
 import _thread
 import dataclasses
+import importlib
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
 
-from hyperlab import construction, eigenfields
+from hyperlab import construction, eigenfields, steinhaus
 from hyperlab.construction import ConstructionTarget, run_construction
 from hyperlab.density import TargetBall, _CHUNK, _ball_dist_sq, _quad_form, _scan
 from hyperlab.eigenfields import (
@@ -25,9 +28,17 @@ from hyperlab.eigenfields import (
     _squared_norms,
     sample_2B_family,
 )
+from hyperlab.ergodicity import correlation_monte_carlo
 from hyperlab.linspace import StateVector
-from hyperlab.operators import make_scaled_backward_shift
-from hyperlab.steinhaus import sample_steinhaus
+from hyperlab.operators import apply, make_perturbed_diagonal, make_scaled_backward_shift
+from hyperlab.steinhaus import (
+    InvarianceReport,
+    MCReport,
+    _phase_rows,
+    invariance_gap,
+    khinchine_report,
+    sample_steinhaus,
+)
 
 CORES = [1, 3]
 
@@ -289,3 +300,279 @@ def test_field_2B_matches_the_whole_field(monkeypatch, cores, k, d):
     assert _same_bits(vectors, ref_vectors)
     assert _same_bits(residuals, ref_residuals)
     assert not vectors.flags.writeable
+
+
+# ------------------------------------------------------ Steinhaus batches
+
+
+def _batch_rows(k: int, width: int) -> int:
+    """Rows of a full block of a trials x k batch with width scratch
+    elements per row."""
+    return max(1, steinhaus._BATCH_ELEMENTS // (k + width))
+
+
+def _rng(seed: int, buffered: bool) -> np.random.Generator:
+    """A generator, with half of a 32-bit draw buffered when asked."""
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(0, 2**32, dtype=np.uint32)
+    return rng
+
+
+def _assert_same_stream(got: np.random.Generator, ref: np.random.Generator) -> None:
+    for _ in range(2):
+        assert got.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+        assert got.random() == ref.random()
+
+
+@pytest.mark.parametrize("cores", CORES)
+@pytest.mark.parametrize("k, width", [(1, 0), (3, 2), (30, 128), (100, 1)])
+@pytest.mark.parametrize("trials", [0, 1, 2, 3, 5, 17, 40])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_phase_rows_hand_on_every_row_of_the_one_draw(
+    monkeypatch, cores, k, width, trials, buffered
+):
+    _use_cores(monkeypatch, cores)
+    # a few dozen elements per block, so that small batches split
+    monkeypatch.setattr(steinhaus, "_BATCH_ELEMENTS", 24)
+    seed = 100 * trials + k
+    expected = sample_steinhaus(_rng(seed, buffered), trials * k).reshape(trials, k)
+    got, seen = np.empty_like(expected), np.zeros(trials, dtype=int)
+
+    def fn(start, stop, chi, scratch):
+        assert chi.shape == (stop - start, k)
+        assert scratch.shape == ((stop - start) * width,) and scratch.dtype == complex
+        # never one row, which BLAS would round on another path, unless
+        # the batch has one row; never far above the element bound
+        assert stop - start >= min(2, trials)
+        assert (stop - start) * (k + width) <= max(24, 3 * (k + width))
+        got[start:stop] = chi
+        seen[start:stop] += 1
+        # both buffers are the block function's to overwrite
+        chi[:] = scratch[:] = np.nan
+
+    rng, ref = _rng(seed, buffered), _rng(seed, buffered)
+    _phase_rows(rng, trials, k, fn, width)
+    assert np.all(seen == 1)
+    assert _same_bits(got, expected)
+    ref.random(trials * k)
+    _assert_same_stream(rng, ref)
+
+
+def test_phase_rows_refuse_a_generator_that_is_not_pcg64():
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(TypeError, match="MT19937"):
+        _phase_rows(rng, 10, 3, lambda start, stop, chi, scratch: None)
+
+
+def _khinchine_reference(coeffs, trials, rng) -> MCReport:
+    coeffs = np.asarray(coeffs, dtype=complex)
+    l2 = float(np.linalg.norm(coeffs))
+    chi = sample_steinhaus(rng, trials * coeffs.size).reshape(trials, coeffs.size)
+    sums = np.abs(chi @ coeffs) / l2
+    return MCReport(
+        estimate=float(np.mean(sums)),
+        stderr=float(np.std(sums, ddof=1) / np.sqrt(trials)),
+        trials=trials,
+    )
+
+
+def _series_batch_reference(series, rng, trials) -> np.ndarray:
+    k = len(series)
+    chi = sample_steinhaus(rng, trials * k).reshape(trials, k)
+    return (chi * series.coeffs[None, :]) @ series.terms.vectors.T
+
+
+def _invariance_reference(op, series, trials, probes, rng) -> InvarianceReport:
+    batch_a = _series_batch_reference(series, rng, trials)
+    tb = apply(op, _series_batch_reference(series, rng, trials))
+    rows = []
+    max_gap = 0.0
+    for idx, f in enumerate(probes):
+        fa = np.abs(batch_a @ np.conj(f))
+        fb = np.abs(tb @ np.conj(f))
+        for order in (1, 2):
+            xa, xb = fa**order, fb**order
+            gap = abs(float(np.mean(xa) - np.mean(xb)))
+            se = float(np.sqrt(np.var(xa, ddof=1) / trials + np.var(xb, ddof=1) / trials))
+            rows.append((idx, order, gap, se))
+            max_gap = max(max_gap, gap)
+    return InvarianceReport(tuple(rows), max_gap)
+
+
+def _correlation_reference(series, xstar, ystar, n, trials, rng) -> MCReport:
+    coeffs = series.coeffs
+    k = len(series)
+    c = np.conj(xstar) @ series.terms.vectors
+    d = np.conj(ystar) @ series.terms.vectors
+    chi = sample_steinhaus(rng, trials * k).reshape(trials, k)
+    lam_n = np.exp(2j * np.pi * n * series.terms.thetas)
+    a = np.abs(chi @ (lam_n * coeffs * c)) ** 2
+    b = np.abs(chi @ (coeffs * d)) ** 2
+    vals = a * b
+    return MCReport(
+        estimate=float(np.mean(vals)),
+        stderr=float(np.std(vals, ddof=1) / np.sqrt(trials)),
+        trials=trials,
+    )
+
+
+@pytest.fixture(scope="module")
+def family256():
+    return sample_2B_family(2.0, 64, 256)
+
+
+def _series(family, k: int, seed: int) -> EigenExpansion:
+    coeffs = np.random.default_rng(seed).normal(size=(k, 2)) @ [1, 1j]
+    return EigenExpansion(coeffs, family.take(slice(k, 2 * k)))
+
+
+def _operators(d: int):
+    angles = np.random.default_rng(d).random(d)
+    return [make_scaled_backward_shift(2.0, d), make_perturbed_diagonal(angles, 0.3, d)]
+
+
+# each site with the scratch width it asks for per row of a batch
+_SITES = {
+    "khinchine": 0,
+    "certify": 128,
+    "correlation": 0,
+    "invariance shift": 64,
+    "invariance diagonal": 64,
+}
+
+
+def _site(name: str, family, k: int, trials: int, seed: int):
+    """The named site and its one-shot reference, each a function of a
+    generator, for one trials x k batch over a 64-dimensional family."""
+    series = _series(family, k, seed)
+    probes = np.eye(3, 64, dtype=complex) + 0.5j * np.eye(3, 64, 5)
+    f0, f1 = np.eye(64)[0], np.eye(64)[1] + 0.25j
+    if name == "khinchine":
+        return (
+            lambda rng: khinchine_report(series.coeffs, trials, rng),
+            lambda rng: _khinchine_reference(series.coeffs, trials, rng),
+        )
+    if name == "certify":
+        return (
+            lambda rng: construction._certify_expectation(series, rng, trials),
+            lambda rng: _certify_reference(series, rng, trials),
+        )
+    if name == "correlation":
+        return (
+            lambda rng: correlation_monte_carlo(series, f0, f1, 7, trials, rng),
+            lambda rng: _correlation_reference(series, f0, f1, 7, trials, rng),
+        )
+    if name == "invariance shift":
+        op = make_scaled_backward_shift(2.0, 64)
+    else:
+        op = make_perturbed_diagonal(np.random.default_rng(64).random(64), 0.3, 64)
+    return (
+        lambda rng: invariance_gap(op, series, trials, probes, rng),
+        lambda rng: _invariance_reference(op, series, trials, probes, rng),
+    )
+
+
+def _fields(value) -> np.ndarray:
+    if isinstance(value, InvarianceReport):
+        return np.array([*np.ravel(value.rows), value.max_gap])
+    if isinstance(value, MCReport):
+        return np.array([value.estimate, value.stderr, value.trials])
+    return np.array([value])
+
+
+@pytest.mark.parametrize("cores", CORES)
+@pytest.mark.parametrize("k", [1, 3, 30, 100])
+@pytest.mark.parametrize("tail", [0, 1, 2])
+@pytest.mark.parametrize("name", _SITES)
+def test_steinhaus_sites_match_the_one_shot_batch(monkeypatch, family256, cores, k, tail, name):
+    # at least two full blocks and the 1000 trials khinchine_report needs,
+    # then a tail of 0, 1 or 2 rows
+    rows = _batch_rows(k, _SITES[name])
+    trials = max(2, -(-1000 // rows)) * rows + tail
+    _use_cores(monkeypatch, cores)
+    seed = 1000 * k + 10 * tail + cores
+    run, reference = _site(name, family256, k, trials, seed)
+    for buffered in (False, True):
+        got_rng, ref_rng = _rng(seed, buffered), _rng(seed, buffered)
+        assert np.array_equal(_fields(run(got_rng)), _fields(reference(ref_rng)))
+        _assert_same_stream(got_rng, ref_rng)
+
+
+@pytest.mark.parametrize("name", _SITES)
+def test_steinhaus_sites_refuse_a_generator_that_is_not_pcg64(family256, name):
+    run, _ = _site(name, family256, 3, 1000, 0)
+    with pytest.raises(TypeError, match="MT19937"):
+        run(np.random.Generator(np.random.MT19937(1)))
+
+
+# --------------------------------------------------- helper-thread purity
+
+_LAYERS = (
+    "linspace",
+    "operators",
+    "eigenfields",
+    "steinhaus",
+    "diophantine",
+    "ergodicity",
+    "construction",
+    "cantor",
+    "density",
+    "cli",
+)
+
+
+def _record_public_calls(monkeypatch) -> list:
+    """Wrap every public function of the layer modules, every public method
+    and property of their classes and every dataclass __post_init__, as a
+    span tracer does, and return the list of (name, thread id) each call
+    appends to.  A public call on a helper thread would start a span with
+    no parent there."""
+    calls = []
+    modules = [importlib.import_module(f"hyperlab.{layer}") for layer in _LAYERS]
+
+    def wrap(name, fn):
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    replaced = {}
+    for layer, mod in zip(_LAYERS, modules):
+        for attr, obj in list(vars(mod).items()):
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if isinstance(obj, types.FunctionType):
+                replaced[obj] = wrap(f"{layer}.{attr}", obj)
+            elif isinstance(obj, type):
+                for member_name, member in list(vars(obj).items()):
+                    if member_name.startswith("_") and member_name != "__post_init__":
+                        continue
+                    name = f"{layer}.{obj.__name__}.{member_name}"
+                    if isinstance(member, types.FunctionType):
+                        monkeypatch.setattr(obj, member_name, wrap(name, member))
+                    elif isinstance(member, property) and member.fget is not None:
+                        new = property(wrap(name, member.fget), member.fset, member.fdel)
+                        monkeypatch.setattr(obj, member_name, new)
+                    elif isinstance(member, (classmethod, staticmethod)):
+                        new = type(member)(wrap(name, member.__func__))
+                        monkeypatch.setattr(obj, member_name, new)
+    for mod in modules + [importlib.import_module("hyperlab")]:
+        for attr, obj in list(vars(mod).items()):
+            if isinstance(obj, types.FunctionType) and obj in replaced:
+                monkeypatch.setattr(mod, attr, replaced[obj])
+    return calls
+
+
+@pytest.mark.parametrize("name", _SITES)
+def test_steinhaus_sites_call_public_functions_on_the_calling_thread_only(
+    monkeypatch, started, family256, name
+):
+    # built before the wrapping, so that only the site's own calls count
+    run, _ = _site(name, family256, 30, 20001, 9)
+    calls = _record_public_calls(monkeypatch)
+    _use_cores(monkeypatch, 3)
+    run(np.random.default_rng(9))
+    assert started, "the batch went through helper threads"
+    assert not {n for n, thread in calls if thread != threading.get_ident()}

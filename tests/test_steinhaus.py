@@ -4,11 +4,24 @@ import pytest
 from hyperlab.eigenfields import EigenExpansion
 from hyperlab.operators import make_scaled_backward_shift
 from hyperlab.steinhaus import (
+    _phase_rows,
     invariance_gap,
     khinchine_report,
-    sample_series_batch,
     sample_steinhaus,
 )
+
+
+def _series_batch(series, rng, trials):
+    """trials x d draws sum_j chi_j a_j x_j of the random series, drawn
+    block by block through the batch kernel."""
+    vt = series.terms.vectors.T
+    batch = np.empty((trials, vt.shape[1]), dtype=complex)
+
+    def block(start, stop, chi, scratch):
+        batch[start:stop] = (chi * series.coeffs[None, :]) @ vt
+
+    _phase_rows(rng, trials, len(series), block)
+    return batch
 
 
 def test_sample_steinhaus_is_unimodular_and_centered(rng):
@@ -68,7 +81,7 @@ def test_series_requires_distinct_angles(family32):
 
 def test_sample_series_draw_lies_in_the_span(family32, rng):
     series = EigenExpansion(np.ones(3), family32.take([0, 1, 2]))
-    (draw,) = sample_series_batch(series, rng, 1)
+    (draw,) = _series_batch(series, rng, 1)
     # the draw is a combination of the three columns: residual after
     # projecting onto their span is zero
     mat = series.terms.vectors
@@ -79,7 +92,7 @@ def test_sample_series_draw_lies_in_the_span(family32, rng):
 
 def test_sample_series_batch_shape_and_measure(family32, rng):
     series = EigenExpansion(np.full(3, 0.5), family32.take([0, 1, 2]))
-    batch = sample_series_batch(series, rng, 4000)
+    batch = _series_batch(series, rng, 4000)
     assert batch.shape == (4000, 32)
     # second moment of every coordinate: sum_j |a_j|**2 |x_j[m]|**2
     exact = np.abs(series.terms.vectors) ** 2 @ np.abs(series.coeffs) ** 2
@@ -87,8 +100,9 @@ def test_sample_series_batch_shape_and_measure(family32, rng):
 
 
 def test_empty_series_cannot_be_sampled(family32, rng):
-    with pytest.raises(ValueError):
-        sample_series_batch(EigenExpansion((), family32.take([])), rng, 10)
+    op = make_scaled_backward_shift(2.0, 32)
+    with pytest.raises(ValueError, match="at least one term"):
+        invariance_gap(op, EigenExpansion((), family32.take([])), 10, np.eye(1, 32), rng)
 
 
 def test_invariance_gap_within_monte_carlo_error(family32, rng):
