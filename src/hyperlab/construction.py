@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _CHUNK, _ball_dist_sq
+from .density import _CHUNK, _ball, _inside, _quad_form
 from .diophantine import ReturnTimeSet, covering_scan
 from .eigenfields import EigenExpansion, EigenFamily, _blocks, _unit_phases
 from .linspace import StateVector
@@ -357,7 +357,7 @@ def run_construction(
         gram = mat.conj().T @ mat
         omega = sample_steinhaus(rng, cert_samples * k).reshape(cert_samples, k)
         weights = omega * terms.coeffs[None, :]
-        total_norms = np.sqrt(np.abs(_ball_dist_sq(weights, gram, np.zeros(k), 0.0)))
+        total_norms = np.sqrt(np.abs(_quad_form(weights, gram)))
         for b in state.blocks:
             rate = _visit_rate(b, terms, weights, gram)
             floor = 1.0 - (5.0 / 3.0) * 2.0 ** (-b.index)
@@ -380,10 +380,8 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, gram) -> float:
     return-time set carries T**p Phi - Phi into the inflated target."""
     p_arr = np.array(block.return_times.times)
     lam_pow = _unit_phases(np.outer(p_arr, terms.terms.thetas)) - 1.0  # P x terms
-    c = block.center.entries
-    h = terms.terms.vectors.conj().T @ c
-    c_sq = float(np.real(np.vdot(c, c)))
     tol = block.radius + 2.0 ** (-(block.index - 1))
+    ball = [_ball(terms.terms.vectors, block.center.entries, tol * tol)]
     # every (sample, return time) pair of a block of samples at once, at
     # most about _CHUNK rows of terms per call, the blocks shared out by
     # _blocks and each adding its own count; lam_pow stays the left factor,
@@ -393,25 +391,9 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, gram) -> float:
 
     def count(start, stop):
         w = lam_pow[None, :, :] * weights[start:stop, None, :]
-        dist = _ball_dist_sq(w.reshape(-1, w.shape[-1]), gram, h, c_sq)
-        hits.append(int(np.count_nonzero((dist < tol * tol).reshape(w.shape[:2]).any(axis=1))))
+        (mask,) = _inside(w.reshape(-1, w.shape[-1]), gram, ball)
+        hits.append(int(np.count_nonzero(mask.reshape(w.shape[:2]).any(axis=1))))
 
     _blocks(weights.shape[0], max(1, _CHUNK // len(p_arr)), count)
     return sum(hits) / weights.shape[0]
 
-
-def verify_visit(
-    phi: EigenExpansion,
-    block: Block,
-    prior: EigenExpansion | None = None,
-    slack: float = 0.0,
-):
-    """First p in the block's return-time set with
-    T**p phi - prior in ball(center, radius + slack); (False, None) if none."""
-    prior_vec = prior.to_vector().entries if prior else 0.0
-    tol = block.radius + slack
-    for p in block.return_times.times:
-        moved = phi.power(p).entries - prior_vec - block.center.entries
-        if np.linalg.norm(moved) < tol:
-            return True, p
-    return False, None

@@ -2,6 +2,10 @@
 
 Inputs are eigen-expansions, so every orbit power acts on unimodular
 eigenvalues and stays bounded no matter how large the operator norm is.
+Whether an orbit point lies in a target ball is decided in one place,
+:func:`_inside`, through the Gram matrix of the expansion's terms: the
+visit scan here, the construction's visit certificate and its norm
+estimate all call it, and :func:`recheck_visit` is the direct reference.
 The lower-density proxy is the minimum visit frequency over a ladder of
 window cut points; the true liminf is not finitely computable.
 """
@@ -54,29 +58,34 @@ def _quad_form(w, gram) -> np.ndarray:
     return np.einsum("ni,ij,nj->n", w.conj(), gram, w).real
 
 
-def _ball_dist_sq(w, gram, h, c_sq: float, quad=None) -> np.ndarray:
-    """||X w - c||**2 for every row w of the coefficient array, from the
-    Gram matrix gram = X* X, h = X* c and c_sq = ||c||**2 of the term
-    matrix X and the center c; ``quad`` is ``_quad_form(w, gram)`` when
-    the caller already has it."""
-    if quad is None:
-        quad = _quad_form(w, gram)
-    cross = 2.0 * (w @ h.conj()).real
-    return quad - cross + c_sq
+def _ball(vectors, center, r_sq: float) -> tuple:
+    """(X* c, ||c||**2, r**2) of the ball with center c and squared radius
+    r_sq, for the term matrix X whose columns are ``vectors``: what
+    :func:`_inside` needs of a ball."""
+    return vectors.conj().T @ center, float(np.real(np.vdot(center, center))), r_sq
+
+
+def _inside(w, gram, balls) -> list:
+    """For each ball of :func:`_ball`, the mask of the rows w of the
+    coefficient array with ||X w - c|| < r, from the Gram matrix
+    gram = X* X: ||X w||**2 - 2 Re(w . conj(X* c)) + ||c||**2 < r**2.
+    The quadratic term is computed once for all the balls."""
+    quad = _quad_form(w, gram)
+    return [quad - 2.0 * (w @ h.conj()).real + c_sq < r_sq for h, c_sq, r_sq in balls]
 
 
 def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     """One VisitRecord per target: all n < N with
     ||T**n x - center|| < radius.
 
-    Distances are evaluated through the Gram matrix of the expansion, so
-    the cost per step is quadratic in the number of terms, not in the
-    ambient dimension.  The phases and the quadratic term of a chunk of
-    _CHUNK powers are shared by all targets; each target adds only its
-    cross term.  The chunks go through :func:`eigenfields._blocks`, one
-    whole chunk per block, so they run on all the cores the process may
-    use; each chunk's hits are stored under its index and joined in order,
-    so the visit times do not depend on the number of threads.
+    Membership is decided by :func:`_inside`, so the cost per step is
+    quadratic in the number of terms, not in the ambient dimension.  The
+    phases and the quadratic term of a chunk of _CHUNK powers are shared
+    by all targets; each target adds only its cross term.  The chunks go
+    through :func:`eigenfields._blocks`, one whole chunk per block, so
+    they run on all the cores the process may use; each chunk's hits are
+    stored under its index and joined in order, so the visit times do not
+    depend on the number of threads.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -89,24 +98,14 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
         ]
     mat = x.terms.vectors
     gram = mat.conj().T @ mat
-    balls = [
-        (
-            mat.conj().T @ t.center.entries,
-            float(np.real(np.vdot(t.center.entries, t.center.entries))),
-            t.radius**2,
-        )
-        for t in targets
-    ]
+    balls = [_ball(mat, t.center.entries, t.radius**2) for t in targets]
     thetas, coeffs = x.terms.thetas, x.coeffs[None, :]
     hits = [None] * -(-N // _CHUNK)
 
     def scan(start, stop):
         ns = np.arange(start, stop)
         w = _unit_phases(np.outer(ns, thetas)) * coeffs
-        quad = _quad_form(w, gram)
-        hits[start // _CHUNK] = [
-            ns[_ball_dist_sq(w, gram, h, c_sq, quad) < r_sq] for h, c_sq, r_sq in balls
-        ]
+        hits[start // _CHUNK] = [ns[mask] for mask in _inside(w, gram, balls)]
 
     _blocks(N, _CHUNK, scan)
     return [
@@ -121,8 +120,8 @@ def visit_times(x: EigenExpansion, target: TargetBall, N: int) -> VisitRecord:
 
 
 def recheck_visit(x: EigenExpansion, target: TargetBall, n: int) -> bool:
-    """Direct recomputation of a single membership, independent of the
-    Gram-matrix fast path."""
+    """Direct recomputation of a single membership in C^d, from x.power(n):
+    the reference for the Gram route of :func:`_inside`."""
     moved = x.power(n).entries - target.center.entries
     return float(np.linalg.norm(moved)) < target.radius
 

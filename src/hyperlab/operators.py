@@ -8,8 +8,6 @@ weights eps * 4**-k.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,44 +94,3 @@ def _apply(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"unknown operator kind {op.kind!r}")
     return out
 
-
-def power_apply(op: OperatorSpec, x, n: int) -> np.ndarray:
-    """T**n applied along the last axis of x by repeated application.
-
-    An eigen-expansion takes its powers on the eigenvalues instead, exactly
-    and without growth: see :meth:`hyperlab.eigenfields.EigenExpansion.power`.
-    """
-    if n < 0:
-        raise ValueError("power must be >= 0")
-    out = np.asarray(x, dtype=complex)
-    # overflow guard: ||T^n x|| <= norm_bound**n * ||x||
-    nx = float(np.linalg.norm(out))
-    if nx > 0 and n * math.log(max(op.norm_bound, 1.0)) + math.log(nx) > math.log(
-        sys.float_info.max
-    ):
-        raise OverflowError(
-            f"norm_bound**{n} * ||x|| exceeds float range for this operator"
-        )
-    for _ in range(n):
-        out = apply(op, out)
-    return out
-
-
-def power_iteration_norm(op: OperatorSpec, iterations: int = 200, seed: int = 7) -> float:
-    """Largest singular value of the operator, by power iteration on T*T.
-
-    Independent of any norm_bound bookkeeping; used as an oracle for the
-    invariant norm_bound >= true operator norm.
-    """
-    rng = np.random.default_rng(seed)
-    # column k is T e_k
-    mat = apply(op, np.eye(op.dim, dtype=complex)).T
-    x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    x /= np.linalg.norm(x)
-    for _ in range(iterations):
-        y = mat.conj().T @ (mat @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0:
-            return 0.0
-        x = y / ny
-    return float(np.sqrt(np.linalg.norm(mat.conj().T @ (mat @ x))))

@@ -2,9 +2,9 @@
 ``steinhaus._phase_rows`` built on it, and the sites that share their work
 out through them.
 
-Each site is compared, on one core and on three, with the single-threaded
-expression it replaced, kept here as the reference: the blocks must give
-the same bits whatever the number of threads that computes them.
+Each site is compared, on one core and on three, with a single-threaded
+reference expression kept here: the blocks must give the same bits
+whatever the number of threads that computes them.
 """
 
 import _thread
@@ -19,7 +19,7 @@ import pytest
 
 from hyperlab import construction, eigenfields, steinhaus
 from hyperlab.construction import ConstructionTarget, run_construction
-from hyperlab.density import TargetBall, _CHUNK, _ball_dist_sq, _quad_form, _scan
+from hyperlab.density import TargetBall, _CHUNK, _quad_form, _scan
 from hyperlab.eigenfields import (
     EigenExpansion,
     _FIELD_COLUMNS,
@@ -180,7 +180,8 @@ def _scan_reference(x, targets, N) -> list:
             c = t.center.entries
             h = mat.conj().T @ c
             c_sq = float(np.real(np.vdot(c, c)))
-            found.append(ns[_ball_dist_sq(w, gram, h, c_sq, quad) < t.radius**2])
+            cross = 2.0 * (w @ h.conj()).real
+            found.append(ns[quad - cross + c_sq < t.radius**2])
     return [np.concatenate(found) for found in hits]
 
 
@@ -197,7 +198,7 @@ def _orbit_and_balls(seed: int, N: int, count: int):
         ns = np.arange(N)
         w = np.exp(2j * np.pi * np.outer(ns, x.terms.thetas)) * x.coeffs[None, :]
         gram = x.terms.vectors.conj().T @ x.terms.vectors
-        dist = _ball_dist_sq(w, gram, h, float(np.vdot(c, c).real))
+        dist = _quad_form(w, gram) - 2.0 * (w @ h.conj()).real + float(np.vdot(c, c).real)
         balls.append(TargetBall(StateVector(c), float(np.sqrt(np.quantile(dist, share)))))
     return x, balls
 
@@ -221,20 +222,20 @@ def test_scan_matches_the_chunk_loop(monkeypatch, started, cores, count, N):
 # ---------------------------------------------------- visit certificate
 
 
-def _visit_rate_reference(block, terms, weights, gram) -> float:
-    p_arr = np.array(block.return_times.times)
-    lam_pow = np.exp(2j * np.pi * np.outer(p_arr, terms.terms.thetas)) - 1.0
+def _closest_sq_per_sample(block, terms, weights, gram):
+    """Reference: one distance evaluation per sampled realization, giving
+    its smallest squared distance to the block's center over the return
+    times."""
+    p = np.array(block.return_times.times)
+    lam_pow = np.exp(2j * np.pi * np.outer(p, terms.terms.thetas)) - 1.0
     c = block.center.entries
     h = terms.terms.vectors.conj().T @ c
     c_sq = float(np.real(np.vdot(c, c)))
-    tol = block.radius + 2.0 ** (-(block.index - 1))
-    step = max(1, construction._CHUNK // len(p_arr))
-    hits = 0
-    for start in range(0, weights.shape[0], step):
-        w = lam_pow[None, :, :] * weights[start : start + step, None, :]
-        dist = _ball_dist_sq(w.reshape(-1, w.shape[-1]), gram, h, c_sq)
-        hits += int(np.count_nonzero((dist < tol * tol).reshape(w.shape[:2]).any(axis=1)))
-    return hits / weights.shape[0]
+    closest = []
+    for w in weights:
+        v = lam_pow * w[None, :]
+        closest.append((_quad_form(v, gram) - 2.0 * (v @ h.conj()).real + c_sq).min())
+    return np.array(closest)
 
 
 @pytest.fixture(scope="module")
@@ -261,17 +262,14 @@ def test_visit_rate_matches_the_sample_loop(
         if samples_per_block is not None:
             rows = samples_per_block * len(b.return_times.times)
             monkeypatch.setattr(construction, "_CHUNK", rows)
-        # a radius near the median closest approach: about half the
-        # samples visit, so a sample moved between blocks changes the rate
-        p = np.array(b.return_times.times)
-        lam_pow = np.exp(2j * np.pi * np.outer(p, terms.terms.thetas)) - 1.0
-        c = b.center.entries
-        h = terms.terms.vectors.conj().T @ c
-        c_sq = float(np.vdot(c, c).real)
-        closest = [_ball_dist_sq(lam_pow * w[None, :], gram, h, c_sq).min() for w in weights]
+        # every sample visits the construction's own balls; a ball whose
+        # radius is the median closest approach is visited by about half,
+        # so a sample moved between blocks changes the rate
+        closest = _closest_sq_per_sample(b, terms, weights, gram)
         probe = dataclasses.replace(b, radius=float(np.sqrt(np.median(closest))), index=60)
         for block in (b, probe):
-            expected = _visit_rate_reference(block, terms, weights, gram)
+            tol = block.radius + 2.0 ** (-(block.index - 1))
+            expected = np.count_nonzero(closest < tol * tol) / weights.shape[0]
             assert construction._visit_rate(block, terms, weights, gram) == expected
         assert 0 < expected < 1
 

@@ -11,9 +11,8 @@ from hyperlab.construction import (
     build_block,
     run_construction,
     split_coefficient,
-    verify_visit,
 )
-from hyperlab.density import _ball_dist_sq
+from hyperlab.density import TargetBall, _quad_form, recheck_visit
 from hyperlab.eigenfields import sample_2B_family
 from hyperlab.operators import make_scaled_backward_shift
 from hyperlab.steinhaus import sample_steinhaus
@@ -51,8 +50,8 @@ def test_build_block_certifies_and_visits(rng):
     assert len(set(thetas)) == len(thetas)
     # deterministic visit: the un-randomized expansion itself must be
     # carried into the target ball by some certified return time
-    hit, p = verify_visit(block.terms, block, slack=1e-9)
-    assert hit and p in block.return_times.times
+    ball = TargetBall(block.center, block.radius + 1e-9)
+    assert any(recheck_visit(block.terms, ball, p) for p in block.return_times.times)
 
 
 def test_blocks_use_disjoint_fresh_angles(rng):
@@ -103,17 +102,19 @@ def test_zero_steps_yields_empty_series(rng):
 
 
 def _closest_sq_per_sample(block, terms, weights, gram):
-    """Reference: one distance call per sampled realization, giving its
-    smallest squared distance to the block's center over the return
+    """Reference: one distance evaluation per sampled realization, giving
+    its smallest squared distance to the block's center over the return
     times."""
     p_arr = np.array(block.return_times.times)
     lam_pow = np.exp(2j * np.pi * np.outer(p_arr, terms.terms.thetas)) - 1.0
     c = block.center.entries
     h = terms.terms.vectors.conj().T @ c
     c_sq = float(np.real(np.vdot(c, c)))
-    return np.array(
-        [_ball_dist_sq(lam_pow * w[None, :], gram, h, c_sq).min() for w in weights]
-    )
+    closest = []
+    for w in weights:
+        v = lam_pow * w[None, :]
+        closest.append((_quad_form(v, gram) - 2.0 * (v @ h.conj()).real + c_sq).min())
+    return np.array(closest)
 
 
 def test_vectorised_visit_rate_matches_per_sample_loop(rng, monkeypatch):

@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+from hyperlab.construction import _visit_rate
 from hyperlab.density import (
     FhcReport,
     TargetBall,
@@ -8,12 +11,15 @@ from hyperlab.density import (
     default_windows,
     fhc_harness,
     lower_density_estimate,
+    _scan,
     recheck_visit,
     visit_times,
 )
+from hyperlab.diophantine import ReturnTimeSet
 from hyperlab.eigenfields import EigenExpansion, sample_2B_family
 from hyperlab.linspace import StateVector
 from hyperlab.operators import make_scaled_backward_shift
+from hyperlab.steinhaus import sample_steinhaus
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +73,57 @@ def test_recheck_visit_agrees_with_fast_path(setup):
     inside = set(rec.times)
     for n in range(0, 500, 37):
         assert recheck_visit(x, ball, n) == (n in inside)
+
+
+def _near(dist, r):
+    """Rows whose direct distance is too close to the radius r for the
+    Gram route and the direct route to be held to the same verdict."""
+    return np.abs(dist - r) <= 1e-9 * (1 + r)
+
+
+@pytest.mark.parametrize("d, k", [(8, 3), (8, 8), (8, 32), (16, 64), (64, 3)])
+def test_gram_route_matches_direct_distances(d, k):
+    """The visit scan and the visit certificate, which decide membership
+    through the Gram matrix of the terms, against distances taken in C^d,
+    with fewer terms than dimensions and more."""
+    N = 3000
+    rng = np.random.default_rng(100 * d + k)
+    coeffs = rng.normal(size=(k, 2)) @ [1, 1j] / np.sqrt(k)
+    x = EigenExpansion(coeffs, sample_2B_family(2.0, d, k))
+    orbit = np.stack([x.power(n).entries for n in range(N)])
+    balls = []
+    for i, share in enumerate((0.9, 0.5, 0.1)):
+        c = orbit[7 * i] + 0.05 * rng.normal(size=d)
+        r = float(np.quantile(np.linalg.norm(orbit - c, axis=1), share))
+        balls.append(TargetBall(StateVector(c), r))
+    for ball, rec in zip(balls, _scan(x, balls, N)):
+        inside = np.isin(np.arange(N), rec.times)
+        near = _near(np.linalg.norm(orbit - ball.center.entries, axis=1), ball.radius)
+        assert near.sum() <= 1 and 0 < inside.sum() < N
+        for n in np.flatnonzero(~near).tolist():
+            assert recheck_visit(x, ball, n) == inside[n], n
+
+    # T**p Phi - Phi for every (sample, p), each its own product in C^d
+    weights = sample_steinhaus(rng, 200 * k).reshape(200, k) * x.coeffs[None, :]
+    times = ReturnTimeSet.from_times(rng.choice(np.arange(1, N), 5, replace=False))
+    vectors, thetas = x.terms.vectors, x.terms.thetas
+
+    def moved(w, p):
+        return vectors @ (np.exp(2j * np.pi * p * thetas) * w) - vectors @ w
+
+    c = orbit[3] - orbit[0]
+    dist = np.array([[np.linalg.norm(moved(w, p) - c) for p in times.times] for w in weights])
+    # a radius at the median closest approach: about half the samples visit
+    radius = float(np.median(dist.min(axis=1)))
+    block = types.SimpleNamespace(
+        return_times=times, center=StateVector(c), radius=radius, index=60
+    )
+    tol = block.radius + 2.0 ** (-(block.index - 1))
+    kept = ~_near(dist, tol).any(axis=1)
+    assert kept.sum() >= 199
+    expected = np.count_nonzero((dist[kept] < tol).any(axis=1)) / kept.sum()
+    assert 0 < expected < 1
+    assert _visit_rate(block, x, weights[kept], vectors.conj().T @ vectors) == expected
 
 
 def test_empty_expansion_visits_iff_center_is_near_zero():
