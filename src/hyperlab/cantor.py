@@ -13,7 +13,8 @@ The tree is stored in breadth-first label order: node j has children
 2j+1 (label + "0") and 2j+2 (label + "1"), level n is the slice
 [2**n - 1, 2**(n+1) - 1), and the leaves are the last 2**depth nodes, so
 the leaves of every subtree form one contiguous slice.  In binary, j + 1
-is "1" followed by node j's label.
+is "1" followed by node j's label.  The build grows the tree a level at
+a time, one batched right-child search per level.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diophantine import chord_to
-from .eigenfields import EigenFamily
+from .eigenfields import EigenFamily, _has_duplicates
+
+
+# the build computes vector distances this many candidate columns at a time
+_COLUMNS = 512
 
 
 class CantorBuildError(RuntimeError):
@@ -52,6 +57,17 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     seed members inside the node's territory arc, aiming at a
     deterministic target jump (ties by smaller angle).  A node with no
     admissible neighbor fails the build, naming the node.
+
+    The tree grows a level at a time: one search finds the right child of
+    every node of a level against the members unused when the level
+    starts, and the picks are then committed in breadth-first order.  A
+    node whose pick an earlier node of its level took is searched again,
+    alone, against the members still unused.  That gives the tree a
+    search per node would give: taking members only shrinks candidate
+    sets, so a search step that found nothing still finds nothing, and a
+    best member that is still unused is still the best.  Nothing depends
+    on the order of the seed members, though members in angle order make
+    every search window a near-contiguous run of columns.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -76,102 +92,127 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     off = np.zeros(size)
     lo = np.full(size, -0.5)
     hi = np.full(size, 0.5)
+    # candidate and parent columns for the vector distances, _COLUMNS at
+    # a time, so that no search allocates a d x candidates temporary
+    cols = np.empty(mat.shape[0] * _COLUMNS, dtype=complex)
+    diffs = np.empty_like(cols)
 
-    def best_candidate(idx, chords, idx_v, lam_bound, vec_bound):
-        """Seed index among the candidates ``idx`` (chord gaps ``chords``)
-        that stay under the vector bound; None if none does."""
-        vec_dists = np.linalg.norm(mat[:, idx] - mat[:, idx_v][:, None], axis=0)
-        keep = vec_dists < vec_bound
-        idx, chords, vec_dists = idx[keep], chords[keep], vec_dists[keep]
-        if idx.size == 0:
-            return None
+    def best(picks, parents, owner, cand, chords, bound):
+        """Set picks[i] to the best candidate of node i (``owner``, right
+        child of seed member ``parents[i]``) among the ``cand`` (chord gaps
+        ``chords``) that stay under the vector bound; nodes with no such
+        candidate keep their -1."""
+        dists = np.empty(cand.size)
+        for start in range(0, cand.size, _COLUMNS):
+            # the ufunc steps of np.linalg.norm(..., axis=0) on the
+            # contiguous d x n difference of candidate and parent columns;
+            # the indices are valid, and take's default mode="raise" would
+            # gather into a temporary and copy it over
+            part = slice(start, min(start + _COLUMNS, cand.size))
+            shape = (mat.shape[0], part.stop - start)
+            a = cols[: shape[0] * shape[1]].reshape(shape)
+            b = diffs[: a.size].reshape(shape)
+            np.take(mat, cand[part], axis=1, out=a, mode="clip")
+            np.take(mat, parents[owner[part]], axis=1, out=b, mode="clip")
+            np.subtract(a, b, out=a)
+            np.multiply(np.conjugate(a, out=b), a, out=b)
+            np.sqrt(np.add.reduce(b.real, axis=0), out=dists[part])
+        keep = dists < bound
+        owner, cand, chords, dists = owner[keep], cand[keep], chords[keep], dists[keep]
         # both gaps become the children's budgets, so take the candidate
         # whose thinner budget is largest; ties by smaller angle
-        score = -np.minimum(chords / lam_bound, vec_dists / vec_bound)
-        return int(idx[np.lexsort((thetas[idx], score))[0]])
+        score = -np.minimum(chords / bound, dists / bound)
+        order = np.lexsort((thetas[cand], score, owner))
+        first = order[np.diff(owner[order], prepend=-1) != 0]
+        picks[owner[first]] = cand[first]
 
-    def pick_on_side(idx_v, off_v, sign, room, lam_bound, vec_bound, relaxed):
-        bound_theta = float(np.arcsin(min(lam_bound, 2.0) / 2.0) / np.pi)
-        if relaxed:
-            # ignore the room: any jump under the halving bound counts,
-            # even if it leaves this node's territory
-            j_hi = 0.98 * bound_theta
-        else:
-            # stay inside the territory with a safety factor
-            j_hi = min(0.98 * bound_theta, 0.95 * room)
-        if j_hi <= 0:
-            return None
-        # a rounded gap 0 < sign * (offset - off_v) <= j_hi puts the offset
-        # strictly inside off_v + sign * (0, 2 j_hi); the exact test on
-        # that window keeps the same members a scan of all seeds would
-        ends = sorted((off_v, off_v + 2.0 * sign * j_hi))
-        start = np.searchsorted(sorted_offsets, ends[0], side="left")
-        stop = np.searchsorted(sorted_offsets, ends[1], side="right")
-        window = np.sort(by_offset[start:stop])
-        deltas = sign * (offsets[window] - off_v)
-        keep = available[window] & (deltas > 0) & (deltas <= j_hi)
-        idx, chords = window[keep], chord_to(deltas[keep], 0.0)
-        keep = chords < lam_bound
-        return best_candidate(idx[keep], chords[keep], idx_v, lam_bound, vec_bound)
+    def search(js, bound):
+        """Seed index of each node's right child in ``js`` against the
+        members now unused, -1 where there is none.
 
-    def find_right_child(idx_v, off_v, lo_v, hi_v, lam_bound, vec_bound):
-        """Pick a right child inside the node's territory.
-
-        The jump prefers the roomier side, aiming near the halving bound;
-        the thinner side serves as a fallback.  Returns the seed index or
-        None.
+        The jump prefers the roomier side of the territory, aiming near
+        the halving bound; the thinner side serves as a fallback, then
+        both sides ignoring the room, then the last resort.
         """
-        room_plus, room_minus = hi_v - off_v, off_v - lo_v
-        sides = [(1.0, room_plus), (-1.0, room_minus)]
-        sides.sort(key=lambda t: -t[1])
+        picks = np.full(js.size, -1, dtype=np.intp)
+        parents = nodes[js]
+        off_v = off[js]
+        room_plus, room_minus = hi[js] - off_v, off_v - lo[js]
+        roomier = np.where(room_plus >= room_minus, 1.0, -1.0)
+        bound_theta = float(np.arcsin(min(bound, 2.0) / 2.0) / np.pi)
         for relaxed in (False, True):
-            for sign, room in sides:
-                best = pick_on_side(
-                    idx_v, off_v, sign, room, lam_bound, vec_bound, relaxed
-                )
-                if best is not None:
-                    return best
+            for sign in (roomier, -roomier):
+                if relaxed:
+                    # ignore the room: any jump under the halving bound
+                    # counts, even if it leaves this node's territory
+                    j_hi = np.full(js.size, 0.98 * bound_theta)
+                else:
+                    # stay inside the territory with a safety factor
+                    room = np.where(sign > 0, room_plus, room_minus)
+                    j_hi = np.minimum(0.98 * bound_theta, 0.95 * room)
+                todo = np.flatnonzero((picks < 0) & (j_hi > 0))
+                if todo.size == 0:
+                    continue
+                # a rounded gap 0 < sign * (offset - off_v) <= j_hi puts
+                # the offset strictly inside off_v + sign * (0, 2 j_hi);
+                # the exact test on that window keeps the same members a
+                # scan of all seeds would
+                far = off_v[todo] + 2.0 * sign[todo] * j_hi[todo]
+                start = np.searchsorted(sorted_offsets, np.minimum(off_v[todo], far), "left")
+                stop = np.searchsorted(sorted_offsets, np.maximum(off_v[todo], far), "right")
+                counts = stop - start
+                ends = np.cumsum(counts)
+                owner = np.repeat(todo, counts)
+                cand = by_offset[np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)]
+                deltas = sign[owner] * (offsets[cand] - off_v[owner])
+                keep = available[cand] & (deltas > 0) & (deltas <= j_hi[owner])
+                owner, cand = owner[keep], cand[keep]
+                chords = chord_to(deltas[keep], 0.0)
+                keep = chords < bound
+                best(picks, parents, owner[keep], cand[keep], chords[keep], bound)
         # last resort: nearest unused member under the halving bounds,
         # ignoring the territory; the bound is tiny this deep, so the
         # intrusion into a neighboring arc is equally tiny
-        chords = chord_to(offsets, off_v)
-        idx = np.nonzero(available & (chords > 0) & (chords < lam_bound))[0]
-        return best_candidate(idx, chords[idx], idx_v, lam_bound, vec_bound)
+        for i in np.flatnonzero(picks < 0):
+            chords = chord_to(offsets, off_v[i])
+            cand = np.flatnonzero(available & (chords > 0) & (chords < bound))
+            best(picks, parents, np.full(cand.size, i), cand, chords[cand], bound)
+        return picks
 
-    for j in range(2**depth - 1):
-        level = (j + 1).bit_length()  # level of node j's children
-        idx_v, off_v = int(nodes[j]), float(off[j])
-        # level-n jumps must stay under 2**-n in both the eigenvalue
-        # and the vector; the schedule is absolute, so one short jump
-        # never starves its whole subtree
+    for level in range(1, depth + 1):
+        # level-n jumps must stay under 2**-n in both the eigenvalue and
+        # the vector; the schedule is absolute, so one short jump never
+        # starves its whole subtree
         bound = 2.0**-level
-        best = find_right_child(
-            idx_v, off_v, float(lo[j]), float(hi[j]), bound, bound
-        )
-        if best is None:
-            raise CantorBuildError(
-                f"no admissible right child for node {_label(j)!r} at level {level} "
-                f"(need chord < {bound:.3g}, vector distance < {bound:.3g})"
-            )
-        jump = float(offsets[best] - off_v)
-        available[best] = False
-        left, right = 2 * j + 1, 2 * j + 2
-        nodes[left], nodes[right] = idx_v, best
+        js = np.arange(2 ** (level - 1) - 1, 2**level - 1)
+        picks = search(js, bound)
+        for i, j in enumerate(js.tolist()):
+            if picks[i] >= 0 and not available[picks[i]]:
+                picks[i] = search(js[i : i + 1], bound)[0]
+            if picks[i] < 0:
+                raise CantorBuildError(
+                    f"no admissible right child for node {_label(j)!r} at level {level} "
+                    f"(need chord < {bound:.3g}, vector distance < {bound:.3g})"
+                )
+            available[picks[i]] = False
+        off_v = off[js]
+        jump = offsets[picks] - off_v
+        left, right = 2 * js + 1, 2 * js + 2
+        nodes[left], nodes[right] = nodes[js], picks
         off[left], off[right] = off_v, off_v + jump
-        lo[left] = lo[right] = lo[j]
-        hi[left] = hi[right] = hi[j]
+        lo[left] = lo[right] = lo[js]
+        hi[left] = hi[right] = hi[js]
         # split the territory: buffers on the contested side sum to
         # under half the jump, keeping cross-split leaf sets disjoint
         # with a gap; the jumping child gets the larger share because
         # its left-descendants stay at its anchor and spread back inward
-        buf_left = 0.20 * abs(jump)
-        buf_right = 0.29 * abs(jump)
-        if jump > 0:
-            hi[left] = off_v + buf_left
-            lo[right] = off[right] - buf_right
-        else:
-            lo[left] = off_v - buf_left
-            hi[right] = off[right] + buf_right
+        buf_left = 0.20 * np.abs(jump)
+        buf_right = 0.29 * np.abs(jump)
+        up = jump > 0
+        hi[left[up]] = off_v[up] + buf_left[up]
+        lo[right[up]] = off[right[up]] - buf_right[up]
+        lo[left[~up]] = off_v[~up] - buf_left[~up]
+        hi[right[~up]] = off[right[~up]] + buf_right[~up]
 
     nodes.setflags(write=False)
     field = CantorField(depth, seed, nodes)
@@ -200,8 +241,7 @@ def _check_field_invariants(field: CantorField) -> None:
             f"level-{level[k]} jump bound violated at {_label(k + 1)!r}"
         )
     for n in range(field.depth + 1):
-        level_thetas = thetas[2**n - 1 : 2 ** (n + 1) - 1]
-        if np.unique(level_thetas).size != level_thetas.size:
+        if _has_duplicates(thetas[2**n - 1 : 2 ** (n + 1) - 1]):
             raise CantorBuildError(f"duplicate angles at level {n}")
 
 

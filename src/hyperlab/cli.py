@@ -415,7 +415,12 @@ def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
 def _run_cantor(cfg, op, family, params, rng, out, ctx):
     depth, count = params["depth"], params["seed_count"]
     if count != len(family):
-        family = ef.sample_2B_family(op.weight, cfg.dimension, count)
+        # the tree does not depend on the order of the seed members; in
+        # angle order from member 0 (the root) the build's searches read
+        # near-contiguous runs of columns
+        thetas = np.asarray(ef.qindependent_angles(count))
+        thetas = thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
+        family = ef._sqrt_prime_family(op.weight, cfg.dimension, thetas)
     try:
         field = cantor_mod.build_cantor_field(family, depth)
     except cantor_mod.CantorBuildError as exc:
@@ -425,7 +430,8 @@ def _run_cantor(cfg, op, family, params, rng, out, ctx):
     return {
         "depth": depth,
         "leaves": 2**depth,
-        "min_margin": sep.min_margin,
+        # a depth-0 tree has no branching node, so no margin
+        "min_margin": sep.min_margin if sep.margins.size else None,
         "passed": sep.passed,
     }
 

@@ -155,6 +155,13 @@ def _frozen(values, dtype, ndim: int) -> np.ndarray:
     return arr
 
 
+def _has_duplicates(values: np.ndarray) -> bool:
+    """Whether two entries of a float array are equal; NaNs equal nothing,
+    as in a set of Python floats."""
+    ordered = np.sort(values)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class EigenFamily:
     """Eigenpairs stored as arrays: member j has angle thetas[j], unit
@@ -175,10 +182,12 @@ class EigenFamily:
         residuals = _frozen(self.residuals, float, 1)
         if not vectors.shape[1] == thetas.size == residuals.size:
             raise ValueError("need one angle, vector column and residual per member")
-        if len(set(thetas.tolist())) != thetas.size:
+        if _has_duplicates(thetas):
             raise ValueError("family angles must be pairwise distinct")
-        sq = np.einsum("dk,dk->k", vectors.real, vectors.real)
-        sq += np.einsum("dk,dk->k", vectors.imag, vectors.imag)
+        # squares of the real and imaginary parts, summed down each column
+        parts = vectors.view(float)
+        sq = np.einsum("dk,dk->k", parts, parts)
+        sq = sq[0::2] + sq[1::2]
         if not np.all(np.abs(np.sqrt(sq) - 1.0) <= 1e-12):
             raise ValueError("family vectors must be unit vectors")
         object.__setattr__(self, "thetas", thetas)
@@ -365,12 +374,17 @@ def qindependent_angles(k: int) -> list[float]:
     return (np.sqrt(np.asarray(primes(k), dtype=float)) % 1.0).tolist()
 
 
+def _sqrt_prime_family(w: float, d: int, thetas) -> EigenFamily:
+    """Eigenvector field of w*B at sqrt-prime angles given in any order;
+    a column does not depend on where its angle sits in ``thetas``."""
+    vectors, residuals = _field_2B(thetas, w, d)
+    return EigenFamily(thetas, vectors, residuals, provenance="sqrt_prime_angles")
+
+
 def sample_2B_family(w: float, d: int, count: int) -> EigenFamily:
     """Eigenvector field of w*B sampled at the first ``count`` sqrt-prime
     angles."""
-    thetas = qindependent_angles(count)
-    vectors, residuals = _field_2B(thetas, w, d)
-    return EigenFamily(thetas, vectors, residuals, provenance="sqrt_prime_angles")
+    return _sqrt_prime_family(w, d, qindependent_angles(count))
 
 
 def diagonal_family(op: OperatorSpec) -> EigenFamily:

@@ -12,7 +12,14 @@ from hyperlab.cantor import (
     verify_cantor_separation,
 )
 from hyperlab.diophantine import chord_to
-from hyperlab.eigenfields import EigenFamily, _field_2B, sample_2B_family, unimodular
+from hyperlab.eigenfields import (
+    EigenFamily,
+    _field_2B,
+    _sqrt_prime_family,
+    qindependent_angles,
+    sample_2B_family,
+    unimodular,
+)
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +186,11 @@ def test_serializers(field3, tmp_path):
 
 def full_scan_build(seed, depth):
     """Node array of the halving construction with every right-child
-    search scanning all seed members, and how often each search branch
-    chose the child: {"territory": ..., "relaxed": ..., "last_resort": ...}."""
+    search scanning all seed members, one node at a time; how often each
+    search branch chose the child: {"territory": ..., "relaxed": ...,
+    "last_resort": ...}; and how many nodes a level-at-a-time build must
+    search again: those whose pick against the members unused at the
+    start of their level was taken by an earlier node of that level."""
     thetas, mat = seed.thetas, seed.vectors
     offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
     available = np.ones(len(seed), dtype=bool)
@@ -189,6 +199,7 @@ def full_scan_build(seed, depth):
     nodes, off = np.zeros(size, dtype=np.intp), np.zeros(size)
     lo, hi = np.full(size, -0.5), np.full(size, 0.5)
     branches = {"territory": 0, "relaxed": 0, "last_resort": 0}
+    researches = 0
 
     def best(idx, chords, idx_v, bound):
         dists = np.linalg.norm(mat[:, idx] - mat[:, idx_v][:, None], axis=0)
@@ -199,7 +210,7 @@ def full_scan_build(seed, depth):
         score = -np.minimum(chords / bound, dists / bound)
         return int(idx[np.lexsort((thetas[idx], score))[0]])
 
-    def right_child(idx_v, off_v, lo_v, hi_v, bound):
+    def right_child(idx_v, off_v, lo_v, hi_v, bound, available):
         bound_theta = float(np.arcsin(min(bound, 2.0) / 2.0) / np.pi)
         sides = sorted([(1.0, hi_v - off_v), (-1.0, off_v - lo_v)], key=lambda t: -t[1])
         for relaxed in (False, True):
@@ -213,20 +224,24 @@ def full_scan_build(seed, depth):
                 keep = chords < bound
                 found = best(idx[keep], chords[keep], idx_v, bound)
                 if found is not None:
-                    branches["relaxed" if relaxed else "territory"] += 1
-                    return found
+                    return found, "relaxed" if relaxed else "territory"
         chords = chord_to(offsets, off_v)
         idx = np.nonzero(available & (chords > 0) & (chords < bound))[0]
-        found = best(idx, chords[idx], idx_v, bound)
-        branches["last_resort"] += found is not None
-        return found
+        return best(idx, chords[idx], idx_v, bound), "last_resort"
 
     for j in range(2**depth - 1):
-        bound = 2.0 ** -(j + 1).bit_length()
+        level = (j + 1).bit_length()
+        bound = 2.0**-level
+        if j == 2 ** (level - 1) - 1:
+            level_start = available.copy()
         idx_v, off_v = int(nodes[j]), float(off[j])
-        found = right_child(idx_v, off_v, float(lo[j]), float(hi[j]), bound)
+        args = (idx_v, off_v, float(lo[j]), float(hi[j]), bound)
+        first, _ = right_child(*args, level_start)
+        researches += first is not None and not available[first]
+        found, branch = right_child(*args, available)
         if found is None:
             raise CantorBuildError(f"no admissible right child for node {j}")
+        branches[branch] += 1
         available[found] = False
         jump = float(offsets[found] - off_v)
         left, right = 2 * j + 1, 2 * j + 2
@@ -238,7 +253,7 @@ def full_scan_build(seed, depth):
             hi[left], lo[right] = off_v + 0.20 * jump, off[right] - 0.29 * jump
         else:
             lo[left], hi[right] = off_v - 0.20 * abs(jump), off[right] + 0.29 * abs(jump)
-    return nodes, branches
+    return nodes, branches, researches
 
 
 def last_resort_family():
@@ -260,12 +275,17 @@ def test_windowed_search_matches_full_scan():
         (last_resort_family(), 1),
     ]
     used = {"territory": 0, "relaxed": 0, "last_resort": 0}
+    researched = []
     for seed, depth in cases:
-        nodes, branches = full_scan_build(seed, depth)
+        nodes, branches, researches = full_scan_build(seed, depth)
         assert np.array_equal(build_cantor_field(seed, depth).nodes, nodes)
         for name, count in branches.items():
             used[name] += count
+        researched.append(researches)
     assert all(count > 0 for count in used.values()), used
+    # the build searched some nodes again because an earlier node of their
+    # level took their first pick, and still matched the full scan
+    assert sum(researched) > 0, researched
 
 
 def test_windowed_search_fails_where_full_scan_fails():
@@ -275,3 +295,50 @@ def test_windowed_search_fails_where_full_scan_fails():
         full_scan_build(seed, 5)
     with pytest.raises(CantorBuildError, match="node '0000'"):
         build_cantor_field(seed, 5)
+
+
+def build_outcome(seed, depth):
+    """What a build shows of its seed: node angles and residuals, and the
+    separation margins, or the error text of a failed build."""
+    try:
+        field = build_cantor_field(seed, depth)
+    except CantorBuildError as exc:
+        return str(exc)
+    sep = verify_cantor_separation(field)
+    i = field.nodes
+    return (
+        seed.thetas[i].tolist(),
+        seed.residuals[i].tolist(),
+        sep.margins.tolist(),
+        sep.deltas.tolist(),
+        sep.delta_respected_fraction,
+    )
+
+
+@pytest.mark.parametrize(
+    "w, d, count, depth",
+    [
+        (2.0, 32, 256, 3),
+        (1.5, 24, 128, 3),
+        (2.0, 64, 4096, 7),
+        (2.0, 16, 2**13, 8),
+        # fails at node '0000' in every order
+        (1.5, 8, 512, 5),
+    ],
+)
+def test_seed_order_does_not_change_the_field(w, d, count, depth):
+    thetas = np.asarray(qindependent_angles(count))
+    # angle order from the root, as the cantor pipeline samples its seed,
+    # and reversed prime order after the root
+    by_angle = np.argsort((thetas - thetas[0]) % 1.0, kind="stable")
+    reverse = np.r_[0, np.arange(count - 1, 0, -1)]
+    prime = _sqrt_prime_family(w, d, thetas)
+    outcome = build_outcome(prime, depth)
+    for order in (by_angle, reverse):
+        seed = _sqrt_prime_family(w, d, thetas[order])
+        # each column equals the prime-order column of its angle bit for bit
+        assert np.array_equal(seed.vectors, prime.vectors[:, order])
+        assert np.array_equal(seed.residuals, prime.residuals[order])
+        assert build_outcome(seed, depth) == outcome
+    if depth == 5:
+        assert "node '0000'" in outcome

@@ -1,9 +1,25 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import hyperlab
 from hyperlab.cli import main, run_experiment, validate_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def read_summary(out):
+    """summary.json of a run, refusing the NaN and Infinity that
+    json.dumps writes but JSON does not allow."""
+    return json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
 
 
 def small_config(**overrides):
@@ -89,7 +105,7 @@ def run_dir(tmp_path_factory):
 def test_run_experiment_passes_and_writes_summary(run_dir):
     out, status = run_dir
     assert status == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["passed"]
     assert set(summary["results"]) == {
         "khinchine",
@@ -126,8 +142,8 @@ def test_seed_override_changes_monte_carlo_results(run_dir, tmp_path):
     cfg, _ = validate_config(json.dumps(small_config(seed=99)))
     other = tmp_path / "other"
     run_experiment(cfg, other)
-    a = json.loads((out / "summary.json").read_text())
-    b = json.loads((other / "summary.json").read_text())
+    a = read_summary(out)
+    b = read_summary(other)
     assert (
         a["results"]["khinchine"]["estimate"]
         != b["results"]["khinchine"]["estimate"]
@@ -156,7 +172,7 @@ def test_construct_and_density_pipelines(tmp_path):
     assert not errors
     out = tmp_path / "out"
     status = run_experiment(cfg, out)
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert status == 0 and summary["passed"]
     assert summary["results"]["construct"]["passed"]
     assert summary["results"]["density"]["construction_orbit"]["passed"]
@@ -183,6 +199,7 @@ def test_perturbed_diagonal_config(tmp_path):
     cfg, errors = validate_config(json.dumps(cfg_raw))
     assert not errors
     assert run_experiment(cfg, tmp_path / "pd") == 0
+    read_summary(tmp_path / "pd")
 
 
 def test_density_without_construction_writes_summary(tmp_path):
@@ -196,7 +213,7 @@ def test_density_without_construction_writes_summary(tmp_path):
     cfg, errors = validate_config(json.dumps(cfg_raw))
     assert not errors
     status = run_experiment(cfg, tmp_path / "density")
-    summary = json.loads((tmp_path / "density" / "summary.json").read_text())
+    summary = read_summary(tmp_path / "density")
     result = summary["results"]["density"]
     assert result["passed"] is summary["passed"] is (status == 0)
     assert set(result) == {"calibration", "passed"}
@@ -225,10 +242,45 @@ def test_cantor_seed_family_too_small_reports_failure(tmp_path):
     result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
     # exit 1 through sys.exit, not an escaped CantorBuildError
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     cantor = summary["results"]["cantor"]
     assert cantor["passed"] is False and "no admissible right child" in cantor["error"]
     assert summary["passed"] is False
+
+
+def test_depth_zero_cantor_run_writes_valid_json(tmp_path):
+    cfg, errors = validate_config(json.dumps({"seed": 1, "pipelines": {"cantor": {"depth": 0}}}))
+    assert not errors
+    assert run_experiment(cfg, tmp_path) == 0
+    cantor = read_summary(tmp_path)["results"]["cantor"]
+    # a lone root has no branching node, so no margin to report
+    assert cantor["min_margin"] is None and cantor["passed"] is True
+
+
+# runs a workload config in a fresh interpreter and prints whether the run
+# imported numpy.ma, which numpy's first np.unique call does
+_NO_MA = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from workloads import WORKLOADS
+from hyperlab.cli import run_experiment, validate_config
+cfg, errors = validate_config(json.dumps(WORKLOADS[sys.argv[3]](1, small=True)))
+assert not errors, errors
+assert run_experiment(cfg, __import__("pathlib").Path(sys.argv[4])) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("workload", ["cantor-field", "orbit", "monte-carlo"])
+def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
+    src = str(Path(hyperlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_MA, src, str(PERFBENCH), workload, str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize(
@@ -277,7 +329,7 @@ def test_horizon_override_is_recorded_and_replays(tmp_path):
         main, ["run", "--config", str(config), "--out", str(out), "--horizon", "5000"]
     )
     assert result.exit_code == 0, result.output
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["config"]["pipelines"]["syndetic"]["horizon"] == 5000
     result = runner.invoke(
         main,
@@ -296,7 +348,7 @@ def test_horizon_override_is_recorded_and_replays(tmp_path):
         main, ["run", "--config", str(config), "--out", str(out), "--horizon", "1000"]
     )
     assert result.exit_code == 0, result.output
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     for name in ("density", "syndetic"):
         assert summary["config"]["pipelines"][name]["horizon"] == 1000
     result = runner.invoke(
@@ -482,7 +534,7 @@ def test_seed_override_is_checked_like_a_config_seed(tmp_path):
     out = tmp_path / "override"
     result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out), "--seed", "4"])
     assert result.exit_code in (0, 1), result.output
-    assert json.loads((out / "summary.json").read_text())["config"]["seed"] == 4
+    assert read_summary(out)["config"]["seed"] == 4
 
 
 def test_empty_syndetic_return_set_reports_failure(tmp_path):
@@ -500,7 +552,7 @@ def test_empty_syndetic_return_set_reports_failure(tmp_path):
     result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out)])
     # exit 1 through sys.exit, not an escaped ValueError
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    syndetic = json.loads((out / "summary.json").read_text())["results"]["syndetic"]
+    syndetic = read_summary(out)["results"]["syndetic"]
     assert syndetic["passed"] is False and "return set empty" in syndetic["error"]
 
 
@@ -538,7 +590,7 @@ def test_validate_accepts_the_bounds_and_run_completes(tmp_path):
         cfg, errors = validate_config(json.dumps(_holes_config(pipelines, kind)))
         assert not errors, errors
         assert run_experiment(cfg, tmp_path / kind) in (0, 1)
-        assert (tmp_path / kind / "summary.json").exists()
+        read_summary(tmp_path / kind)
 
 
 def _many_targets(n):
@@ -567,7 +619,7 @@ def test_construction_errors_are_reported_not_raised(tmp_path, construct, error)
     result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
     # exit 1 through sys.exit, not an escaped NetCoverageError or ConstructionError
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     construct_result = summary["results"]["construct"]
     assert construct_result["passed"] is False and error in construct_result["error"]
     assert summary["passed"] is False
