@@ -19,7 +19,6 @@ a time, one batched right-child search per level.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,21 @@ class CantorField:
 
 def _label(j: int) -> str:
     return format(j + 1, "b")[1:]
+
+
+def _reach(depth: int) -> float:
+    """How far from the root a build to ``depth`` reads the seed.
+
+    A level-n pick, and every candidate whose vector the build reads,
+    passes chord_to(delta, 0) < 2**-n against its parent, in the windowed,
+    relaxed and last-resort searches alike, so 2 |sin(pi delta)| < 2**-n.
+    Every member the build reads therefore lies within
+    rho(depth) = sum_{n=1}^{depth} arcsin(2**-n / 2) / pi of the root's
+    angle: rho(9) = 0.1598, and rho < 0.1602 at every depth.  The sum
+    carries a margin for rounding.
+    """
+    n = np.arange(1, depth + 1)
+    return float(np.sum(np.arcsin(2.0**-n / 2.0)) / np.pi) * (1 + 1e-9) + 1e-12
 
 
 def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
@@ -302,10 +316,13 @@ def verify_cantor_separation(field: CantorField) -> SeparationReport:
 
 
 def field_to_csv(field: CantorField, path) -> None:
+    """(label, theta, residual) rows, one per node in breadth-first order,
+    in the csv module's excel dialect."""
     family = field.seed_family
+    thetas = family.thetas[field.nodes].tolist()
+    residuals = family.residuals[field.nodes].tolist()
+    rows = "".join(
+        f"{_label(j)},{t!r},{r!r}\r\n" for j, (t, r) in enumerate(zip(thetas, residuals))
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "theta", "residual"])
-        for j, i in enumerate(field.nodes.tolist()):
-            theta, residual = float(family.thetas[i]), float(family.residuals[i])
-            writer.writerow([_label(j), repr(theta), repr(residual)])
+        fh.write("label,theta,residual\r\n" + rows)

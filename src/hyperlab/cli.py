@@ -306,6 +306,17 @@ def validate_config(text: str, horizon=None, seed=None):
             "pipelines.syndetic.horizon * angle_count, the size of the phase "
             f"array, must be <= {_MAX_SYNDETIC_PHASES}"
         )
+    cantor = params.get("cantor")
+    # a depth-n tree needs 2**n - 1 distinct right children besides the
+    # root; bit lengths keep a huge depth from building 2**depth
+    if cantor and cantor["depth"] > cantor["seed_count"].bit_length() - 1:
+        # the perturbed diagonal's seed is its family, one member per dimension
+        size = "dimension" if kind == "perturbed_diagonal" else "seed_count"
+        errors.append(
+            f"pipelines.cantor.depth {cantor['depth']} needs {size} >= "
+            f"2**{cantor['depth']}, one seed member per leaf; {size} is "
+            f"{cantor['seed_count']}"
+        )
     if kind == "perturbed_diagonal" and "seed_count" in pipelines.get("cantor", {}):
         errors.append(
             "pipelines.cantor.seed_count needs a scaled_backward_shift operator: "
@@ -415,10 +426,13 @@ def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
 def _run_cantor(cfg, op, family, params, rng, out, ctx):
     depth, count = params["depth"], params["seed_count"]
     if count != len(family):
-        # the tree does not depend on the order of the seed members; in
-        # angle order from member 0 (the root) the build's searches read
-        # near-contiguous runs of columns
-        thetas = np.asarray(ef.qindependent_angles(count))
+        # the tree does not depend on seed members the build never reads,
+        # those beyond _reach(depth) of member 0 (the root), nor on the
+        # order of the rest; in angle order from the root the build's
+        # searches read near-contiguous runs of columns
+        thetas = ef._sqrt_prime_angles(count)
+        offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
+        thetas = thetas[np.abs(offsets) <= cantor_mod._reach(depth)]
         thetas = thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
         family = ef._sqrt_prime_family(op.weight, cfg.dimension, thetas)
     try:

@@ -349,6 +349,10 @@ def perturbed_diagonal_eigenvector(op: OperatorSpec, k: int) -> EigenPair:
 
 def primes(k: int) -> list[int]:
     """First k primes by a plain sieve."""
+    return _primes(k).tolist()
+
+
+def _primes(k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("need k >= 1")
     limit = 15 if k < 6 else int(k * (np.log(k) + np.log(np.log(k))) * 1.2) + 10
@@ -360,7 +364,7 @@ def primes(k: int) -> list[int]:
                 sieve[p * p :: p] = False
         found = np.flatnonzero(sieve)
         if found.size >= k:
-            return found[:k].tolist()
+            return found[:k]
         limit *= 2
 
 
@@ -371,7 +375,12 @@ def qindependent_angles(k: int) -> list[float]:
     returned angles are irrational and Q-independent by construction; this
     is never re-tested numerically (it is undecidable from floats).
     """
-    return (np.sqrt(np.asarray(primes(k), dtype=float)) % 1.0).tolist()
+    return _sqrt_prime_angles(k).tolist()
+
+
+def _sqrt_prime_angles(k: int) -> np.ndarray:
+    """The angles of :func:`qindependent_angles` as a float array."""
+    return np.sqrt(_primes(k).astype(float)) % 1.0
 
 
 def _sqrt_prime_family(w: float, d: int, thetas) -> EigenFamily:
@@ -384,7 +393,7 @@ def _sqrt_prime_family(w: float, d: int, thetas) -> EigenFamily:
 def sample_2B_family(w: float, d: int, count: int) -> EigenFamily:
     """Eigenvector field of w*B sampled at the first ``count`` sqrt-prime
     angles."""
-    return _sqrt_prime_family(w, d, qindependent_angles(count))
+    return _sqrt_prime_family(w, d, _sqrt_prime_angles(count))
 
 
 def diagonal_family(op: OperatorSpec) -> EigenFamily:

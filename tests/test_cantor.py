@@ -6,6 +6,7 @@ import pytest
 
 from hyperlab.cantor import (
     CantorBuildError,
+    _reach,
     build_cantor_field,
     cantor_lookup,
     field_to_csv,
@@ -15,6 +16,7 @@ from hyperlab.diophantine import chord_to
 from hyperlab.eigenfields import (
     EigenFamily,
     _field_2B,
+    _sqrt_prime_angles,
     _sqrt_prime_family,
     qindependent_angles,
     sample_2B_family,
@@ -169,6 +171,30 @@ def test_build_fails_on_exhausted_seed_family():
         build_cantor_field(fam, 3)
     with pytest.raises(ValueError):
         build_cantor_field(fam, -1)
+
+
+def csv_reference(field, path):
+    """field_to_csv's rows as the csv module writes them."""
+    family = field.seed_family
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label", "theta", "residual"])
+        for j, i in enumerate(field.nodes.tolist()):
+            theta, residual = float(family.thetas[i]), float(family.residuals[i])
+            writer.writerow([format(j + 1, "b")[1:], repr(theta), repr(residual)])
+
+
+@pytest.fixture(scope="module")
+def seed15():
+    return sample_2B_family(2.0, 64, 2**15)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 9])
+def test_field_csv_matches_the_csv_module(seed15, depth, tmp_path):
+    field = build_cantor_field(seed15, depth)
+    field_to_csv(field, tmp_path / "field.csv")
+    csv_reference(field, tmp_path / "reference.csv")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_serializers(field3, tmp_path):
@@ -342,3 +368,22 @@ def test_seed_order_does_not_change_the_field(w, d, count, depth):
         assert build_outcome(seed, depth) == outcome
     if depth == 5:
         assert "node '0000'" in outcome
+
+
+@pytest.mark.parametrize("w, d", list(itertools.product([1.25, 1.5, 2.0, 3.0], [4, 8, 64])))
+def test_reach_restricted_seed_gives_the_same_tree(w, d):
+    # the cantor pipeline's seed: the members within _reach(depth) of the
+    # root, in angle order from the root
+    failed = built = 0
+    for count in (1, 3, 16, 100, 512, 4096):
+        thetas = _sqrt_prime_angles(count)
+        thetas = thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
+        offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
+        full = _sqrt_prime_family(w, d, thetas)
+        for depth in range(9):
+            seed = _sqrt_prime_family(w, d, thetas[np.abs(offsets) <= _reach(depth)])
+            outcome = build_outcome(full, depth)
+            assert build_outcome(seed, depth) == outcome, (count, depth)
+            failed += isinstance(outcome, str)
+            built += not isinstance(outcome, str)
+    assert failed and built

@@ -231,12 +231,16 @@ def test_validate_rejects_cantor_seed_count_without_shift():
     del cfg_raw["pipelines"]["cantor"]["seed_count"]
     cfg, errors = validate_config(json.dumps(cfg_raw))
     assert not errors
+    # the diagonal family, one member per dimension, is the seed
+    cfg_raw["pipelines"]["cantor"]["depth"] = 4
+    cfg, errors = validate_config(json.dumps(cfg_raw))
+    assert cfg is None and any("needs dimension >= 2**4" in e for e in errors)
 
 
 def test_cantor_seed_family_too_small_reports_failure(tmp_path):
     config = tmp_path / "small_seed.json"
     config.write_text(
-        json.dumps(small_config(pipelines={"cantor": {"depth": 3, "seed_count": 4}}))
+        json.dumps(small_config(pipelines={"cantor": {"depth": 3, "seed_count": 8}}))
     )
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
@@ -290,9 +294,20 @@ def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
         ("khinchine", {"trials": 999}, "trials"),
         ("cantor", {"depth": -1, "seed_count": 64}, "depth"),
         ("cantor", {"depth": 2, "seed_count": 0}, "seed_count"),
+        # a depth-n tree has 2**n distinct seed members as leaves
+        ("cantor", {"depth": 70}, "depth"),
+        ("cantor", {"depth": 3, "seed_count": 4}, "depth"),
         ("syndetic", {"horizon": 999}, "horizon"),
     ],
-    ids=["density.horizon", "khinchine.trials", "cantor.depth", "cantor.seed_count", "syndetic.horizon"],
+    ids=[
+        "density.horizon",
+        "khinchine.trials",
+        "cantor.depth",
+        "cantor.seed_count",
+        "cantor.depth-70",
+        "cantor.depth-over-seed",
+        "syndetic.horizon",
+    ],
 )
 def test_validate_rejects_what_run_refuses(pipeline, params, key):
     cfg, errors = validate_config(json.dumps(small_config(pipelines={pipeline: params})))
