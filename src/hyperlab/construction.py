@@ -18,14 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _CHUNK, _ball, _inside, _quad_form
+from ._kernels import _CHUNK, _blocks, _unit_phases
+from .density import _ball, _inside, _quad_form
 from .diophantine import ReturnTimeSet, covering_scan
-from .eigenfields import EigenExpansion, EigenFamily, _blocks, _unit_phases
+from .eigenfields import EigenExpansion, EigenFamily
 from .linspace import StateVector
 from .operators import OperatorSpec
 from .steinhaus import _phase_rows, sample_steinhaus
 
 _UCB_Z = 2.326  # one-sided 99% normal quantile
+# times build_block halves its split tolerance delta before it gives up
+_MAX_TIGHTEN = 8
 
 
 class ConstructionError(RuntimeError):
@@ -141,7 +144,6 @@ def build_block(
     target: ConstructionTarget,
     rng: np.random.Generator,
     trials: int = 2000,
-    max_tighten: int = 8,
     p_max: int = 10**6,
 ) -> Block:
     """Build block n against the given target and append it to the state,
@@ -171,7 +173,7 @@ def build_block(
     rho = target.radius / (2.0 * op.norm_bound**target.reach_power)
 
     last_failure = ""
-    for _ in range(max_tighten + 1):
+    for _ in range(_MAX_TIGHTEN + 1):
         built = _assemble_terms(state, alphas, delta, rho)
         if built is None:
             delta /= 2.0
@@ -187,7 +189,7 @@ def build_block(
         )
     else:
         raise ConstructionError(
-            f"block {n}: expectation bound failed after {max_tighten} tightenings "
+            f"block {n}: expectation bound failed after {_MAX_TIGHTEN} tightenings "
             f"({last_failure})"
         )
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfields import EigenExpansion, _blocks, _unit_phases
+from ._kernels import _CHUNK, _blocks, _unit_phases
+from .eigenfields import EigenExpansion
 from .linspace import StateVector
-
-_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     quadratic in the number of terms, not in the ambient dimension.  The
     phases and the quadratic term of a chunk of _CHUNK powers are shared
     by all targets; each target adds only its cross term.  The chunks go
-    through :func:`eigenfields._blocks`, one whole chunk per block, so
+    through :func:`_kernels._blocks`, one whole chunk per block, so
     they run on all the cores the process may use; each chunk's hits are
     stored under its index and joined in order, so the visit times do not
     depend on the number of threads.
@@ -155,11 +154,11 @@ class FhcReport:
     passed: bool
 
 
-def fhc_harness(x: EigenExpansion, targets, N: int, windows=None) -> FhcReport:
-    """Per-target visit records and density proxies; PASS iff every proxy
-    is strictly positive. All targets share one scan of the orbit."""
-    if windows is None:
-        windows = default_windows(N)
+def fhc_harness(x: EigenExpansion, targets, N: int) -> FhcReport:
+    """Per-target visit records and density proxies over the windows of
+    :func:`default_windows`; PASS iff every proxy is strictly positive.
+    All targets share one scan of the orbit."""
+    windows = default_windows(N)
     records = _scan(x, list(targets), N)
     proxies = tuple(lower_density_estimate(r, windows) for r in records)
     return FhcReport(tuple(records), proxies, all(p > 0 for p in proxies))

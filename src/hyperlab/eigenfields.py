@@ -8,125 +8,20 @@ finite-scale approximation-closure check used before tree constructions.
 
 from __future__ import annotations
 
-import _thread
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _blocks
 from .linspace import StateVector
 from .operators import OperatorSpec, PERTURBED_DIAGONAL, apply
 
-# _unit_phases computes phases _SLICE elements at a time, and shares the
-# slices of an array of _INLINE or more elements out among the allowed
-# cores; below that, starting and waking a helper costs about as much as
-# its share of the work saves
-_INLINE = 1 << 15
-_SLICE = 1 << 14
 # _field_2B builds and normalizes the field this many columns at a time
 _FIELD_COLUMNS = 2048
-
-# set on a thread while it works through the blocks of a _blocks call, so
-# that a nested call runs inline instead of starting helpers of its own
-_in_block = threading.local()
 
 
 def unimodular(theta: float) -> complex:
     return complex(np.exp(2j * np.pi * theta))
-
-
-def _cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _blocks(n: int, size: int, fn) -> None:
-    """Call fn(start, stop) once for each block [start, start + size) of
-    [0, n), the last block cut at n, sharing the blocks among one thread
-    per core the process may run on (the calling thread included).
-
-    A block is handed to whichever thread asks next, so ``fn`` must write
-    each block's result to its own place and call only numpy and private
-    functions; numpy releases the interpreter lock inside its loops.  The
-    call returns once every block is done and re-raises the first error of
-    any thread on the calling thread.  A call made from inside a block
-    runs all its blocks inline on that thread, so helpers never nest.
-    """
-    starts = range(0, n, size)
-    if getattr(_in_block, "active", False):
-        for start in starts:
-            fn(start, min(start + size, n))
-        return
-    pending, lock, errors = iter(starts), threading.Lock(), []
-
-    def work():
-        _in_block.active = True
-        try:
-            while True:
-                with lock:
-                    start = next(pending, None)
-                if start is None:
-                    return
-                fn(start, min(start + size, n))
-        except Exception as exc:  # re-raised on the calling thread
-            errors.append(exc)
-        finally:
-            _in_block.active = False
-
-    def helper(done):
-        try:
-            work()
-        finally:
-            done.release()
-
-    running = []
-    for _ in range(min(_cores(), len(starts)) - 1):
-        done = threading.Lock()
-        done.acquire()
-        # threading.Thread.start would wait until the helper runs (a median
-        # 0.6 ms, at times 6 ms, on a busy 2-core host); this returns at
-        # once, so the calling thread computes while the helper starts
-        _thread.start_new_thread(helper, (done,))
-        running.append(done)
-    try:
-        work()
-    finally:
-        for done in running:
-            done.acquire()
-    if errors:
-        raise errors[0]
-
-
-def _unit_phases(t) -> np.ndarray:
-    """exp(2*pi*i*t) for a float array t, equal bit for bit to
-    ``np.exp(2j * np.pi * t)``.
-
-    The phases are written into one array, a contiguous slice at a time:
-    the same multiply, by the same scalar, then exp in place, so no
-    full-size complex temporary is made.  From _INLINE elements on, the
-    _SLICE-element slices go through :func:`_blocks`.  Every element goes
-    through the same two ufunc calls whichever thread computes it, so the
-    result does not depend on the number of threads.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape, dtype=complex)
-    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
-
-    def fill(start, stop):
-        o = flat_out[start:stop]
-        np.multiply(2j * np.pi, flat_t[start:stop], out=o)
-        np.exp(o, out=o)
-
-    if flat_t.size < _INLINE:
-        fill(0, flat_t.size)
-    else:
-        _blocks(flat_t.size, _SLICE, fill)
-    return out
 
 
 @dataclass(frozen=True)
@@ -174,7 +69,6 @@ class EigenFamily:
     thetas: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    provenance: str = "unspecified"
 
     def __post_init__(self):
         thetas = _frozen(self.thetas, float, 1)
@@ -195,13 +89,12 @@ class EigenFamily:
         object.__setattr__(self, "residuals", residuals)
 
     @classmethod
-    def from_pairs(cls, pairs, provenance: str = "unspecified") -> "EigenFamily":
+    def from_pairs(cls, pairs) -> "EigenFamily":
         pairs = list(pairs)
         return cls(
             [p.theta for p in pairs],
             np.column_stack([p.vector.entries for p in pairs]),
             [p.residual for p in pairs],
-            provenance,
         )
 
     def __len__(self) -> int:
@@ -220,7 +113,6 @@ class EigenFamily:
             self.thetas[index],
             self.vectors[:, index],
             self.residuals[index],
-            self.provenance,
         )
 
 
@@ -291,9 +183,9 @@ def _field_2B(thetas, w: float, d: int):
     d x k, the layout EigenFamily stores, and its column norms are summed
     in the order numpy sums the rows of the k x d field, so the result does
     not depend on the layout down to the last bit.  Blocks of
-    _FIELD_COLUMNS columns go through :func:`_blocks`: each is written in
-    place by the same power, norm and divide, so no block is copied and the
-    bits do not depend on the number of threads.
+    _FIELD_COLUMNS columns go through :func:`_kernels._blocks`: each is
+    written in place by the same power, norm and divide, so no block is
+    copied and the bits do not depend on the number of threads.
     """
     if not w > 1:
         raise ValueError("shift weight must be > 1")
@@ -387,7 +279,7 @@ def _sqrt_prime_family(w: float, d: int, thetas) -> EigenFamily:
     """Eigenvector field of w*B at sqrt-prime angles given in any order;
     a column does not depend on where its angle sits in ``thetas``."""
     vectors, residuals = _field_2B(thetas, w, d)
-    return EigenFamily(thetas, vectors, residuals, provenance="sqrt_prime_angles")
+    return EigenFamily(thetas, vectors, residuals)
 
 
 def sample_2B_family(w: float, d: int, count: int) -> EigenFamily:
@@ -398,7 +290,7 @@ def sample_2B_family(w: float, d: int, count: int) -> EigenFamily:
 
 def diagonal_family(op: OperatorSpec) -> EigenFamily:
     pairs = (perturbed_diagonal_eigenvector(op, k) for k in range(op.dim))
-    return EigenFamily.from_pairs(pairs, provenance="diagonal")
+    return EigenFamily.from_pairs(pairs)
 
 
 @dataclass(frozen=True)

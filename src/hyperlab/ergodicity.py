@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfields import EigenExpansion, _unit_phases
+from ._kernels import _CHUNK, _row_blocks, _unit_phases
+from .eigenfields import EigenExpansion
 from .steinhaus import MCReport, _phase_rows
 
 
@@ -46,11 +47,19 @@ class CorrelationSpec:
         return self.product_term() - self.diagonal_term() + self.cross_terms(ns)
 
     def cross_terms(self, ns) -> np.ndarray:
-        """|sum_p lambda_p**n c_p conj(d_p)|**2 for each n."""
-        ns = np.asarray(ns)
+        """|sum_p lambda_p**n c_p conj(d_p)|**2 for each n, a block of rows
+        of :func:`_kernels._row_blocks` at a time, so the bits do not depend
+        on the number of threads."""
+        ns = np.ravel(ns)
         weights = np.asarray(self.c) * np.conj(self.d)
-        phases = _unit_phases(np.outer(ns, self.angles))
-        return np.abs(phases @ weights) ** 2
+        cross = np.empty(ns.size)
+
+        def fill(start, stop):
+            phases = _unit_phases(np.outer(ns[start:stop], self.angles))
+            cross[start:stop] = np.abs(phases @ weights) ** 2
+
+        _row_blocks(ns.size, _CHUNK, fill)
+        return cross
 
     @classmethod
     def from_probes(cls, series: EigenExpansion, xstar, ystar):

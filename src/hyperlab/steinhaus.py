@@ -9,12 +9,12 @@ ids give independent blocks.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfields import EigenExpansion, _blocks, _unit_phases
+from ._kernels import _row_blocks, _unit_phases
+from .eigenfields import EigenExpansion
 from .operators import OperatorSpec, _apply
 
 # _phase_rows draws and hands on a batch about this many elements, rows x
@@ -43,46 +43,47 @@ def _phase_rows(rng: np.random.Generator, trials: int, k: int, fn, width: int = 
     ``rng`` where that draw leaves it.  The batch is never held whole.
 
     ``scratch`` is a complex buffer of (stop - start) * width elements for
-    what ``fn`` makes per row.  Each thread reuses one chi and one scratch
-    buffer for all its blocks, since fresh ones per block cost more in page
-    faults than the work done in them; ``fn`` may overwrite both but must
-    not keep them.  A block holds about _BATCH_ELEMENTS elements, rows x
-    (k + width), and at least two rows unless trials is 1, because numpy
-    hands a one-row operand to a matrix-vector routine that rounds
-    differently from the matrix product of a longer block.
+    what ``fn`` makes per row.  A block takes the buffers of a finished
+    block where there is one, since fresh ones per block cost more in page
+    faults than the work done in them, so no more sets are made than
+    blocks run at once; ``fn`` may overwrite both but must not keep them.
+    A block holds at most about _BATCH_ELEMENTS elements, rows x (k + width).
 
-    The blocks go through :func:`eigenfields._blocks`, so ``fn`` may call
-    only numpy and private functions.  Each thread loads the caller's PCG64
-    state into a generator of its own and advances it to the block's first
-    draw (``random`` takes one 64-bit output per double); the phases come
-    from the same two ufunc calls as in ``_unit_phases``.
+    The blocks go through :func:`_kernels._row_blocks`, so ``fn`` may call
+    only numpy and private functions.  Each block loads the caller's PCG64
+    state into the generator of its buffer set and advances it to its first
+    draw (``random`` takes one 64-bit output per double), and
+    ``_unit_phases`` fills chi from the draw.
     """
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
         raise TypeError(f"Steinhaus batches need a PCG64 generator, not {type(bitgen).__name__}")
     state = bitgen.state
-    rows = max(1, _BATCH_ELEMENTS // max(1, k + width))
-    count = max(1, min(-(-trials // rows), trials // 2))
-    most = -(-trials // count)  # rows of the longest block
-    own = threading.local()
+    spare = []  # buffer sets of finished blocks
 
-    def block(i, _):
-        start, stop = i * trials // count, (i + 1) * trials // count
-        if not hasattr(own, "gen"):
-            own.gen = np.random.Generator(np.random.PCG64(0))
-            own.t = np.empty(most * k)
-            own.chi = np.empty(most * k, dtype=complex)
-            own.scratch = np.empty(most * width, dtype=complex)
+    def block(start, stop):
         n = stop - start
-        t, chi = own.t[: n * k], own.chi[: n * k]
-        own.gen.bit_generator.state = state
-        own.gen.bit_generator.advance(start * k)
-        own.gen.random(out=t)
-        np.multiply(2j * np.pi, t, out=chi)
-        np.exp(chi, out=chi)
-        fn(start, stop, chi.reshape(n, k), own.scratch[: n * width])
+        # list.pop and list.append are atomic, so no two blocks share a set;
+        # block lengths differ by at most one, so n + 1 rows fit any block
+        try:
+            bufs = spare.pop()
+        except IndexError:
+            bufs = (
+                np.random.Generator(np.random.PCG64(0)),
+                np.empty((n + 1) * k),
+                np.empty((n + 1) * k, dtype=complex),
+                np.empty((n + 1) * width, dtype=complex),
+            )
+        gen, t, chi, scratch = bufs
+        t, chi = t[: n * k], chi[: n * k]
+        gen.bit_generator.state = state
+        gen.bit_generator.advance(start * k)
+        gen.random(out=t)
+        _unit_phases(t, chi)
+        fn(start, stop, chi.reshape(n, k), scratch[: n * width])
+        spare.append(bufs)
 
-    _blocks(count, 1, block)
+    _row_blocks(trials, max(1, _BATCH_ELEMENTS // max(1, k + width)), block)
     # advance drops the buffered half of a 32-bit draw, which random keeps
     bitgen.advance(trials * k)
     after = bitgen.state
@@ -98,11 +99,11 @@ def khinchine_report(coeffs, trials: int, rng: np.random.Generator) -> MCReport:
     the ratio always lies in (0, 1].
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.size == 0:
-        raise ValueError("need at least one coefficient")
+    l2 = float(np.linalg.norm(coeffs))
+    if not l2 > 0:
+        raise ValueError("need coefficients with a nonzero l2 norm")
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    l2 = float(np.linalg.norm(coeffs))
     sums = np.empty(trials)
 
     def block(start, stop, chi, scratch):

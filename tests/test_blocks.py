@@ -1,4 +1,4 @@
-"""The row-block kernel ``eigenfields._blocks``, the Steinhaus batch kernel
+"""The row-block kernel ``_kernels._blocks``, the Steinhaus batch kernel
 ``steinhaus._phase_rows`` built on it, and the sites that share their work
 out through them.
 
@@ -10,25 +10,29 @@ whatever the number of threads that computes them.
 import _thread
 import dataclasses
 import importlib
+import json
+import re
 import threading
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperlab import construction, eigenfields, steinhaus
+from hyperlab import _kernels, construction, steinhaus
+from hyperlab._kernels import _CHUNK, _blocks
+from hyperlab.cli import run_experiment, validate_config
 from hyperlab.construction import ConstructionTarget, run_construction
-from hyperlab.density import TargetBall, _CHUNK, _quad_form, _scan
+from hyperlab.density import TargetBall, _quad_form, _scan
 from hyperlab.eigenfields import (
     EigenExpansion,
     _FIELD_COLUMNS,
-    _blocks,
     _field_2B,
     _squared_norms,
     sample_2B_family,
 )
-from hyperlab.ergodicity import correlation_monte_carlo
+from hyperlab.ergodicity import CorrelationSpec, correlation_monte_carlo, witness_report
 from hyperlab.linspace import StateVector
 from hyperlab.operators import apply, make_perturbed_diagonal, make_scaled_backward_shift
 from hyperlab.steinhaus import (
@@ -41,6 +45,7 @@ from hyperlab.steinhaus import (
 )
 
 CORES = [1, 3]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _same_bits(a, b) -> bool:
@@ -52,17 +57,20 @@ def _same_bits(a, b) -> bool:
 
 @pytest.fixture()
 def started(monkeypatch):
-    """Functions handed to _thread.start_new_thread during the test."""
+    """The id of the calling thread of each _thread.start_new_thread call
+    during the test."""
     calls = []
     real_start = _thread.start_new_thread
     monkeypatch.setattr(
-        _thread, "start_new_thread", lambda fn, args: calls.append(fn) or real_start(fn, args)
+        _thread,
+        "start_new_thread",
+        lambda fn, args: calls.append(threading.get_ident()) or real_start(fn, args),
     )
     return calls
 
 
 def _use_cores(monkeypatch, cores: int) -> None:
-    monkeypatch.setattr(eigenfields, "_cores", lambda: cores)
+    monkeypatch.setattr(_kernels, "_cores", lambda: cores)
 
 
 # ---------------------------------------------------------------- kernel
@@ -122,21 +130,6 @@ def test_blocks_wait_for_a_slow_helper(monkeypatch):
     # would be missing from the copy
     got = out.copy()
     assert helped and np.all(got == 1.0)
-
-
-def test_blocks_inside_a_block_run_inline(monkeypatch, started):
-    _use_cores(monkeypatch, 3)
-    inner = []
-
-    def fn(start, stop):
-        t = np.random.default_rng(start).random(2 * eigenfields._INLINE)
-        assert _same_bits(eigenfields._unit_phases(t), np.exp(2j * np.pi * t))
-        _blocks(5, 1, lambda a, b: inner.append(threading.get_ident()))
-
-    _blocks(4, 1, fn)
-    # only the outer call starts helpers; each nested call stays on its thread
-    assert len(started) == 2
-    assert len(inner) == 20
 
 
 # ------------------------------------------------------- Monte Carlo norms
@@ -215,8 +208,25 @@ def test_scan_matches_the_chunk_loop(monkeypatch, started, cores, count, N):
     for rec, times in zip(records, expected):
         assert np.array_equal(rec.times, times)
     assert 0 < expected[0].size < N
-    # one helper per extra core and chunk; each chunk's phases run inline
+    # one helper per extra core and chunk, and none for a chunk's phases
     assert len(started) == min(cores, -(-N // _CHUNK)) - 1
+
+
+# ------------------------------------------------------------ cross term
+
+
+@pytest.mark.parametrize("cores", CORES)
+@pytest.mark.parametrize("N", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * 10**5])
+def test_cross_terms_match_the_one_array_formula(monkeypatch, cores, N):
+    _use_cores(monkeypatch, cores)
+    ns = np.arange(N)
+    for k in (1, 2, 5, 8):
+        rng = np.random.default_rng(k)
+        c, d = rng.normal(size=(2, k, 2)) @ [1, 1j]
+        spec = CorrelationSpec(c, d, rng.random(k))
+        weights = np.asarray(spec.c) * np.conj(spec.d)
+        expected = np.abs(np.exp(2j * np.pi * np.outer(ns, spec.angles)) @ weights) ** 2
+        assert _same_bits(spec.cross_terms(ns), expected)
 
 
 # ---------------------------------------------------- visit certificate
@@ -563,14 +573,46 @@ def _record_public_calls(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("name", _SITES)
+@pytest.mark.parametrize("name", [*_SITES, "cross term"])
 def test_steinhaus_sites_call_public_functions_on_the_calling_thread_only(
     monkeypatch, started, family256, name
 ):
     # built before the wrapping, so that only the site's own calls count
-    run, _ = _site(name, family256, 30, 20001, 9)
+    if name == "cross term":
+        f0, f1 = np.eye(64)[0], np.eye(64)[1] + 0.25j
+        spec = CorrelationSpec.from_probes(_series(family256, 30, 9), f0, f1)
+
+        def run(rng):
+            return witness_report(spec, 2 * _CHUNK + 1)
+
+    else:
+        run, _ = _site(name, family256, 30, 20001, 9)
     calls = _record_public_calls(monkeypatch)
     _use_cores(monkeypatch, 3)
     run(np.random.default_rng(9))
     assert started, "the batch went through helper threads"
     assert not {n for n, thread in calls if thread != threading.get_ident()}
+
+
+def _readme_config() -> dict:
+    text = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+@pytest.mark.parametrize("config", ["README", "cantor-field", "orbit", "monte-carlo"])
+def test_runs_start_threads_from_the_calling_thread_only(
+    monkeypatch, started, tmp_path, config
+):
+    if config == "README":
+        raw = _readme_config()
+    else:
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        raw = importlib.import_module("workloads").WORKLOADS[config](1, small=True)
+    cfg, errors = validate_config(json.dumps(raw))
+    assert not errors, errors
+    _use_cores(monkeypatch, 3)
+    assert run_experiment(cfg, tmp_path) == 0
+    # a thread started inside a block would show another caller; the small
+    # cantor-field seed fits in one field block and starts none
+    assert set(started) <= {threading.get_ident()}
+    assert started or config == "cantor-field"

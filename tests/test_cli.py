@@ -292,6 +292,7 @@ def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
     [
         ("density", {"horizon": 0}, "horizon"),
         ("khinchine", {"trials": 999}, "trials"),
+        ("khinchine", {"coefficients": [[0, 0]]}, "coefficients"),
         ("cantor", {"depth": -1, "seed_count": 64}, "depth"),
         ("cantor", {"depth": 2, "seed_count": 0}, "seed_count"),
         # a depth-n tree has 2**n distinct seed members as leaves
@@ -302,6 +303,7 @@ def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
     ids=[
         "density.horizon",
         "khinchine.trials",
+        "khinchine.coefficients-zero",
         "cantor.depth",
         "cantor.seed_count",
         "cantor.depth-70",

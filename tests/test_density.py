@@ -155,11 +155,11 @@ def test_lower_density_estimate_manual():
 def test_fhc_harness_passes_iff_all_proxies_positive(setup):
     op, x, ball = setup
     never = TargetBall(StateVector(np.full(16, 5.0 + 0j)), 0.1)
-    report = fhc_harness(x, [ball, never], 2000, windows=[1000, 2000])
+    report = fhc_harness(x, [ball, never], 2000)
     assert isinstance(report, FhcReport)
     assert report.proxies[0] > 0 and report.proxies[1] == 0.0
     assert not report.passed
-    good = fhc_harness(x, [ball], 2000, windows=[1000, 2000])
+    good = fhc_harness(x, [ball], 2000)
     assert good.passed
 
 
@@ -174,7 +174,7 @@ def test_fhc_harness_records_match_per_target_and_direct_scans(setup):
         TargetBall(StateVector(np.zeros(16)), 2.0),  # always visited
     ]
     N = 1500
-    report = fhc_harness(x, targets, N, windows=[N])
+    report = fhc_harness(x, targets, N)
     counts = []
     for target, rec in zip(targets, report.records):
         expected = _brute_force_times(x, target, N)
@@ -186,7 +186,7 @@ def test_fhc_harness_records_match_per_target_and_direct_scans(setup):
     assert any(0 < c < N for c in counts)
 
     empty = EigenExpansion((), sample_2B_family(2.0, 16, 1).take([]))
-    report = fhc_harness(empty, targets, 50, windows=[50])
+    report = fhc_harness(empty, targets, 50)
     for target, rec in zip(targets, report.records):
         assert rec.times.tolist() == _brute_force_times(empty, target, 50)
         assert np.array_equal(rec.times, visit_times(empty, target, 50).times)

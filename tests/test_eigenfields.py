@@ -1,20 +1,15 @@
-import _thread
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from hyperlab import eigenfields
+from hyperlab import _kernels, eigenfields
+from hyperlab._kernels import _unit_phases
 from hyperlab.eigenfields import (
-    _INLINE,
-    _SLICE,
     EigenExpansion,
     EigenFamily,
     EigenPair,
     _field_2B,
-    _unit_phases,
     check_assumption_H,
     diagonal_family,
     eigenvector_2B,
@@ -219,10 +214,7 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(*bits)
 
 
-_PHASE_SIZES = sorted(
-    {0, 1, _INLINE - 1, _INLINE, _INLINE + 1}
-    | {k * _SLICE + e for k in (1, 2, 3, 7) for e in (-1, 0, 1)}
-)
+_PHASE_SIZES = sorted({0, 1} | {k * 2**14 + e for k in (1, 2, 3, 7) for e in (-1, 0, 1)})
 
 
 @pytest.mark.parametrize("n", _PHASE_SIZES)
@@ -235,77 +227,24 @@ def test_unit_phases_match_the_inline_formula_bit_for_bit(n):
 
 def test_unit_phases_of_two_dimensional_and_strided_inputs():
     rng = np.random.default_rng(3)
-    ns = np.arange(3 * _SLICE + 5)
+    ns = np.arange(49157)
     outer = np.outer(ns, rng.random(3))
     assert _same_bits(_unit_phases(outer), np.exp(2j * np.pi * outer))
-    strided = rng.random((_INLINE // 64 + 3, 130))[:, ::2]
-    assert not strided.flags.c_contiguous and strided.size > _INLINE
+    strided = rng.random((515, 130))[:, ::2]
+    assert not strided.flags.c_contiguous
     assert _same_bits(_unit_phases(strided), np.exp(2j * np.pi * strided))
-    transposed = rng.random((130, _INLINE // 64 + 3)).T
+    transposed = rng.random((130, 515)).T
     assert _same_bits(_unit_phases(transposed), np.exp(2j * np.pi * transposed))
-
-
-@pytest.mark.parametrize("cores", [1, 2, 5])
-def test_unit_phases_do_not_depend_on_the_worker_count(monkeypatch, cores):
-    t = np.random.default_rng(cores).random(7 * _SLICE + 3)
-    monkeypatch.setattr(eigenfields, "_cores", lambda: cores)
-    started = []
-    real_start = _thread.start_new_thread
-    monkeypatch.setattr(
-        _thread, "start_new_thread", lambda fn, args: started.append(fn) or real_start(fn, args)
-    )
-    assert _same_bits(_unit_phases(t), np.exp(2j * np.pi * t))
-    # the calling thread takes a share, so one core starts no thread
-    assert len(started) == cores - 1
 
 
 def test_unit_phases_thread_count_follows_the_cpu_affinity(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
-        assert eigenfields._cores() == len(os.sched_getaffinity(0))
+        assert _kernels._cores() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity")
-    assert eigenfields._cores() == (os.cpu_count() or 1)
+    assert _kernels._cores() == (os.cpu_count() or 1)
 
 
-def test_unit_phases_reraise_an_error_of_a_helper_thread(monkeypatch):
-    class HelperFails:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def exp(x, out=None):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("helper failed")
-            # leaves the helper time to take a slice, even on one core
-            time.sleep(0.01)
-            return np.exp(x, out=out)
-
-    monkeypatch.setattr(eigenfields, "_cores", lambda: 2)
-    monkeypatch.setattr(eigenfields, "np", HelperFails())
-    with pytest.raises(FloatingPointError, match="helper failed"):
-        _unit_phases(np.zeros(4 * _SLICE))
-
-
-def test_unit_phases_wait_for_a_slow_helper(monkeypatch):
-    class SlowHelper:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def exp(x, out=None):
-            if threading.current_thread() is not threading.main_thread():
-                time.sleep(0.05)
-            return np.exp(x, out=out)
-
-    t = np.random.default_rng(11).random(16 * _SLICE)
-    monkeypatch.setattr(eigenfields, "_cores", lambda: 2)
-    monkeypatch.setattr(eigenfields, "np", SlowHelper())
-    # copied at once: a slice still being written when the call returns
-    # would be missing from the copy
-    got = _unit_phases(t).copy()
-    assert _same_bits(got, np.exp(2j * np.pi * t))
-
-
-@pytest.mark.parametrize("n", [0, 1, 1000, _INLINE + 1, 3 * _SLICE + 7, 2 * 10**5])
+@pytest.mark.parametrize("n", [0, 1, 1000, 32769, 49159, 2 * 10**5])
 def test_sample_steinhaus_is_the_inline_draw(n):
     for seed in (0, 7):
         reference = np.exp(2j * np.pi * np.random.default_rng(seed).random(n))

@@ -70,6 +70,8 @@ def test_khinchine_second_moment_is_exactly_the_l2_mass(rng):
 def test_khinchine_input_validation(rng):
     with pytest.raises(ValueError):
         khinchine_report([], 1000, rng)
+    with pytest.raises(ValueError, match="nonzero l2 norm"):
+        khinchine_report([0.0, 0j], 1000, rng)
     with pytest.raises(ValueError):
         khinchine_report([1.0], 999, rng)
 
