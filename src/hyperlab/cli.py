@@ -521,11 +521,12 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
             for b in state.blocks
         ]
         fhc = density_mod.fhc_harness(phi, targets, horizon)
-        with open(out / "visit_times.csv", "w") as fh:
-            fh.write("block,n\n")
-            for b, r in zip(state.blocks, fhc.records):
-                for n in r.times[:10000].tolist():
-                    fh.write(f"{b.index},{n}\n")
+        lines = ["block,n\n"] + [
+            f"{b.index}," + f"\n{b.index},".join(map(str, r.times[:10000].tolist())) + "\n"
+            for b, r in zip(state.blocks, fhc.records)
+            if r.times.size
+        ]
+        (out / "visit_times.csv").write_text("".join(lines))
         results["construction_orbit"] = {
             "proxies": list(fhc.proxies),
             "passed": fhc.passed,
@@ -607,8 +608,39 @@ def replay(summary_path, out_dir):
     if new == old:
         click.echo("replay identical")
         sys.exit(0)
-    click.echo("replay DIFFERS from the recorded summary", err=True)
+    found = _first_difference(json.loads(old), json.loads(new))
+    detail = ": {}: recorded {}, replayed {}".format(*found) if found else ""
+    click.echo(f"replay DIFFERS from the recorded summary{detail}", err=True)
     sys.exit(1)
+
+
+# the value of a key or index that one summary lacks
+_ABSENT = object()
+
+
+def _first_difference(old, new, path=""):
+    """(path, recorded, replayed) of the first value, in the recorded
+    summary's order, in which two parsed summaries differ: the path in
+    dotted keys and [index] steps, each value as JSON text or ``absent``
+    where one side lacks it; None if they hold the same values."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        steps = [
+            (old.get(key, _ABSENT), new.get(key, _ABSENT), f"{path}.{key}" if path else key)
+            for key in {**old, **new}
+        ]
+    elif isinstance(old, list) and isinstance(new, list):
+        steps = [
+            (*(v[i] if i < len(v) else _ABSENT for v in (old, new)), f"{path}[{i}]")
+            for i in range(max(len(old), len(new)))
+        ]
+    else:
+        a, b = ("absent" if v is _ABSENT else json.dumps(v) for v in (old, new))
+        return None if a == b else (path, a, b)
+    for step in steps:
+        found = _first_difference(*step)
+        if found:
+            return found
+    return None
 
 
 if __name__ == "__main__":

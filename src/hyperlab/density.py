@@ -20,6 +20,10 @@ from ._kernels import _CHUNK, _blocks, _unit_phases
 from .eigenfields import EigenExpansion
 from .linspace import StateVector
 
+# powers per row of anchors in the visit scan's phase table; _CHUNK is a
+# multiple of it
+_STEP = 1 << 10
+
 
 @dataclass(frozen=True)
 class TargetBall:
@@ -53,8 +57,11 @@ class VisitRecord:
 
 def _quad_form(w, gram) -> np.ndarray:
     """||X w||**2 for every row w of the coefficient array, from the Gram
-    matrix gram = X* X of the term matrix X."""
-    return np.einsum("ni,ij,nj->n", w.conj(), gram, w).real
+    matrix gram = X* X of the term matrix X: Re(w* . G w) as one BLAS
+    product G w and a real dot product of the interleaved real and
+    imaginary parts, so no conjugate copy or complex result is made."""
+    w = np.ascontiguousarray(w, dtype=complex)
+    return np.einsum("ni,ni->n", w.view(float), (w @ gram.T).view(float))
 
 
 def _ball(vectors, center, r_sq: float) -> tuple:
@@ -78,9 +85,13 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     ||T**n x - center|| < radius.
 
     Membership is decided by :func:`_inside`, so the cost per step is
-    quadratic in the number of terms, not in the ambient dimension.  The
-    phases and the quadratic term of a chunk of _CHUNK powers are shared
-    by all targets; each target adds only its cross term.  The chunks go
+    quadratic in the number of terms, not in the ambient dimension, and
+    its quadratic term is one BLAS product.  The coefficient rows and the
+    quadratic term of a chunk of _CHUNK powers are shared by all targets;
+    each target adds only its cross term.  The rows come from
+    :func:`_coefficient_rows`: one table of the phases of the first _STEP
+    powers, made once per scan, times one anchor row per _STEP powers, so
+    a chunk takes _CHUNK / _STEP rows of ``exp``.  The chunks go
     through :func:`_kernels._blocks`, one whole chunk per block, so
     they run on all the cores the process may use; each chunk's hits are
     stored under its index and joined in order, so the visit times do not
@@ -98,12 +109,12 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     mat = x.terms.vectors
     gram = mat.conj().T @ mat
     balls = [_ball(mat, t.center.entries, t.radius**2) for t in targets]
-    thetas, coeffs = x.terms.thetas, x.coeffs[None, :]
+    table = _unit_phases(np.outer(np.arange(min(_STEP, N)), x.terms.thetas))
     hits = [None] * -(-N // _CHUNK)
 
     def scan(start, stop):
         ns = np.arange(start, stop)
-        w = _unit_phases(np.outer(ns, thetas)) * coeffs
+        w = _coefficient_rows(x, table, start, stop)
         hits[start // _CHUNK] = [ns[mask] for mask in _inside(w, gram, balls)]
 
     _blocks(N, _CHUNK, scan)
@@ -111,6 +122,20 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
         VisitRecord(np.concatenate([chunk[i] for chunk in hits]), N, t)
         for i, t in enumerate(targets)
     ]
+
+
+def _coefficient_rows(x: EigenExpansion, table, start: int, stop: int) -> np.ndarray:
+    """The eigen-coefficients exp(2*pi*i*n*theta) * c of T**n x for
+    start <= n < stop, start a multiple of _STEP, as one C-contiguous row
+    per n: the anchor row exp(2*pi*i*a*theta) * c of each multiple a of
+    _STEP times the row of n - a of ``table``, the phases of the powers
+    0, 1, ... below _STEP.  Each entry is one product of two ``exp``
+    values, so no error accumulates along the orbit, and as the anchors
+    sit at absolute multiples of _STEP the bits do not depend on how the
+    horizon is cut into chunks."""
+    anchors = _unit_phases(np.outer(np.arange(start, stop, _STEP), x.terms.thetas)) * x.coeffs
+    w = anchors[:, None, :] * table[None, :, :]
+    return w.reshape(-1, w.shape[-1])[: stop - start]
 
 
 def visit_times(x: EigenExpansion, target: TargetBall, N: int) -> VisitRecord:

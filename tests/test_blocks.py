@@ -24,7 +24,7 @@ from hyperlab import _kernels, construction, steinhaus
 from hyperlab._kernels import _CHUNK, _blocks
 from hyperlab.cli import run_experiment, validate_config
 from hyperlab.construction import ConstructionTarget, run_construction
-from hyperlab.density import TargetBall, _quad_form, _scan
+from hyperlab.density import _STEP, TargetBall, _quad_form, _scan
 from hyperlab.eigenfields import (
     EigenExpansion,
     _FIELD_COLUMNS,
@@ -162,12 +162,16 @@ def test_certify_expectation_matches_the_single_product(monkeypatch, family64, c
 
 
 def _scan_reference(x, targets, N) -> list:
+    """The scan as a single-threaded chunk loop.  The coefficients of T**n x
+    are written the scan's way, per row: the phases of the multiple a of
+    _STEP below n times the coefficients, times the phases of n - a."""
     mat = x.terms.vectors
     gram = mat.conj().T @ mat
     hits = [[] for _ in targets]
     for start in range(0, N, _CHUNK):
         ns = np.arange(start, min(start + _CHUNK, N))
-        w = np.exp(2j * np.pi * np.outer(ns, x.terms.thetas)) * x.coeffs[None, :]
+        anchors = np.exp(2j * np.pi * np.outer(ns - ns % _STEP, x.terms.thetas)) * x.coeffs
+        w = anchors * np.exp(2j * np.pi * np.outer(ns % _STEP, x.terms.thetas))
         quad = _quad_form(w, gram)
         for found, t in zip(hits, targets):
             c = t.center.entries
@@ -198,7 +202,9 @@ def _orbit_and_balls(seed: int, N: int, count: int):
 
 @pytest.mark.parametrize("cores", CORES)
 @pytest.mark.parametrize("count", [1, 3])
-@pytest.mark.parametrize("N", [_CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize(
+    "N", [_CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _STEP + 1, _CHUNK + _STEP - 1]
+)
 def test_scan_matches_the_chunk_loop(monkeypatch, started, cores, count, N):
     x, balls = _orbit_and_balls(N + count, N, count)
     _use_cores(monkeypatch, cores)

@@ -3,11 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import hyperlab
-from hyperlab.cli import main, run_experiment, validate_config
+from hyperlab import density
+from hyperlab.cli import _first_difference, main, run_experiment, validate_config
+from hyperlab.linspace import StateVector
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -137,6 +140,35 @@ def test_replay_is_byte_identical(run_dir, tmp_path):
     assert "replay identical" in result.output
 
 
+def test_replay_names_the_first_difference(run_dir, tmp_path):
+    out, _ = run_dir
+    summary = read_summary(out)
+    recorded = summary["results"]["khinchine"]["estimate"]
+    summary["results"]["khinchine"]["estimate"] = recorded + 0.5
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    result = CliRunner().invoke(
+        main, ["replay", "--summary", str(edited), "--out", str(tmp_path / "replay")]
+    )
+    assert result.exit_code == 1
+    assert (
+        "replay DIFFERS from the recorded summary: results.khinchine.estimate: "
+        f"recorded {json.dumps(recorded + 0.5)}, replayed {json.dumps(recorded)}"
+    ) in result.output
+
+
+def test_first_difference_paths():
+    assert _first_difference({"a": [1, {"b": 2}]}, {"a": [1, {"b": 2}]}) is None
+    assert _first_difference({"a": [1, {"b": 2}], "c": 3}, {"a": [1, {"b": 4}], "c": 5}) == (
+        "a[1].b",
+        "2",
+        "4",
+    )
+    assert _first_difference({"a": 1.0}, {"a": 1}) == ("a", "1.0", "1")
+    assert _first_difference({"a": [1]}, {"a": [1, 2]}) == ("a[1]", "absent", "2")
+    assert _first_difference({"a": 1, "b": 2}, {"a": 1}) == ("b", "2", "absent")
+
+
 def test_seed_override_changes_monte_carlo_results(run_dir, tmp_path):
     out, _ = run_dir
     cfg, _ = validate_config(json.dumps(small_config(seed=99)))
@@ -178,6 +210,44 @@ def test_construct_and_density_pipelines(tmp_path):
     assert summary["results"]["density"]["construction_orbit"]["passed"]
     assert (out / "construction_state.json").exists()
     assert (out / "visit_times.csv").exists()
+
+
+def test_visit_times_csv_lists_each_block_in_order(tmp_path, monkeypatch):
+    """One line per visit, at most 10000 per block, and nothing for a block
+    with no visits."""
+    cfg_raw = {
+        "seed": 5,
+        "dimension": 32,
+        "operator": {"kind": "scaled_backward_shift", "weight": 2.0},
+        "family": {"count": 256},
+        "pipelines": {
+            "construct": {
+                "targets": [
+                    {"coefficients": [[0.5, 0.0, i]], "radius": 0.5, "reach_power": 1}
+                    for i in (3, 11, 20)
+                ],
+                "trials": 1500,
+                "cert_samples": 100,
+            },
+            "density": {"horizon": 3000, "use_construction": True},
+        },
+    }
+    ball = density.TargetBall(StateVector([0.0]), 1.0)
+    records = [
+        density.VisitRecord(np.arange(0, 24000, 2), 24000, ball),
+        density.VisitRecord((), 24000, ball),
+        density.VisitRecord((5, 17, 2999), 24000, ball),
+    ]
+    monkeypatch.setattr(
+        density,
+        "fhc_harness",
+        lambda x, targets, N: density.FhcReport(tuple(records), (0.5, 0.0, 0.1), False),
+    )
+    cfg, errors = validate_config(json.dumps(cfg_raw))
+    assert not errors
+    run_experiment(cfg, tmp_path)
+    expected = ["block,n"] + [f"1,{n}" for n in range(0, 20000, 2)] + ["3,5", "3,17", "3,2999"]
+    assert (tmp_path / "visit_times.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_run_command_rejects_invalid_config(tmp_path):

@@ -3,11 +3,16 @@ import types
 import numpy as np
 import pytest
 
+from hyperlab._kernels import _CHUNK, _unit_phases
+from hyperlab.cli import _MAX_DENSITY_HORIZON
 from hyperlab.construction import _visit_rate
 from hyperlab.density import (
+    _STEP,
     FhcReport,
     TargetBall,
     VisitRecord,
+    _coefficient_rows,
+    _quad_form,
     default_windows,
     fhc_harness,
     lower_density_estimate,
@@ -124,6 +129,40 @@ def test_gram_route_matches_direct_distances(d, k):
     expected = np.count_nonzero((dist[kept] < tol).any(axis=1)) / kept.sum()
     assert 0 < expected < 1
     assert _visit_rate(block, x, weights[kept], vectors.conj().T @ vectors) == expected
+
+
+@pytest.mark.parametrize("k", [1, 3, 64, 256])
+def test_quad_form_matches_the_three_operand_einsum(k):
+    """||X w||**2 through one BLAS product against the plain einsum, for
+    C-contiguous rows and for rows taken as a strided view."""
+    rng = np.random.default_rng(k)
+    mat = rng.normal(size=(64, k, 2)) @ [1, 1j]
+    gram = mat.conj().T @ mat
+    wide = rng.normal(size=(300, 2 * k, 2)) @ [1, 1j]
+    for w in (wide[:, :k].copy(), wide[:, ::2]):
+        expected = np.einsum("ni,ij,nj->n", w.conj(), gram, w).real
+        got = _quad_form(w, gram)
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+
+@pytest.mark.parametrize("start", [0, 5 * _STEP, 3 * _CHUNK, _MAX_DENSITY_HORIZON // _STEP * _STEP])
+def test_coefficient_rows_match_the_direct_exp(start):
+    """Table-and-anchor rows against exp(2*pi*i*n*theta) * c, within a few
+    rounding steps of the phase n*theta at the largest n, over a stretch
+    that ends mid-step."""
+    rng = np.random.default_rng(start)
+    k = 5
+    x = EigenExpansion(rng.normal(size=(k, 2)) @ [1, 1j], sample_2B_family(2.0, 16, k))
+    thetas = x.terms.thetas
+    table = _unit_phases(np.outer(np.arange(_STEP), thetas))
+    stop = start + 2 * _STEP + 17
+    w = _coefficient_rows(x, table, start, stop)
+    ns = np.arange(start, stop)
+    expected = np.exp(2j * np.pi * np.outer(ns, thetas)) * x.coeffs
+    bound = 4 * 2 * np.pi * np.spacing((stop - 1) * thetas.max()) * np.abs(x.coeffs).max()
+    assert w.shape == expected.shape and w.flags.c_contiguous
+    assert np.abs(w - expected).max() <= bound + 1e-14
 
 
 def test_empty_expansion_visits_iff_center_is_near_zero():
