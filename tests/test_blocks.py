@@ -162,16 +162,12 @@ def test_certify_expectation_matches_the_single_product(monkeypatch, family64, c
 
 
 def _scan_reference(x, targets, N) -> list:
-    """The scan as a single-threaded chunk loop.  The coefficients of T**n x
-    are written the scan's way, per row: the phases of the multiple a of
-    _STEP below n times the coefficients, times the phases of n - a."""
     mat = x.terms.vectors
     gram = mat.conj().T @ mat
     hits = [[] for _ in targets]
     for start in range(0, N, _CHUNK):
         ns = np.arange(start, min(start + _CHUNK, N))
-        anchors = np.exp(2j * np.pi * np.outer(ns - ns % _STEP, x.terms.thetas)) * x.coeffs
-        w = anchors * np.exp(2j * np.pi * np.outer(ns % _STEP, x.terms.thetas))
+        w = np.exp(2j * np.pi * np.outer(ns, x.terms.thetas)) * x.coeffs[None, :]
         quad = _quad_form(w, gram)
         for found, t in zip(hits, targets):
             c = t.center.entries
@@ -184,7 +180,9 @@ def _scan_reference(x, targets, N) -> list:
 
 def _orbit_and_balls(seed: int, N: int, count: int):
     """A three-term orbit and balls around points of it that the orbit
-    visits at about 90%, 50% and 10% of the powers below N."""
+    visits at about 90%, 50% and 10% of the powers below N.  Each squared
+    radius lies midway between two neighbouring squared distances of the
+    orbit, so no orbit point sits within rounding of a sphere."""
     fam = sample_2B_family(2.0, 32, 40)
     rng = np.random.default_rng(seed)
     x = EigenExpansion(rng.normal(size=(3, 2)) @ [1, 1j], fam.take([4, 17, 31]))
@@ -196,7 +194,8 @@ def _orbit_and_balls(seed: int, N: int, count: int):
         w = np.exp(2j * np.pi * np.outer(ns, x.terms.thetas)) * x.coeffs[None, :]
         gram = x.terms.vectors.conj().T @ x.terms.vectors
         dist = _quad_form(w, gram) - 2.0 * (w @ h.conj()).real + float(np.vdot(c, c).real)
-        balls.append(TargetBall(StateVector(c), float(np.sqrt(np.quantile(dist, share)))))
+        near = np.sort(dist)[int(share * (N - 1)) :][:2]
+        balls.append(TargetBall(StateVector(c), float(np.sqrt(near.mean()))))
     return x, balls
 
 
