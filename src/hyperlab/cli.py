@@ -125,10 +125,10 @@ _numbers = _check(
 # khinchine_report divides by the coefficients' l2 norm
 _coefficients = _check(
     'must be {"equal": n} with an integer n >= 1 or a list of [re, im] pairs with a '
-    "nonzero l2 norm",
+    "nonzero coefficient",
     lambda v: _is_int(v.get("equal"), 1)
     if isinstance(v, dict)
-    else _is_pairs(v) and np.linalg.norm(_complexes(v)) > 0,
+    else _is_pairs(v) and any(map(any, v)),
 )
 # chords never exceed 2, so eta >= 2 makes every power a return
 _eta = _check("must be positive and below 2", lambda v: _is_number(v) and 0 < v < 2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import _CHUNK, _blocks, _unit_phases
-from .density import _ball, _inside, _quad_form
+from .density import _ball, _factor, _inside, _quad_form
 from .diophantine import ReturnTimeSet, covering_scan
 from .eigenfields import EigenExpansion, EigenFamily
 from .linspace import StateVector
@@ -269,21 +269,15 @@ def _certify_expectation(terms, rng, trials) -> float:
     k = len(terms)
     if k == 0:
         return 0.0
-    coeffs, vt = terms.coeffs[None, :], terms.terms.vectors.T
-    d = vt.shape[1]
+    coeffs, f = terms.coeffs[None, :], _factor(terms.terms.vectors)
     norms = np.empty(trials)
 
     # one product per block of trials: every block has at least two rows,
     # so BLAS rounds each row as it would in one product for all trials
     def block(start, stop, chi, scratch):
-        y, sq = scratch.reshape(2, stop - start, d)
-        np.matmul(np.multiply(chi, coeffs, out=chi), vt, out=y)
-        # np.linalg.norm(y, axis=1), its steps written into the scratch
-        out = norms[start:stop]
-        np.add.reduce(np.multiply(np.conjugate(y, out=sq), y, out=sq).real, axis=1, out=out)
-        np.sqrt(out, out=out)
+        np.sqrt(_quad_form(np.multiply(chi, coeffs, out=chi), f), out=norms[start:stop])
 
-    _phase_rows(rng, trials, k, block, 2 * d)
+    _phase_rows(rng, trials, k, block)
     return float(np.mean(norms) + _UCB_Z * np.std(norms, ddof=1) / np.sqrt(trials))
 
 
@@ -355,13 +349,12 @@ def run_construction(
     total_norms = []
     k = len(terms)
     if k:
-        mat = terms.terms.vectors
-        gram = mat.conj().T @ mat
+        f = _factor(terms.terms.vectors)
         omega = sample_steinhaus(rng, cert_samples * k).reshape(cert_samples, k)
         weights = omega * terms.coeffs[None, :]
-        total_norms = np.sqrt(np.abs(_quad_form(weights, gram)))
+        total_norms = np.sqrt(_quad_form(weights, f))
         for b in state.blocks:
-            rate = _visit_rate(b, terms, weights, gram)
+            rate = _visit_rate(b, terms, weights, f)
             floor = 1.0 - (5.0 / 3.0) * 2.0 ** (-b.index)
             se = math.sqrt(max(rate * (1 - rate), 1e-12) / cert_samples)
             certificates.append(
@@ -377,7 +370,7 @@ def run_construction(
     return state, phi, report
 
 
-def _visit_rate(block: Block, terms: EigenExpansion, weights, gram) -> float:
+def _visit_rate(block: Block, terms: EigenExpansion, weights, f) -> float:
     """Fraction of sampled realizations for which some p in the block's
     return-time set carries T**p Phi - Phi into the inflated target."""
     p_arr = np.array(block.return_times.times)
@@ -393,7 +386,7 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, gram) -> float:
 
     def count(start, stop):
         w = lam_pow[None, :, :] * weights[start:stop, None, :]
-        (mask,) = _inside(w.reshape(-1, w.shape[-1]), gram, ball)
+        (mask,) = _inside(w.reshape(-1, w.shape[-1]), f, ball)
         hits.append(int(np.count_nonzero(mask.reshape(w.shape[:2]).any(axis=1))))
 
     _blocks(weights.shape[0], max(1, _CHUNK // len(p_arr)), count)

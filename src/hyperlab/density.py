@@ -3,9 +3,9 @@
 Inputs are eigen-expansions, so every orbit power acts on unimodular
 eigenvalues and stays bounded no matter how large the operator norm is.
 Whether an orbit point lies in a target ball is decided in one place,
-:func:`_inside`, through the Gram matrix of the expansion's terms: the
-visit scan here, the construction's visit certificate and its norm
-estimate all call it, and :func:`recheck_visit` is the direct reference.
+:func:`_inside`, through the norm factor of :func:`_factor`: the visit
+scan here, the construction's visit certificate and its norm estimate
+all call it, and :func:`recheck_visit` is the direct reference.
 The lower-density proxy is the minimum visit frequency over a ladder of
 window cut points; the true liminf is not finitely computable.
 """
@@ -55,13 +55,22 @@ class VisitRecord:
             raise ValueError("visit times must lie in [0, horizon)")
 
 
-def _quad_form(w, gram) -> np.ndarray:
-    """||X w||**2 for every row w of the coefficient array, from the Gram
-    matrix gram = X* X of the term matrix X: Re(w* . G w) as one BLAS
-    product G w and a real dot product of the interleaved real and
-    imaginary parts, so no conjugate copy or complex result is made."""
-    w = np.ascontiguousarray(w, dtype=complex)
-    return np.einsum("ni,ni->n", w.view(float), (w @ gram.T).view(float))
+def _factor(vectors) -> np.ndarray:
+    """The k x min(k, d) norm factor F of the d x k term matrix X whose
+    columns are ``vectors``, with ||X w|| = ||w F|| for every coefficient
+    row w: X^T itself when k >= d, else R^T from X = QR.  A row's norm then
+    costs min(k, d) * k multiplies, never k**2 or d * k."""
+    d, k = vectors.shape
+    return vectors.T if k >= d else np.linalg.qr(vectors, mode="r").T
+
+
+def _quad_form(w, f) -> np.ndarray:
+    """||X w||**2 for every row w of the coefficient array, from the norm
+    factor f of :func:`_factor`: the BLAS product y = w f and a real dot
+    product of y's interleaved real and imaginary parts with themselves,
+    so no conjugate copy or complex result is made."""
+    y = np.ascontiguousarray(w, dtype=complex) @ f
+    return np.einsum("ni,ni->n", y.view(float), y.view(float))
 
 
 def _ball(vectors, center, r_sq: float) -> tuple:
@@ -71,12 +80,12 @@ def _ball(vectors, center, r_sq: float) -> tuple:
     return vectors.conj().T @ center, float(np.real(np.vdot(center, center))), r_sq
 
 
-def _inside(w, gram, balls) -> list:
+def _inside(w, f, balls) -> list:
     """For each ball of :func:`_ball`, the mask of the rows w of the
-    coefficient array with ||X w - c|| < r, from the Gram matrix
-    gram = X* X: ||X w||**2 - 2 Re(w . conj(X* c)) + ||c||**2 < r**2.
+    coefficient array with ||X w - c|| < r, from the norm factor f of
+    :func:`_factor`: ||w f||**2 - 2 Re(w . conj(X* c)) + ||c||**2 < r**2.
     The quadratic term is computed once for all the balls."""
-    quad = _quad_form(w, gram)
+    quad = _quad_form(w, f)
     return [quad - 2.0 * (w @ h.conj()).real + c_sq < r_sq for h, c_sq, r_sq in balls]
 
 
@@ -84,11 +93,11 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     """One VisitRecord per target: all n < N with
     ||T**n x - center|| < radius.
 
-    Membership is decided by :func:`_inside`, so the cost per step is
-    quadratic in the number of terms, not in the ambient dimension, and
-    its quadratic term is one BLAS product.  The coefficient rows and the
-    quadratic term of a chunk of _CHUNK powers are shared by all targets;
-    each target adds only its cross term.  The rows come from
+    Membership is decided by :func:`_inside`, so a step's quadratic term
+    costs k * min(k, d) multiplies for k terms in C^d, as one BLAS
+    product with the norm factor of :func:`_factor`.  The coefficient
+    rows and the quadratic term of a chunk of _CHUNK powers are shared by
+    all targets; each target adds only its cross term.  The rows come from
     :func:`_coefficient_rows`: one table of the phases of the first _STEP
     powers, made once per scan, times one anchor row per _STEP powers, so
     a chunk takes _CHUNK / _STEP rows of ``exp``.  The chunks go
@@ -107,7 +116,7 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
             for t in targets
         ]
     mat = x.terms.vectors
-    gram = mat.conj().T @ mat
+    f = _factor(mat)
     balls = [_ball(mat, t.center.entries, t.radius**2) for t in targets]
     table = _unit_phases(np.outer(np.arange(min(_STEP, N)), x.terms.thetas))
     hits = [None] * -(-N // _CHUNK)
@@ -115,7 +124,7 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     def scan(start, stop):
         ns = np.arange(start, stop)
         w = _coefficient_rows(x, table, start, stop)
-        hits[start // _CHUNK] = [ns[mask] for mask in _inside(w, gram, balls)]
+        hits[start // _CHUNK] = [ns[mask] for mask in _inside(w, f, balls)]
 
     _blocks(N, _CHUNK, scan)
     return [
@@ -145,7 +154,7 @@ def visit_times(x: EigenExpansion, target: TargetBall, N: int) -> VisitRecord:
 
 def recheck_visit(x: EigenExpansion, target: TargetBall, n: int) -> bool:
     """Direct recomputation of a single membership in C^d, from x.power(n):
-    the reference for the Gram route of :func:`_inside`."""
+    the reference for the norm-factor route of :func:`_inside`."""
     moved = x.power(n).entries - target.center.entries
     return float(np.linalg.norm(moved)) < target.radius
 

@@ -99,9 +99,13 @@ def khinchine_report(coeffs, trials: int, rng: np.random.Generator) -> MCReport:
     the ratio always lies in (0, 1].
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    l2 = float(np.linalg.norm(coeffs))
-    if not l2 > 0:
+    # the ratio does not depend on scale; the largest |re| or |im| never
+    # overflows, as abs can, so the scaled l2 norm lies in [1, sqrt(2k)]
+    scale = float(np.max(np.maximum(np.abs(coeffs.real), np.abs(coeffs.imag)), initial=0.0))
+    if not scale > 0:
         raise ValueError("need coefficients with a nonzero l2 norm")
+    coeffs = coeffs / scale
+    l2 = float(np.linalg.norm(coeffs))
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
     sums = np.empty(trials)

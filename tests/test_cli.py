@@ -331,6 +331,18 @@ def test_depth_zero_cantor_run_writes_valid_json(tmp_path):
     assert cantor["min_margin"] is None and cantor["passed"] is True
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["overflow", "underflow"])
+def test_khinchine_ratio_does_not_depend_on_the_scale(tmp_path, scale):
+    # |a|**2 overflows at 1e200 and underflows at 1e-170, but one
+    # coefficient's ratio is exactly 1 at any scale
+    khinchine = {"coefficients": [[scale, 0]], "trials": 1000}
+    cfg, errors = validate_config(json.dumps({"seed": 1, "pipelines": {"khinchine": khinchine}}))
+    assert not errors, errors
+    assert run_experiment(cfg, tmp_path) == 0
+    result = read_summary(tmp_path)["results"]["khinchine"]
+    assert result["estimate"] == 1.0 and result["passed"] is True
+
+
 # runs a workload config in a fresh interpreter and prints whether the run
 # imported numpy.ma, which numpy's first np.unique call does
 _NO_MA = """

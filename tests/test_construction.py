@@ -12,7 +12,7 @@ from hyperlab.construction import (
     run_construction,
     split_coefficient,
 )
-from hyperlab.density import TargetBall, _quad_form, recheck_visit
+from hyperlab.density import TargetBall, _factor, _quad_form, recheck_visit
 from hyperlab.eigenfields import sample_2B_family
 from hyperlab.operators import make_scaled_backward_shift
 from hyperlab.steinhaus import sample_steinhaus
@@ -101,7 +101,7 @@ def test_zero_steps_yields_empty_series(rng):
     assert report.total_norm_estimate == 0.0
 
 
-def _closest_sq_per_sample(block, terms, weights, gram):
+def _closest_sq_per_sample(block, terms, weights, f):
     """Reference: one distance evaluation per sampled realization, giving
     its smallest squared distance to the block's center over the return
     times."""
@@ -113,7 +113,7 @@ def _closest_sq_per_sample(block, terms, weights, gram):
     closest = []
     for w in weights:
         v = lam_pow * w[None, :]
-        closest.append((_quad_form(v, gram) - 2.0 * (v @ h.conj()).real + c_sq).min())
+        closest.append((_quad_form(v, f) - 2.0 * (v @ h.conj()).real + c_sq).min())
     return np.array(closest)
 
 
@@ -126,24 +126,23 @@ def test_vectorised_visit_rate_matches_per_sample_loop(rng, monkeypatch):
     ]
     state, _, _ = run_construction(op, fam, targets, 2, rng, cert_samples=50)
     terms = state.all_terms()
-    mat = terms.terms.vectors
-    gram = mat.conj().T @ mat
+    f = _factor(terms.terms.vectors)
     samples = 300
     omega = sample_steinhaus(rng, samples * len(terms)).reshape(samples, len(terms))
     weights = omega * terms.coeffs[None, :]
     # every sample visits the construction's own balls; a ball whose
     # radius is the median closest approach is visited by about half
-    closest = _closest_sq_per_sample(state.blocks[0], terms, weights, gram)
+    closest = _closest_sq_per_sample(state.blocks[0], terms, weights, f)
     probe = dataclasses.replace(
         state.blocks[0], radius=float(np.sqrt(np.median(closest))), index=60
     )
     for b in (*state.blocks, probe):
         tol = b.radius + 2.0 ** (-(b.index - 1))
-        closest = _closest_sq_per_sample(b, terms, weights, gram)
+        closest = _closest_sq_per_sample(b, terms, weights, f)
         expected = np.count_nonzero(closest < tol * tol) / samples
-        assert construction._visit_rate(b, terms, weights, gram) == expected
+        assert construction._visit_rate(b, terms, weights, f) == expected
         # chunks of 7 samples, the last one short
         monkeypatch.setattr(construction, "_CHUNK", 7 * len(b.return_times.times))
-        assert construction._visit_rate(b, terms, weights, gram) == expected
+        assert construction._visit_rate(b, terms, weights, f) == expected
         monkeypatch.undo()
     assert 0 < expected < 1

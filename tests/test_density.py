@@ -12,6 +12,7 @@ from hyperlab.density import (
     TargetBall,
     VisitRecord,
     _coefficient_rows,
+    _factor,
     _quad_form,
     default_windows,
     fhc_harness,
@@ -82,14 +83,14 @@ def test_recheck_visit_agrees_with_fast_path(setup):
 
 def _near(dist, r):
     """Rows whose direct distance is too close to the radius r for the
-    Gram route and the direct route to be held to the same verdict."""
+    norm-factor route and the direct route to be held to the same verdict."""
     return np.abs(dist - r) <= 1e-9 * (1 + r)
 
 
 @pytest.mark.parametrize("d, k", [(8, 3), (8, 8), (8, 32), (16, 64), (64, 3)])
 def test_gram_route_matches_direct_distances(d, k):
     """The visit scan and the visit certificate, which decide membership
-    through the Gram matrix of the terms, against distances taken in C^d,
+    through the norm factor of the terms, against distances taken in C^d,
     with fewer terms than dimensions and more."""
     N = 3000
     rng = np.random.default_rng(100 * d + k)
@@ -128,22 +129,48 @@ def test_gram_route_matches_direct_distances(d, k):
     assert kept.sum() >= 199
     expected = np.count_nonzero((dist[kept] < tol).any(axis=1)) / kept.sum()
     assert 0 < expected < 1
-    assert _visit_rate(block, x, weights[kept], vectors.conj().T @ vectors) == expected
+    assert _visit_rate(block, x, weights[kept], _factor(vectors)) == expected
 
 
 @pytest.mark.parametrize("k", [1, 3, 64, 256])
 def test_quad_form_matches_the_three_operand_einsum(k):
-    """||X w||**2 through one BLAS product against the plain einsum, for
-    C-contiguous rows and for rows taken as a strided view."""
+    """||X w||**2 through the norm factor against the plain einsum over the
+    Gram matrix X* X, for C-contiguous rows and for rows taken as a strided
+    view."""
     rng = np.random.default_rng(k)
     mat = rng.normal(size=(64, k, 2)) @ [1, 1j]
     gram = mat.conj().T @ mat
     wide = rng.normal(size=(300, 2 * k, 2)) @ [1, 1j]
     for w in (wide[:, :k].copy(), wide[:, ::2]):
         expected = np.einsum("ni,ij,nj->n", w.conj(), gram, w).real
-        got = _quad_form(w, gram)
+        got = _quad_form(w, _factor(mat))
         assert got.shape == expected.shape
         assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+
+def _random_terms(k: int) -> np.ndarray:
+    return np.random.default_rng(k).normal(size=(64, k, 2)) @ [1, 1j]
+
+
+@pytest.mark.parametrize("k", [1, 3, 63, 64, 65, 256])
+def test_factor_has_min_k_d_columns(k):
+    assert _factor(_random_terms(k)).shape == (k, min(k, 64))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [*(_random_terms(k) for k in (1, 3, 64, 256)), sample_2B_family(2.0, 64, 1024).vectors],
+    ids=["random-1", "random-3", "random-64", "random-256", "2B-1024"],
+)
+def test_quad_form_matches_the_norm_in_C_d(mat):
+    """||w F||**2 against ||X w||**2 taken in C^d, with fewer terms than
+    dimensions, as many and more, and on the ill-conditioned w = 2
+    family."""
+    k = mat.shape[1]
+    w = np.random.default_rng(k + 1).normal(size=(500, k, 2)) @ [1, 1j]
+    expected = np.linalg.norm(w @ mat.T, axis=1) ** 2
+    got = _quad_form(w, _factor(mat))
+    assert np.all(np.abs(got - expected) <= 1e-13 * expected)
 
 
 @pytest.mark.parametrize("start", [0, 5 * _STEP, 3 * _CHUNK, _MAX_DENSITY_HORIZON // _STEP * _STEP])
