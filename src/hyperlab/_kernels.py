@@ -10,7 +10,8 @@ import threading
 
 import numpy as np
 
-# rows per block of the visit scan, the visit certificate and the cross term
+# terms (rows times the number of terms) per block of the visit scan and
+# the visit certificate, and rows per block of the cross term
 _CHUNK = 1 << 15
 
 

@@ -43,11 +43,18 @@ _FAMILY = {"count": 256}
 _MAX_CELLS = 4096
 _MAX_ANGLES = 64
 # ceilings of the horizons: the syndetic pipeline builds a horizon x
-# angle_count phase array in one piece, and a density record holds up to
-# horizon visit times per target
+# angle_count phase array in one piece, and a density horizon costs one
+# byte per power and target while the scan runs and 8 bytes per visit and
+# target in the records
 _MAX_SYNDETIC_HORIZON = 10**6
 _MAX_SYNDETIC_PHASES = 1 << 24
 _MAX_DENSITY_HORIZON = 10**7
+# the ergodicity witness holds a few float64 arrays of N powers at once
+_MAX_ERGODICITY_HORIZON = 10**7
+# the Khinchine ratio keeps one float64 per trial
+_MAX_KHINCHINE_TRIALS = 10**7
+# the invariance gap keeps two float64 moduli per probe and trial
+_MAX_INVARIANCE_MODULI = 1 << 24
 
 
 @dataclass
@@ -151,7 +158,7 @@ def _triples(value, bounds):
 # resolved against that table's rows.
 _PARAMS = (
     ("khinchine", "coefficients", {"equal": 100}, _coefficients),
-    ("khinchine", "trials", 10**5, _int(1000)),
+    ("khinchine", "trials", 10**5, _int(1000, _MAX_KHINCHINE_TRIALS)),
     ("diophantine", "eta", 0.05, _eta),
     ("diophantine", "angle_count", 2, _int(1, _MAX_ANGLES)),
     ("diophantine", "targets_per_angle", 4, _int(1, _MAX_CELLS)),
@@ -162,7 +169,7 @@ _PARAMS = (
     ("ergodicity", "c", [[2**-0.5, 0], [2**-0.5, 0]], _pairs),
     ("ergodicity", "d", lambda b: b["c"], _pairs),
     ("ergodicity", "angles", [1.0, float(np.sqrt(2) % 1)], _numbers),
-    ("ergodicity", "N", 10**5, _int(1000)),
+    ("ergodicity", "N", 10**5, _int(1000, _MAX_ERGODICITY_HORIZON)),
     ("cantor", "depth", 6, _int(0)),
     # a seed family of another size is sampled from the shift's field
     ("cantor", "seed_count", lambda b: b["family size"], _int(1)),
@@ -309,6 +316,12 @@ def validate_config(text: str, horizon=None, seed=None):
         errors.append(
             "pipelines.syndetic.horizon * angle_count, the size of the phase "
             f"array, must be <= {_MAX_SYNDETIC_PHASES}"
+        )
+    invariance = params.get("invariance")
+    if invariance and invariance["trials"] * invariance["probes"] > _MAX_INVARIANCE_MODULI:
+        errors.append(
+            "pipelines.invariance.trials * probes, the number of moduli per "
+            f"batch, must be <= {_MAX_INVARIANCE_MODULI}"
         )
     cantor = params.get("cantor")
     # a depth-n tree needs 2**n - 1 distinct right children besides the

@@ -378,10 +378,11 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, f) -> float:
     tol = block.radius + 2.0 ** (-(block.index - 1))
     ball = [_ball(terms.terms.vectors, block.center.entries, tol * tol)]
     # every (sample, return time) pair of a block of samples at once, at
-    # most about _CHUNK rows of terms per call, the blocks shared out by
-    # _blocks and each adding its own count; lam_pow stays the left factor,
-    # because numpy's complex multiply rounds a*b and b*a differently on a
-    # third of inputs
+    # most _CHUNK terms (samples x return times x k) per block unless one
+    # sample holds more, the blocks shared out by _blocks and each adding
+    # its own integer count, so the rate does not depend on the cut;
+    # lam_pow stays the left factor, because numpy's complex multiply
+    # rounds a*b and b*a differently on a third of inputs
     hits = []
 
     def count(start, stop):
@@ -389,6 +390,6 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, f) -> float:
         (mask,) = _inside(w.reshape(-1, w.shape[-1]), f, ball)
         hits.append(int(np.count_nonzero(mask.reshape(w.shape[:2]).any(axis=1))))
 
-    _blocks(weights.shape[0], max(1, _CHUNK // len(p_arr)), count)
+    _blocks(weights.shape[0], max(1, _CHUNK // lam_pow.size), count)
     return sum(hits) / weights.shape[0]
 

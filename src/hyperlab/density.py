@@ -6,6 +6,10 @@ Whether an orbit point lies in a target ball is decided in one place,
 :func:`_inside`, through the norm factor of :func:`_factor`: the visit
 scan here, the construction's visit certificate and its norm estimate
 all call it, and :func:`recheck_visit` is the direct reference.
+The scan and the certificate cut their work into blocks of at most
+_CHUNK terms (rows times the number of terms k), so their temporaries
+stay the same size at any k, and the scan keeps a block's hits as one
+byte per power and target until it joins them into visit times.
 The lower-density proxy is the minimum visit frequency over a ladder of
 window cut points; the true liminf is not finitely computable.
 """
@@ -20,8 +24,8 @@ from ._kernels import _CHUNK, _blocks, _unit_phases
 from .eigenfields import EigenExpansion
 from .linspace import StateVector
 
-# powers per row of anchors in the visit scan's phase table; _CHUNK is a
-# multiple of it
+# powers per row of anchors in the visit scan's phase table; every scan
+# block is a multiple of it
 _STEP = 1 << 10
 
 
@@ -96,15 +100,18 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     Membership is decided by :func:`_inside`, so a step's quadratic term
     costs k * min(k, d) multiplies for k terms in C^d, as one BLAS
     product with the norm factor of :func:`_factor`.  The coefficient
-    rows and the quadratic term of a chunk of _CHUNK powers are shared by
-    all targets; each target adds only its cross term.  The rows come from
-    :func:`_coefficient_rows`: one table of the phases of the first _STEP
-    powers, made once per scan, times one anchor row per _STEP powers, so
-    a chunk takes _CHUNK / _STEP rows of ``exp``.  The chunks go
-    through :func:`_kernels._blocks`, one whole chunk per block, so
-    they run on all the cores the process may use; each chunk's hits are
-    stored under its index and joined in order, so the visit times do not
-    depend on the number of threads.
+    rows and the quadratic term of a block of powers are shared by all
+    targets; each target adds only its cross term.  A block holds at most
+    _CHUNK terms (rows times k), in a whole number of _STEP powers, so
+    its temporaries do not grow with k: 10 * _STEP powers at k = 3, and
+    _STEP from k = 32 on.  The rows come from :func:`_coefficient_rows`:
+    one table of the phases of the first _STEP powers, made once per
+    scan, times one anchor row per _STEP powers, so a block takes one
+    ``exp`` row per _STEP powers.  The blocks go through
+    :func:`_kernels._blocks`, so they run on all the cores the process may
+    use; each block stores its masks, one byte per power and target,
+    under its index, and they are joined in order, so the visit times do
+    not depend on the number of threads.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -119,18 +126,20 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     f = _factor(mat)
     balls = [_ball(mat, t.center.entries, t.radius**2) for t in targets]
     table = _unit_phases(np.outer(np.arange(min(_STEP, N)), x.terms.thetas))
-    hits = [None] * -(-N // _CHUNK)
+    rows = _STEP * max(1, _CHUNK // (_STEP * len(x)))
+    masks = [None] * -(-N // rows)
 
     def scan(start, stop):
-        ns = np.arange(start, stop)
-        w = _coefficient_rows(x, table, start, stop)
-        hits[start // _CHUNK] = [ns[mask] for mask in _inside(w, f, balls)]
+        masks[start // rows] = _inside(_coefficient_rows(x, table, start, stop), f, balls)
 
-    _blocks(N, _CHUNK, scan)
-    return [
-        VisitRecord(np.concatenate([chunk[i] for chunk in hits]), N, t)
-        for i, t in enumerate(targets)
-    ]
+    _blocks(N, rows, scan)
+    records = []
+    for i, t in enumerate(targets):
+        times = np.flatnonzero(np.concatenate([block[i] for block in masks]))
+        # read-only, so VisitRecord keeps it without a defensive copy
+        times.flags.writeable = False
+        records.append(VisitRecord(times, N, t))
+    return records
 
 
 def _coefficient_rows(x: EigenExpansion, table, start: int, stop: int) -> np.ndarray:
@@ -141,7 +150,7 @@ def _coefficient_rows(x: EigenExpansion, table, start: int, stop: int) -> np.nda
     0, 1, ... below _STEP.  Each entry is one product of two ``exp``
     values, so no error accumulates along the orbit, and as the anchors
     sit at absolute multiples of _STEP the bits do not depend on how the
-    horizon is cut into chunks."""
+    horizon is cut into blocks."""
     anchors = _unit_phases(np.outer(np.arange(start, stop, _STEP), x.terms.thetas)) * x.coeffs
     w = anchors[:, None, :] * table[None, :, :]
     return w.reshape(-1, w.shape[-1])[: stop - start]

@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperlab import _kernels, construction, steinhaus
+from hyperlab import _kernels, construction, density, steinhaus
 from hyperlab._kernels import _CHUNK, _blocks
 from hyperlab.cli import run_experiment, validate_config
 from hyperlab.construction import ConstructionTarget, run_construction
 from hyperlab.density import _STEP, TargetBall, _factor, _quad_form, _scan
+from hyperlab.diophantine import ReturnTimeSet
 from hyperlab.eigenfields import (
     EigenExpansion,
     _FIELD_COLUMNS,
@@ -195,28 +196,43 @@ def _scan_reference(x, targets, N) -> list:
     return [np.concatenate(found) for found in hits]
 
 
-def _orbit_and_balls(seed: int, N: int, count: int):
-    """A three-term orbit and balls around points of it that the orbit
-    visits at about 90%, 50% and 10% of the powers below N.  Each squared
-    radius lies midway between two neighbouring squared distances of the
-    orbit, so no orbit point sits within rounding of a sphere."""
-    fam = sample_2B_family(2.0, 32, 40)
-    rng = np.random.default_rng(seed)
-    x = EigenExpansion(rng.normal(size=(3, 2)) @ [1, 1j], fam.take([4, 17, 31]))
+def _midpoint_balls(x, N: int, count: int, rng) -> list:
+    """Balls around points of the orbit of x that it visits at about 90%,
+    50% and 10% of the powers below N.  Each squared radius lies midway
+    between two neighbouring squared distances of the orbit, so no orbit
+    point sits within rounding of a sphere."""
     balls = []
     orbit = _orbit_chunk(x, np.arange(N))
     for i, share in enumerate((0.9, 0.5, 0.1)[:count]):
-        c = x.power(7 * i).entries + 0.05 * rng.normal(size=32)
+        c = x.power(7 * i).entries + 0.05 * rng.normal(size=orbit.shape[1])
         dist = np.linalg.norm(orbit - c, axis=1) ** 2
         near = np.sort(dist)[int(share * (N - 1)) :][:2]
         balls.append(TargetBall(StateVector(c), float(np.sqrt(near.mean()))))
-    return x, balls
+    return balls
 
 
+def _orbit_and_balls(seed: int, N: int, count: int):
+    """A three-term orbit in C^32 and its balls of :func:`_midpoint_balls`."""
+    fam = sample_2B_family(2.0, 32, 40)
+    rng = np.random.default_rng(seed)
+    x = EigenExpansion(rng.normal(size=(3, 2)) @ [1, 1j], fam.take([4, 17, 31]))
+    return x, _midpoint_balls(x, N, count, rng)
+
+
+# a three-term scan block holds 10 * _STEP powers
 @pytest.mark.parametrize("cores", CORES)
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize(
-    "N", [_CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _STEP + 1, _CHUNK + _STEP - 1]
+    "N",
+    [
+        _CHUNK - 1,
+        _CHUNK + 1,
+        2 * _CHUNK + 1,
+        3 * _STEP + 1,
+        _CHUNK + _STEP - 1,
+        10 * _STEP - 1,
+        10 * _STEP + 1,
+    ],
 )
 def test_scan_matches_the_chunk_loop(monkeypatch, started, cores, count, N):
     x, balls = _orbit_and_balls(N + count, N, count)
@@ -227,8 +243,52 @@ def test_scan_matches_the_chunk_loop(monkeypatch, started, cores, count, N):
     for rec, times in zip(records, expected):
         assert np.array_equal(rec.times, times)
     assert 0 < expected[0].size < N
-    # one helper per extra core and chunk, and none for a chunk's phases
-    assert len(started) == min(cores, -(-N // _CHUNK)) - 1
+    # one helper per extra core and block, and none for a block's phases
+    assert len(started) == min(cores, -(-N // (10 * _STEP))) - 1
+
+
+@pytest.mark.parametrize("cores", CORES)
+def test_scan_matches_the_chunk_loop_at_1024_terms(monkeypatch, cores):
+    # four blocks of _STEP powers, the last of one power
+    N, k = 3 * _STEP + 1, 1024
+    rng = np.random.default_rng(k)
+    x = EigenExpansion(rng.normal(size=(k, 2)) @ [1, 1j] / np.sqrt(k), sample_2B_family(2.0, 64, k))
+    balls = _midpoint_balls(x, N, 3, rng)
+    _use_cores(monkeypatch, cores)
+    for rec, times in zip(_scan(x, balls, N), _scan_reference(x, balls, N)):
+        assert np.array_equal(rec.times, times)
+        assert 0 < times.size < N
+
+
+def _record_blocks(monkeypatch, module) -> list:
+    """The (start, stop) of every block that ``module`` hands to _blocks."""
+    seen = []
+
+    def recorded(n, size, fn):
+        _blocks(n, size, lambda start, stop: seen.append((start, stop)) or fn(start, stop))
+
+    monkeypatch.setattr(module, "_blocks", recorded)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "k, N", [(1, 2 * _CHUNK + 1), (3, 2 * _CHUNK + 1), (64, 5 * _STEP), (1024, 3 * _STEP + 1)]
+)
+def test_scan_blocks_hold_at_most_a_chunk_of_terms(monkeypatch, family256, k, N):
+    fam = family256 if k <= 256 else sample_2B_family(2.0, 64, k)
+    x = EigenExpansion(np.full(k, 1 / k), fam.take(slice(k)))
+    seen = _record_blocks(monkeypatch, density)
+    # ||T**n x|| <= 1, so every power visits
+    (rec,) = _scan(x, [TargetBall(StateVector(np.zeros(64)), 2.0)], N)
+    assert np.array_equal(rec.times, np.arange(N))
+    seen.sort()
+    assert len(seen) > 1 and seen[0][0] == 0 and seen[-1][1] == N
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+    # whole _STEP rows of the phase table, so the anchors stay at absolute
+    # multiples of _STEP
+    for start, stop in seen[:-1]:
+        assert (stop - start) % _STEP == 0
+        assert (stop - start) * k <= max(_CHUNK, _STEP * k)
 
 
 # ------------------------------------------------------------ cross term
@@ -289,8 +349,8 @@ def test_visit_rate_matches_the_sample_loop(
     _use_cores(monkeypatch, cores)
     for b in state.blocks:
         if samples_per_block is not None:
-            rows = samples_per_block * len(b.return_times.times)
-            monkeypatch.setattr(construction, "_CHUNK", rows)
+            size = samples_per_block * len(b.return_times.times) * len(terms)
+            monkeypatch.setattr(construction, "_CHUNK", size)
         # every sample visits the construction's own balls; a ball whose
         # radius is the median closest approach is visited by about half,
         # so a sample moved between blocks changes the rate
@@ -301,6 +361,56 @@ def test_visit_rate_matches_the_sample_loop(
             expected = np.count_nonzero(closest < tol * tol) / weights.shape[0]
             assert construction._visit_rate(block, terms, weights, f) == expected
         assert 0 < expected < 1
+
+
+def _visit_block(family, k: int, P: int, samples: int):
+    """A block of k terms over ``family`` with the return times 1..P, the
+    weights of ``samples`` sampled realizations and the norm factor; the
+    block's radius is the median closest approach, so about half the
+    samples visit."""
+    rng = np.random.default_rng(1000 * k + P)
+    terms = EigenExpansion(rng.normal(size=(k, 2)) @ [1, 1j] / np.sqrt(k), family.take(slice(k)))
+    weights = sample_steinhaus(rng, samples * k).reshape(samples, k) * terms.coeffs[None, :]
+    f = _factor(terms.terms.vectors)
+    block = construction.Block(
+        index=60,
+        terms=terms,
+        center=terms.power(1),
+        radius=1.0,
+        reach_power=1,
+        return_times=ReturnTimeSet.from_times(range(1, P + 1)),
+        expected_norm_bound=0.0,
+        budget=1.0,
+    )
+    closest = _closest_sq_per_sample(block, terms, weights, f)
+    block = dataclasses.replace(block, radius=float(np.sqrt(np.median(closest))))
+    return block, terms, weights, f
+
+
+# (k, return times, samples): 4096 samples per block and a last block of
+# one; 327 and 16 samples per block; one sample per block
+_VISIT_CASES = [(1, 8, 4097), (1, 100, 1000), (100, 20, 301), (100, 400, 7)]
+
+
+@pytest.mark.parametrize("k, P, samples", _VISIT_CASES)
+def test_visit_rate_blocks_hold_at_most_a_chunk_of_terms(monkeypatch, family256, k, P, samples):
+    block, terms, weights, f = _visit_block(family256, k, P, samples)
+    seen = _record_blocks(monkeypatch, construction)
+    construction._visit_rate(block, terms, weights, f)
+    assert sorted(seen)[-1][1] == samples and len(seen) > 1
+    for start, stop in seen:
+        assert (stop - start) * P * k <= max(_CHUNK, P * k)
+
+
+@pytest.mark.parametrize("k, P, samples", _VISIT_CASES)
+def test_visit_rate_does_not_depend_on_the_cores(monkeypatch, family256, k, P, samples):
+    block, terms, weights, f = _visit_block(family256, k, P, samples)
+    rates = []
+    for cores in CORES:
+        _use_cores(monkeypatch, cores)
+        rates.append(construction._visit_rate(block, terms, weights, f))
+    assert _same_bits(*rates)
+    assert 0 < rates[0] < 1
 
 
 # ------------------------------------------------------------ 2B field

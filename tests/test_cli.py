@@ -381,6 +381,10 @@ def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
         ("cantor", {"depth": 70}, "depth"),
         ("cantor", {"depth": 3, "seed_count": 4}, "depth"),
         ("syndetic", {"horizon": 999}, "horizon"),
+        # each would exhaust memory in one allocation
+        ("ergodicity", {"N": 10**12}, "N"),
+        ("khinchine", {"trials": 10**12}, "trials"),
+        ("invariance", {"trials": 10**12}, "trials"),
     ],
     ids=[
         "density.horizon",
@@ -391,6 +395,9 @@ def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
         "cantor.depth-70",
         "cantor.depth-over-seed",
         "syndetic.horizon",
+        "ergodicity.N-huge",
+        "khinchine.trials-huge",
+        "invariance.trials-huge",
     ],
 )
 def test_validate_rejects_what_run_refuses(pipeline, params, key):

@@ -142,7 +142,8 @@ def test_vectorised_visit_rate_matches_per_sample_loop(rng, monkeypatch):
         expected = np.count_nonzero(closest < tol * tol) / samples
         assert construction._visit_rate(b, terms, weights, f) == expected
         # chunks of 7 samples, the last one short
-        monkeypatch.setattr(construction, "_CHUNK", 7 * len(b.return_times.times))
+        size = 7 * len(b.return_times.times) * len(terms)
+        monkeypatch.setattr(construction, "_CHUNK", size)
         assert construction._visit_rate(b, terms, weights, f) == expected
         monkeypatch.undo()
     assert 0 < expected < 1
