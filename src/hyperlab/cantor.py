@@ -64,6 +64,21 @@ def _reach(depth: int) -> float:
     return float(np.sum(np.arcsin(2.0**-n / 2.0)) / np.pi) * (1 + 1e-9) + 1e-12
 
 
+def _seed_angles(thetas, depth: int) -> np.ndarray:
+    """The angles of ``thetas`` a build to ``depth`` rooted at thetas[0]
+    can read, those within :func:`_reach` of the root, in angle order from
+    the root.
+
+    The tree depends neither on the members left out nor on the order of
+    the rest, and in this order the build's searches read near-contiguous
+    runs of columns.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
+    thetas = thetas[np.abs(offsets) <= _reach(depth)]
+    return thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
+
+
 def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     """Grow the full binary tree of the halving construction to ``depth``.
 
@@ -257,18 +272,6 @@ def _check_field_invariants(field: CantorField) -> None:
     for n in range(field.depth + 1):
         if _has_duplicates(thetas[2**n - 1 : 2 ** (n + 1) - 1]):
             raise CantorBuildError(f"duplicate angles at level {n}")
-
-
-def cantor_lookup(field: CantorField, s) -> tuple:
-    """(angle, vector) at the node addressed by binary string s; full-depth
-    strings approximate the limit objects within 2**-depth."""
-    label = "".join(str(int(b)) for b in s)
-    if len(label) > field.depth:
-        raise ValueError(f"string longer than field depth {field.depth}")
-    if set(label) - {"0", "1"}:
-        raise ValueError(f"unknown node {label!r}")
-    pair = field.seed_family.pair(int(field.nodes[int("1" + label, 2) - 1]))
-    return pair.theta, pair.vector
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,20 @@ _MAX_SYNDETIC_PHASES = 1 << 24
 _MAX_DENSITY_HORIZON = 10**7
 # the ergodicity witness holds a few float64 arrays of N powers at once
 _MAX_ERGODICITY_HORIZON = 10**7
-# the Khinchine ratio keeps one float64 per trial
-_MAX_KHINCHINE_TRIALS = 10**7
+# the Khinchine ratio and the expectation certificate keep one float64 per trial
+_MAX_TRIALS = 10**7
+# the Khinchine draw takes time in trials x coefficients: 10**8 draws took
+# 3.7 s on a 2-core host
+_MAX_KHINCHINE_DRAWS = 1 << 26
+# the perturbed diagonal's family takes d back-substitutions of up to d
+# Python steps each, 1.2 s at d = 1024 on a 2-core host
+_MAX_DIMENSION = 1024
+# a family or Cantor seed takes its sqrt-prime angles from a prime sieve of
+# about 20 bytes per angle
+_MAX_FAMILY_COUNT = 1 << 20
+# complex entries of a family or Cantor seed (d x count) and of the visit
+# certificate's weights (cert_samples x terms), 16 bytes each
+_MAX_ENTRIES = 1 << 24
 # the invariance gap keeps two float64 moduli per probe and trial
 _MAX_INVARIANCE_MODULI = 1 << 24
 
@@ -158,7 +170,7 @@ def _triples(value, bounds):
 # resolved against that table's rows.
 _PARAMS = (
     ("khinchine", "coefficients", {"equal": 100}, _coefficients),
-    ("khinchine", "trials", 10**5, _int(1000, _MAX_KHINCHINE_TRIALS)),
+    ("khinchine", "trials", 10**5, _int(1000, _MAX_TRIALS)),
     ("diophantine", "eta", 0.05, _eta),
     ("diophantine", "angle_count", 2, _int(1, _MAX_ANGLES)),
     ("diophantine", "targets_per_angle", 4, _int(1, _MAX_CELLS)),
@@ -171,12 +183,12 @@ _PARAMS = (
     ("ergodicity", "angles", [1.0, float(np.sqrt(2) % 1)], _numbers),
     ("ergodicity", "N", 10**5, _int(1000, _MAX_ERGODICITY_HORIZON)),
     ("cantor", "depth", 6, _int(0)),
-    # a seed family of another size is sampled from the shift's field
-    ("cantor", "seed_count", lambda b: b["family size"], _int(1)),
+    # the shift's seed is its field at the first seed_count sqrt-prime angles
+    ("cantor", "seed_count", lambda b: b["family size"], _int(1, "largest family count")),
     ("construct", "targets", None, "target"),
     ("construct", "steps", lambda b: b["number of targets"], _int(1, "number of targets")),
-    ("construct", "trials", 2000, _int(2)),
-    ("construct", "cert_samples", 200, _int(1)),
+    ("construct", "trials", 2000, _int(2, _MAX_TRIALS)),
+    ("construct", "cert_samples", 200, _int(1, "largest sample count for this family")),
     ("construct", "p_max", 10**6, _int(1)),
     ("density", "horizon", 2 * 10**5, _int(1, _MAX_DENSITY_HORIZON)),
     ("density", "coefficient", 0.5, _positive),
@@ -253,8 +265,8 @@ def validate_config(text: str, horizon=None, seed=None):
     elif not _is_int(raw["seed"], 0):
         errors.append("seed must be an integer >= 0")
     dim = raw.get("dimension", 64)
-    if not _is_int(dim, 1):
-        errors.append("dimension must be an integer >= 1")
+    if not _is_int(dim, 1, _MAX_DIMENSION):
+        errors.append(f"dimension must be an integer >= 1 and <= {_MAX_DIMENSION}")
     operator = raw.get("operator", {"kind": "scaled_backward_shift", "weight": 2.0})
     family = raw.get("family", _FAMILY)
     pipelines = raw.get("pipelines", {})
@@ -267,8 +279,10 @@ def validate_config(text: str, horizon=None, seed=None):
     if errors:
         return None, errors
     op, count = {"eps": 0.1, **operator}, {**_FAMILY, **family}["count"]
-    if not _is_int(count, 1):
-        return None, ["family count must be a positive integer"]
+    # a family or Cantor seed of count sqrt-prime angles is d x count
+    max_count = min(_MAX_FAMILY_COUNT, _MAX_ENTRIES // dim)
+    if not _is_int(count, 1, max_count):
+        return None, [f"family count must be an integer >= 1 and <= {max_count}"]
     kind, weight, eps = op.get("kind"), op.get("weight"), op["eps"]
     if kind not in ("scaled_backward_shift", "perturbed_diagonal"):
         errors.append(f"unknown operator kind {kind!r}")
@@ -284,6 +298,9 @@ def validate_config(text: str, horizon=None, seed=None):
         "dimension": dim,
         "family size": family_size,
         "last family index": family_size - 1,
+        "largest family count": max_count,
+        # a block's terms are distinct family members
+        "largest sample count for this family": _MAX_ENTRIES // family_size,
         # a missing or empty target list is reported by its own check
         "number of targets": len(targets) if isinstance(targets, list) and targets else None,
     }
@@ -298,6 +315,15 @@ def validate_config(text: str, horizon=None, seed=None):
     if errors:
         return None, errors
     # checks that span several parameters, made on valid values
+    khinchine = params.get("khinchine")
+    if khinchine:
+        spec = khinchine["coefficients"]
+        k = spec["equal"] if isinstance(spec, dict) else len(spec)
+        if khinchine["trials"] * k > _MAX_KHINCHINE_DRAWS:
+            errors.append(
+                "pipelines.khinchine.trials * coefficient count, the number of "
+                f"Steinhaus draws, must be <= {_MAX_KHINCHINE_DRAWS}"
+            )
     erg = params.get("ergodicity")
     if erg and not len(erg["c"]) == len(erg["d"]) == len(erg["angles"]):
         errors.append("pipelines.ergodicity.c, d and angles must have equal lengths")
@@ -400,7 +426,7 @@ def _run_khinchine(cfg, op, family, params, rng, out, ctx):
 
 def _run_diophantine(cfg, op, family, params, rng, out, ctx):
     eta, k, per_angle = params["eta"], params["angle_count"], params["targets_per_angle"]
-    angles = np.asarray(ef.qindependent_angles(k))
+    angles = ef.qindependent_angles(k)
     grid = [np.exp(2j * np.pi * (i + 0.5) / per_angle) for i in range(per_angle)]
     cells = list(np.ndindex((per_angle,) * k))
     targets = [[grid[i] for i in idx] for idx in cells]
@@ -441,17 +467,13 @@ def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_cantor(cfg, op, family, params, rng, out, ctx):
-    depth, count = params["depth"], params["seed_count"]
-    if count != len(family):
-        # the tree does not depend on seed members the build never reads,
-        # those beyond _reach(depth) of member 0 (the root), nor on the
-        # order of the rest; in angle order from the root the build's
-        # searches read near-contiguous runs of columns
-        thetas = ef._sqrt_prime_angles(count)
-        offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
-        thetas = thetas[np.abs(offsets) <= cantor_mod._reach(depth)]
-        thetas = thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
-        family = ef._sqrt_prime_family(op.weight, cfg.dimension, thetas)
+    depth = params["depth"]
+    if op.kind == ops.SCALED_BACKWARD_SHIFT:
+        # the shift's seed is the field at the first seed_count sqrt-prime
+        # angles, sampled only where the build can read it
+        thetas = ef.qindependent_angles(params["seed_count"])
+        seed = cantor_mod._seed_angles(thetas, depth)
+        family = ef._sqrt_prime_family(op.weight, cfg.dimension, seed)
     try:
         field = cantor_mod.build_cantor_field(family, depth)
     except cantor_mod.CantorBuildError as exc:
@@ -549,9 +571,9 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_invariance(cfg, op, family, params, rng, out, ctx):
-    coeffs = 0.5 ** np.arange(1, params["terms"] + 1)
-    n_terms = min(coeffs.size, len(family))
-    series = ef.EigenExpansion(coeffs[:n_terms], family.take(slice(n_terms)))
+    n_terms = min(params["terms"], len(family))
+    coeffs = 0.5 ** np.arange(1, n_terms + 1)
+    series = ef.EigenExpansion(coeffs, family.take(slice(n_terms)))
     # probe k is the coordinate functional of e_k
     probes = np.eye(params["probes"], cfg.dimension, dtype=complex)
     report = st.invariance_gap(op, series, params["trials"], probes, rng)

@@ -29,6 +29,8 @@ from .steinhaus import _phase_rows, sample_steinhaus
 _UCB_Z = 2.326  # one-sided 99% normal quantile
 # times build_block halves its split tolerance delta before it gives up
 _MAX_TIGHTEN = 8
+# the most cells of a covering net, one int64 each, that build_block scans
+_MAX_NET_CELLS = 1 << 24
 
 
 class ConstructionError(RuntimeError):
@@ -40,7 +42,6 @@ class CoefficientSplit:
     """Equal-part split of a coefficient: the parts reassemble exactly and
     their squared moduli sum below the requested bound."""
 
-    parent: complex
     parts: tuple
 
 
@@ -51,7 +52,7 @@ def split_coefficient(a: complex, eps: float) -> CoefficientSplit:
         raise ValueError("eps must be positive")
     a = complex(a)
     n = int(abs(a) ** 2 / eps) + 1
-    return CoefficientSplit(a, (a / n,) * n)
+    return CoefficientSplit((a / n,) * n)
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,12 @@ def build_block(
     scaled_total = total * scale
 
     delta = 1.25 * scaled_total if scaled_total > 0 else 1.0
-    rho = target.radius / (2.0 * op.norm_bound**target.reach_power)
+    try:
+        rho = target.radius / (2.0 * op.norm_bound**target.reach_power)
+    except OverflowError:
+        raise ConstructionError(
+            f"block {n}: ||T||**{target.reach_power} overflows double precision"
+        ) from None
 
     last_failure = ""
     for _ in range(_MAX_TIGHTEN + 1):
@@ -199,6 +205,12 @@ def build_block(
     prior = state.all_terms()
     prior_l1 = sum(abs(c) for c in prior.coeffs.tolist())
     old_eta = min(1.9, kappa / prior_l1) if prior_l1 > 0 else 2.0
+    # covering_scan's net has ceil(2 pi / (eta / 2)) points per term's coordinate
+    if len(terms) * math.log(4.0 * math.pi / eta) > math.log(_MAX_NET_CELLS):
+        raise ConstructionError(
+            f"block {n}: a covering net at eta = {eta:.3g} over {len(terms)} terms "
+            f"has more than {_MAX_NET_CELLS} cells"
+        )
 
     net = covering_scan(
         terms.terms.thetas,
@@ -209,7 +221,7 @@ def build_block(
         p_max=p_max,
     )
     q_times = net.return_times.times
-    p_times = ReturnTimeSet.from_times([target.reach_power + q for q in q_times])
+    p_times = ReturnTimeSet([target.reach_power + q for q in q_times])
 
     block = Block(
         index=n,

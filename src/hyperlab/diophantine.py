@@ -47,9 +47,6 @@ class TorusTarget:
         if not 0 < self.eta < 2:
             raise ValueError("eta must lie in (0, 2)")
 
-    def target_fracs(self) -> np.ndarray:
-        return _phase_fracs(self.targets)
-
 
 def _phase_fracs(z) -> np.ndarray:
     """Phase of each unimodular z as a fraction of a turn, in [0, 1)."""
@@ -58,21 +55,19 @@ def _phase_fracs(z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReturnTimeSet:
+    """A nonempty set of powers, stored sorted without repeats."""
+
     times: tuple
-    pi_max: int
 
     def __post_init__(self):
-        times = tuple(sorted(int(t) for t in set(self.times)))
-        object.__setattr__(self, "times", times)
-        if times and self.pi_max != times[-1]:
-            raise ValueError("pi_max must equal max(times)")
-
-    @classmethod
-    def from_times(cls, times) -> "ReturnTimeSet":
-        times = sorted(set(int(t) for t in times))
+        times = tuple(sorted(set(int(t) for t in self.times)))
         if not times:
             raise ValueError("return-time set must be nonempty")
-        return cls(tuple(times), times[-1])
+        object.__setattr__(self, "times", times)
+
+    @property
+    def pi_max(self) -> int:
+        return self.times[-1]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -158,7 +153,7 @@ class CoveringNet:
 
     @property
     def return_times(self) -> ReturnTimeSet:
-        return ReturnTimeSet.from_times(self.cell_to_p.tolist())
+        return ReturnTimeSet(self.cell_to_p.tolist())
 
 
 def covering_scan(
@@ -247,7 +242,6 @@ def _verify_net(net: CoveringNet, fixed: np.ndarray, fixed_eta: float) -> None:
 class SyndeticResult:
     times: tuple  # the set D
     gap_bound: int  # max gap r of D within the horizon
-    d_prime: tuple  # the set D' at tolerance eta/2
     violations: tuple  # elements of (D'-D') in [1, horizon] missing from D
 
 
@@ -278,10 +272,7 @@ def syndetic_return_set(angles, eta: float, horizon: int) -> SyndeticResult:
     gaps = np.diff(np.concatenate(([0], d)))
     gap_bound = int(gaps.max())
     return SyndeticResult(
-        tuple(d.tolist()),
-        gap_bound,
-        tuple(d_prime.tolist()),
-        _differences_outside(d_prime, d_mask),
+        tuple(d.tolist()), gap_bound, _differences_outside(d_prime, d_mask)
     )
 
 

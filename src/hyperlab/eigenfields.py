@@ -1,9 +1,8 @@
 """Unimodular eigenvalue/eigenvector machinery.
 
 Covers the continuous eigenvector field of the scaled backward shift, the
-directly computable eigenvectors of the perturbed diagonal, rationally
-independent angle generation from square roots of primes, and the
-finite-scale approximation-closure check used before tree constructions.
+directly computable eigenvectors of the perturbed diagonal, and rationally
+independent angle generation from square roots of primes.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from ._kernels import _blocks
 from .linspace import StateVector
-from .operators import OperatorSpec, PERTURBED_DIAGONAL, apply
+from .operators import OperatorSpec, PERTURBED_DIAGONAL, _coupling, _diagonal, apply
 
 # _field_2B builds and normalizes the field this many columns at a time
 _FIELD_COLUMNS = 2048
@@ -223,13 +222,13 @@ def perturbed_diagonal_eigenvector(op: OperatorSpec, k: int) -> EigenPair:
         raise ValueError("operator must be a perturbed diagonal")
     if not 0 <= k < op.dim:
         raise ValueError("index out of range")
-    lam = np.exp(2j * np.pi * op.angles)
+    lam = _diagonal(op)
     gaps = np.abs(lam[:k] - lam[k])
     if gaps.size and gaps.min() < 1e-8:
         raise ValueError(
             f"angle spacing too small near index {k}: min |lambda_k-lambda_j| = {gaps.min():.3g}"
         )
-    weights = op.perturbation_weights()
+    weights = _coupling(op)
     v = np.zeros(op.dim, dtype=complex)
     v[k] = 1.0
     for j in range(k - 1, -1, -1):
@@ -239,12 +238,8 @@ def perturbed_diagonal_eigenvector(op: OperatorSpec, k: int) -> EigenPair:
     return EigenPair(float(op.angles[k]), StateVector(v), resid)
 
 
-def primes(k: int) -> list[int]:
-    """First k primes by a plain sieve."""
-    return _primes(k).tolist()
-
-
 def _primes(k: int) -> np.ndarray:
+    """First k primes by a plain sieve."""
     if k < 1:
         raise ValueError("need k >= 1")
     limit = 15 if k < 6 else int(k * (np.log(k) + np.log(np.log(k))) * 1.2) + 10
@@ -260,18 +255,13 @@ def _primes(k: int) -> np.ndarray:
         limit *= 2
 
 
-def qindependent_angles(k: int) -> list[float]:
-    """frac(sqrt(p)) for the first k primes.
+def qindependent_angles(k: int) -> np.ndarray:
+    """frac(sqrt(p)) for the first k primes, as a float array.
 
     Square roots of distinct primes are rationally independent, so the
     returned angles are irrational and Q-independent by construction; this
     is never re-tested numerically (it is undecidable from floats).
     """
-    return _sqrt_prime_angles(k).tolist()
-
-
-def _sqrt_prime_angles(k: int) -> np.ndarray:
-    """The angles of :func:`qindependent_angles` as a float array."""
     return np.sqrt(_primes(k).astype(float)) % 1.0
 
 
@@ -285,65 +275,9 @@ def _sqrt_prime_family(w: float, d: int, thetas) -> EigenFamily:
 def sample_2B_family(w: float, d: int, count: int) -> EigenFamily:
     """Eigenvector field of w*B sampled at the first ``count`` sqrt-prime
     angles."""
-    return _sqrt_prime_family(w, d, _sqrt_prime_angles(count))
+    return _sqrt_prime_family(w, d, qindependent_angles(count))
 
 
 def diagonal_family(op: OperatorSpec) -> EigenFamily:
     pairs = (perturbed_diagonal_eigenvector(op, k) for k in range(op.dim))
     return EigenFamily.from_pairs(pairs)
-
-
-@dataclass(frozen=True)
-class ApproximationReport:
-    """Result of the approximation-closure check over a family."""
-
-    passed: bool
-    max_nearest_distance: float
-    witnesses: tuple  # (index, nearest index or None, distance)
-    diagnostic: str = ""
-
-
-def check_assumption_H(family: EigenFamily, F, tol: float) -> ApproximationReport:
-    """Can every family member be approximated by members whose angle lies
-    outside the excluded finite angle set F?
-
-    For each pair, the nearest other pair with angle outside F is found;
-    the report PASSes iff the worst such nearest distance is <= tol.
-    """
-    if len(family) == 0:
-        raise ValueError("family must be nonempty")
-    admissible = ~np.isin(family.thetas, np.asarray(list(F), dtype=float))
-    mat = family.vectors
-    gram = mat.conj().T @ mat
-    sq = np.real(np.diag(gram))
-    dist2 = sq[:, None] + sq[None, :] - 2.0 * np.real(gram)
-    np.fill_diagonal(dist2, np.inf)
-    dist2[:, ~admissible] = np.inf
-    witnesses = []
-    worst = 0.0
-    for i in range(len(family)):
-        j = int(np.argmin(dist2[i]))
-        if not np.isfinite(dist2[i, j]):
-            return ApproximationReport(
-                False,
-                float("inf"),
-                tuple(witnesses),
-                diagnostic=f"no admissible neighbor for member {i} (A_F empty)",
-            )
-        dij = float(np.sqrt(max(dist2[i, j], 0.0)))
-        witnesses.append((i, j, dij))
-        worst = max(worst, dij)
-    return ApproximationReport(worst <= tol, worst, tuple(witnesses))
-
-
-def spanning_rank(family: EigenFamily) -> int:
-    """Numerical rank of the family's coordinate matrix.
-
-    A full-rank value (equal to the truncation dimension) is the finite
-    stand-in for the density of the family's span; tolerance is
-    1e-8 times the largest singular value.
-    """
-    s = np.linalg.svd(family.vectors, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > 1e-8 * s[0]))

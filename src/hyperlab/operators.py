@@ -31,23 +31,14 @@ class OperatorSpec:
     angles: np.ndarray | None = None
     eps: float | None = None
 
-    def perturbation_weights(self) -> np.ndarray:
-        """Superdiagonal entries eps * 4**-k of the perturbed diagonal."""
-        if self.kind != PERTURBED_DIAGONAL:
-            raise ValueError("only defined for perturbed_diagonal operators")
-        return _coupling(self)
-
-    def diagonal(self) -> np.ndarray:
-        if self.kind != PERTURBED_DIAGONAL:
-            raise ValueError("only defined for perturbed_diagonal operators")
-        return _diagonal(self)
-
 
 def _coupling(op: OperatorSpec) -> np.ndarray:
+    """Superdiagonal entries eps * 4**-k of the perturbed diagonal."""
     return op.eps * 4.0 ** (-np.arange(op.dim - 1, dtype=float))
 
 
 def _diagonal(op: OperatorSpec) -> np.ndarray:
+    """Diagonal entries exp(2*pi*i*theta_k) of the perturbed diagonal."""
     return np.exp(2j * np.pi * op.angles)
 
 

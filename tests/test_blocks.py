@@ -378,7 +378,7 @@ def _visit_block(family, k: int, P: int, samples: int):
         center=terms.power(1),
         radius=1.0,
         reach_power=1,
-        return_times=ReturnTimeSet.from_times(range(1, P + 1)),
+        return_times=ReturnTimeSet(range(1, P + 1)),
         expected_norm_bound=0.0,
         budget=1.0,
     )

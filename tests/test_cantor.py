@@ -6,9 +6,8 @@ import pytest
 
 from hyperlab.cantor import (
     CantorBuildError,
-    _reach,
+    _seed_angles,
     build_cantor_field,
-    cantor_lookup,
     field_to_csv,
     verify_cantor_separation,
 )
@@ -16,7 +15,6 @@ from hyperlab.diophantine import chord_to
 from hyperlab.eigenfields import (
     EigenFamily,
     _field_2B,
-    _sqrt_prime_angles,
     _sqrt_prime_family,
     qindependent_angles,
     sample_2B_family,
@@ -37,15 +35,22 @@ def labels(depth):
     ]
 
 
+def node(field, label):
+    """(angle, vector) of the node with the given label: breadth-first node
+    j has label bin(j + 1) without its leading 1."""
+    i = field.nodes[int("1" + label, 2) - 1]
+    return float(field.seed_family.thetas[i]), field.seed_family.vectors[:, i]
+
+
 def lam(field, label):
-    return unimodular(cantor_lookup(field, label)[0])
+    return unimodular(node(field, label)[0])
 
 
 def test_depth_zero_is_just_the_root():
     fam = sample_2B_family(2.0, 16, 8)
     field = build_cantor_field(fam, 0)
     assert field.nodes.tolist() == [0]
-    assert cantor_lookup(field, "")[0] == fam.thetas[0]
+    assert node(field, "")[0] == fam.thetas[0]
 
 
 def test_tree_is_full_binary(field3):
@@ -54,12 +59,14 @@ def test_tree_is_full_binary(field3):
     # breadth-first label order: node j has children 2j+1 and 2j+2, and
     # the leaves are the last 2**depth nodes
     for j, label in enumerate(labels(3)):
-        assert cantor_lookup(field3, label)[0] == thetas[field3.nodes[j]]
+        assert node(field3, label)[0] == thetas[field3.nodes[j]]
         if len(label) < 3:
-            assert cantor_lookup(field3, label + "0")[0] == thetas[field3.nodes[2 * j + 1]]
-            assert cantor_lookup(field3, label + "1")[0] == thetas[field3.nodes[2 * j + 2]]
-    leaves = [cantor_lookup(field3, s)[0] for s in labels(3) if len(s) == 3]
+            assert node(field3, label + "0")[0] == thetas[field3.nodes[2 * j + 1]]
+            assert node(field3, label + "1")[0] == thetas[field3.nodes[2 * j + 2]]
+    leaves = [node(field3, s)[0] for s in labels(3) if len(s) == 3]
     assert leaves == thetas[field3.nodes[-(2**3) :]].tolist()
+    # the all-zeros label is the root seed member
+    assert field3.nodes[7] == field3.nodes[0] == 0
 
 
 def test_invariants_verified_independently(field3):
@@ -69,44 +76,30 @@ def test_invariants_verified_independently(field3):
         n = len(label)
         if n == 0:
             continue
-        theta, vector = cantor_lookup(field3, label)
-        parent_theta, parent_vector = cantor_lookup(field3, label[:-1])
+        theta, vector = node(field3, label)
+        parent_theta, parent_vector = node(field3, label[:-1])
         if label.endswith("0"):
             assert theta == parent_theta
-            assert np.array_equal(vector.entries, parent_vector.entries)
+            assert np.array_equal(vector, parent_vector)
         jump_l = abs(lam(field3, label) - lam(field3, label[:-1]))
-        jump_u = np.linalg.norm(vector.entries - parent_vector.entries)
+        jump_u = np.linalg.norm(vector - parent_vector)
         assert jump_l < 2.0**-n and jump_u < 2.0**-n
     for n in range(4):
-        thetas = [cantor_lookup(field3, s)[0] for s in labels(3) if len(s) == n]
+        thetas = [node(field3, s)[0] for s in labels(3) if len(s) == n]
         assert len(set(thetas)) == len(thetas)
 
 
 def test_right_children_come_from_the_seed_family(field3):
     seed_thetas = set(field3.seed_family.thetas.tolist())
     for label in labels(3):
-        assert cantor_lookup(field3, label)[0] in seed_thetas
+        assert node(field3, label)[0] in seed_thetas
     # each seed angle is used at most once across right children and root
     introduced = [
-        cantor_lookup(field3, label)[0]
+        node(field3, label)[0]
         for label in labels(3)
         if label == "" or label.endswith("1")
     ]
     assert len(set(introduced)) == len(introduced)
-
-
-def test_lookup_matches_nodes_and_validates(field3):
-    fam = field3.seed_family
-    theta, vector = cantor_lookup(field3, "000")
-    assert theta == fam.thetas[field3.nodes[7]]
-    assert np.array_equal(vector.entries, fam.vectors[:, field3.nodes[7]])
-    # the all-zeros string is the root seed member
-    theta, _ = cantor_lookup(field3, (0, 0, 0))
-    assert theta == cantor_lookup(field3, "")[0] == fam.thetas[0]
-    with pytest.raises(ValueError):
-        cantor_lookup(field3, "0000")
-    with pytest.raises(ValueError):
-        cantor_lookup(field3, "2")
 
 
 def test_continuity_modulus_from_shared_prefix(field3):
@@ -116,9 +109,7 @@ def test_continuity_modulus_from_shared_prefix(field3):
             p = 0
             while p < 3 and a[p] == b[p]:
                 p += 1
-            gap = np.linalg.norm(
-                cantor_lookup(field3, a)[1].entries - cantor_lookup(field3, b)[1].entries
-            )
+            gap = np.linalg.norm(node(field3, a)[1] - node(field3, b)[1])
             assert gap <= 2.0 * 2.0**-p + 1e-12
 
 
@@ -206,7 +197,7 @@ def test_serializers(field3, tmp_path):
     assert len(rows) == len(field3.nodes) + 1
     for label, (row_label, theta, residual) in zip(labels(3), rows[1:]):
         assert row_label == label
-        assert float(theta) == cantor_lookup(field3, label)[0]
+        assert float(theta) == node(field3, label)[0]
         assert 0.0 <= float(residual) <= 2.0**-31
 
 
@@ -353,7 +344,7 @@ def build_outcome(seed, depth):
     ],
 )
 def test_seed_order_does_not_change_the_field(w, d, count, depth):
-    thetas = np.asarray(qindependent_angles(count))
+    thetas = qindependent_angles(count)
     # angle order from the root, as the cantor pipeline samples its seed,
     # and reversed prime order after the root
     by_angle = np.argsort((thetas - thetas[0]) % 1.0, kind="stable")
@@ -373,17 +364,17 @@ def test_seed_order_does_not_change_the_field(w, d, count, depth):
 @pytest.mark.parametrize("w, d", list(itertools.product([1.25, 1.5, 2.0, 3.0], [4, 8, 64])))
 def test_reach_restricted_seed_gives_the_same_tree(w, d):
     # the cantor pipeline's seed: the members within _reach(depth) of the
-    # root, in angle order from the root
+    # root, in angle order from the root, against the whole family in
+    # prime order
     failed = built = 0
     for count in (1, 3, 16, 100, 512, 4096):
-        thetas = _sqrt_prime_angles(count)
-        thetas = thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
-        offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
+        thetas = qindependent_angles(count)
         full = _sqrt_prime_family(w, d, thetas)
         for depth in range(9):
-            seed = _sqrt_prime_family(w, d, thetas[np.abs(offsets) <= _reach(depth)])
+            angles = _seed_angles(thetas, depth)
+            assert angles[0] == thetas[0] and np.all(np.diff((angles - thetas[0]) % 1.0) > 0)
             outcome = build_outcome(full, depth)
-            assert build_outcome(seed, depth) == outcome, (count, depth)
+            assert build_outcome(_sqrt_prime_family(w, d, angles), depth) == outcome, (count, depth)
             failed += isinstance(outcome, str)
             built += not isinstance(outcome, str)
     assert failed and built

@@ -8,7 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 import hyperlab
+from hyperlab import cantor as cantor_mod
 from hyperlab import density
+from hyperlab import eigenfields as ef
 from hyperlab.cli import _first_difference, main, run_experiment, validate_config
 from hyperlab.linspace import StateVector
 
@@ -56,7 +58,7 @@ def test_validate_config_field_errors():
     _, errors = validate_config(
         json.dumps({"seed": 1, "dimension": 0, "pipelines": {"khinchine": {}}})
     )
-    assert "dimension must be an integer >= 1" in errors
+    assert "dimension must be an integer >= 1 and <= 1024" in errors
     _, errors = validate_config(
         json.dumps(
             {"seed": 1, "operator": {"kind": "rotation"}, "pipelines": {"khinchine": {}}}
@@ -385,6 +387,19 @@ def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
         ("ergodicity", {"N": 10**12}, "N"),
         ("khinchine", {"trials": 10**12}, "trials"),
         ("invariance", {"trials": 10**12}, "trials"),
+        ("khinchine", {"coefficients": {"equal": 10**10}}, "trials * coefficient count"),
+        ("khinchine", {"trials": 10**6}, "trials * coefficient count"),
+        (None, {"family": {"count": 10**10}}, "family count"),
+        (None, {"dimension": 10**8}, "dimension"),
+        (None, {"dimension": 1024, "family": {"count": 2**15}}, "family count"),
+        ("cantor", {"seed_count": 10**10}, "seed_count"),
+        ("cantor", {"depth": 3, "seed_count": 2**20}, "seed_count"),
+        ("construct", {"targets": [{"coefficients": [[0.5, 0, 3]]}], "trials": 10**10}, "trials"),
+        (
+            "construct",
+            {"targets": [{"coefficients": [[0.5, 0, 3]]}], "cert_samples": 10**10},
+            "cert_samples",
+        ),
     ],
     ids=[
         "density.horizon",
@@ -398,11 +413,88 @@ def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
         "ergodicity.N-huge",
         "khinchine.trials-huge",
         "invariance.trials-huge",
+        "khinchine.coefficients-huge",
+        "khinchine.draws-huge",
+        "family.count-huge",
+        "dimension-huge",
+        "family.entries-huge",
+        "cantor.seed_count-huge",
+        "cantor.seed-entries-huge",
+        "construct.trials-huge",
+        "construct.cert_samples-huge",
     ],
 )
 def test_validate_rejects_what_run_refuses(pipeline, params, key):
-    cfg, errors = validate_config(json.dumps(small_config(pipelines={pipeline: params})))
-    assert cfg is None and any(f"pipelines.{pipeline}.{key}" in e for e in errors)
+    if pipeline is None:  # a top-level key
+        raw, where = small_config(**params), key
+    else:
+        raw, where = small_config(pipelines={pipeline: params}), f"pipelines.{pipeline}.{key}"
+    cfg, errors = validate_config(json.dumps(raw))
+    assert cfg is None and any(where in e for e in errors), errors
+
+
+def test_validate_accepts_every_workload_and_the_readme_config():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    readme = (PERFBENCH.parent / "README.md").read_text()
+    configs = [json.loads(readme.split("```json\n")[1].split("```")[0])]
+    configs += [make(1, small) for make in WORKLOADS.values() for small in (False, True)]
+    for raw in configs:
+        cfg, errors = validate_config(json.dumps(raw))
+        assert not errors, (raw, errors)
+
+
+def test_invariance_terms_beyond_the_family_run_the_whole_family(tmp_path):
+    # the pipeline reads at most one term per family member
+    outs = []
+    for terms in (10**10, 96):
+        raw = small_config(pipelines={"invariance": {"trials": 1000, "probes": 2, "terms": terms}})
+        cfg, errors = validate_config(json.dumps(raw))
+        assert not errors, errors
+        assert run_experiment(cfg, tmp_path / str(terms)) in (0, 1)
+        outs.append(read_summary(tmp_path / str(terms))["results"])
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "w, d, count, depth, builds",
+    [(2.0, 32, 256, 3, True), (2.0, 64, 256, 4, True), (2.0, 64, 256, 5, False)],
+    ids=["builds-3", "builds-4", "fails-5"],
+)
+def test_cantor_pipeline_gives_the_tree_of_the_whole_family(tmp_path, w, d, count, depth, builds):
+    # the pipeline samples only the arc of the seed the build can read, in
+    # angle order; the tree is the one the whole family in prime order gives
+    try:
+        field = cantor_mod.build_cantor_field(ef.sample_2B_family(w, d, count), depth)
+    except cantor_mod.CantorBuildError as exc:
+        expected = {"error": str(exc), "passed": False}
+    else:
+        sep = cantor_mod.verify_cantor_separation(field)
+        cantor_mod.field_to_csv(field, tmp_path / "reference.csv")
+        leaves, margin = 2**depth, sep.min_margin
+        expected = {"depth": depth, "leaves": leaves, "min_margin": margin, "passed": sep.passed}
+    assert ("error" not in expected) == builds, expected
+    for cantor in ({"depth": depth}, {"depth": depth, "seed_count": count}):
+        raw = {
+            "seed": 1,
+            "dimension": d,
+            "operator": {"kind": "scaled_backward_shift", "weight": w},
+            "family": {"count": count},
+            "pipelines": {"cantor": cantor},
+        }
+        cfg, errors = validate_config(json.dumps(raw))
+        assert not errors, errors
+        out = tmp_path / str(len(cantor))
+        assert run_experiment(cfg, out) == (1 if "error" in expected else 0)
+        assert read_summary(out)["results"]["cantor"] == expected
+        if "error" in expected:
+            assert not (out / "cantor_field.csv").exists()
+        else:
+            reference = (tmp_path / "reference.csv").read_bytes()
+            assert (out / "cantor_field.csv").read_bytes() == reference
 
 
 @pytest.mark.parametrize(
@@ -713,8 +805,21 @@ def _many_targets(n):
             {"targets": _many_targets(6), "trials": 200, "cert_samples": 20},
             "underflows double precision",
         ),
+        (
+            {"targets": [{**TARGET, "reach_power": 2000}]},
+            "block 1: ||T||**2000 overflows double precision",
+        ),
+        # two terms at eta ~ 1e-3 make a net of about 10**8 cells
+        (
+            {
+                "targets": [{"coefficients": [[0.5, 0, 3], [0.5, 0, 5]], "radius": 0.001}],
+                "trials": 200,
+                "cert_samples": 20,
+            },
+            "has more than 16777216 cells",
+        ),
     ],
-    ids=["net-coverage", "construction"],
+    ids=["net-coverage", "construction", "reach-power-overflow", "net-cells"],
 )
 def test_construction_errors_are_reported_not_raised(tmp_path, construct, error):
     config = tmp_path / "construct.json"
@@ -729,3 +834,99 @@ def test_construction_errors_are_reported_not_raised(tmp_path, construct, error)
     construct_result = summary["results"]["construct"]
     assert construct_result["passed"] is False and error in construct_result["error"]
     assert summary["passed"] is False
+
+
+def _random_config(rng):
+    """A small config over one to three pipelines, drawn near the floors
+    of the parameter table, with a construct target's reach power at times
+    far above them; some draws break a check that spans parameters, such
+    as a Cantor depth above log2(seed_count)."""
+    kind = ["scaled_backward_shift", "perturbed_diagonal"][rng.integers(2)]
+    dim, count = int(rng.integers(1, 17)), int(rng.integers(1, 65))
+    size = dim if kind == "perturbed_diagonal" else count
+
+    def num(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def pairs(n):
+        return [[num(-1, 1), num(-1, 1)] for _ in range(n)]
+
+    def target():
+        coefficients = [
+            [num(-1, 1), num(-1, 1), int(rng.integers(size))]
+            for _ in range(rng.integers(1, 3))
+        ]
+        reach = int(10 ** rng.integers(1, 5)) if rng.random() < 0.2 else int(rng.integers(4))
+        return {"coefficients": coefficients, "radius": num(0.001, 1), "reach_power": reach}
+
+    n = int(rng.integers(1, 4))
+    draws = {
+        "khinchine": lambda: {
+            "coefficients": {"equal": int(rng.integers(1, 20))} if rng.random() < 0.5 else pairs(n),
+            "trials": int(rng.integers(1000, 3000)),
+        },
+        "diophantine": lambda: {
+            "eta": num(0.01, 1.99),
+            "angle_count": n,
+            "targets_per_angle": int(rng.integers(1, 4)),
+            "p_max": int(rng.integers(1, 10**4)),
+        },
+        "syndetic": lambda: {
+            "eta": num(0.01, 1.99),
+            "angle_count": n,
+            "horizon": int(rng.integers(1000, 5000)),
+        },
+        "ergodicity": lambda: {
+            "c": pairs(n),
+            "d": pairs(n),
+            "angles": [num(-2, 2) for _ in range(n)],
+            "N": int(rng.integers(1000, 3000)),
+        },
+        "cantor": lambda: {"depth": int(rng.integers(0, 5))}
+        | ({"seed_count": int(rng.integers(1, 300))} if rng.random() < 0.5 else {}),
+        "construct": lambda: {
+            "targets": [target() for _ in range(n)],
+            "trials": int(rng.integers(2, 300)),
+            "cert_samples": int(rng.integers(1, 50)),
+            "p_max": int(rng.integers(1, 10**5)),
+        },
+        "density": lambda: {
+            "horizon": int(rng.integers(1, 5000)),
+            "coefficient": num(0.01, 2),
+            "radius": num(0.01, 2),
+            "angle_index": int(rng.integers(size)),
+            "use_construction": bool(rng.random() < 0.5),
+        },
+        "invariance": lambda: {
+            "trials": int(rng.integers(2, 500)),
+            "terms": int(rng.integers(1, 80)),
+            "probes": int(rng.integers(1, min(8, dim) + 1)),
+        },
+    }
+    names = rng.choice(list(draws), size=rng.integers(1, 4), replace=False)
+    return {
+        "seed": int(rng.integers(1000)),
+        "dimension": dim,
+        "operator": {"kind": kind, "weight": num(1.001, 5), "eps": num(0, 3)},
+        "family": {"count": count},
+        "pipelines": {str(name): draws[name]() for name in names},
+    }
+
+
+def test_every_config_validate_accepts_runs_to_a_summary(tmp_path):
+    rng = np.random.default_rng(20)
+    seen = {"accepted": set(), "kinds": set(), "refused": 0}
+    for i in range(200):
+        raw = _random_config(rng)
+        cfg, errors = validate_config(json.dumps(raw))
+        if errors:
+            seen["refused"] += 1
+            continue
+        out = tmp_path / str(i)
+        assert run_experiment(cfg, out) in (0, 1), raw
+        summary = read_summary(out)
+        assert set(summary["results"]) == set(raw["pipelines"]), raw
+        seen["accepted"] |= set(raw["pipelines"])
+        seen["kinds"].add(raw["operator"]["kind"])
+    # the draws reach every pipeline and both operators, and some are refused
+    assert len(seen["accepted"]) == 8 and len(seen["kinds"]) == 2 and seen["refused"], seen

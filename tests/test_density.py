@@ -111,7 +111,7 @@ def test_gram_route_matches_direct_distances(d, k):
 
     # T**p Phi - Phi for every (sample, p), each its own product in C^d
     weights = sample_steinhaus(rng, 200 * k).reshape(200, k) * x.coeffs[None, :]
-    times = ReturnTimeSet.from_times(rng.choice(np.arange(1, N), 5, replace=False))
+    times = ReturnTimeSet(rng.choice(np.arange(1, N), 5, replace=False))
     vectors, thetas = x.terms.vectors, x.terms.thetas
 
     def moved(w, p):
