@@ -5,13 +5,16 @@ Configs are JSON with nested keys; reports are a sorted-key JSON summary
 plus CSV detail files.  Same config and seed give a byte-identical
 summary, which is what ``replay`` checks.
 
-Each pipeline parameter's default and check is one row of ``_PARAMS``;
-``validate_config`` refuses a key that no row names and hands each runner
-its parameters with the defaults filled in.  ``run --horizon`` sets the
-horizon of the syndetic and density pipelines, whether the config sets
-one or not, and ``run --seed`` the seed; both pass the checks a config
-value passes, and the summary records them, so ``replay`` reproduces the
-run.
+Each pipeline parameter's default and check is one row of ``_PARAMS``,
+and each ceiling on a cost that spans several parameters of one pipeline
+is one row of ``_LIMITS``; ``validate_config`` refuses a key that no row
+names and hands each runner its parameters with the defaults filled in.
+``run_experiment`` is the one place where a domain error that a runner
+raises becomes that pipeline's result, ``{"error": ..., "passed": false}``,
+and the run then exits 1.  ``run --horizon`` sets the horizon of the
+syndetic and density pipelines, whether the config sets one or not, and
+``run --seed`` the seed; both pass the checks a config value passes, and
+the summary records them, so ``replay`` reproduces the run.
 """
 
 from __future__ import annotations
@@ -42,20 +45,15 @@ _FAMILY = {"count": 256}
 # behind the angles and every array of phases grow with angle_count
 _MAX_CELLS = 4096
 _MAX_ANGLES = 64
-# ceilings of the horizons: the syndetic pipeline builds a horizon x
-# angle_count phase array in one piece, and a density horizon costs one
-# byte per power and target while the scan runs and 8 bytes per visit and
-# target in the records
+# ceilings of the horizons: the syndetic pipeline builds its phase array in
+# one piece, and a density horizon costs one byte per power and target
+# while the scan runs and 8 bytes per visit and target in the records
 _MAX_SYNDETIC_HORIZON = 10**6
-_MAX_SYNDETIC_PHASES = 1 << 24
 _MAX_DENSITY_HORIZON = 10**7
 # the ergodicity witness holds a few float64 arrays of N powers at once
 _MAX_ERGODICITY_HORIZON = 10**7
 # the Khinchine ratio and the expectation certificate keep one float64 per trial
 _MAX_TRIALS = 10**7
-# the Khinchine draw takes time in trials x coefficients: 10**8 draws took
-# 3.7 s on a 2-core host
-_MAX_KHINCHINE_DRAWS = 1 << 26
 # the perturbed diagonal's family takes d back-substitutions of up to d
 # Python steps each, 1.2 s at d = 1024 on a 2-core host
 _MAX_DIMENSION = 1024
@@ -65,8 +63,12 @@ _MAX_FAMILY_COUNT = 1 << 20
 # complex entries of a family or Cantor seed (d x count) and of the visit
 # certificate's weights (cert_samples x terms), 16 bytes each
 _MAX_ENTRIES = 1 << 24
-# the invariance gap keeps two float64 moduli per probe and trial
-_MAX_INVARIANCE_MODULI = 1 << 24
+# the keys of a config and of its operator and family objects
+_KEYS = {
+    "config": ("seed", "dimension", "operator", "family", "pipelines"),
+    "operator": ("kind", "weight", "eps"),
+    "family": ("count",),
+}
 
 
 @dataclass
@@ -83,8 +85,7 @@ class ExperimentConfig:
     params: dict
 
     def to_dict(self) -> dict:
-        keys = ("seed", "dimension", "operator", "family", "pipelines")
-        return {key: getattr(self, key) for key in keys}
+        return {key: getattr(self, key) for key in _KEYS["config"]}
 
 
 # Checks of the parameter tables: each takes a value and the config's
@@ -205,8 +206,49 @@ _PARAMS = (
 )
 
 
+# One row per ceiling on a cost that spans several parameters of one
+# pipeline: (pipeline, what, cost of its resolved parameters, ceiling).
+# validate_config checks the rows in order once every parameter passes its
+# own check, and a pipeline's first failed row ends its checks, so a cost
+# may assume the rows before it hold.  Times are from a 2-core host.
+_LIMITS = (
+    # 10**8 draws took 3.7 s
+    ("khinchine", "trials * coefficient count, the number of Steinhaus draws",
+     lambda p: p["trials"] * (len(c) if isinstance(c := p["coefficients"], list) else c["equal"]),
+     1 << 26),
+    ("diophantine", "targets_per_angle ** angle_count, the cell count",
+     lambda p: p["targets_per_angle"] ** p["angle_count"], _MAX_CELLS),
+    # each chunk of powers tests up to angle_count phases of every unsolved
+    # cell per power: at eta 1.9, 2**14 powers of 4096 cells over 12 angles
+    # took 27 s, and 2**20 powers of one cell over 64 angles 2.9 s
+    ("diophantine", "p_max * angle_count * cell count, the phase tests of the scan",
+     lambda p: p["p_max"] * p["angle_count"] * p["targets_per_angle"] ** p["angle_count"], 1 << 28),
+    ("syndetic", "horizon * angle_count, the size of the phase array",
+     lambda p: p["horizon"] * p["angle_count"], 1 << 24),
+    # the difference check is quadratic in |D'|, the powers whose chords all
+    # stay below eta / 2; |D'| = 12604 took 0.40 s
+    ("syndetic", "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size of D'",
+     lambda p: p["horizon"] * (2 * math.asin(p["eta"] / 4) / math.pi) ** p["angle_count"], 1 << 14),
+    # each block's covering scan may run to p_max: 10**7 powers of an
+    # uncoverable net took 5.1 s over 8 terms, 5.0 s over one with 7 fixed angles
+    ("construct", "p_max * steps, the powers the covering scans may test",
+     lambda p: p["p_max"] * p["steps"], 1 << 23),
+    # the invariance gap keeps two float64 moduli per probe and trial
+    ("invariance", "trials * probes, the number of moduli per batch",
+     lambda p: p["trials"] * p["probes"], 1 << 24),
+)
+
+
 def _rows(table: str) -> dict:
     return {key: (default, check) for t, key, default, check in _PARAMS if t == table}
+
+
+def _unknown_keys(where: str, given: dict, known, errors: list) -> None:
+    errors.extend(
+        f"{where}: unknown key {key!r}; known keys: {', '.join(known)}"
+        for key in given
+        if key not in known
+    )
 
 
 def _resolve(table: str, given: dict, where: str, bounds: dict, errors: list) -> dict:
@@ -214,9 +256,7 @@ def _resolve(table: str, given: dict, where: str, bounds: dict, errors: list) ->
     in; appends to ``errors`` each key no row names and each given value
     that its row's check refuses."""
     rows = _rows(table)
-    for key in given:
-        if key not in rows:
-            errors.append(f"{where}: unknown key {key!r}; known keys: {', '.join(rows)}")
+    _unknown_keys(where, given, rows, errors)
     resolved = {}
     for key, (default, check) in rows.items():
         if key not in given and default is not None:
@@ -244,11 +284,13 @@ def validate_config(text: str, horizon=None, seed=None):
     """Parse a config; returns (ExperimentConfig or None, list of errors).
 
     Each pipeline parameter's default and check is a row of ``_PARAMS``,
-    and a key that no row names is refused.  ``seed`` replaces the config's
-    seed, and ``horizon`` the ``horizon`` of every configured pipeline that
-    has one (syndetic and density), whether the config sets it or not,
-    before the checks, so the returned config records the values the run
-    uses."""
+    and a key that no row names is refused, as is a key that ``_KEYS``
+    does not name at the top level or in the operator or family.  Each
+    ceiling that spans several parameters is a row of ``_LIMITS``.
+    ``seed`` replaces the config's seed, and ``horizon`` the ``horizon``
+    of every configured pipeline that has one (syndetic and density),
+    whether the config sets it or not, before the checks, so the returned
+    config records the values the run uses."""
     errors = []
     try:
         raw = json.loads(text) if text.strip() else {}
@@ -278,11 +320,13 @@ def validate_config(text: str, horizon=None, seed=None):
             errors.append(f"{name} must be a JSON object")
     if errors:
         return None, errors
+    for where, given in (("config", raw), ("operator", operator), ("family", family)):
+        _unknown_keys(where, given, _KEYS[where], errors)
     op, count = {"eps": 0.1, **operator}, {**_FAMILY, **family}["count"]
     # a family or Cantor seed of count sqrt-prime angles is d x count
     max_count = min(_MAX_FAMILY_COUNT, _MAX_ENTRIES // dim)
     if not _is_int(count, 1, max_count):
-        return None, [f"family count must be an integer >= 1 and <= {max_count}"]
+        return None, errors + [f"family count must be an integer >= 1 and <= {max_count}"]
     kind, weight, eps = op.get("kind"), op.get("weight"), op["eps"]
     if kind not in ("scaled_backward_shift", "perturbed_diagonal"):
         errors.append(f"unknown operator kind {kind!r}")
@@ -314,41 +358,14 @@ def validate_config(text: str, horizon=None, seed=None):
         params[name] = _resolve(name, given, f"pipelines.{name}", bounds, errors)
     if errors:
         return None, errors
-    # checks that span several parameters, made on valid values
-    khinchine = params.get("khinchine")
-    if khinchine:
-        spec = khinchine["coefficients"]
-        k = spec["equal"] if isinstance(spec, dict) else len(spec)
-        if khinchine["trials"] * k > _MAX_KHINCHINE_DRAWS:
-            errors.append(
-                "pipelines.khinchine.trials * coefficient count, the number of "
-                f"Steinhaus draws, must be <= {_MAX_KHINCHINE_DRAWS}"
-            )
+    failed = set()
+    for name, what, cost, ceiling in _LIMITS:
+        if name in params and name not in failed and cost(params[name]) > ceiling:
+            failed.add(name)
+            errors.append(f"pipelines.{name}.{what}, must be <= {ceiling}")
     erg = params.get("ergodicity")
     if erg and not len(erg["c"]) == len(erg["d"]) == len(erg["angles"]):
         errors.append("pipelines.ergodicity.c, d and angles must have equal lengths")
-    if "diophantine" in params:
-        per_angle = params["diophantine"]["targets_per_angle"]
-        k = params["diophantine"]["angle_count"]
-        # per_angle >= 2 passes the ceiling by k = _MAX_CELLS.bit_length(),
-        # so the exponent stops there and the power stays small
-        if per_angle ** min(k, _MAX_CELLS.bit_length()) > _MAX_CELLS:
-            errors.append(
-                "pipelines.diophantine.targets_per_angle ** angle_count, the cell "
-                f"count, must be <= {_MAX_CELLS}"
-            )
-    syndetic = params.get("syndetic")
-    if syndetic and syndetic["horizon"] * syndetic["angle_count"] > _MAX_SYNDETIC_PHASES:
-        errors.append(
-            "pipelines.syndetic.horizon * angle_count, the size of the phase "
-            f"array, must be <= {_MAX_SYNDETIC_PHASES}"
-        )
-    invariance = params.get("invariance")
-    if invariance and invariance["trials"] * invariance["probes"] > _MAX_INVARIANCE_MODULI:
-        errors.append(
-            "pipelines.invariance.trials * probes, the number of moduli per "
-            f"batch, must be <= {_MAX_INVARIANCE_MODULI}"
-        )
     cantor = params.get("cantor")
     # a depth-n tree needs 2**n - 1 distinct right children besides the
     # root; bit lengths keep a huge depth from building 2**depth
@@ -386,7 +403,8 @@ def _complexes(rows) -> list:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     """Run every configured pipeline; write summary.json and CSV details.
 
-    Returns 0 iff every pipeline's PASS criterion holds.
+    Returns 0 iff every pipeline's PASS criterion holds; a pipeline that
+    raises a domain error reports it as its result and fails.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -399,7 +417,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
             continue
         # disjoint deterministic streams per pipeline
         rng = np.random.default_rng([cfg.seed, stream])
-        results[name] = runner(cfg, op, family, cfg.params[name], rng, out, ctx)
+        try:
+            results[name] = runner(cfg, op, family, cfg.params[name], rng, out, ctx)
+        except (ValueError, ArithmeticError, cons.ConstructionError,
+                cantor_mod.CantorBuildError, dio.NetCoverageError) as exc:
+            # a domain error fails its pipeline; the others still run
+            results[name] = {"error": str(exc), "passed": False}
 
     passed = all(result["passed"] for result in results.values())
     summary = {"config": cfg.to_dict(), "results": results, "passed": passed}
@@ -442,10 +465,7 @@ def _run_diophantine(cfg, op, family, params, rng, out, ctx):
 
 def _run_syndetic(cfg, op, family, params, rng, out, ctx):
     angles = ef.qindependent_angles(params["angle_count"])
-    try:
-        res = dio.syndetic_return_set(angles, params["eta"], params["horizon"])
-    except ValueError as exc:  # the return set is empty within the horizon
-        return {"error": str(exc), "passed": False}
+    res = dio.syndetic_return_set(angles, params["eta"], params["horizon"])
     return {
         "set_size": len(res.times),
         "gap_bound": res.gap_bound,
@@ -474,10 +494,7 @@ def _run_cantor(cfg, op, family, params, rng, out, ctx):
         thetas = ef.qindependent_angles(params["seed_count"])
         seed = cantor_mod._seed_angles(thetas, depth)
         family = ef._sqrt_prime_family(op.weight, cfg.dimension, seed)
-    try:
-        field = cantor_mod.build_cantor_field(family, depth)
-    except cantor_mod.CantorBuildError as exc:
-        return {"error": str(exc), "passed": False}
+    field = cantor_mod.build_cantor_field(family, depth)
     sep = cantor_mod.verify_cantor_separation(field)
     cantor_mod.field_to_csv(field, out / "cantor_field.csv")
     return {
@@ -498,19 +515,16 @@ def _run_construct(cfg, op, family, params, rng, out, ctx):
         )
         for t in params["targets"]
     ]
-    try:
-        state, phi, report = cons.run_construction(
-            op,
-            family,
-            targets,
-            params["steps"],
-            rng,
-            trials=params["trials"],
-            cert_samples=params["cert_samples"],
-            p_max=params["p_max"],
-        )
-    except (cons.ConstructionError, dio.NetCoverageError) as exc:
-        return {"error": str(exc), "passed": False}
+    state, phi, report = cons.run_construction(
+        op,
+        family,
+        targets,
+        params["steps"],
+        rng,
+        trials=params["trials"],
+        cert_samples=params["cert_samples"],
+        p_max=params["p_max"],
+    )
     (out / "construction_state.json").write_text(state.to_json() + "\n")
     ctx["construction"] = state, phi
     return {

@@ -15,8 +15,9 @@ from ._kernels import _blocks
 from .linspace import StateVector
 from .operators import OperatorSpec, PERTURBED_DIAGONAL, _coupling, _diagonal, apply
 
-# _field_2B builds and normalizes the field this many columns at a time
-_FIELD_COLUMNS = 2048
+# _field_2B builds and normalizes the field this many columns at a time,
+# so the k x d copy each block's norms take stays small
+_FIELD_COLUMNS = 128
 
 
 def unimodular(theta: float) -> complex:
@@ -146,32 +147,6 @@ class EigenExpansion:
         return StateVector(self.terms.vectors @ (phases * self.coeffs))
 
 
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared norms of the k columns of an n x k complex array, the terms
-    added in the order numpy's pairwise summation adds one contiguous
-    length-n row (eight running sums up to 128 terms, halving above).
-    They thus equal, bit for bit, the sums ``np.linalg.norm(..., axis=1)``
-    takes over the rows of the k x n transpose, without the full-size
-    temporaries it makes."""
-    n = rows.shape[0]
-    if n < 8:
-        total = np.zeros(rows.shape[1])
-        for row in rows:
-            total += (row.conj() * row).real
-        return total
-    if n <= 128:
-        m = n - n % 8
-        r = (rows[:8].conj() * rows[:8]).real
-        for i in range(8, m, 8):
-            r += (rows[i : i + 8].conj() * rows[i : i + 8]).real
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for row in rows[m:]:
-            total += (row.conj() * row).real
-        return total
-    half = n // 2 - (n // 2) % 8
-    return _squared_norms(rows[:half]) + _squared_norms(rows[half:])
-
-
 def _field_2B(thetas, w: float, d: int):
     """Unit vectors (d x k) and residuals of the truncated eigenvector
     field of w*B at the given angles.
@@ -179,12 +154,12 @@ def _field_2B(thetas, w: float, d: int):
     The untruncated field is E(lambda) = sum (lambda/w)**n e_n; truncating
     at d leaves the exact residual (1/w)**(d-1) before normalization,
     which is divided by the normalizing constant.  The field is built
-    d x k, the layout EigenFamily stores, and its column norms are summed
-    in the order numpy sums the rows of the k x d field, so the result does
-    not depend on the layout down to the last bit.  Blocks of
+    d x k, the layout EigenFamily stores, and each column's norm is the
+    one numpy gives the row of a k x d copy of its block, so the result
+    does not depend on the layout down to the last bit.  Blocks of
     _FIELD_COLUMNS columns go through :func:`_kernels._blocks`: each is
-    written in place by the same power, norm and divide, so no block is
-    copied and the bits do not depend on the number of threads.
+    written in place by the same power, norm and divide, so the bits do not
+    depend on the number of threads.
     """
     if not w > 1:
         raise ValueError("shift weight must be > 1")
@@ -196,7 +171,7 @@ def _field_2B(thetas, w: float, d: int):
     def fill(start, stop):
         block = vectors[:, start:stop]
         np.power(base[:, start:stop], powers, out=block)
-        scales[start:stop] = np.sqrt(_squared_norms(block))
+        scales[start:stop] = np.linalg.norm(block.T.copy(), axis=1)
         block /= scales[start:stop]
 
     _blocks(base.shape[1], _FIELD_COLUMNS, fill)

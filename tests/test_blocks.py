@@ -30,7 +30,6 @@ from hyperlab.eigenfields import (
     EigenExpansion,
     _FIELD_COLUMNS,
     _field_2B,
-    _squared_norms,
     sample_2B_family,
 )
 from hyperlab.ergodicity import CorrelationSpec, correlation_monte_carlo, witness_report
@@ -417,17 +416,19 @@ def test_visit_rate_does_not_depend_on_the_cores(monkeypatch, family256, k, P, s
 
 
 def _field_reference(thetas, w, d):
+    """The field built whole as k x d, normalized by numpy's row norms."""
     lam = np.exp(2j * np.pi * np.asarray(thetas, dtype=float))
-    vectors = (lam[None, :] / w) ** np.arange(d)[:, None]
-    scales = np.sqrt(_squared_norms(vectors))
-    vectors /= scales
-    return vectors, (1.0 / w) ** (d - 1) / scales
+    rows = (lam[:, None] / w) ** np.arange(d)
+    scales = np.linalg.norm(rows, axis=1)
+    return (rows / scales[:, None]).T, (1.0 / w) ** (d - 1) / scales
 
 
+# fields that end one column short of, at and one past a block boundary
 @pytest.mark.parametrize("cores", CORES)
 @pytest.mark.parametrize(
     "k, d",
-    [(_FIELD_COLUMNS + e, 64) for e in (-1, 0, 1)] + [(2**15, 64), (_FIELD_COLUMNS + 1, 130)],
+    [(16 * _FIELD_COLUMNS + e, 64) for e in (-1, 0, 1)]
+    + [(2**15, 64), (16 * _FIELD_COLUMNS + 1, 130)],
 )
 def test_field_2B_matches_the_whole_field(monkeypatch, cores, k, d):
     thetas = np.random.default_rng(k + d).random(k)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,10 @@ from click.testing import CliRunner
 import hyperlab
 from hyperlab import cantor as cantor_mod
 from hyperlab import density
+from hyperlab import diophantine as dio
 from hyperlab import eigenfields as ef
+from hyperlab import ergodicity as ergo
+from hyperlab import steinhaus as st
 from hyperlab.cli import _first_difference, main, run_experiment, validate_config
 from hyperlab.linspace import StateVector
 
@@ -618,6 +622,21 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         ({"syndetic": {"horizon": 10**12}}, "scaled_backward_shift"),
         ({"density": {"horizon": 10**7 + 1}}, "scaled_backward_shift"),
         ({"density": {"horizon": 10**12}}, "scaled_backward_shift"),
+        # each would scan for hours
+        (
+            {
+                "diophantine": {
+                    "eta": 0.001,
+                    "angle_count": 3,
+                    "targets_per_angle": 1,
+                    "p_max": 10**12,
+                }
+            },
+            "scaled_backward_shift",
+        ),
+        ({"construct": {"targets": [TARGET], "p_max": 10**12}}, "scaled_backward_shift"),
+        # |D'| of about 315,000 powers for the quadratic difference check
+        ({"syndetic": {"eta": 1.9, "horizon": 10**6, "angle_count": 1}}, "scaled_backward_shift"),
     ],
     ids=[
         "invariance.probes>dimension",
@@ -656,6 +675,9 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         "syndetic.horizon=10**12",
         "density.horizon>10**7",
         "density.horizon=10**12",
+        "diophantine.p_max=10**12",
+        "construct.p_max=10**12",
+        "syndetic.d-prime-315000",
     ],
 )
 def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
@@ -668,7 +690,8 @@ def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
 
 def test_validate_names_the_diophantine_cell_count():
     def errors(angle_count, targets_per_angle):
-        params = {"angle_count": angle_count, "targets_per_angle": targets_per_angle}
+        # a p_max that keeps the scan's phase tests below their own ceiling
+        params = {"angle_count": angle_count, "targets_per_angle": targets_per_angle, "p_max": 1000}
         return validate_config(json.dumps(_holes_config({"diophantine": params})))[1]
 
     assert errors(6, 4) == [] and errors(12, 2) == []  # 4096 cells
@@ -691,6 +714,65 @@ def test_validate_names_the_horizon_ceilings():
     assert "pipelines.syndetic.horizon * angle_count" in error and str(2**24) in error
     (error,) = errors({"density": {"horizon": 10**7 + 1}})
     assert "pipelines.density.horizon" in error and "10000000" in error
+
+
+def _syndetic_horizon_at_the_d_prime_ceiling(eta, angle_count):
+    """The largest horizon whose expected |D'| is at most 2**14."""
+    share = (2 * math.asin(eta / 4) / math.pi) ** angle_count
+    horizon = int(2**14 / share)
+    while horizon * share > 2**14:
+        horizon -= 1
+    while (horizon + 1) * share <= 2**14:
+        horizon += 1
+    return horizon
+
+
+_PHASE_TESTS = "p_max * angle_count * cell count, the phase tests of the scan", 2**28
+_COVERING_POWERS = "p_max * steps, the powers the covering scans may test", 2**23
+_D_PRIME = "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size of D'", 2**14
+
+
+@pytest.mark.parametrize(
+    "pipeline, params, key, largest, limit",
+    [
+        ("diophantine", {"angle_count": 1, "targets_per_angle": 1}, "p_max", 2**28, _PHASE_TESTS),
+        # 2 angles times 4 cells
+        ("diophantine", {"angle_count": 2, "targets_per_angle": 2}, "p_max", 2**25, _PHASE_TESTS),
+        ("construct", {"targets": [TARGET]}, "p_max", 2**23, _COVERING_POWERS),
+        ("construct", {"targets": [TARGET, TARGET]}, "p_max", 2**22, _COVERING_POWERS),
+        (
+            "syndetic",
+            {"eta": 1.9, "angle_count": 1},
+            "horizon",
+            _syndetic_horizon_at_the_d_prime_ceiling(1.9, 1),
+            _D_PRIME,
+        ),
+        (
+            "syndetic",
+            {"eta": 1.99, "angle_count": 2},
+            "horizon",
+            _syndetic_horizon_at_the_d_prime_ceiling(1.99, 2),
+            _D_PRIME,
+        ),
+    ],
+    ids=[
+        "diophantine-one-cell",
+        "diophantine-four-cells",
+        "construct-one-step",
+        "construct-two-steps",
+        "syndetic-one-angle",
+        "syndetic-two-angles",
+    ],
+)
+def test_limits_accept_their_ceiling_and_refuse_one_more(pipeline, params, key, largest, limit):
+    # validation only: nothing here is run
+    def errors(value):
+        raw = _holes_config({pipeline: {**params, key: value}})
+        return validate_config(json.dumps(raw))[1]
+
+    what, ceiling = limit
+    assert errors(largest) == []
+    assert errors(largest + 1) == [f"pipelines.{pipeline}.{what}, must be <= {ceiling}"]
 
 
 def test_horizon_override_meets_the_ceilings():
@@ -755,23 +837,94 @@ def test_empty_syndetic_return_set_reports_failure(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "pipelines, key, known",
+    "overrides, where, key, known",
     [
-        ({"syndetic": {"eta": 0.5, "horizn": 1000}}, "horizn", "eta, angle_count, horizon"),
         (
-            {"construct": {"targets": [{**TARGET, "radus": 0.5}]}},
+            {"pipelines": {"syndetic": {"eta": 0.5, "horizn": 1000}}},
+            "pipelines.syndetic",
+            "horizn",
+            "eta, angle_count, horizon",
+        ),
+        (
+            {"pipelines": {"construct": {"targets": [{**TARGET, "radus": 0.5}]}}},
+            "pipelines.construct.targets[0]",
             "radus",
             "coefficients, radius, reach_power",
         ),
+        ({"dimensoin": 8}, "config", "dimensoin", "seed, dimension, operator, family, pipelines"),
+        (
+            {"operator": {"kind": "scaled_backward_shift", "wieght": 3.0, "weight": 2.0}},
+            "operator",
+            "wieght",
+            "kind, weight, eps",
+        ),
+        ({"family": {"count": 16, "cuont": 5}}, "family", "cuont", "count"),
     ],
-    ids=["syndetic.horizn", "construct.targets.radus"],
+    ids=[
+        "syndetic.horizn",
+        "construct.targets.radus",
+        "config.dimensoin",
+        "operator.wieght",
+        "family.cuont",
+    ],
 )
-def test_validate_refuses_unknown_keys(tmp_path, pipelines, key, known):
+def test_validate_refuses_unknown_keys(tmp_path, overrides, where, key, known):
     config = tmp_path / "typo.json"
-    config.write_text(json.dumps(_holes_config(pipelines)))
+    config.write_text(json.dumps({**_holes_config({"invariance": {"trials": 1000}}), **overrides}))
     result = CliRunner().invoke(main, ["validate", "--config", str(config)])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert f"unknown key {key!r}" in result.output and known in result.output
+    assert result.output == f"error: {where}: unknown key {key!r}; known keys: {known}\n"
+
+
+_NO_HANDLER = {
+    "khinchine": {"coefficients": {"equal": 8}, "trials": 1000},
+    "diophantine": {"eta": 0.5, "angle_count": 1, "targets_per_angle": 2, "p_max": 1000},
+    "ergodicity": {"N": 1000},
+    "density": {"horizon": 1000},
+    "invariance": {"trials": 200, "probes": 2, "terms": 4},
+}
+
+
+@pytest.fixture(scope="module")
+def no_handler_results(tmp_path_factory):
+    cfg, errors = validate_config(json.dumps(_holes_config(_NO_HANDLER)))
+    assert not errors
+    out = tmp_path_factory.mktemp("no-handler")
+    run_experiment(cfg, out)
+    return read_summary(out)["results"]
+
+
+@pytest.mark.parametrize(
+    "pipeline, module, kernel, error",
+    [
+        ("khinchine", st, "khinchine_report", ValueError),
+        ("diophantine", dio, "first_returns", OverflowError),
+        ("ergodicity", ergo, "witness_report", ZeroDivisionError),
+        ("density", density, "visit_times", ValueError),
+        ("invariance", st, "invariance_gap", FloatingPointError),
+    ],
+    ids=["khinchine", "diophantine", "ergodicity", "density", "invariance"],
+)
+def test_domain_errors_of_any_pipeline_are_reported_not_raised(
+    tmp_path, monkeypatch, no_handler_results, pipeline, module, kernel, error
+):
+    def fail(*args, **kwargs):
+        raise error(f"{kernel} refused its input")
+
+    monkeypatch.setattr(module, kernel, fail)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_holes_config(_NO_HANDLER)))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    # exit 1 through sys.exit, not an escaped exception
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    summary = read_summary(out)
+    assert summary["passed"] is False
+    assert summary["results"] == {
+        **no_handler_results,
+        pipeline: {"error": f"{kernel} refused its input", "passed": False},
+    }
 
 
 def test_validate_accepts_the_bounds_and_run_completes(tmp_path):
