@@ -85,7 +85,8 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     The root is seed member 0.  Right children are searched among unused
     seed members inside the node's territory arc, aiming at a
     deterministic target jump (ties by smaller angle).  A node with no
-    admissible neighbor fails the build, naming the node.
+    admissible neighbor fails the build, naming the node and the nearest
+    chord and vector distance of the unused members within _reach(depth).
 
     The tree grows a level at a time: one search finds the right child of
     every node of a level against the members unused when the level
@@ -219,9 +220,17 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
             if picks[i] >= 0 and not available[picks[i]]:
                 picks[i] = search(js[i : i + 1], bound)[0]
             if picks[i] < 0:
+                # how near the unused members in reach come, _COLUMNS at a time
+                unused = np.flatnonzero(available & (np.abs(offsets) <= _reach(depth)))
+                chord = chord_to(offsets[unused], off[j]).min(initial=np.inf)
+                dist = min(
+                    np.linalg.norm(mat[:, c] - mat[:, [nodes[j]]], axis=0).min(initial=np.inf)
+                    for c in np.split(unused, np.arange(_COLUMNS, unused.size, _COLUMNS))
+                )
                 raise CantorBuildError(
                     f"no admissible right child for node {_label(j)!r} at level {level} "
-                    f"(need chord < {bound:.3g}, vector distance < {bound:.3g})"
+                    f"(need chord < {bound:.3g}, vector distance < {bound:.3g}; nearest unused "
+                    f"members in reach: chord {chord:.3g}, vector distance {dist:.3g})"
                 )
             available[picks[i]] = False
         off_v = off[js]

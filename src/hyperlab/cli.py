@@ -45,9 +45,9 @@ _FAMILY = {"count": 256}
 # behind the angles and every array of phases grow with angle_count
 _MAX_CELLS = 4096
 _MAX_ANGLES = 64
-# ceilings of the horizons: the syndetic pipeline builds its phase array in
-# one piece, and a density horizon costs one byte per power and target
-# while the scan runs and 8 bytes per visit and target in the records
+# ceilings of the horizons: a syndetic horizon costs one byte per power for
+# the mask of D, and a density horizon one byte per power and target while
+# the scan runs and 8 bytes per visit and target in the records
 _MAX_SYNDETIC_HORIZON = 10**6
 _MAX_DENSITY_HORIZON = 10**7
 # the ergodicity witness holds a few float64 arrays of N powers at once
@@ -218,15 +218,17 @@ _LIMITS = (
      1 << 26),
     ("diophantine", "targets_per_angle ** angle_count, the cell count",
      lambda p: p["targets_per_angle"] ** p["angle_count"], _MAX_CELLS),
-    # each chunk of powers tests up to angle_count phases of every unsolved
-    # cell per power: at eta 1.9, 2**14 powers of 4096 cells over 12 angles
-    # took 27 s, and 2**20 powers of one cell over 64 angles 2.9 s
+    # every unsolved cell tests the angle_count phases of each power a
+    # coordinate at a time: at the ceiling, 2**22 powers of one unsolvable
+    # cell over 64 angles at eta 1.5 took 5.4 s, 89,478,485 powers of one cell
+    # over 3 at eta 0.001 5.1 s, 5461 of 4096 cells over 12 at eta 1.9 0.69 s
     ("diophantine", "p_max * angle_count * cell count, the phase tests of the scan",
      lambda p: p["p_max"] * p["angle_count"] * p["targets_per_angle"] ** p["angle_count"], 1 << 28),
+    # a chunk of powers at a time: horizon 10**6 over 16 angles took 0.35 s
     ("syndetic", "horizon * angle_count, the size of the phase array",
      lambda p: p["horizon"] * p["angle_count"], 1 << 24),
     # the difference check is quadratic in |D'|, the powers whose chords all
-    # stay below eta / 2; |D'| = 12604 took 0.40 s
+    # stay below eta / 2; |D'| = 12604 took 0.26 s
     ("syndetic", "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size of D'",
      lambda p: p["horizon"] * (2 * math.asin(p["eta"] / 4) / math.pi) ** p["angle_count"], 1 << 14),
     # each block's covering scan may run to p_max: 10**7 powers of an

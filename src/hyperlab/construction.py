@@ -31,6 +31,9 @@ _UCB_Z = 2.326  # one-sided 99% normal quantile
 _MAX_TIGHTEN = 8
 # the most cells of a covering net, one int64 each, that build_block scans
 _MAX_NET_CELLS = 1 << 24
+# the most terms (samples x return times x k) the visit certificate of one
+# block tests; 200 samples of a one-term net of 2,234,022 cells made a 13.8 s run
+_MAX_VISIT_TERMS = 1 << 26
 
 
 class ConstructionError(RuntimeError):
@@ -350,6 +353,12 @@ def run_construction(
         build_block(state, targets[n], rng, trials=trials, p_max=p_max)
 
     terms = state.all_terms()
+    for b in state.blocks:
+        if (work := cert_samples * len(b.return_times) * len(terms)) > _MAX_VISIT_TERMS:
+            raise ConstructionError(
+                f"block {b.index}: the visit certificate would test {work} terms "
+                f"(cert_samples x return times x terms), more than {_MAX_VISIT_TERMS}"
+            )
     chi = sample_steinhaus(rng, len(terms))
     # Python complex products: numpy's vectorised complex multiply rounds
     # differently, and these coefficients fix every later visit time

@@ -3,32 +3,50 @@
 Everything here scans the powers p = 1, 2, ... in order: for
 Q-independent irrational angles the joint powers equidistribute, so a
 solving power always exists and a finite scan finds the smallest one.
-First returns to many targets share one scan (:func:`first_returns`),
-which computes each chunk's phase fractions once for all unsolved
-targets.  Per target, a distance test on the first coordinate keeps the
-powers whose chord there can be below eta, and the exact chord test runs
-on those alone.  The test is a necessary condition with margins above
-the chord's rounding, so it never drops a solving power: every result is
-the power the full chord test finds.  Covering nets re-verify every
-stored power.
+Every scan takes its powers from one schedule (:func:`_powers`) and
+keeps the powers whose every phase lies within eta of its target by one
+test (:func:`_within`), which checks one coordinate at a time on the
+powers still left.  Covering nets re-verify every stored power.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _CHUNK = 65536
-# covering_scan's first chunk; each next one is twice as long, up to
-# _CHUNK, since a small net is often covered by the first few powers
+# every scan's first chunk; each next one is twice as long, up to _CHUNK,
+# since a scan often ends within its first few powers
 _FIRST_CHUNK = 1024
 
 
 def chord_to(frac: np.ndarray, target_frac) -> np.ndarray:
     """|exp(2*pi*i*x) - exp(2*pi*i*y)| = 2 |sin(pi (x - y))|."""
     return 2.0 * np.abs(np.sin(np.pi * (frac - target_frac)))
+
+
+def _powers(p_max: int):
+    """The powers 1, ..., p_max in order, as chunks of _FIRST_CHUNK
+    powers, then twice as many each time up to _CHUNK."""
+    start, size = 1, _FIRST_CHUNK
+    while start <= p_max:
+        yield np.arange(start, min(start + size, p_max + 1))
+        start, size = start + size, min(2 * size, _CHUNK)
+
+
+def _within(frac: np.ndarray, mu_fracs, eta: float, kept=None) -> np.ndarray:
+    """The columns i among ``kept`` (default: all) of the k x n phase
+    fractions ``frac``, one row per angle and one column per power, with
+    chord_to(frac[j, i], mu_fracs[j]) < eta for every j.  Each coordinate
+    is tested on the columns the ones before it kept; with k = 0 all stay.
+    """
+    for j in range(len(frac)):
+        if kept is None:
+            kept = np.flatnonzero(chord_to(frac[j], mu_fracs[j]) < eta)
+        else:
+            kept = kept[chord_to(frac[j, kept], mu_fracs[j]) < eta]
+    return np.arange(frac.shape[1]) if kept is None else kept
 
 
 @dataclass(frozen=True)
@@ -90,14 +108,8 @@ def first_returns(angles, targets, eta: float, p_max: int) -> list[int | None]:
     exhausted; lambda_j = exp(2*pi*i*angles[j]).
 
     One scan serves every target: each chunk of powers computes its phase
-    fractions once for all targets still unsolved.  A power can only solve
-    mu if its first coordinate does, and 2 |sin(pi delta)| < eta holds
-    exactly when delta lies within asin(eta/2)/pi of an integer.  So each
-    target first keeps the powers that pass that distance test and runs
-    the exact chord test on those alone.  The test's margins (1e-14 on
-    eta/2, 1e-9 on the distance) exceed the rounding of the computed
-    chord, so it never drops a power the chord test accepts, and every
-    result equals that of a full chord test.
+    fractions once, and every target still unsolved takes the first power
+    of the chunk that :func:`_within` keeps for it.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -107,24 +119,16 @@ def first_returns(angles, targets, eta: float, p_max: int) -> list[int | None]:
     mu_fracs = _phase_fracs(targets)
     if mu_fracs.ndim != 2 or mu_fracs.shape[1] != angles.size:
         raise ValueError("targets must be an (n, k) array for k angles")
-    if angles.size == 0:
-        return [1] * len(mu_fracs)
-    slack = math.asin(min(1.0, eta / 2 + 1e-14)) / math.pi + 1e-9
     powers = [None] * len(mu_fracs)
-    unsolved = list(range(len(mu_fracs)))
-    for start in range(1, p_max + 1, _CHUNK):
-        p = np.arange(start, min(start + _CHUNK, p_max + 1))
-        frac = np.outer(p, angles) % 1.0
-        for i in list(unsolved):
-            delta = frac[:, 0] - mu_fracs[i, 0]
-            rows = np.flatnonzero(np.abs(delta - np.round(delta)) < slack)
-            ok = np.all(chord_to(frac[rows], mu_fracs[i]) < eta, axis=1)
-            hits = np.flatnonzero(ok)
-            if hits.size:
-                powers[i] = int(p[rows[hits[0]]])
-                unsolved.remove(i)
+    for p in _powers(p_max):
+        unsolved = [i for i, q in enumerate(powers) if q is None]
         if not unsolved:
             break
+        frac = np.outer(angles, p) % 1.0
+        for i in unsolved:
+            kept = _within(frac, mu_fracs[i], eta)
+            if kept.size:
+                powers[i] = int(p[kept[0]])
     return powers
 
 
@@ -168,47 +172,30 @@ def covering_scan(
     phase tuple lands on it, optionally restricted to p with
     |lambda_old**p - 1| < fixed_eta for every fixed angle.
 
-    The powers are scanned in chunks of _FIRST_CHUNK, then twice as many
-    each time up to _CHUNK, in order, so every cell keeps its first power.
-    The scan stops once every cell is marked; otherwise it raises
-    :class:`NetCoverageError` carrying an uncovered net point.
+    The powers are scanned in the order :func:`_powers` yields them, so
+    every cell keeps its first power.  The scan stops once every cell is
+    marked; otherwise it raises :class:`NetCoverageError` carrying an
+    uncovered net point.
     """
     angles = np.asarray([float(a) for a in angles])
     fixed = np.asarray([float(a) for a in fixed_angles])
     if eta <= 0:
         raise ValueError("eta must be positive")
-    k = angles.size
-    trivial = eta >= 2.0
-    m = 1 if trivial else int(np.ceil(2 * np.pi / net_resolution))
-    if not trivial and net_resolution > eta / 2:
+    if eta < 2 and net_resolution > eta / 2:
         raise ValueError("net resolution must be at most eta/2")
-    n_cells = m**k if k else 1
-    cell_to_p = np.full(n_cells, -1, dtype=np.int64)
-    remaining = n_cells
-    strides = m ** np.arange(k - 1, -1, -1) if k else None
-    start, size = 1, _FIRST_CHUNK
-    while start <= p_max:
-        p = np.arange(start, min(start + size, p_max + 1))
-        start, size = start + size, min(2 * size, _CHUNK)
-        if fixed.size:
-            mask = np.all(
-                chord_to(np.outer(p, fixed) % 1.0, 0.0) < fixed_eta, axis=1
-            )
-            p = p[mask]
-            if p.size == 0:
-                continue
-        if k == 0 or trivial:
-            if cell_to_p[0] < 0 and p.size:
-                cell_to_p[:] = p[0]
-                remaining = 0
-        else:
-            frac = np.outer(p, angles) % 1.0
-            idx = np.round(frac * m).astype(np.int64) % m
-            flat = idx @ strides
-            uniq, first = np.unique(flat, return_index=True)
-            new = cell_to_p[uniq] < 0
-            cell_to_p[uniq[new]] = p[first[new]]
-            remaining -= int(np.sum(new))
+    k, m = angles.size, 1 if eta >= 2 else int(np.ceil(2 * np.pi / net_resolution))
+    # with no angles, or m = 1, the net is the one cell 0
+    cell_to_p = np.full(m**k, -1, dtype=np.int64)
+    remaining = cell_to_p.size
+    strides = m ** np.arange(k - 1, -1, -1)
+    for p in _powers(p_max):
+        p = p[_within(np.outer(fixed, p) % 1.0, np.zeros(fixed.size), fixed_eta)]
+        frac = np.outer(angles, p) % 1.0
+        flat = strides @ (np.round(frac * m).astype(np.int64) % m)
+        uniq, first = np.unique(flat, return_index=True)
+        new = cell_to_p[uniq] < 0
+        cell_to_p[uniq[new]] = p[first[new]]
+        remaining -= int(np.sum(new))
         if remaining == 0:
             break
     if remaining > 0:
@@ -226,16 +213,12 @@ def _verify_net(net: CoveringNet, fixed: np.ndarray, fixed_eta: float) -> None:
     k = len(net.angles)
     p = net.cell_to_p
     if k and net.mesh > 1:
-        grid = np.array(
-            np.unravel_index(np.arange(p.size), (net.mesh,) * k)
-        ).T / float(net.mesh)
+        grid = np.array(np.unravel_index(np.arange(p.size), (net.mesh,) * k)).T / net.mesh
         frac = np.outer(p, np.asarray(net.angles)) % 1.0
         if not np.all(chord_to(frac, grid) < net.eta):
             raise AssertionError("covering scan produced an invalid power")
-    if fixed.size:
-        frac = np.outer(p, fixed) % 1.0
-        if not np.all(chord_to(frac, 0.0) < fixed_eta):
-            raise AssertionError("covering scan violated the fixed-angle filter")
+    if not np.all(chord_to(np.outer(p, fixed) % 1.0, 0.0) < fixed_eta):
+        raise AssertionError("covering scan violated the fixed-angle filter")
 
 
 @dataclass(frozen=True)
@@ -254,26 +237,20 @@ def syndetic_return_set(angles, eta: float, horizon: int) -> SyndeticResult:
     if not 0 < eta < 2:
         raise ValueError("eta must lie in (0, 2)")
     angles = np.asarray([float(a) for a in angles])
-    p = np.arange(1, horizon + 1)
-    if angles.size:
-        frac = np.outer(p, angles) % 1.0
-        chord = chord_to(frac, 0.0)
-        d_mask = np.all(chord < eta, axis=1)
-        dp_mask = np.all(chord < eta / 2, axis=1)
-    else:
-        d_mask = np.ones(horizon, dtype=bool)
-        dp_mask = d_mask
-    d = p[d_mask]
+    one = np.zeros(angles.size)  # the phase fractions of the target 1
+    d_mask, d_prime = np.zeros(horizon, dtype=bool), []
+    # D' lies in D, since its chords are all below eta / 2
+    for p in _powers(horizon):
+        frac = np.outer(angles, p) % 1.0
+        kept = _within(frac, one, eta)
+        d_mask[p[kept] - 1] = True
+        d_prime.append(p[_within(frac, one, eta / 2, kept)])
+    d = np.flatnonzero(d_mask) + 1
     if d.size == 0:
-        raise ValueError(
-            f"return set empty within horizon {horizon}: eta={eta} too tight"
-        )
-    d_prime = p[dp_mask]
-    gaps = np.diff(np.concatenate(([0], d)))
-    gap_bound = int(gaps.max())
-    return SyndeticResult(
-        tuple(d.tolist()), gap_bound, _differences_outside(d_prime, d_mask)
-    )
+        raise ValueError(f"return set empty within horizon {horizon}: eta={eta} too tight")
+    gap_bound = int(np.diff(d, prepend=0).max())
+    d_prime = np.concatenate(d_prime)
+    return SyndeticResult(tuple(d.tolist()), gap_bound, _differences_outside(d_prime, d_mask))
 
 
 def _differences_outside(d_prime: np.ndarray, d_mask: np.ndarray) -> tuple:

@@ -10,10 +10,12 @@ from click.testing import CliRunner
 
 import hyperlab
 from hyperlab import cantor as cantor_mod
+from hyperlab import construction as cons
 from hyperlab import density
 from hyperlab import diophantine as dio
 from hyperlab import eigenfields as ef
 from hyperlab import ergodicity as ergo
+from hyperlab import operators as ops
 from hyperlab import steinhaus as st
 from hyperlab.cli import _first_difference, main, run_experiment, validate_config
 from hyperlab.linspace import StateVector
@@ -326,6 +328,33 @@ def test_cantor_seed_family_too_small_reports_failure(tmp_path):
     cantor = summary["results"]["cantor"]
     assert cantor["passed"] is False and "no admissible right child" in cantor["error"]
     assert summary["passed"] is False
+
+
+def test_perturbed_diagonal_cantor_failure_names_the_nearest_members(tmp_path):
+    cfg, errors = validate_config(json.dumps({
+        "seed": 1,
+        "dimension": 16,
+        "operator": {"kind": "perturbed_diagonal", "eps": 0.2},
+        "pipelines": {"cantor": {"depth": 2}},
+    }))
+    assert not errors
+    assert run_experiment(cfg, tmp_path) == 1
+    # the root is member 0, every other member is unused at level 1, and
+    # a depth-2 build reads those within _reach(2) of the root
+    op = ops.make_perturbed_diagonal(ef.qindependent_angles(16), 0.2, 16)
+    family = ef.diagonal_family(op)
+    offsets = (family.thetas[1:] - family.thetas[0] + 0.5) % 1.0 - 0.5
+    near = 1 + np.flatnonzero(np.abs(offsets) <= cantor_mod._reach(2))
+    chord = np.abs(np.exp(2j * np.pi * family.thetas[near]) - np.exp(2j * np.pi * family.thetas[0]))
+    dist = np.linalg.norm(family.vectors[:, near] - family.vectors[:, [0]], axis=0)
+    # the members lie near the coordinate vectors: close in angle, far apart
+    assert chord.min() < 0.5 < dist.min()
+    assert read_summary(tmp_path)["results"]["cantor"] == {
+        "error": "no admissible right child for node '' at level 1 (need chord < 0.5, "
+        "vector distance < 0.5; nearest unused members in reach: "
+        f"chord {chord.min():.3g}, vector distance {dist.min():.3g})",
+        "passed": False,
+    }
 
 
 def test_depth_zero_cantor_run_writes_valid_json(tmp_path):
@@ -987,6 +1016,30 @@ def test_construction_errors_are_reported_not_raised(tmp_path, construct, error)
     construct_result = summary["results"]["construct"]
     assert construct_result["passed"] is False and error in construct_result["error"]
     assert summary["passed"] is False
+
+
+@pytest.mark.parametrize("ceiling, passed", [(20119, False), (20120, True)])
+def test_visit_certificate_above_its_ceiling_is_reported(tmp_path, monkeypatch, ceiling, passed):
+    # a one-term net of 1006 cells at 20 samples: 20120 terms to test
+    monkeypatch.setattr(cons, "_MAX_VISIT_TERMS", ceiling)
+    target = {"coefficients": [[0.5, 0, 3]], "radius": 0.01}
+    cfg = _holes_config({"construct": {"targets": [target], "cert_samples": 20}})
+    cfg["family"]["count"] = 64
+    config = tmp_path / "construct.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    construct_result = read_summary(out)["results"]["construct"]
+    assert (out / "construction_state.json").exists() == passed
+    if passed:
+        assert result.exit_code == 0 and construct_result["passed"]
+    else:
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert construct_result == {
+            "error": "block 1: the visit certificate would test 20120 terms "
+            "(cert_samples x return times x terms), more than 20119",
+            "passed": False,
+        }
 
 
 def _random_config(rng):

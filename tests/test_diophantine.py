@@ -107,8 +107,11 @@ def _edge_case(rng, k):
 @pytest.mark.parametrize("chunk", [97, diophantine._CHUNK])
 def test_first_returns_matches_the_per_target_scan(chunk, monkeypatch):
     monkeypatch.setattr(diophantine, "_CHUNK", chunk)
+    if chunk < diophantine._FIRST_CHUNK:
+        # chunks of 5, 10, 20, 40 and 80 powers, then 97 each
+        monkeypatch.setattr(diophantine, "_FIRST_CHUNK", 5)
     rng = np.random.default_rng(chunk)
-    cases = []
+    cases = [(np.empty(0), np.ones((3, 0)), 0.5, 10)]
     for _ in range(40):
         k = int(rng.integers(0, 5))
         angles = rng.random(k)
@@ -269,13 +272,20 @@ def test_return_time_set_dedup_and_validation():
         ReturnTimeSet([])
 
 
-def test_syndetic_set_matches_brute_force():
-    res = syndetic_return_set((SQRT2,), 0.4, 2000)
-    lam = np.exp(2j * np.pi * SQRT2)
-    manual = [p for p in range(1, 2001) if abs(lam**p - 1.0) < 0.4]
-    assert list(res.times) == manual
-    gaps = np.diff([0] + manual)
-    assert res.gap_bound == int(gaps.max())
+def test_syndetic_set_matches_brute_force(monkeypatch):
+    # the horizon spans chunks of 100, 200 and 300 powers, then 300 each
+    monkeypatch.setattr(diophantine, "_FIRST_CHUNK", 100)
+    monkeypatch.setattr(diophantine, "_CHUNK", 300)
+    for angles, eta in (((SQRT2,), 0.4), ((SQRT2, SQRT3), 0.8), ((), 0.4)):
+        res = syndetic_return_set(angles, eta, 2000)
+        lams = np.exp(2j * np.pi * np.array(angles))
+        manual = [p for p in range(1, 2001) if np.all(np.abs(lams**p - 1.0) < eta)]
+        half = [p for p in manual if np.all(np.abs(lams**p - 1.0) < eta / 2)]
+        assert list(res.times) == manual
+        gaps = np.diff([0] + manual)
+        assert res.gap_bound == int(gaps.max())
+        outside = {b - a for a, b in itertools.combinations(half, 2)} - set(manual)
+        assert res.violations == tuple(sorted(outside))
 
 
 def test_syndetic_difference_set_inclusion_holds():
