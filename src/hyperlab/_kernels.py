@@ -10,9 +10,8 @@ import threading
 
 import numpy as np
 
-# terms (rows times the number of terms) per block of the visit scan and
-# the visit certificate, and rows per block of the cross term
-_CHUNK = 1 << 15
+# elements (units times the width of a unit) per block of every kernel
+_BLOCK = 1 << 15
 
 
 def _cores() -> int:
@@ -24,28 +23,42 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _blocks(n: int, size: int, fn) -> None:
-    """Call fn(start, stop) once for each block [start, start + size) of
-    [0, n), the last block cut at n, sharing the blocks among one thread
-    per core the process may run on (the calling thread included).
+def _cuts(n: int, width: int, rows: int = 1) -> list:
+    """The blocks (start, stop) of [0, n), in order, for units of
+    ``width`` elements and ``rows`` rows each: near-equal blocks of at most
+    _BLOCK // width units, one at least, and of two rows at least unless
+    [0, n) holds fewer, because numpy hands a one-row operand to a
+    matrix-vector routine that rounds differently from the product of a
+    longer block."""
+    count = -(-n // max(1, _BLOCK // max(1, width)))
+    # -(-2 // rows) units make two rows
+    count = min(count, max(1, n // -(-2 // rows)))
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def _blocks(n: int, width: int, fn, rows: int = 1) -> None:
+    """Call fn(start, stop) once for each block of :func:`_cuts`, sharing
+    the blocks among one thread per core the process may run on (the
+    calling thread included).  The cut does not depend on the thread count.
 
     A block is handed to whichever thread asks next, so ``fn`` must write
     each block's result to its own place and call only numpy and private
     functions, none of which calls :func:`_blocks`; numpy releases the
-    interpreter lock inside its loops.  The call returns once every block is done and
-    re-raises the first error of any thread on the calling thread.
+    interpreter lock inside its loops.  The call returns once every block
+    is done and re-raises the first error of any thread on the calling
+    thread.
     """
-    starts = range(0, n, size)
-    pending, lock, errors = iter(starts), threading.Lock(), []
+    cuts = _cuts(n, width, rows)
+    pending, lock, errors = iter(cuts), threading.Lock(), []
 
     def work(done=None):
         try:
             while True:
                 with lock:
-                    start = next(pending, None)
-                if start is None:
+                    cut = next(pending, None)
+                if cut is None:
                     return
-                fn(start, min(start + size, n))
+                fn(*cut)
         except Exception as exc:  # re-raised on the calling thread
             errors.append(exc)
         finally:
@@ -53,7 +66,7 @@ def _blocks(n: int, size: int, fn) -> None:
                 done.release()
 
     running = []
-    for _ in range(min(_cores(), len(starts)) - 1):
+    for _ in range(min(_cores(), len(cuts)) - 1):
         done = threading.Lock()
         done.acquire()
         # threading.Thread.start would wait until the helper runs (a median
@@ -68,16 +81,6 @@ def _blocks(n: int, size: int, fn) -> None:
             done.acquire()
     if errors:
         raise errors[0]
-
-
-def _row_blocks(n: int, rows: int, fn) -> None:
-    """Call fn(start, stop) through :func:`_blocks` over blocks of [0, n)
-    whose lengths differ by at most one, each at most ``rows`` long where
-    that leaves two or more to a block.  No block has one row unless n is
-    1, because numpy hands a one-row operand to a matrix-vector routine
-    that rounds differently from the product of a longer block."""
-    count = max(1, min(-(-n // rows), n // 2))
-    _blocks(count, 1, lambda i, _: fn(i * n // count, (i + 1) * n // count))
 
 
 def _unit_phases(t, out=None) -> np.ndarray:

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
+from ._kernels import _cuts
 from .diophantine import chord_to
 from .eigenfields import EigenFamily, _has_duplicates
-
-
-# the build computes vector distances this many candidate columns at a time
-_COLUMNS = 512
 
 
 class CantorBuildError(RuntimeError):
@@ -79,6 +77,27 @@ def _seed_angles(thetas, depth: int) -> np.ndarray:
     return thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
 
 
+def _distances(mat, cand, parents, bufs: list) -> np.ndarray:
+    """||mat[:, cand[i]] - mat[:, parents[i]]|| for each i, by the ufunc
+    steps of np.linalg.norm(..., axis=0), a block of :func:`_kernels._cuts`
+    at a time in the two buffers ``bufs``, grown should a block need more,
+    so that no d x candidates temporary is made."""
+    d, cuts = mat.shape[0], _cuts(cand.size, mat.shape[0])
+    size = d * max((stop - start for start, stop in cuts), default=0)
+    if bufs[0].size < size:
+        bufs[:] = np.empty(size, complex), np.empty(size, complex)
+    dists = np.empty(cand.size)
+    for start, stop in cuts:
+        a, b = (buf[: d * (stop - start)].reshape(d, stop - start) for buf in bufs)
+        # the indices are valid, and mode="raise" would gather into a temporary
+        np.take(mat, cand[start:stop], axis=1, out=a, mode="clip")
+        np.take(mat, parents[start:stop], axis=1, out=b, mode="clip")
+        np.subtract(a, b, out=a)
+        np.multiply(np.conjugate(a, out=b), a, out=b)
+        np.sqrt(np.add.reduce(b.real, axis=0), out=dists[start:stop])
+    return dists
+
+
 def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     """Grow the full binary tree of the halving construction to ``depth``.
 
@@ -122,31 +141,17 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     off = np.zeros(size)
     lo = np.full(size, -0.5)
     hi = np.full(size, 0.5)
-    # candidate and parent columns for the vector distances, _COLUMNS at
-    # a time, so that no search allocates a d x candidates temporary
-    cols = np.empty(mat.shape[0] * _COLUMNS, dtype=complex)
-    diffs = np.empty_like(cols)
+    # the gather buffers of every vector distance of the build, made once
+    # (fresh ones per search cost page faults) and as long as the most a
+    # block of _kernels._cuts holds while d is well below _BLOCK
+    bufs = [np.empty(_kernels._BLOCK, complex) for _ in range(2)]
 
     def best(picks, parents, owner, cand, chords, bound):
         """Set picks[i] to the best candidate of node i (``owner``, right
         child of seed member ``parents[i]``) among the ``cand`` (chord gaps
         ``chords``) that stay under the vector bound; nodes with no such
         candidate keep their -1."""
-        dists = np.empty(cand.size)
-        for start in range(0, cand.size, _COLUMNS):
-            # the ufunc steps of np.linalg.norm(..., axis=0) on the
-            # contiguous d x n difference of candidate and parent columns;
-            # the indices are valid, and take's default mode="raise" would
-            # gather into a temporary and copy it over
-            part = slice(start, min(start + _COLUMNS, cand.size))
-            shape = (mat.shape[0], part.stop - start)
-            a = cols[: shape[0] * shape[1]].reshape(shape)
-            b = diffs[: a.size].reshape(shape)
-            np.take(mat, cand[part], axis=1, out=a, mode="clip")
-            np.take(mat, parents[owner[part]], axis=1, out=b, mode="clip")
-            np.subtract(a, b, out=a)
-            np.multiply(np.conjugate(a, out=b), a, out=b)
-            np.sqrt(np.add.reduce(b.real, axis=0), out=dists[part])
+        dists = _distances(mat, cand, parents[owner], bufs)
         keep = dists < bound
         owner, cand, chords, dists = owner[keep], cand[keep], chords[keep], dists[keep]
         # both gaps become the children's budgets, so take the candidate
@@ -220,13 +225,11 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
             if picks[i] >= 0 and not available[picks[i]]:
                 picks[i] = search(js[i : i + 1], bound)[0]
             if picks[i] < 0:
-                # how near the unused members in reach come, _COLUMNS at a time
+                # how near the unused members in reach come
                 unused = np.flatnonzero(available & (np.abs(offsets) <= _reach(depth)))
                 chord = chord_to(offsets[unused], off[j]).min(initial=np.inf)
-                dist = min(
-                    np.linalg.norm(mat[:, c] - mat[:, [nodes[j]]], axis=0).min(initial=np.inf)
-                    for c in np.split(unused, np.arange(_COLUMNS, unused.size, _COLUMNS))
-                )
+                parents = np.full_like(unused, nodes[j])
+                dist = _distances(mat, unused, parents, bufs).min(initial=np.inf)
                 raise CantorBuildError(
                     f"no admissible right child for node {_label(j)!r} at level {level} "
                     f"(need chord < {bound:.3g}, vector distance < {bound:.3g}; nearest unused "

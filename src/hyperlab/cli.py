@@ -55,7 +55,7 @@ _MAX_ERGODICITY_HORIZON = 10**7
 # the Khinchine ratio and the expectation certificate keep one float64 per trial
 _MAX_TRIALS = 10**7
 # the perturbed diagonal's family takes d back-substitutions of up to d
-# Python steps each, 1.2 s at d = 1024 on a 2-core host
+# Python steps each, 0.8 s at d = 1024 on a 2-core host
 _MAX_DIMENSION = 1024
 # a family or Cantor seed takes its sqrt-prime angles from a prime sieve of
 # about 20 bytes per angle
@@ -202,7 +202,7 @@ _PARAMS = (
     # a construction target: what ConstructionTarget and build_block accept
     ("target", "coefficients", None, _triples),
     ("target", "radius", 0.5, _positive),
-    ("target", "reach_power", 1, _int(0)),
+    ("target", "reach_power", 1, _int(0, 2**62 - 1)),
 )
 
 
@@ -228,7 +228,7 @@ _LIMITS = (
     ("syndetic", "horizon * angle_count, the size of the phase array",
      lambda p: p["horizon"] * p["angle_count"], 1 << 24),
     # the difference check is quadratic in |D'|, the powers whose chords all
-    # stay below eta / 2; |D'| = 12604 took 0.26 s
+    # stay below eta / 2; |D'| = 12604 took 0.54 s and 16383 took 0.89 s on a 2-core host
     ("syndetic", "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size of D'",
      lambda p: p["horizon"] * (2 * math.asin(p["eta"] / 4) / math.pi) ** p["angle_count"], 1 << 14),
     # each block's covering scan may run to p_max: 10**7 powers of an

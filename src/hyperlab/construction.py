@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _CHUNK, _blocks, _unit_phases
+from ._kernels import _blocks, _unit_phases
 from .density import _ball, _factor, _inside, _quad_form
 from .diophantine import ReturnTimeSet, covering_scan
 from .eigenfields import EigenExpansion, EigenFamily
@@ -76,8 +76,8 @@ class ConstructionTarget:
         )
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if self.reach_power < 0:
-            raise ValueError("reach power must be >= 0")
+        if not 0 <= self.reach_power < 2**62:
+            raise ValueError("reach power must lie in [0, 2**62), so return times fit an int64")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class ConstructionState:
                     "index": b.index,
                     "angles": b.terms.terms.thetas.tolist(),
                     "coefficients": [[c.real, c.imag] for c in b.terms.coeffs.tolist()],
-                    "return_times": list(b.return_times.times),
+                    "return_times": b.return_times.times.tolist(),
                     "radius": b.radius,
                     "reach_power": b.reach_power,
                     "expected_norm_bound": b.expected_norm_bound,
@@ -223,8 +223,7 @@ def build_block(
         fixed_eta=old_eta,
         p_max=p_max,
     )
-    q_times = net.return_times.times
-    p_times = ReturnTimeSet([target.reach_power + q for q in q_times])
+    p_times = ReturnTimeSet(net.return_times.times + target.reach_power)
 
     block = Block(
         index=n,
@@ -394,16 +393,13 @@ def run_construction(
 def _visit_rate(block: Block, terms: EigenExpansion, weights, f) -> float:
     """Fraction of sampled realizations for which some p in the block's
     return-time set carries T**p Phi - Phi into the inflated target."""
-    p_arr = np.array(block.return_times.times)
-    lam_pow = _unit_phases(np.outer(p_arr, terms.terms.thetas)) - 1.0  # P x terms
+    lam_pow = _unit_phases(np.outer(block.return_times.times, terms.terms.thetas)) - 1.0
     tol = block.radius + 2.0 ** (-(block.index - 1))
     ball = [_ball(terms.terms.vectors, block.center.entries, tol * tol)]
-    # every (sample, return time) pair of a block of samples at once, at
-    # most _CHUNK terms (samples x return times x k) per block unless one
-    # sample holds more, the blocks shared out by _blocks and each adding
-    # its own integer count, so the rate does not depend on the cut;
-    # lam_pow stays the left factor, because numpy's complex multiply
-    # rounds a*b and b*a differently on a third of inputs
+    # every (sample, return time) pair of a block of samples at once, a
+    # sample being P rows of k terms, each block adding its own integer
+    # count; lam_pow (P x k) stays the left factor, because numpy's complex
+    # multiply rounds a*b and b*a differently on a third of inputs
     hits = []
 
     def count(start, stop):
@@ -411,6 +407,6 @@ def _visit_rate(block: Block, terms: EigenExpansion, weights, f) -> float:
         (mask,) = _inside(w.reshape(-1, w.shape[-1]), f, ball)
         hits.append(int(np.count_nonzero(mask.reshape(w.shape[:2]).any(axis=1))))
 
-    _blocks(weights.shape[0], max(1, _CHUNK // lam_pow.size), count)
+    _blocks(weights.shape[0], lam_pow.size, count, len(lam_pow))
     return sum(hits) / weights.shape[0]
 

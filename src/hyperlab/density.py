@@ -6,10 +6,9 @@ Whether an orbit point lies in a target ball is decided in one place,
 :func:`_inside`, through the norm factor of :func:`_factor`: the visit
 scan here, the construction's visit certificate and its norm estimate
 all call it, and :func:`recheck_visit` is the direct reference.
-The scan and the certificate cut their work into blocks of at most
-_CHUNK terms (rows times the number of terms k), so their temporaries
-stay the same size at any k, and the scan keeps a block's hits as one
-byte per power and target until it joins them into visit times.
+The scan and the certificate cut their work by :func:`_kernels._blocks`,
+and the scan keeps a block's hits as one byte per power and target until
+it joins them into visit times.
 The lower-density proxy is the minimum visit frequency over a ladder of
 window cut points; the true liminf is not finitely computable.
 """
@@ -20,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _CHUNK, _blocks, _unit_phases
+from ._kernels import _blocks, _unit_phases
+from .diophantine import _distinct
 from .eigenfields import EigenExpansion
 from .linspace import StateVector
 
@@ -49,11 +49,8 @@ class VisitRecord:
         times = np.asarray(self.times, dtype=np.int64)
         if times.ndim != 1:
             raise ValueError("visit times must be one-dimensional")
-        if np.any(times[1:] <= times[:-1]):
-            times = np.unique(times)
-        elif times is self.times and times.flags.writeable:
-            times = times.copy()
-        times.flags.writeable = False
+        if times.flags.writeable or np.any(times[1:] <= times[:-1]):
+            times = _distinct(times)
         object.__setattr__(self, "times", times)
         if times.size and not (0 <= times[0] and times[-1] < self.horizon):
             raise ValueError("visit times must lie in [0, horizon)")
@@ -101,17 +98,14 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     costs k * min(k, d) multiplies for k terms in C^d, as one BLAS
     product with the norm factor of :func:`_factor`.  The coefficient
     rows and the quadratic term of a block of powers are shared by all
-    targets; each target adds only its cross term.  A block holds at most
-    _CHUNK terms (rows times k), in a whole number of _STEP powers, so
-    its temporaries do not grow with k: 10 * _STEP powers at k = 3, and
-    _STEP from k = 32 on.  The rows come from :func:`_coefficient_rows`:
-    one table of the phases of the first _STEP powers, made once per
-    scan, times one anchor row per _STEP powers, so a block takes one
-    ``exp`` row per _STEP powers.  The blocks go through
-    :func:`_kernels._blocks`, so they run on all the cores the process may
-    use; each block stores its masks, one byte per power and target,
-    under its index, and they are joined in order, so the visit times do
-    not depend on the number of threads.
+    targets; each target adds only its cross term.  :func:`_kernels._blocks`
+    cuts the horizon into groups of _STEP powers, k * _STEP terms each, so
+    a block's temporaries do not grow with k: 10 groups at k = 3, and one
+    from k = 32 on.  The rows come from :func:`_coefficient_rows`: one
+    table of the phases of the first _STEP powers, made once per scan,
+    times one anchor row per _STEP powers.  Each block stores its masks,
+    one byte per power and target, under its first group, and they are
+    joined in order.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -126,16 +120,17 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     f = _factor(mat)
     balls = [_ball(mat, t.center.entries, t.radius**2) for t in targets]
     table = _unit_phases(np.outer(np.arange(min(_STEP, N)), x.terms.thetas))
-    rows = _STEP * max(1, _CHUNK // (_STEP * len(x)))
-    masks = [None] * -(-N // rows)
+    # the last group takes a lone last power, which would be a one-row block
+    masks, groups = {}, max(1, -(-(N - 1) // _STEP))
 
     def scan(start, stop):
-        masks[start // rows] = _inside(_coefficient_rows(x, table, start, stop), f, balls)
+        w = _coefficient_rows(x, table, start * _STEP, N if stop == groups else stop * _STEP)
+        masks[start] = _inside(w, f, balls)
 
-    _blocks(N, rows, scan)
+    _blocks(groups, _STEP * len(x), scan, _STEP)
     records = []
     for i, t in enumerate(targets):
-        times = np.flatnonzero(np.concatenate([block[i] for block in masks]))
+        times = np.flatnonzero(np.concatenate([masks[start][i] for start in sorted(masks)]))
         # read-only, so VisitRecord keeps it without a defensive copy
         times.flags.writeable = False
         records.append(VisitRecord(times, N, t))
@@ -150,10 +145,16 @@ def _coefficient_rows(x: EigenExpansion, table, start: int, stop: int) -> np.nda
     0, 1, ... below _STEP.  Each entry is one product of two ``exp``
     values, so no error accumulates along the orbit, and as the anchors
     sit at absolute multiples of _STEP the bits do not depend on how the
-    horizon is cut into blocks."""
+    horizon is cut into blocks.  A last anchor with fewer than _STEP
+    powers multiplies only the rows of ``table`` it keeps, so a block
+    makes no more than its own rows."""
     anchors = _unit_phases(np.outer(np.arange(start, stop, _STEP), x.terms.thetas)) * x.coeffs
-    w = anchors[:, None, :] * table[None, :, :]
-    return w.reshape(-1, w.shape[-1])[: stop - start]
+    whole, k = (stop - start) // _STEP, anchors.shape[1]
+    w = np.empty((stop - start, k), dtype=complex)
+    whole_rows = w[: whole * _STEP].reshape(whole, len(table), k)
+    np.multiply(anchors[:whole, None, :], table, out=whole_rows)
+    np.multiply(anchors[whole:], table[: stop - start - whole * _STEP], out=w[whole * _STEP :])
+    return w
 
 
 def visit_times(x: EigenExpansion, target: TargetBall, N: int) -> VisitRecord:

@@ -15,10 +15,6 @@ from ._kernels import _blocks
 from .linspace import StateVector
 from .operators import OperatorSpec, PERTURBED_DIAGONAL, _coupling, _diagonal, apply
 
-# _field_2B builds and normalizes the field this many columns at a time,
-# so the k x d copy each block's norms take stays small
-_FIELD_COLUMNS = 128
-
 
 def unimodular(theta: float) -> complex:
     return complex(np.exp(2j * np.pi * theta))
@@ -156,10 +152,8 @@ def _field_2B(thetas, w: float, d: int):
     which is divided by the normalizing constant.  The field is built
     d x k, the layout EigenFamily stores, and each column's norm is the
     one numpy gives the row of a k x d copy of its block, so the result
-    does not depend on the layout down to the last bit.  Blocks of
-    _FIELD_COLUMNS columns go through :func:`_kernels._blocks`: each is
-    written in place by the same power, norm and divide, so the bits do not
-    depend on the number of threads.
+    does not depend on the layout down to the last bit.  Each block of
+    columns of :func:`_kernels._blocks` is written in place.
     """
     if not w > 1:
         raise ValueError("shift weight must be > 1")
@@ -174,7 +168,7 @@ def _field_2B(thetas, w: float, d: int):
         scales[start:stop] = np.linalg.norm(block.T.copy(), axis=1)
         block /= scales[start:stop]
 
-    _blocks(base.shape[1], _FIELD_COLUMNS, fill)
+    _blocks(base.shape[1], d, fill)
     vectors.setflags(write=False)
     return vectors, (1.0 / w) ** (d - 1) / scales
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _CHUNK, _row_blocks, _unit_phases
+from ._kernels import _blocks, _unit_phases
 from .eigenfields import EigenExpansion
 from .steinhaus import MCReport, _phase_rows
 
@@ -48,8 +48,7 @@ class CorrelationSpec:
 
     def cross_terms(self, ns) -> np.ndarray:
         """|sum_p lambda_p**n c_p conj(d_p)|**2 for each n, a block of rows
-        of :func:`_kernels._row_blocks` at a time, so the bits do not depend
-        on the number of threads."""
+        (one phase per angle) of :func:`_kernels._blocks` at a time."""
         ns = np.ravel(ns)
         weights = np.asarray(self.c) * np.conj(self.d)
         cross = np.empty(ns.size)
@@ -58,7 +57,7 @@ class CorrelationSpec:
             phases = _unit_phases(np.outer(ns[start:stop], self.angles))
             cross[start:stop] = np.abs(phases @ weights) ** 2
 
-        _row_blocks(ns.size, _CHUNK, fill)
+        _blocks(ns.size, len(self.angles), fill)
         return cross
 
     @classmethod

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _row_blocks, _unit_phases
+from ._kernels import _blocks, _unit_phases
 from .eigenfields import EigenExpansion
 from .operators import OperatorSpec, _apply
-
-# _phase_rows draws and hands on a batch about this many elements, rows x
-# (k + width), at a time
-_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -37,23 +33,20 @@ def sample_steinhaus(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _phase_rows(rng: np.random.Generator, trials: int, k: int, fn, width: int = 0) -> None:
-    """Call fn(start, stop, chi, scratch) over row blocks of a trials x k
+    """Call fn(start, stop, chi, scratch) over the row blocks of
+    :func:`_kernels._blocks` (k + width elements a row) of a trials x k
     Steinhaus batch, where chi is exactly rows [start, stop) of
     ``sample_steinhaus(rng, trials * k).reshape(trials, k)``, and leave
-    ``rng`` where that draw leaves it.  The batch is never held whole.
+    ``rng`` where that draw leaves it; ``fn`` may call only numpy and
+    private functions.
 
     ``scratch`` is a complex buffer of (stop - start) * width elements for
-    what ``fn`` makes per row.  A block takes the buffers of a finished
-    block where there is one, since fresh ones per block cost more in page
-    faults than the work done in them, so no more sets are made than
-    blocks run at once; ``fn`` may overwrite both but must not keep them.
-    A block holds at most about _BATCH_ELEMENTS elements, rows x (k + width).
-
-    The blocks go through :func:`_kernels._row_blocks`, so ``fn`` may call
-    only numpy and private functions.  Each block loads the caller's PCG64
-    state into the generator of its buffer set and advances it to its first
-    draw (``random`` takes one 64-bit output per double), and
-    ``_unit_phases`` fills chi from the draw.
+    what ``fn`` makes per row.  ``fn`` may overwrite chi and scratch but
+    must not keep them: a block takes the buffers of a finished block, since
+    fresh ones cost more in page faults than the work done in them.  Each
+    block loads the caller's PCG64 state into the generator of its buffer
+    set and advances it to its first draw (``random`` takes one 64-bit
+    output per double).
     """
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
@@ -83,7 +76,7 @@ def _phase_rows(rng: np.random.Generator, trials: int, k: int, fn, width: int = 
         fn(start, stop, chi.reshape(n, k), scratch[: n * width])
         spare.append(bufs)
 
-    _row_blocks(trials, max(1, _BATCH_ELEMENTS // max(1, k + width)), block)
+    _blocks(trials, k + width, block)
     # advance drops the buffered half of a 32-bit draw, which random keeps
     bitgen.advance(trials * k)
     after = bitgen.state

@@ -1,10 +1,11 @@
-"""The row-block kernel ``_kernels._blocks``, the Steinhaus batch kernel
+"""The block kernel ``_kernels._blocks``, the Steinhaus batch kernel
 ``steinhaus._phase_rows`` built on it, and the sites that share their work
 out through them.
 
 Each site is compared, on one core and on three, with a single-threaded
 reference expression kept here: the blocks must give the same bits
-whatever the number of threads that computes them.
+whatever the number of threads that computes them, and whatever the
+element budget ``_kernels._BLOCK`` that cuts them.
 """
 
 import _thread
@@ -20,18 +21,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperlab import _kernels, construction, density, steinhaus
-from hyperlab._kernels import _CHUNK, _blocks
+from hyperlab import _kernels, construction, density
+from hyperlab._kernels import _BLOCK, _blocks
 from hyperlab.cli import run_experiment, validate_config
 from hyperlab.construction import ConstructionTarget, run_construction
 from hyperlab.density import _STEP, TargetBall, _factor, _quad_form, _scan
 from hyperlab.diophantine import ReturnTimeSet
-from hyperlab.eigenfields import (
-    EigenExpansion,
-    _FIELD_COLUMNS,
-    _field_2B,
-    sample_2B_family,
-)
+from hyperlab.eigenfields import EigenExpansion, _field_2B, sample_2B_family
 from hyperlab.ergodicity import CorrelationSpec, correlation_monte_carlo, witness_report
 from hyperlab.linspace import StateVector
 from hyperlab.operators import apply, make_perturbed_diagonal, make_scaled_backward_shift
@@ -76,21 +72,38 @@ def _use_cores(monkeypatch, cores: int) -> None:
 # ---------------------------------------------------------------- kernel
 
 
+# a budget of 8 elements: two units of width 4 per block, and one of
+# width 7, which the one-row rule raises to two or three
 @pytest.mark.parametrize("cores", [1, 2, 3, 5])
-@pytest.mark.parametrize("n, size", [(0, 4), (1, 4), (3, 4), (4, 4), (5, 4), (31, 4), (1000, 7)])
-def test_blocks_visit_every_index_exactly_once(monkeypatch, started, cores, n, size):
+@pytest.mark.parametrize("n, width", [(0, 4), (1, 4), (3, 4), (4, 4), (5, 4), (31, 4), (1000, 7)])
+def test_blocks_visit_every_index_exactly_once(monkeypatch, started, cores, n, width):
     _use_cores(monkeypatch, cores)
+    monkeypatch.setattr(_kernels, "_BLOCK", 8)
+    budget = max(1, 8 // width)
     calls, seen = [], np.zeros(n, dtype=int)
 
     def fn(start, stop):
         calls.append((start, stop))
         seen[start:stop] += 1
 
-    _blocks(n, size, fn)
+    _blocks(n, width, fn)
     assert np.all(seen == 1)
-    assert sorted(calls) == [(a, min(a + size, n)) for a in range(0, n, size)]
+    lengths = [stop - start for start, stop in sorted(calls)] or [0]
+    assert max(lengths) - min(lengths) <= 1
+    # at most the budget, unless that leaves a block of one row
+    assert max(lengths) <= budget or (budget < 3 and max(lengths) <= 3)
+    assert min(lengths) >= 2 or n < 2
     # the calling thread takes blocks too, so one core starts no thread
     assert len(started) == max(min(cores, len(calls)) - 1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_blocks_of_units_of_many_rows_may_hold_one_unit(monkeypatch, n):
+    # a unit of 4 rows and 9 elements against a budget of 16
+    monkeypatch.setattr(_kernels, "_BLOCK", 16)
+    calls = []
+    _blocks(n, 9, lambda start, stop: calls.append((start, stop)), 4)
+    assert sorted(calls) == [(i, i + 1) for i in range(n)]
 
 
 @pytest.mark.parametrize("on_helper", [True, False])
@@ -106,6 +119,8 @@ def test_blocks_reraise_an_error_on_the_calling_thread(monkeypatch, on_helper):
         time.sleep(0.01)
         done.append(start)
 
+    # four blocks of two rows
+    monkeypatch.setattr(_kernels, "_BLOCK", 2)
     with pytest.raises(FloatingPointError, match="failed"):
         _blocks(8, 1, fn)
     if on_helper:
@@ -125,6 +140,8 @@ def test_blocks_wait_for_a_slow_helper(monkeypatch):
             time.sleep(0.01)
         out[start:stop] = 1.0
 
+    # eight blocks of two rows
+    monkeypatch.setattr(_kernels, "_BLOCK", 2)
     _blocks(out.size, 1, fn)
     # copied at once: a block still being written when the call returns
     # would be missing from the copy
@@ -187,8 +204,8 @@ def _orbit_chunk(x, ns) -> np.ndarray:
 
 def _scan_reference(x, targets, N) -> list:
     hits = [[] for _ in targets]
-    for start in range(0, N, _CHUNK):
-        ns = np.arange(start, min(start + _CHUNK, N))
+    for start in range(0, N, _BLOCK):
+        ns = np.arange(start, min(start + _BLOCK, N))
         orbit = _orbit_chunk(x, ns)
         for found, t in zip(hits, targets):
             found.append(ns[np.linalg.norm(orbit - t.center.entries, axis=1) < t.radius])
@@ -224,11 +241,11 @@ def _orbit_and_balls(seed: int, N: int, count: int):
 @pytest.mark.parametrize(
     "N",
     [
-        _CHUNK - 1,
-        _CHUNK + 1,
-        2 * _CHUNK + 1,
+        _BLOCK - 1,
+        _BLOCK + 1,
+        2 * _BLOCK + 1,
         3 * _STEP + 1,
-        _CHUNK + _STEP - 1,
+        _BLOCK + _STEP - 1,
         10 * _STEP - 1,
         10 * _STEP + 1,
     ],
@@ -242,13 +259,15 @@ def test_scan_matches_the_chunk_loop(monkeypatch, started, cores, count, N):
     for rec, times in zip(records, expected):
         assert np.array_equal(rec.times, times)
     assert 0 < expected[0].size < N
-    # one helper per extra core and block, and none for a block's phases
-    assert len(started) == min(cores, -(-N // (10 * _STEP))) - 1
+    # one helper per extra core and block of 10 groups of _STEP powers (a
+    # lone last power joins the last group), and none for a block's phases
+    groups = max(1, -(-(N - 1) // _STEP))
+    assert len(started) == min(cores, -(-groups // 10)) - 1
 
 
 @pytest.mark.parametrize("cores", CORES)
 def test_scan_matches_the_chunk_loop_at_1024_terms(monkeypatch, cores):
-    # four blocks of _STEP powers, the last of one power
+    # three blocks of _STEP powers, the last with one more
     N, k = 3 * _STEP + 1, 1024
     rng = np.random.default_rng(k)
     x = EigenExpansion(rng.normal(size=(k, 2)) @ [1, 1j] / np.sqrt(k), sample_2B_family(2.0, 64, k))
@@ -260,41 +279,61 @@ def test_scan_matches_the_chunk_loop_at_1024_terms(monkeypatch, cores):
 
 
 def _record_blocks(monkeypatch, module) -> list:
-    """The (start, stop) of every block that ``module`` hands to _blocks."""
+    """The (start, stop, width, rows) of every block that ``module`` hands
+    to _blocks."""
     seen = []
 
-    def recorded(n, size, fn):
-        _blocks(n, size, lambda start, stop: seen.append((start, stop)) or fn(start, stop))
+    def recorded(n, width, fn, rows=1):
+        def block(start, stop):
+            seen.append((start, stop, width, rows))
+            fn(start, stop)
+
+        _blocks(n, width, block, rows)
 
     monkeypatch.setattr(module, "_blocks", recorded)
     return seen
 
 
 @pytest.mark.parametrize(
-    "k, N", [(1, 2 * _CHUNK + 1), (3, 2 * _CHUNK + 1), (64, 5 * _STEP), (1024, 3 * _STEP + 1)]
+    "k, N", [(1, 2 * _BLOCK + 1), (3, 2 * _BLOCK + 1), (64, 5 * _STEP), (1024, 3 * _STEP + 1)]
 )
 def test_scan_blocks_hold_at_most_a_chunk_of_terms(monkeypatch, family256, k, N):
     fam = family256 if k <= 256 else sample_2B_family(2.0, 64, k)
     x = EigenExpansion(np.full(k, 1 / k), fam.take(slice(k)))
-    seen = _record_blocks(monkeypatch, density)
+    seen, made, rows_of = _record_blocks(monkeypatch, density), [], density._coefficient_rows
+
+    def recorded_rows(x, table, start, stop):
+        w = rows_of(x, table, start, stop)
+        made.append((w.shape, w.base is None))
+        return w
+
+    monkeypatch.setattr(density, "_coefficient_rows", recorded_rows)
     # ||T**n x|| <= 1, so every power visits
     (rec,) = _scan(x, [TargetBall(StateVector(np.zeros(64)), 2.0)], N)
     assert np.array_equal(rec.times, np.arange(N))
     seen.sort()
-    assert len(seen) > 1 and seen[0][0] == 0 and seen[-1][1] == N
+    # the units are whole _STEP rows of the phase table, k * _STEP terms
+    # each, so the anchors stay at absolute multiples of _STEP; the last
+    # takes the powers left, never one power alone
+    groups = seen[-1][1]
+    assert len(seen) > 1 and seen[0][0] == 0 and 2 <= N - (groups - 1) * _STEP <= _STEP + 1
     assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
-    # whole _STEP rows of the phase table, so the anchors stay at absolute
-    # multiples of _STEP
-    for start, stop in seen[:-1]:
-        assert (stop - start) % _STEP == 0
-        assert (stop - start) * k <= max(_CHUNK, _STEP * k)
+    for start, stop, width, rows in seen:
+        assert (width, rows) == (_STEP * k, _STEP)
+        assert (stop - start) * width <= max(_BLOCK, width)
+        # from k = 32 on a block is one unit, so its memory does not double
+        assert k < 32 or stop - start == 1
+    # each block's rows are an array of their own, not a view of a larger
+    # product, so a last group of _STEP + 1 powers makes no 2 * _STEP rows
+    assert sum(shape[0] for shape, _ in made) == N
+    assert all(shape[1] == k and own for shape, own in made)
 
 
 # ------------------------------------------------------------ cross term
 
 
 @pytest.mark.parametrize("cores", CORES)
-@pytest.mark.parametrize("N", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * 10**5])
+@pytest.mark.parametrize("N", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * 10**5])
 def test_cross_terms_match_the_one_array_formula(monkeypatch, cores, N):
     _use_cores(monkeypatch, cores)
     ns = np.arange(N)
@@ -349,7 +388,7 @@ def test_visit_rate_matches_the_sample_loop(
     for b in state.blocks:
         if samples_per_block is not None:
             size = samples_per_block * len(b.return_times.times) * len(terms)
-            monkeypatch.setattr(construction, "_CHUNK", size)
+            monkeypatch.setattr(_kernels, "_BLOCK", size)
         # every sample visits the construction's own balls; a ball whose
         # radius is the median closest approach is visited by about half,
         # so a sample moved between blocks changes the rate
@@ -386,8 +425,8 @@ def _visit_block(family, k: int, P: int, samples: int):
     return block, terms, weights, f
 
 
-# (k, return times, samples): 4096 samples per block and a last block of
-# one; 327 and 16 samples per block; one sample per block
+# (k, return times, samples): two blocks of 2048 and 2049 samples; blocks
+# of 250 and of 15 or 16 samples; one sample per block
 _VISIT_CASES = [(1, 8, 4097), (1, 100, 1000), (100, 20, 301), (100, 400, 7)]
 
 
@@ -397,8 +436,9 @@ def test_visit_rate_blocks_hold_at_most_a_chunk_of_terms(monkeypatch, family256,
     seen = _record_blocks(monkeypatch, construction)
     construction._visit_rate(block, terms, weights, f)
     assert sorted(seen)[-1][1] == samples and len(seen) > 1
-    for start, stop in seen:
-        assert (stop - start) * P * k <= max(_CHUNK, P * k)
+    for start, stop, width, rows in seen:
+        assert (width, rows) == (P * k, P)
+        assert (stop - start) * width <= max(_BLOCK, width)
 
 
 @pytest.mark.parametrize("k, P, samples", _VISIT_CASES)
@@ -423,12 +463,11 @@ def _field_reference(thetas, w, d):
     return (rows / scales[:, None]).T, (1.0 / w) ** (d - 1) / scales
 
 
-# fields that end one column short of, at and one past a block boundary
+# a block holds 512 columns at d = 64 and 252 at d = 130: fields of four
+# full blocks, of one column fewer and one more, and of 64 blocks
 @pytest.mark.parametrize("cores", CORES)
 @pytest.mark.parametrize(
-    "k, d",
-    [(16 * _FIELD_COLUMNS + e, 64) for e in (-1, 0, 1)]
-    + [(2**15, 64), (16 * _FIELD_COLUMNS + 1, 130)],
+    "k, d", [(2047, 64), (2048, 64), (2049, 64), (2**15, 64), (2049, 130)]
 )
 def test_field_2B_matches_the_whole_field(monkeypatch, cores, k, d):
     thetas = np.random.default_rng(k + d).random(k)
@@ -446,7 +485,7 @@ def test_field_2B_matches_the_whole_field(monkeypatch, cores, k, d):
 def _batch_rows(k: int, width: int) -> int:
     """Rows of a full block of a trials x k batch with width scratch
     elements per row."""
-    return max(1, steinhaus._BATCH_ELEMENTS // (k + width))
+    return max(1, _kernels._BLOCK // (k + width))
 
 
 def _rng(seed: int, buffered: bool) -> np.random.Generator:
@@ -472,7 +511,7 @@ def test_phase_rows_hand_on_every_row_of_the_one_draw(
 ):
     _use_cores(monkeypatch, cores)
     # a few dozen elements per block, so that small batches split
-    monkeypatch.setattr(steinhaus, "_BATCH_ELEMENTS", 24)
+    monkeypatch.setattr(_kernels, "_BLOCK", 24)
     seed = 100 * trials + k
     expected = sample_steinhaus(_rng(seed, buffered), trials * k).reshape(trials, k)
     got, seen = np.empty_like(expected), np.zeros(trials, dtype=int)
@@ -719,7 +758,7 @@ def test_steinhaus_sites_call_public_functions_on_the_calling_thread_only(
         spec = CorrelationSpec.from_probes(_series(family256, 30, 9), f0, f1)
 
         def run(rng):
-            return witness_report(spec, 2 * _CHUNK + 1)
+            return witness_report(spec, 2 * _BLOCK + 1)
 
     else:
         run, _ = _site(name, family256, 30, 20001, 9)
@@ -747,7 +786,7 @@ def test_runs_start_threads_from_the_calling_thread_only(
     if config == "orbit":
         # a visit scan of more than two chunks; the small config's own
         # blocks all fit in one chunk or one Steinhaus batch
-        raw["pipelines"]["density"]["horizon"] = 2 * _CHUNK + 1
+        raw["pipelines"]["density"]["horizon"] = 2 * _BLOCK + 1
     cfg, errors = validate_config(json.dumps(raw))
     assert not errors, errors
     _use_cores(monkeypatch, 3)
@@ -756,3 +795,18 @@ def test_runs_start_threads_from_the_calling_thread_only(
     # cantor-field seed fits in one field block and starts none
     assert set(started) <= {threading.get_ident()}
     assert started or config == "cantor-field"
+
+
+@pytest.mark.parametrize("config", ["orbit", "monte-carlo"])
+def test_runs_write_the_same_bytes_under_a_small_block_budget(monkeypatch, tmp_path, config):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    raw = importlib.import_module("workloads").WORKLOADS[config](1, small=True)
+    cfg, errors = validate_config(json.dumps(raw))
+    assert not errors, errors
+    written = []
+    for budget in (_BLOCK, 2**8):
+        monkeypatch.setattr(_kernels, "_BLOCK", budget)
+        out = tmp_path / str(budget)
+        assert run_experiment(cfg, out) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(written[0]) > 1 and written[0] == written[1]

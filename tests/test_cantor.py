@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hyperlab import _kernels
 from hyperlab.cantor import (
     CantorBuildError,
     _seed_angles,
@@ -359,6 +360,16 @@ def test_seed_order_does_not_change_the_field(w, d, count, depth):
         assert build_outcome(seed, depth) == outcome
     if depth == 5:
         assert "node '0000'" in outcome
+
+
+@pytest.mark.parametrize("w, d, count, depth", [(2.0, 32, 256, 3), (1.5, 8, 512, 5)])
+def test_build_is_the_same_under_a_small_block_budget(monkeypatch, w, d, count, depth):
+    seed = sample_2B_family(w, d, count)
+    outcome = build_outcome(seed, depth)
+    # blocks of two or three columns, more than the 16 elements the gather
+    # buffers start with, so the build grows them
+    monkeypatch.setattr(_kernels, "_BLOCK", 16)
+    assert build_outcome(seed, depth) == outcome
 
 
 @pytest.mark.parametrize("w, d", list(itertools.product([1.25, 1.5, 2.0, 3.0], [4, 8, 64])))

@@ -65,6 +65,13 @@ def test_validate_config_field_errors():
         json.dumps({"seed": 1, "dimension": 0, "pipelines": {"khinchine": {}}})
     )
     assert "dimension must be an integer >= 1 and <= 1024" in errors
+    # a return time, reach_power plus a power of the scan, is an int64
+    target = {"coefficients": [[0.5, 0, 3]], "reach_power": 2**62}
+    _, errors = validate_config(
+        json.dumps({"seed": 1, "pipelines": {"construct": {"targets": [target]}}})
+    )
+    refusal = f"targets[0].reach_power must be an integer >= 0 and <= {2**62 - 1}"
+    assert f"pipelines.construct.{refusal}" in errors
     _, errors = validate_config(
         json.dumps(
             {"seed": 1, "operator": {"kind": "rotation"}, "pipelines": {"khinchine": {}}}

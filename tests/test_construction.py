@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hyperlab import construction
+from hyperlab import _kernels, construction
 from hyperlab.construction import (
     ConstructionState,
     ConstructionTarget,
@@ -16,6 +16,13 @@ from hyperlab.density import TargetBall, _factor, _quad_form, recheck_visit
 from hyperlab.eigenfields import sample_2B_family
 from hyperlab.operators import make_scaled_backward_shift
 from hyperlab.steinhaus import sample_steinhaus
+
+
+def test_target_reach_power_keeps_return_times_in_int64():
+    ConstructionTarget(((0.5, 3),), 0.5, 2**62 - 1)
+    for reach in (-1, 2**62):
+        with pytest.raises(ValueError, match="reach power"):
+            ConstructionTarget(((0.5, 3),), 0.5, reach)
 
 
 def test_split_coefficient_reassembles_exactly():
@@ -141,9 +148,9 @@ def test_vectorised_visit_rate_matches_per_sample_loop(rng, monkeypatch):
         closest = _closest_sq_per_sample(b, terms, weights, f)
         expected = np.count_nonzero(closest < tol * tol) / samples
         assert construction._visit_rate(b, terms, weights, f) == expected
-        # chunks of 7 samples, the last one short
+        # blocks of at most 7 samples
         size = 7 * len(b.return_times.times) * len(terms)
-        monkeypatch.setattr(construction, "_CHUNK", size)
+        monkeypatch.setattr(_kernels, "_BLOCK", size)
         assert construction._visit_rate(b, terms, weights, f) == expected
         monkeypatch.undo()
     assert 0 < expected < 1

@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from hyperlab._kernels import _CHUNK, _unit_phases
+from hyperlab._kernels import _BLOCK, _unit_phases
 from hyperlab.cli import _MAX_DENSITY_HORIZON
 from hyperlab.construction import _visit_rate
 from hyperlab.density import (
@@ -173,7 +173,7 @@ def test_quad_form_matches_the_norm_in_C_d(mat):
     assert np.all(np.abs(got - expected) <= 1e-13 * expected)
 
 
-@pytest.mark.parametrize("start", [0, 5 * _STEP, 3 * _CHUNK, _MAX_DENSITY_HORIZON // _STEP * _STEP])
+@pytest.mark.parametrize("start", [0, 5 * _STEP, 3 * _BLOCK, _MAX_DENSITY_HORIZON // _STEP * _STEP])
 def test_coefficient_rows_match_the_direct_exp(start):
     """Table-and-anchor rows against exp(2*pi*i*n*theta) * c, within a few
     rounding steps of the phase n*theta at the largest n, over a stretch

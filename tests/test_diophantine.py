@@ -267,7 +267,11 @@ def test_return_time_net_covers_the_whole_torus():
 
 def test_return_time_set_dedup_and_validation():
     s = ReturnTimeSet([5, 3, 3, 9])
-    assert s.times == (3, 5, 9) and s.pi_max == 9 and len(s) == 3
+    assert s.times.tolist() == [3, 5, 9] and s.pi_max == 9 and len(s) == 3
+    assert s.times.dtype == np.int64 and not s.times.flags.writeable
+    rng = np.random.default_rng(3)
+    for values in (rng.integers(-5, 50, 300), rng.integers(0, 2**40, 1000), np.arange(7)[::-1]):
+        assert ReturnTimeSet(values).times.tolist() == sorted(set(values.tolist()))
     with pytest.raises(ValueError):
         ReturnTimeSet([])
 

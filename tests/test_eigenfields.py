@@ -130,6 +130,16 @@ def test_perturbed_diagonal_eigenvector_rejects_close_angles():
         perturbed_diagonal_eigenvector(op, 1)
 
 
+def test_diagonal_family_names_the_first_close_angle():
+    op = make_perturbed_diagonal([0.3, 0.7, 0.3 + 1e-12, 0.3], 0.5, 4)
+    with pytest.raises(ValueError, match="near index 2: min .* = 6.28e-12"):
+        diagonal_family(op)
+    # a single eigenvector checks its own index only
+    assert perturbed_diagonal_eigenvector(op, 1).residual < 1e-10
+    with pytest.raises(ValueError, match="near index 3: min .* = 0$"):
+        perturbed_diagonal_eigenvector(op, 3)
+
+
 def test_diagonal_family_covers_all_indices():
     d = 8
     op = make_perturbed_diagonal(qindependent_angles(d), 0.2, d)
