@@ -1,4 +1,4 @@
-"""Thread and phase kernels.  :func:`_blocks` is the only place a thread
+"""Thread, phase and chord kernels.  :func:`_blocks` is the only place a thread
 starts; a kernel calls it only from its top, on the calling thread, so
 helpers never nest and every public call stays on the calling thread."""
 
@@ -93,3 +93,8 @@ def _unit_phases(t, out=None) -> np.ndarray:
         out = np.empty(t.shape, dtype=complex)
     np.multiply(2j * np.pi, t, out=out)
     return np.exp(out, out=out)
+
+
+def chord_to(frac: np.ndarray, target_frac) -> np.ndarray:
+    """|exp(2*pi*i*x) - exp(2*pi*i*y)| = 2 |sin(pi (x - y))|."""
+    return 2.0 * np.abs(np.sin(np.pi * (frac - target_frac)))

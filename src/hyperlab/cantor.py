@@ -24,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import _cuts
-from .diophantine import chord_to
+from ._kernels import _cuts, chord_to
 from .eigenfields import EigenFamily, _has_duplicates
 
 
-class CantorBuildError(RuntimeError):
+class CantorBuildError(ValueError):
     pass
 
 
@@ -286,7 +285,7 @@ def _check_field_invariants(field: CantorField) -> None:
             raise CantorBuildError(f"duplicate angles at level {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparationReport:
     """Per-split results in breadth-first order of the splitting nodes:
     ``margins[j]`` is half the smallest distance between leaf eigenvalues

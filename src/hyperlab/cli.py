@@ -9,9 +9,12 @@ Each pipeline parameter's default and check is one row of ``_PARAMS``,
 and each ceiling on a cost that spans several parameters of one pipeline
 is one row of ``_LIMITS``; ``validate_config`` refuses a key that no row
 names and hands each runner its parameters with the defaults filled in.
-``run_experiment`` is the one place where a domain error that a runner
-raises becomes that pipeline's result, ``{"error": ..., "passed": false}``,
-and the run then exits 1.  ``run --horizon`` sets the horizon of the
+A valid config has its pipelines' modules loaded by ``validate_config``,
+so a run compiles only the modules it calls and ``run_experiment``
+imports nothing.  ``run_experiment`` is the one place where a domain
+error that a runner raises (a ValueError or an ArithmeticError) becomes
+that pipeline's result, ``{"error": ..., "passed": false}``, and the run
+then exits 1.  ``run --horizon`` sets the horizon of the
 syndetic and density pipelines, whether the config sets one or not, and
 ``run --seed`` the seed; both pass the checks a config value passes, and
 the summary records them, so ``replay`` reproduces the run.
@@ -19,6 +22,7 @@ the summary records them, so ``replay`` reproduces the run.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import sys
@@ -28,14 +32,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import cantor as cantor_mod
-from . import construction as cons
-from . import density as density_mod
-from . import diophantine as dio
+# what every run needs; validate_config loads each pipeline's own module
 from . import eigenfields as ef
-from . import ergodicity as ergo
 from . import operators as ops
-from . import steinhaus as st
 from .linspace import StateVector
 
 # the family a config that omits "family" runs, as its summary records it
@@ -228,7 +227,7 @@ _LIMITS = (
     ("syndetic", "horizon * angle_count, the size of the phase array",
      lambda p: p["horizon"] * p["angle_count"], 1 << 24),
     # the difference check is quadratic in |D'|, the powers whose chords all
-    # stay below eta / 2; |D'| = 12604 took 0.54 s and 16383 took 0.89 s on a 2-core host
+    # stay below eta / 2; at one angle |D'| = 12606 took 0.16 s and 16383 took 0.22 s
     ("syndetic", "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size of D'",
      lambda p: p["horizon"] * (2 * math.asin(p["eta"] / 4) / math.pi) ** p["angle_count"], 1 << 14),
     # each block's covering scan may run to p_max: 10**7 powers of an
@@ -386,6 +385,9 @@ def validate_config(text: str, horizon=None, seed=None):
         )
     if errors:
         return None, errors
+    # the run imports nothing: each runner finds its module loaded
+    for name in pipelines:
+        importlib.import_module(f".{_PIPELINES[name][0]}", __package__)
     return ExperimentConfig(raw["seed"], dim, operator, family, pipelines, params), []
 
 
@@ -414,15 +416,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     results = {}
     # what a pipeline leaves for a later one: the construction's orbit
     ctx = {}
-    for stream, (name, runner) in enumerate(_PIPELINES.items()):
+    for stream, (name, (_, runner)) in enumerate(_PIPELINES.items()):
         if name not in cfg.pipelines:
             continue
         # disjoint deterministic streams per pipeline
         rng = np.random.default_rng([cfg.seed, stream])
         try:
             results[name] = runner(cfg, op, family, cfg.params[name], rng, out, ctx)
-        except (ValueError, ArithmeticError, cons.ConstructionError,
-                cantor_mod.CantorBuildError, dio.NetCoverageError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             # a domain error fails its pipeline; the others still run
             results[name] = {"error": str(exc), "passed": False}
 
@@ -435,6 +436,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
 
 
 def _run_khinchine(cfg, op, family, params, rng, out, ctx):
+    from . import steinhaus as st
+
     spec = params["coefficients"]
     if isinstance(spec, dict):
         coeffs = np.ones(spec["equal"], dtype=complex)
@@ -450,6 +453,8 @@ def _run_khinchine(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_diophantine(cfg, op, family, params, rng, out, ctx):
+    from . import diophantine as dio
+
     eta, k, per_angle = params["eta"], params["angle_count"], params["targets_per_angle"]
     angles = ef.qindependent_angles(k)
     grid = [np.exp(2j * np.pi * (i + 0.5) / per_angle) for i in range(per_angle)]
@@ -466,6 +471,8 @@ def _run_diophantine(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_syndetic(cfg, op, family, params, rng, out, ctx):
+    from . import diophantine as dio
+
     angles = ef.qindependent_angles(params["angle_count"])
     res = dio.syndetic_return_set(angles, params["eta"], params["horizon"])
     return {
@@ -477,6 +484,8 @@ def _run_syndetic(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
+    from . import ergodicity as ergo
+
     c, d, N = _complexes(params["c"]), _complexes(params["d"]), params["N"]
     report = ergo.witness_report(ergo.CorrelationSpec(c, d, params["angles"]), N)
     ergo.correlation_csv(report.correlation[: 10**4], out / "correlation.csv")
@@ -489,6 +498,8 @@ def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_cantor(cfg, op, family, params, rng, out, ctx):
+    from . import cantor as cantor_mod
+
     depth = params["depth"]
     if op.kind == ops.SCALED_BACKWARD_SHIFT:
         # the shift's seed is the field at the first seed_count sqrt-prime
@@ -509,6 +520,8 @@ def _run_cantor(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_construct(cfg, op, family, params, rng, out, ctx):
+    from . import construction as cons
+
     targets = [
         cons.ConstructionTarget(
             tuple((complex(re, im), int(i)) for re, im, i in t["coefficients"]),
@@ -547,6 +560,8 @@ def _run_construct(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_density(cfg, op, family, params, rng, out, ctx):
+    from . import density as density_mod
+
     horizon = params["horizon"]
 
     # calibration: a single eigen-term whose visits to a ball around itself
@@ -587,6 +602,8 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
 
 
 def _run_invariance(cfg, op, family, params, rng, out, ctx):
+    from . import steinhaus as st
+
     n_terms = min(params["terms"], len(family))
     coeffs = 0.5 ** np.arange(1, n_terms + 1)
     series = ef.EigenExpansion(coeffs, family.take(slice(n_terms)))
@@ -596,17 +613,17 @@ def _run_invariance(cfg, op, family, params, rng, out, ctx):
     return {"max_gap": report.max_gap, "passed": report.within(3.0)}
 
 
-# Every pipeline in run order with its runner.  A pipeline's position is
-# the id of its random stream, so new pipelines go at the end.
+# Every pipeline in run order with its module and runner.  A pipeline's
+# position is the id of its random stream, so new pipelines go at the end.
 _PIPELINES = {
-    "khinchine": _run_khinchine,
-    "diophantine": _run_diophantine,
-    "syndetic": _run_syndetic,
-    "ergodicity": _run_ergodicity,
-    "cantor": _run_cantor,
-    "construct": _run_construct,
-    "density": _run_density,
-    "invariance": _run_invariance,
+    "khinchine": ("steinhaus", _run_khinchine),
+    "diophantine": ("diophantine", _run_diophantine),
+    "syndetic": ("diophantine", _run_syndetic),
+    "ergodicity": ("ergodicity", _run_ergodicity),
+    "cantor": ("cantor", _run_cantor),
+    "construct": ("construction", _run_construct),
+    "density": ("density", _run_density),
+    "invariance": ("steinhaus", _run_invariance),
 }
 
 

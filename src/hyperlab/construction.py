@@ -36,7 +36,7 @@ _MAX_NET_CELLS = 1 << 24
 _MAX_VISIT_TERMS = 1 << 26
 
 
-class ConstructionError(RuntimeError):
+class ConstructionError(ValueError):
     pass
 
 
@@ -80,7 +80,7 @@ class ConstructionTarget:
             raise ValueError("reach power must lie in [0, 2**62), so return times fit an int64")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
     index: int
     terms: EigenExpansion  # over fresh distinct angles
@@ -92,7 +92,7 @@ class Block:
     budget: float  # 4**-n / ||T||**max(pi_<n)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConstructionState:
     op: OperatorSpec
     family: EigenFamily

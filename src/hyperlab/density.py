@@ -29,7 +29,7 @@ from .linspace import StateVector
 _STEP = 1 << 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetBall:
     center: StateVector
     radius: float
@@ -39,7 +39,7 @@ class TargetBall:
             raise ValueError("radius must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisitRecord:
     times: np.ndarray  # read-only int64, sorted, unique, in [0, horizon)
     horizon: int
@@ -191,7 +191,7 @@ def lower_density_estimate(rec: VisitRecord, windows) -> float:
     return min(float(c) / w for c, w in zip(counts, windows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FhcReport:
     records: tuple
     proxies: tuple

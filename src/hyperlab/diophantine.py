@@ -15,17 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _cuts
+from ._kernels import _cuts, chord_to
 
 _CHUNK = 65536
 # every scan's first chunk; each next one is twice as long, up to _CHUNK,
 # since a scan often ends within its first few powers
 _FIRST_CHUNK = 1024
-
-
-def chord_to(frac: np.ndarray, target_frac) -> np.ndarray:
-    """|exp(2*pi*i*x) - exp(2*pi*i*y)| = 2 |sin(pi (x - y))|."""
-    return 2.0 * np.abs(np.sin(np.pi * (frac - target_frac)))
 
 
 def _powers(p_max: int):
@@ -102,7 +97,7 @@ class ReturnTimeSet:
         return len(self.times)
 
 
-class NetCoverageError(RuntimeError):
+class NetCoverageError(ValueError):
     """Raised when some net point has no solving power within p_max."""
 
     def __init__(self, net_point, p_max):
@@ -150,7 +145,7 @@ def solve_simultaneous(t: TorusTarget, p_max: int) -> int | None:
     return first_returns(t.angles, [t.targets], t.eta, p_max)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringNet:
     """Product net over the torus with one verified solving power per net
     point.
@@ -270,11 +265,18 @@ def _differences_outside(d_prime: np.ndarray, d_mask: np.ndarray) -> tuple:
     ``d_prime`` lies in [1, d_mask.size].
 
     The difference matrix is formed a block of rows of :func:`_kernels._cuts`
-    at a time, so its size does not grow with D' beyond a few rows.
+    at a time, so its size does not grow with D' beyond a few rows.  D' is
+    ascending, so a block's rows take only the columns right of its first
+    row: the columns up to that row give no positive difference.
     """
-    missing = np.zeros(d_mask.size + 1, dtype=bool)
+    n = d_mask.size
+    # outside[v] says whether v is a power in [1, n] outside D, and every
+    # other entry is False: a difference v in [-n, 0] reads outside[0] or,
+    # by negative indexing, outside[2n + 1 + v], past the first n + 1
+    outside = np.zeros(2 * n + 1, dtype=bool)
+    np.logical_not(d_mask, out=outside[1 : n + 1])
+    missing = np.zeros(n + 1, dtype=bool)
     for start, stop in _cuts(d_prime.size, d_prime.size):
-        diffs = d_prime[None, :] - d_prime[start:stop, None]
-        diffs = diffs[diffs >= 1]
-        missing[diffs[~d_mask[diffs - 1]]] = True
+        diffs = d_prime[None, start + 1 :] - d_prime[start:stop, None]
+        missing[diffs[outside[diffs]]] = True
     return tuple(np.flatnonzero(missing).tolist())

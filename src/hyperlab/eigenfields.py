@@ -20,7 +20,7 @@ def unimodular(theta: float) -> complex:
     return complex(np.exp(2j * np.pi * theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     """Angle theta in (0,1] (eigenvalue exp(2*pi*i*theta)) plus a unit
     eigenvector and the truncation residual ||T v - lambda v||."""

@@ -95,7 +95,7 @@ def cesaro_average(values, N: int) -> float:
     return float(np.mean(vals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessReport:
     """Cesaro averages over n < N of the correlation (``cesaro``) and of
     the squared cross term (``witness``), with the correlation at each

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Finite-truncation element of a complex sequence space."""
 

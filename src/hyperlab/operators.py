@@ -16,7 +16,7 @@ SCALED_BACKWARD_SHIFT = "scaled_backward_shift"
 PERTURBED_DIAGONAL = "perturbed_diagonal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSpec:
     """A linear operator with an application rule and a norm bound.
 

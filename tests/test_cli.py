@@ -17,7 +17,7 @@ from hyperlab import eigenfields as ef
 from hyperlab import ergodicity as ergo
 from hyperlab import operators as ops
 from hyperlab import steinhaus as st
-from hyperlab.cli import _first_difference, main, run_experiment, validate_config
+from hyperlab.cli import _PIPELINES, _first_difference, main, run_experiment, validate_config
 from hyperlab.linspace import StateVector
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -916,6 +916,8 @@ _NO_HANDLER = {
     "khinchine": {"coefficients": {"equal": 8}, "trials": 1000},
     "diophantine": {"eta": 0.5, "angle_count": 1, "targets_per_angle": 2, "p_max": 1000},
     "ergodicity": {"N": 1000},
+    "cantor": {"depth": 1},
+    "construct": {"targets": [TARGET], "trials": 2, "cert_samples": 1},
     "density": {"horizon": 1000},
     "invariance": {"trials": 200, "probes": 2, "terms": 4},
 }
@@ -930,6 +932,10 @@ def no_handler_results(tmp_path_factory):
     return read_summary(out)["results"]
 
 
+# the errors the lab's own checks raise
+_DOMAIN_ERRORS = (cons.ConstructionError, cantor_mod.CantorBuildError, dio.NetCoverageError)
+
+
 @pytest.mark.parametrize(
     "pipeline, module, kernel, error",
     [
@@ -938,14 +944,31 @@ def no_handler_results(tmp_path_factory):
         ("ergodicity", ergo, "witness_report", ZeroDivisionError),
         ("density", density, "visit_times", ValueError),
         ("invariance", st, "invariance_gap", FloatingPointError),
+        ("cantor", cantor_mod, "build_cantor_field", cantor_mod.CantorBuildError),
+        ("construct", cons, "build_block", cons.ConstructionError),
+        ("construct", cons, "covering_scan", lambda _: dio.NetCoverageError((1 + 0j,), 1000)),
     ],
-    ids=["khinchine", "diophantine", "ergodicity", "density", "invariance"],
+    ids=[
+        "khinchine",
+        "diophantine",
+        "ergodicity",
+        "density",
+        "invariance",
+        "cantor-build",
+        "construction",
+        "net-coverage",
+    ],
 )
 def test_domain_errors_of_any_pipeline_are_reported_not_raised(
     tmp_path, monkeypatch, no_handler_results, pipeline, module, kernel, error
 ):
+    exc = error(f"{kernel} refused its input")
+    if isinstance(exc, _DOMAIN_ERRORS):
+        # run_experiment's handler names ValueError and ArithmeticError only
+        assert isinstance(exc, ValueError) and not isinstance(exc, RuntimeError)
+
     def fail(*args, **kwargs):
-        raise error(f"{kernel} refused its input")
+        raise exc
 
     monkeypatch.setattr(module, kernel, fail)
     config = tmp_path / "config.json"
@@ -959,8 +982,89 @@ def test_domain_errors_of_any_pipeline_are_reported_not_raised(
     assert summary["passed"] is False
     assert summary["results"] == {
         **no_handler_results,
-        pipeline: {"error": f"{kernel} refused its input", "passed": False},
+        pipeline: {"error": str(exc), "passed": False},
     }
+
+
+# in a fresh interpreter, prints as JSON lines the hyperlab modules loaded
+# once cli is imported and once the config argv[2] is validated, then those
+# its run adds
+_IMPORTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "hyperlab")
+
+from hyperlab import cli
+print(json.dumps(loaded()))
+cfg, errors = cli.validate_config(sys.argv[2])
+assert not errors, errors
+before = loaded()
+print(json.dumps(before))
+cli.run_experiment(cfg, sys.argv[3])
+print(json.dumps(sorted(set(loaded()) - set(before))))
+"""
+_CLI_MODULES = ["_kernels", "cli", "eigenfields", "linspace", "operators"]
+# the modules a pipeline loads besides cli's: its own and those it imports
+_PIPELINE_MODULES = {
+    "khinchine": ["steinhaus"],
+    "diophantine": ["diophantine"],
+    "syndetic": ["diophantine"],
+    "ergodicity": ["ergodicity", "steinhaus"],
+    "cantor": ["cantor"],
+    "construct": ["construction", "density", "diophantine", "steinhaus"],
+    "density": ["density", "diophantine"],
+    "invariance": ["steinhaus"],
+}
+
+
+def _hyperlab_modules(names) -> list:
+    return sorted(["hyperlab", *(f"hyperlab.{name}" for name in names)])
+
+
+@pytest.mark.parametrize("pipeline", list(_PIPELINE_MODULES))
+def test_a_run_loads_only_the_modules_of_its_pipelines(tmp_path, pipeline):
+    assert list(_PIPELINE_MODULES) == list(_PIPELINES)
+    params = {**_NO_HANDLER, "syndetic": {"angle_count": 1, "horizon": 1000, "eta": 1.9}}
+    config = json.dumps(_holes_config({pipeline: params[pipeline]}))
+    src = str(Path(hyperlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORTS, src, config, str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    after_cli, after_validate, run_adds = map(json.loads, result.stdout.splitlines())
+    assert after_cli == _hyperlab_modules(_CLI_MODULES)
+    assert after_validate == _hyperlab_modules(_CLI_MODULES + _PIPELINE_MODULES[pipeline])
+    assert run_adds == []
+
+
+_PACKAGE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import hyperlab
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "hyperlab"))
+print(hyperlab.density.visit_times.__module__, "hyperlab.diophantine" in sys.modules)
+try:
+    hyperlab.no_such_module
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_the_package_loads_each_module_on_first_use():
+    src = str(Path(hyperlab.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _PACKAGE, src], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "['hyperlab']",
+        "hyperlab.density True",
+        "module 'hyperlab' has no attribute 'no_such_module'",
+    ]
 
 
 def test_validate_accepts_the_bounds_and_run_completes(tmp_path):
