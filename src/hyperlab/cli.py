@@ -10,14 +10,16 @@ and each ceiling on a cost that spans several parameters of one pipeline
 is one row of ``_LIMITS``; ``validate_config`` refuses a key that no row
 names and hands each runner its parameters with the defaults filled in.
 A valid config has its pipelines' modules loaded by ``validate_config``,
-so a run compiles only the modules it calls and ``run_experiment``
-imports nothing.  ``run_experiment`` is the one place where a domain
-error that a runner raises (a ValueError or an ArithmeticError) becomes
-that pipeline's result, ``{"error": ..., "passed": false}``, and the run
-then exits 1.  ``run --horizon`` sets the horizon of the
-syndetic and density pipelines, whether the config sets one or not, and
-``run --seed`` the seed; both pass the checks a config value passes, and
-the summary records them, so ``replay`` reproduces the run.
+so a run compiles only the modules it calls.  A run whose pipelines draw
+nothing loads no module; a runner that draws makes its own generator on
+its pipeline's stream, which loads ``numpy.random`` the first time.
+``run_experiment`` is the one place where a domain error that a runner
+raises (a ValueError or an ArithmeticError) becomes that pipeline's
+result, ``{"error": ..., "passed": false}``, and the run then exits 1.
+``run --horizon`` sets the horizon of the syndetic and density pipelines,
+whether the config sets one or not, and ``run --seed`` the seed; both
+pass the checks a config value passes, and the summary records them, so
+``replay`` reproduces the run.
 """
 
 from __future__ import annotations
@@ -367,6 +369,11 @@ def validate_config(text: str, horizon=None, seed=None):
     erg = params.get("ergodicity")
     if erg and not len(erg["c"]) == len(erg["d"]) == len(erg["angles"]):
         errors.append("pipelines.ergodicity.c, d and angles must have equal lengths")
+    if params.get("density", {}).get("use_construction") and "construct" not in params:
+        errors.append(
+            "pipelines.density.use_construction needs a construct pipeline: "
+            "it scans the construction's orbit"
+        )
     cantor = params.get("cantor")
     # a depth-n tree needs 2**n - 1 distinct right children besides the
     # root; bit lengths keep a huge depth from building 2**depth
@@ -385,7 +392,7 @@ def validate_config(text: str, horizon=None, seed=None):
         )
     if errors:
         return None, errors
-    # the run imports nothing: each runner finds its module loaded
+    # each runner finds its module loaded
     for name in pipelines:
         importlib.import_module(f".{_PIPELINES[name][0]}", __package__)
     return ExperimentConfig(raw["seed"], dim, operator, family, pipelines, params), []
@@ -419,10 +426,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     for stream, (name, (_, runner)) in enumerate(_PIPELINES.items()):
         if name not in cfg.pipelines:
             continue
-        # disjoint deterministic streams per pipeline
-        rng = np.random.default_rng([cfg.seed, stream])
+        # disjoint deterministic streams per pipeline: a runner that draws
+        # seeds its own generator with this entropy, the others ignore it
+        entropy = [cfg.seed, stream]
         try:
-            results[name] = runner(cfg, op, family, cfg.params[name], rng, out, ctx)
+            results[name] = runner(cfg, op, family, cfg.params[name], entropy, out, ctx)
         except (ValueError, ArithmeticError) as exc:
             # a domain error fails its pipeline; the others still run
             results[name] = {"error": str(exc), "passed": False}
@@ -435,9 +443,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> int:
     return 0 if passed else 1
 
 
-def _run_khinchine(cfg, op, family, params, rng, out, ctx):
+def _run_khinchine(cfg, op, family, params, stream, out, ctx):
     from . import steinhaus as st
 
+    rng = np.random.default_rng(stream)
     spec = params["coefficients"]
     if isinstance(spec, dict):
         coeffs = np.ones(spec["equal"], dtype=complex)
@@ -452,7 +461,7 @@ def _run_khinchine(cfg, op, family, params, rng, out, ctx):
     }
 
 
-def _run_diophantine(cfg, op, family, params, rng, out, ctx):
+def _run_diophantine(cfg, op, family, params, stream, out, ctx):
     from . import diophantine as dio
 
     eta, k, per_angle = params["eta"], params["angle_count"], params["targets_per_angle"]
@@ -470,7 +479,7 @@ def _run_diophantine(cfg, op, family, params, rng, out, ctx):
     return {"eta": eta, "solutions": solved, "passed": all(s["verified"] for s in solved)}
 
 
-def _run_syndetic(cfg, op, family, params, rng, out, ctx):
+def _run_syndetic(cfg, op, family, params, stream, out, ctx):
     from . import diophantine as dio
 
     angles = ef.qindependent_angles(params["angle_count"])
@@ -483,7 +492,7 @@ def _run_syndetic(cfg, op, family, params, rng, out, ctx):
     }
 
 
-def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
+def _run_ergodicity(cfg, op, family, params, stream, out, ctx):
     from . import ergodicity as ergo
 
     c, d, N = _complexes(params["c"]), _complexes(params["d"]), params["N"]
@@ -497,7 +506,7 @@ def _run_ergodicity(cfg, op, family, params, rng, out, ctx):
     }
 
 
-def _run_cantor(cfg, op, family, params, rng, out, ctx):
+def _run_cantor(cfg, op, family, params, stream, out, ctx):
     from . import cantor as cantor_mod
 
     depth = params["depth"]
@@ -519,9 +528,10 @@ def _run_cantor(cfg, op, family, params, rng, out, ctx):
     }
 
 
-def _run_construct(cfg, op, family, params, rng, out, ctx):
+def _run_construct(cfg, op, family, params, stream, out, ctx):
     from . import construction as cons
 
+    rng = np.random.default_rng(stream)
     targets = [
         cons.ConstructionTarget(
             tuple((complex(re, im), int(i)) for re, im, i in t["coefficients"]),
@@ -559,7 +569,7 @@ def _run_construct(cfg, op, family, params, rng, out, ctx):
     }
 
 
-def _run_density(cfg, op, family, params, rng, out, ctx):
+def _run_density(cfg, op, family, params, stream, out, ctx):
     from . import density as density_mod
 
     horizon = params["horizon"]
@@ -576,6 +586,8 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
     calibration = {"arc_length": float(arc), "visit_frequency": frequency, "error": error}
     results = {"calibration": calibration, "passed": bool(error < 0.01)}
 
+    # validate_config pairs use_construction with a construct pipeline; one
+    # that reported a domain error leaves no orbit to scan
     if params["use_construction"] and "construction" in ctx:
         state, phi = ctx["construction"]
         phi_vec = phi.to_vector().entries
@@ -601,9 +613,10 @@ def _run_density(cfg, op, family, params, rng, out, ctx):
     return results
 
 
-def _run_invariance(cfg, op, family, params, rng, out, ctx):
+def _run_invariance(cfg, op, family, params, stream, out, ctx):
     from . import steinhaus as st
 
+    rng = np.random.default_rng(stream)
     n_terms = min(params["terms"], len(family))
     coeffs = 0.5 ** np.arange(1, n_terms + 1)
     series = ef.EigenExpansion(coeffs, family.take(slice(n_terms)))

@@ -422,6 +422,8 @@ def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
         # a depth-n tree has 2**n distinct seed members as leaves
         ("cantor", {"depth": 70}, "depth"),
         ("cantor", {"depth": 3, "seed_count": 4}, "depth"),
+        # the orbit it would scan is the construct pipeline's
+        ("density", {"horizon": 1000, "use_construction": True}, "use_construction"),
         ("syndetic", {"horizon": 999}, "horizon"),
         # each would exhaust memory in one allocation
         ("ergodicity", {"N": 10**12}, "N"),
@@ -449,6 +451,7 @@ def test_workload_runs_do_not_import_numpy_ma(workload, tmp_path):
         "cantor.seed_count",
         "cantor.depth-70",
         "cantor.depth-over-seed",
+        "density.use_construction-without-construct",
         "syndetic.horizon",
         "ergodicity.N-huge",
         "khinchine.trials-huge",
@@ -987,8 +990,8 @@ def test_domain_errors_of_any_pipeline_are_reported_not_raised(
 
 
 # in a fresh interpreter, prints as JSON lines the hyperlab modules loaded
-# once cli is imported and once the config argv[2] is validated, then those
-# its run adds
+# once cli is imported and once the config argv[2] is validated, then every
+# module, from any package, that its run adds
 _IMPORTS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -1000,10 +1003,10 @@ from hyperlab import cli
 print(json.dumps(loaded()))
 cfg, errors = cli.validate_config(sys.argv[2])
 assert not errors, errors
-before = loaded()
-print(json.dumps(before))
+print(json.dumps(loaded()))
+before = set(sys.modules)
 cli.run_experiment(cfg, sys.argv[3])
-print(json.dumps(sorted(set(loaded()) - set(before))))
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 _CLI_MODULES = ["_kernels", "cli", "eigenfields", "linspace", "operators"]
 # the modules a pipeline loads besides cli's: its own and those it imports
@@ -1017,6 +1020,8 @@ _PIPELINE_MODULES = {
     "density": ["density", "diophantine"],
     "invariance": ["steinhaus"],
 }
+# the pipelines that draw, each from a generator it makes on its stream
+_DRAWING = ("khinchine", "construct", "invariance")
 
 
 def _hyperlab_modules(names) -> list:
@@ -1038,7 +1043,35 @@ def test_a_run_loads_only_the_modules_of_its_pipelines(tmp_path, pipeline):
     after_cli, after_validate, run_adds = map(json.loads, result.stdout.splitlines())
     assert after_cli == _hyperlab_modules(_CLI_MODULES)
     assert after_validate == _hyperlab_modules(_CLI_MODULES + _PIPELINE_MODULES[pipeline])
-    assert run_adds == []
+    if pipeline in _DRAWING:
+        # making the generator loads numpy.random and what it imports
+        assert "numpy.random" in run_adds
+        assert not [m for m in run_adds if m.partition(".")[0] == "hyperlab"], run_adds
+    else:
+        assert run_adds == []
+
+
+def test_a_drawing_pipeline_gives_the_same_result_alone_and_beside_every_other(tmp_path):
+    # all eight pipelines, the draw-free ones between the drawing ones included
+    pipelines = {
+        **_NO_HANDLER,
+        "syndetic": {"angle_count": 1, "horizon": 1000, "eta": 1.9},
+        "density": {"horizon": 1000, "use_construction": True},
+    }
+    assert sorted(pipelines) == sorted(_PIPELINES)
+
+    def results(names, out):
+        cfg, errors = validate_config(json.dumps(_holes_config({n: pipelines[n] for n in names})))
+        assert not errors, errors
+        run_experiment(cfg, out)
+        return read_summary(out)["results"]
+
+    together = results(pipelines, tmp_path / "all")
+    for name in _DRAWING:
+        assert "error" not in together[name], together[name]
+        assert results([name], tmp_path / name)[name] == together[name], name
+    state = "construction_state.json"
+    assert (tmp_path / "construct" / state).read_bytes() == (tmp_path / "all" / state).read_bytes()
 
 
 _PACKAGE = """
