@@ -20,10 +20,19 @@ result, ``{"error": ..., "passed": false}``, and the run then exits 1.
 whether the config sets one or not, and ``run --seed`` the seed; both
 pass the checks a config value passes, and the summary records them, so
 ``replay`` reproduces the run.
+
+``main`` is the command line, on the standard library's argparse.  It
+exits 0 on a pass; 1 on a failed pipeline, a replay that differs or a
+config that ``validate`` refuses; 2 on a config that ``run`` or ``replay``
+refuses, a path argument it cannot use, or a malformed command line.
+``main(args, standalone_mode=False)`` returns the status of a command
+that completes instead of exiting with it; a refusal still raises
+``SystemExit``.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import math
@@ -31,7 +40,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import click
 import numpy as np
 
 # what every run needs; validate_config loads each pipeline's own module
@@ -640,59 +648,88 @@ _PIPELINES = {
 }
 
 
-@click.group()
-def main():
+def main(args=None, standalone_mode=True):
     """Numerical laboratory for linear operator dynamics."""
-
-
-def _validated(text: str, status: int, horizon=None, seed=None) -> ExperimentConfig:
-    """The config ``text`` validates to; prints each error and exits with
-    ``status`` if there are any."""
-    cfg, errors = validate_config(text, horizon, seed)
-    for e in errors:
-        click.echo(f"error: {e}", err=True)
-    if errors:
+    parser = argparse.ArgumentParser(prog="hyperlab", description=main.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for f, path in ((validate, "--config"), (run, "--config"), (replay, "--summary")):
+        cmd = sub.add_parser(f.__name__, help=f.__doc__, description=f.__doc__, allow_abbrev=False)
+        cmd.add_argument(path, required=True, type=_text(path))
+    sub.choices["run"].add_argument("--seed", type=int, help="override the config seed")
+    sub.choices["run"].add_argument("--out", default="hyperlab-out")
+    sub.choices["run"].add_argument("--horizon", type=int, help="override pipeline horizons")
+    sub.choices["replay"].add_argument("--out", default="hyperlab-replay")
+    parsed = parser.parse_args(args)
+    status = globals()[parsed.command](parsed)
+    if standalone_mode:
         sys.exit(status)
-    return cfg
+    return status
 
 
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-def validate(config_path):
+def _refuse(errors, status: int) -> None:
+    if errors:
+        print(*(f"error: {e}" for e in errors), sep="\n", file=sys.stderr)
+        sys.exit(status)
+
+
+def _text(flag: str):
+    """The parser's ``type`` for ``flag``: the text of a readable UTF-8
+    file; any other path is refused with exit 2."""
+
+    def read(path):
+        try:
+            return Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            _refuse([f"{flag}: {exc}"], 2)
+
+    return read
+
+
+def _out_dir(path) -> Path:
+    """``--out`` made a directory before any pipeline runs; refused with
+    exit 2 if it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _refuse([f"--out: {exc}"], 2)
+    return Path(path)
+
+
+def validate(args) -> int:
     """Validate a config file; nonzero exit with diagnostics on failure."""
-    _validated(Path(config_path).read_text(), 1)
-    click.echo("config OK")
+    _refuse(validate_config(args.config)[1], 1)
+    print("config OK")
+    return 0
 
 
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None, help="override the config seed")
-@click.option("--out", "out_dir", type=click.Path(), default="hyperlab-out")
-@click.option("--horizon", type=int, default=None, help="override pipeline horizons")
-def run(config_path, seed, out_dir, horizon):
+def run(args) -> int:
     """Run the configured pipelines and write summary.json + CSV details."""
-    cfg = _validated(Path(config_path).read_text(), 2, horizon, seed)
-    status = run_experiment(cfg, out_dir)
-    click.echo(f"summary written to {Path(out_dir) / 'summary.json'}")
-    sys.exit(status)
+    cfg, errors = validate_config(args.config, args.horizon, args.seed)
+    _refuse(errors, 2)
+    status = run_experiment(cfg, _out_dir(args.out))
+    print(f"summary written to {Path(args.out) / 'summary.json'}")
+    return status
 
 
-@main.command()
-@click.option("--summary", "summary_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_dir", type=click.Path(), default="hyperlab-replay")
-def replay(summary_path, out_dir):
+def replay(args) -> int:
     """Re-run the config embedded in a summary and check byte-identity."""
-    old = Path(summary_path).read_text()
-    cfg = _validated(json.dumps(json.loads(old)["config"]), 2)
-    run_experiment(cfg, out_dir)
-    new = (Path(out_dir) / "summary.json").read_text()
-    if new == old:
-        click.echo("replay identical")
-        sys.exit(0)
-    found = _first_difference(json.loads(old), json.loads(new))
+    try:
+        config = json.loads(args.summary)["config"]
+    except json.JSONDecodeError as exc:
+        _refuse([f"--summary: not a summary: invalid JSON: {exc}"], 2)
+    except (TypeError, KeyError):
+        _refuse(['--summary: not a summary: no JSON object with a "config" key'], 2)
+    cfg, errors = validate_config(json.dumps(config))
+    _refuse(errors, 2)
+    run_experiment(cfg, _out_dir(args.out))
+    new = (Path(args.out) / "summary.json").read_text()
+    if new == args.summary:
+        print("replay identical")
+        return 0
+    found = _first_difference(json.loads(args.summary), json.loads(new))
     detail = ": {}: recorded {}, replayed {}".format(*found) if found else ""
-    click.echo(f"replay DIFFERS from the recorded summary{detail}", err=True)
-    sys.exit(1)
+    print(f"replay DIFFERS from the recorded summary{detail}", file=sys.stderr)
+    return 1
 
 
 # the value of a key or index that one summary lacks

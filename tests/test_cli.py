@@ -3,10 +3,10 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import hyperlab
 from hyperlab import cantor as cantor_mod
@@ -31,6 +31,15 @@ def read_summary(out):
     """summary.json of a run, refusing the NaN and Infinity that
     json.dumps writes but JSON does not allow."""
     return json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
+
+
+def invoke(capsys, args):
+    """``hyperlab ARGS`` as the command line runs it: an exception other
+    than the exit escapes.  ``output`` is stdout followed by stderr."""
+    with pytest.raises(SystemExit) as exited:
+        main(args)
+    out, err = capsys.readouterr()
+    return SimpleNamespace(exit_code=exited.value.code, output=out + err, stderr=err)
 
 
 def small_config(**overrides):
@@ -99,16 +108,18 @@ def test_validate_config_round_trips():
     assert not errors2 and cfg2.to_dict() == cfg.to_dict()
 
 
-def test_cli_validate_command(tmp_path):
-    runner = CliRunner()
+def test_cli_validate_command(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(small_config()))
-    result = runner.invoke(main, ["validate", "--config", str(good)])
+    result = invoke(capsys, ["validate", "--config", str(good)])
     assert result.exit_code == 0 and "config OK" in result.output
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"pipelines": {"khinchine": {}}}))
-    result = runner.invoke(main, ["validate", "--config", str(bad)])
+    result = invoke(capsys, ["validate", "--config", str(bad)])
     assert result.exit_code == 1
+    # outside standalone mode the status of a completed command is returned
+    assert main(["validate", "--config", str(good)], standalone_mode=False) == 0
+    assert capsys.readouterr().out == "config OK\n"
 
 
 @pytest.fixture(scope="module")
@@ -138,11 +149,10 @@ def test_run_experiment_passes_and_writes_summary(run_dir):
     assert (out / "correlation.csv").exists()
 
 
-def test_replay_is_byte_identical(run_dir, tmp_path):
+def test_replay_is_byte_identical(run_dir, tmp_path, capsys):
     out, _ = run_dir
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
+    result = invoke(
+        capsys,
         [
             "replay",
             "--summary",
@@ -155,16 +165,14 @@ def test_replay_is_byte_identical(run_dir, tmp_path):
     assert "replay identical" in result.output
 
 
-def test_replay_names_the_first_difference(run_dir, tmp_path):
+def test_replay_names_the_first_difference(run_dir, tmp_path, capsys):
     out, _ = run_dir
     summary = read_summary(out)
     recorded = summary["results"]["khinchine"]["estimate"]
     summary["results"]["khinchine"]["estimate"] = recorded + 0.5
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    result = CliRunner().invoke(
-        main, ["replay", "--summary", str(edited), "--out", str(tmp_path / "replay")]
-    )
+    result = invoke(capsys, ["replay", "--summary", str(edited), "--out", str(tmp_path / "replay")])
     assert result.exit_code == 1
     assert (
         "replay DIFFERS from the recorded summary: results.khinchine.estimate: "
@@ -265,12 +273,85 @@ def test_visit_times_csv_lists_each_block_in_order(tmp_path, monkeypatch):
     assert (tmp_path / "visit_times.csv").read_text() == "\n".join(expected) + "\n"
 
 
-def test_run_command_rejects_invalid_config(tmp_path):
-    runner = CliRunner()
+def test_run_command_rejects_invalid_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
-    result = runner.invoke(main, ["run", "--config", str(bad)])
+    result = invoke(capsys, ["run", "--config", str(bad)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["simulate"],
+        ["validate"],
+        ["run", "--config", "config.json", "--seed", "x"],
+        # options are not matched by prefix
+        ["run", "--config", "config.json", "--hor", "10"],
+        ["replay", "--summary", "summary.json", "--extra"],
+    ],
+    ids=["no-command", "unknown-command", "no-config", "seed-not-int", "prefix", "extra"],
+)
+def test_a_malformed_command_line_exits_2_with_usage_on_stderr(
+    tmp_path, capsys, monkeypatch, args
+):
+    # the default --out is relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(small_config()))
+    Path("summary.json").write_text("{}")
+    result = invoke(capsys, args)
+    assert result.exit_code == 2
+    assert result.output == result.stderr and "usage:" in result.stderr.lower()
+    assert not (tmp_path / "hyperlab-out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "replay"])
+@pytest.mark.parametrize("path", ["directory", "not-utf8.json", "missing.json"])
+def test_a_path_argument_that_is_not_a_readable_utf8_file_is_refused(
+    tmp_path, capsys, command, path
+):
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "not-utf8.json").write_bytes(b'\xff{"seed": 1}')
+    flag = "--summary" if command == "replay" else "--config"
+    out = tmp_path / "out"
+    outs = [] if command == "validate" else ["--out", str(out)]
+    result = invoke(capsys, [command, flag, str(tmp_path / path), *outs])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {flag}: ") and "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [("not json", "invalid JSON"), ("[1, 2]", '"config" key'), ('{"results": {}}', '"config" key')],
+    ids=["not-json", "array", "no-config"],
+)
+def test_replay_refuses_a_file_that_is_not_a_summary(tmp_path, capsys, text, missing):
+    summary = tmp_path / "summary.json"
+    summary.write_text(text)
+    out = tmp_path / "replay"
+    result = invoke(capsys, ["replay", "--summary", str(summary), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: --summary: not a summary: ")
+    assert missing in result.stderr and "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_an_out_path_that_is_a_file_is_refused_before_any_pipeline_runs(
+    run_dir, tmp_path, capsys, monkeypatch
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_config()))
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    monkeypatch.setattr("hyperlab.cli.run_experiment", lambda *args: pytest.fail("ran"))
+    summary = str(run_dir[0] / "summary.json")
+    for args in (["run", "--config", str(config)], ["replay", "--summary", summary]):
+        result = invoke(capsys, args + ["--out", str(taken)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: --out: ") and "Traceback" not in result.output
+        assert taken.read_text() == "a file\n"
 
 
 def test_perturbed_diagonal_config(tmp_path):
@@ -322,15 +403,15 @@ def test_validate_rejects_cantor_seed_count_without_shift():
     assert cfg is None and any("needs dimension >= 2**4" in e for e in errors)
 
 
-def test_cantor_seed_family_too_small_reports_failure(tmp_path):
+def test_cantor_seed_family_too_small_reports_failure(tmp_path, capsys):
     config = tmp_path / "small_seed.json"
     config.write_text(
         json.dumps(small_config(pipelines={"cantor": {"depth": 3, "seed_count": 8}}))
     )
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    result = invoke(capsys, ["run", "--config", str(config), "--out", str(out)])
     # exit 1 through sys.exit, not an escaped CantorBuildError
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
     summary = read_summary(out)
     cantor = summary["results"]["cantor"]
     assert cantor["passed"] is False and "no admissible right child" in cantor["error"]
@@ -550,50 +631,49 @@ def test_cantor_pipeline_gives_the_tree_of_the_whole_family(tmp_path, w, d, coun
     ],
     ids=["operator", "family", "eta", "pipeline"],
 )
-def test_validate_reports_mistyped_fields(tmp_path, overrides):
+def test_validate_reports_mistyped_fields(tmp_path, overrides, capsys):
     config = tmp_path / "typed.json"
     config.write_text(json.dumps(small_config(**overrides)))
-    result = CliRunner().invoke(main, ["validate", "--config", str(config)])
+    result = invoke(capsys, ["validate", "--config", str(config)])
     # exit 1 through sys.exit with a diagnostic, not an escaped exception
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
     assert "error:" in result.output
 
 
-def test_horizon_override_is_recorded_and_replays(tmp_path):
+def test_horizon_override_is_recorded_and_replays(tmp_path, capsys):
     config = tmp_path / "syndetic.json"
     config.write_text(
         json.dumps(small_config(pipelines={"syndetic": {"eta": 0.5, "horizon": 2000}}))
     )
     out = tmp_path / "out"
-    runner = CliRunner()
-    result = runner.invoke(
-        main, ["run", "--config", str(config), "--out", str(out), "--horizon", "5000"]
+    result = invoke(
+        capsys, ["run", "--config", str(config), "--out", str(out), "--horizon", "5000"]
     )
     assert result.exit_code == 0, result.output
     summary = read_summary(out)
     assert summary["config"]["pipelines"]["syndetic"]["horizon"] == 5000
-    result = runner.invoke(
-        main,
+    result = invoke(
+        capsys,
         ["replay", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "re")],
     )
     assert result.exit_code == 0 and "replay identical" in result.output
     # an override below a pipeline's floor is refused like a config value
-    result = runner.invoke(main, ["run", "--config", str(config), "--horizon", "10"])
+    result = invoke(capsys, ["run", "--config", str(config), "--horizon", "10"])
     assert result.exit_code == 2 and "pipelines.syndetic.horizon" in result.output
     # the override reaches pipelines whose config leaves horizon to its default
     config.write_text(
         json.dumps(small_config(pipelines={"density": {}, "syndetic": {"eta": 0.5}}))
     )
     out = tmp_path / "omitted"
-    result = runner.invoke(
-        main, ["run", "--config", str(config), "--out", str(out), "--horizon", "1000"]
+    result = invoke(
+        capsys, ["run", "--config", str(config), "--out", str(out), "--horizon", "1000"]
     )
     assert result.exit_code == 0, result.output
     summary = read_summary(out)
     for name in ("density", "syndetic"):
         assert summary["config"]["pipelines"][name]["horizon"] == 1000
-    result = runner.invoke(
-        main,
+    result = invoke(
+        capsys,
         ["replay", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "re2")],
     )
     assert result.exit_code == 0 and "replay identical" in result.output
@@ -719,11 +799,11 @@ TARGET = {"coefficients": [[0.5, 0.0, 3]], "radius": 0.5}
         "syndetic.d-prime-315000",
     ],
 )
-def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind):
+def test_validate_rejects_configs_that_crash_run(tmp_path, pipelines, kind, capsys):
     config = tmp_path / "hole.json"
     config.write_text(json.dumps(_holes_config(pipelines, kind)))
-    result = CliRunner().invoke(main, ["validate", "--config", str(config)])
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    result = invoke(capsys, ["validate", "--config", str(config)])
+    assert result.exit_code == 1
     assert "error: pipelines." in result.output
 
 
@@ -831,32 +911,31 @@ def test_horizon_override_meets_the_ceilings():
     ],
     ids=["dimension=true", "seed=-1", "seed=true"],
 )
-def test_validate_refuses_bool_and_negative_seed_and_dimension(tmp_path, overrides, error):
+def test_validate_refuses_bool_and_negative_seed_and_dimension(
+    tmp_path, overrides, error, capsys
+):
     raw = {**_holes_config({"invariance": {"trials": 1000}}), **overrides}
     config = tmp_path / "top.json"
     config.write_text(json.dumps(raw))
-    result = CliRunner().invoke(main, ["validate", "--config", str(config)])
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    result = invoke(capsys, ["validate", "--config", str(config)])
+    assert result.exit_code == 1
     assert f"error: {error}" in result.output
 
 
-def test_seed_override_is_checked_like_a_config_seed(tmp_path):
+def test_seed_override_is_checked_like_a_config_seed(tmp_path, capsys):
     config = tmp_path / "seeded.json"
     config.write_text(json.dumps(_holes_config({"invariance": {"trials": 1000}})))
-    runner = CliRunner()
     out = tmp_path / "negative"
-    result = runner.invoke(
-        main, ["run", "--config", str(config), "--out", str(out), "--seed", "-1"]
-    )
-    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    result = invoke(capsys, ["run", "--config", str(config), "--out", str(out), "--seed", "-1"])
+    assert result.exit_code == 2
     assert "error: seed must be an integer >= 0" in result.output and not out.exists()
     out = tmp_path / "override"
-    result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out), "--seed", "4"])
+    result = invoke(capsys, ["run", "--config", str(config), "--out", str(out), "--seed", "4"])
     assert result.exit_code in (0, 1), result.output
     assert read_summary(out)["config"]["seed"] == 4
 
 
-def test_empty_syndetic_return_set_reports_failure(tmp_path):
+def test_empty_syndetic_return_set_reports_failure(tmp_path, capsys):
     config = tmp_path / "tight.json"
     raw = {
         "seed": 1,
@@ -866,11 +945,10 @@ def test_empty_syndetic_return_set_reports_failure(tmp_path):
     }
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    runner = CliRunner()
-    assert runner.invoke(main, ["validate", "--config", str(config)]).exit_code == 0
-    result = runner.invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert invoke(capsys, ["validate", "--config", str(config)]).exit_code == 0
+    result = invoke(capsys, ["run", "--config", str(config), "--out", str(out)])
     # exit 1 through sys.exit, not an escaped ValueError
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
     syndetic = read_summary(out)["results"]["syndetic"]
     assert syndetic["passed"] is False and "return set empty" in syndetic["error"]
 
@@ -907,11 +985,11 @@ def test_empty_syndetic_return_set_reports_failure(tmp_path):
         "family.cuont",
     ],
 )
-def test_validate_refuses_unknown_keys(tmp_path, overrides, where, key, known):
+def test_validate_refuses_unknown_keys(tmp_path, overrides, where, key, known, capsys):
     config = tmp_path / "typo.json"
     config.write_text(json.dumps({**_holes_config({"invariance": {"trials": 1000}}), **overrides}))
-    result = CliRunner().invoke(main, ["validate", "--config", str(config)])
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    result = invoke(capsys, ["validate", "--config", str(config)])
+    assert result.exit_code == 1
     assert result.output == f"error: {where}: unknown key {key!r}; known keys: {known}\n"
 
 
@@ -963,7 +1041,7 @@ _DOMAIN_ERRORS = (cons.ConstructionError, cantor_mod.CantorBuildError, dio.NetCo
     ],
 )
 def test_domain_errors_of_any_pipeline_are_reported_not_raised(
-    tmp_path, monkeypatch, no_handler_results, pipeline, module, kernel, error
+    tmp_path, monkeypatch, no_handler_results, pipeline, module, kernel, error, capsys
 ):
     exc = error(f"{kernel} refused its input")
     if isinstance(exc, _DOMAIN_ERRORS):
@@ -977,9 +1055,9 @@ def test_domain_errors_of_any_pipeline_are_reported_not_raised(
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_holes_config(_NO_HANDLER)))
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    result = invoke(capsys, ["run", "--config", str(config), "--out", str(out)])
     # exit 1 through sys.exit, not an escaped exception
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
     assert "Traceback" not in result.output
     summary = read_summary(out)
     assert summary["passed"] is False
@@ -995,11 +1073,15 @@ def test_domain_errors_of_any_pipeline_are_reported_not_raised(
 _IMPORTS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+at_start = set(sys.modules)
 
 def loaded():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "hyperlab")
 
 from hyperlab import cli
+# the command line loads no package but numpy besides the standard library
+added = {m.partition(".")[0] for m in set(sys.modules) - at_start}
+assert added <= {"hyperlab", "numpy", *sys.stdlib_module_names}, added
 print(json.dumps(loaded()))
 cfg, errors = cli.validate_config(sys.argv[2])
 assert not errors, errors
@@ -1147,15 +1229,15 @@ def _many_targets(n):
     ],
     ids=["net-coverage", "construction", "reach-power-overflow", "net-cells"],
 )
-def test_construction_errors_are_reported_not_raised(tmp_path, construct, error):
+def test_construction_errors_are_reported_not_raised(tmp_path, construct, error, capsys):
     config = tmp_path / "construct.json"
     cfg = _holes_config({"construct": construct})
     cfg["family"]["count"] = 64
     config.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    result = invoke(capsys, ["run", "--config", str(config), "--out", str(out)])
     # exit 1 through sys.exit, not an escaped NetCoverageError or ConstructionError
-    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
     summary = read_summary(out)
     construct_result = summary["results"]["construct"]
     assert construct_result["passed"] is False and error in construct_result["error"]
@@ -1163,7 +1245,9 @@ def test_construction_errors_are_reported_not_raised(tmp_path, construct, error)
 
 
 @pytest.mark.parametrize("ceiling, passed", [(20119, False), (20120, True)])
-def test_visit_certificate_above_its_ceiling_is_reported(tmp_path, monkeypatch, ceiling, passed):
+def test_visit_certificate_above_its_ceiling_is_reported(
+    tmp_path, monkeypatch, ceiling, passed, capsys
+):
     # a one-term net of 1006 cells at 20 samples: 20120 terms to test
     monkeypatch.setattr(cons, "_MAX_VISIT_TERMS", ceiling)
     target = {"coefficients": [[0.5, 0, 3]], "radius": 0.01}
@@ -1172,13 +1256,13 @@ def test_visit_certificate_above_its_ceiling_is_reported(tmp_path, monkeypatch, 
     config = tmp_path / "construct.json"
     config.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    result = invoke(capsys, ["run", "--config", str(config), "--out", str(out)])
     construct_result = read_summary(out)["results"]["construct"]
     assert (out / "construction_state.json").exists() == passed
     if passed:
         assert result.exit_code == 0 and construct_result["passed"]
     else:
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
         assert construct_result == {
             "error": "block 1: the visit certificate would test 20120 terms "
             "(cert_samples x return times x terms), more than 20119",
