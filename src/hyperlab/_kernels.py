@@ -1,6 +1,6 @@
-"""Thread, phase and chord kernels.  :func:`_blocks` is the only place a thread
-starts; a kernel calls it only from its top, on the calling thread, so
-helpers never nest and every public call stays on the calling thread."""
+"""Thread, phase, chord, time-set and column-geometry kernels.  :func:`_blocks`
+is the only place a thread starts; a kernel calls it only from its top, on
+the calling thread, so helpers never nest and public calls stay there."""
 
 from __future__ import annotations
 
@@ -98,3 +98,69 @@ def _unit_phases(t, out=None) -> np.ndarray:
 def chord_to(frac: np.ndarray, target_frac) -> np.ndarray:
     """|exp(2*pi*i*x) - exp(2*pi*i*y)| = 2 |sin(pi (x - y))|."""
     return 2.0 * np.abs(np.sin(np.pi * (frac - target_frac)))
+
+
+def _distinct(values) -> np.ndarray:
+    """The distinct entries of ``values``, a new read-only int64 array in
+    ascending order, from one sort (np.unique took 80 times as long)."""
+    times = np.sort(np.asarray(values, dtype=np.int64), axis=None)
+    times = times[np.diff(times, prepend=times[:1] - 1) != 0]
+    times.flags.writeable = False
+    return times
+
+
+def _distances(mat, cand, parents, bufs=None) -> np.ndarray:
+    """||mat[:, cand[i]] - mat[:, parents[i]]|| for each i, bit for bit
+    np.linalg.norm(a - b, axis=0) of the row-major gathers a and b, a block
+    of :func:`_cuts` at a time in the two buffers of the list ``bufs``
+    (empty or not given at first), grown should a block need more, so that
+    no d x candidates temporary is made."""
+    d, cuts = mat.shape[0], _cuts(cand.size, mat.shape[0])
+    size = d * max((stop - start for start, stop in cuts), default=0)
+    bufs = [] if bufs is None else bufs
+    if not bufs or bufs[0].size < size:
+        bufs[:] = np.empty(size, complex), np.empty(size, complex)
+    dists = np.empty(cand.size)
+    for start, stop in cuts:
+        a, b = (buf[: d * (stop - start)].reshape(d, stop - start) for buf in bufs)
+        # the indices are valid, and mode="raise" would gather into a temporary
+        np.take(mat, cand[start:stop], axis=1, out=a, mode="clip")
+        np.take(mat, parents[start:stop], axis=1, out=b, mode="clip")
+        np.subtract(a, b, out=a)
+        np.multiply(np.conjugate(a, out=b), a, out=b)
+        np.sqrt(np.add.reduce(b.real, axis=0), out=dists[start:stop])
+    return dists
+
+
+def _factor(vectors) -> np.ndarray:
+    """The k x min(k, d) norm factor F of the d x k term matrix X whose
+    columns are ``vectors``, with ||X w|| = ||w F|| for every coefficient
+    row w: X^T itself when k >= d, else R^T from X = QR.  A row's norm then
+    costs min(k, d) * k multiplies, never k**2 or d * k."""
+    d, k = vectors.shape
+    return vectors.T if k >= d else np.linalg.qr(vectors, mode="r").T
+
+
+def _quad_form(w, f) -> np.ndarray:
+    """||X w||**2 for every row w of the coefficient array, from the norm
+    factor f of :func:`_factor`: the BLAS product y = w f and a real dot
+    product of y's interleaved real and imaginary parts with themselves,
+    so no conjugate copy or complex result is made."""
+    y = np.ascontiguousarray(w, dtype=complex) @ f
+    return np.einsum("ni,ni->n", y.view(float), y.view(float))
+
+
+def _ball(vectors, center, r_sq: float) -> tuple:
+    """(X* c, ||c||**2, r**2) of the ball with center c and squared radius
+    r_sq, for the term matrix X whose columns are ``vectors``: what
+    :func:`_inside` needs of a ball."""
+    return vectors.conj().T @ center, float(np.real(np.vdot(center, center))), r_sq
+
+
+def _inside(w, f, balls) -> list:
+    """For each ball of :func:`_ball`, the mask of the rows w of the
+    coefficient array with ||X w - c|| < r, from the norm factor f of
+    :func:`_factor`: ||w f||**2 - 2 Re(w . conj(X* c)) + ||c||**2 < r**2.
+    The quadratic term is computed once for all the balls."""
+    quad = _quad_form(w, f)
+    return [quad - 2.0 * (w @ h.conj()).real + c_sq < r_sq for h, c_sq, r_sq in balls]

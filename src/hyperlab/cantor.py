@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import _cuts, chord_to
+from ._kernels import _distances, chord_to
 from .eigenfields import EigenFamily, _has_duplicates
 
 
@@ -76,27 +75,6 @@ def _seed_angles(thetas, depth: int) -> np.ndarray:
     return thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
 
 
-def _distances(mat, cand, parents, bufs: list) -> np.ndarray:
-    """||mat[:, cand[i]] - mat[:, parents[i]]|| for each i, by the ufunc
-    steps of np.linalg.norm(..., axis=0), a block of :func:`_kernels._cuts`
-    at a time in the two buffers ``bufs``, grown should a block need more,
-    so that no d x candidates temporary is made."""
-    d, cuts = mat.shape[0], _cuts(cand.size, mat.shape[0])
-    size = d * max((stop - start for start, stop in cuts), default=0)
-    if bufs[0].size < size:
-        bufs[:] = np.empty(size, complex), np.empty(size, complex)
-    dists = np.empty(cand.size)
-    for start, stop in cuts:
-        a, b = (buf[: d * (stop - start)].reshape(d, stop - start) for buf in bufs)
-        # the indices are valid, and mode="raise" would gather into a temporary
-        np.take(mat, cand[start:stop], axis=1, out=a, mode="clip")
-        np.take(mat, parents[start:stop], axis=1, out=b, mode="clip")
-        np.subtract(a, b, out=a)
-        np.multiply(np.conjugate(a, out=b), a, out=b)
-        np.sqrt(np.add.reduce(b.real, axis=0), out=dists[start:stop])
-    return dists
-
-
 def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     """Grow the full binary tree of the halving construction to ``depth``.
 
@@ -140,10 +118,9 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     off = np.zeros(size)
     lo = np.full(size, -0.5)
     hi = np.full(size, 0.5)
-    # the gather buffers of every vector distance of the build, made once
-    # (fresh ones per search cost page faults) and as long as the most a
-    # block of _kernels._cuts holds while d is well below _BLOCK
-    bufs = [np.empty(_kernels._BLOCK, complex) for _ in range(2)]
+    # the gather buffers of every vector distance of the build, grown by
+    # _kernels._distances and kept, since fresh ones per search cost page faults
+    bufs = []
 
     def best(picks, parents, owner, cand, chords, bound):
         """Set picks[i] to the best candidate of node i (``owner``, right
@@ -271,9 +248,8 @@ def _check_field_invariants(field: CantorField) -> None:
     level = np.repeat(np.arange(1, field.depth + 1), 2 ** np.arange(1, field.depth + 1))
     thetas = field.seed_family.thetas[nodes]
     lam = np.exp(2j * np.pi * thetas)
-    vectors = field.seed_family.vectors[:, nodes]
     jump_l = np.abs(lam[1:] - lam[parent])
-    jump_u = np.linalg.norm(vectors[:, 1:] - vectors[:, parent], axis=0)
+    jump_u = _distances(field.seed_family.vectors, nodes[1:], nodes[parent])
     bad = np.flatnonzero(~((jump_l < 2.0**-level) & (jump_u < 2.0**-level)))
     if bad.size:
         k = int(bad[0])

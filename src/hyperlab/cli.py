@@ -59,6 +59,9 @@ _MAX_ANGLES = 64
 # the scan runs and 8 bytes per visit and target in the records
 _MAX_SYNDETIC_HORIZON = 10**6
 _MAX_DENSITY_HORIZON = 10**7
+# each construct block's covering scan may run to p_max: 10**7 powers of an
+# uncoverable net took 5.1 s over 8 terms, 5.0 s over one with 7 fixed angles
+_MAX_COVERING_POWERS = 1 << 23
 # the ergodicity witness holds a few float64 arrays of N powers at once
 _MAX_ERGODICITY_HORIZON = 10**7
 # the Khinchine ratio and the expectation certificate keep one float64 per trial
@@ -173,6 +176,14 @@ def _triples(value, bounds):
         )
 
 
+def _p_max(steps) -> int:
+    """The default construct p_max: 10**6, or less where p_max * steps would
+    pass _MAX_COVERING_POWERS.  A steps that its own check refuses, or that
+    no p_max >= 1 fits, gets 10**6, and the errors report it."""
+    fits = _is_int(steps, 1, _MAX_COVERING_POWERS)
+    return min(10**6, _MAX_COVERING_POWERS // steps) if fits else 10**6
+
+
 # One row per parameter of each pipeline: (pipeline, key, default, check).
 # A default may be a function of one dict that holds the bounds and the
 # parameters resolved before it; a None default makes the key required.
@@ -199,7 +210,7 @@ _PARAMS = (
     ("construct", "steps", lambda b: b["number of targets"], _int(1, "number of targets")),
     ("construct", "trials", 2000, _int(2, _MAX_TRIALS)),
     ("construct", "cert_samples", 200, _int(1, "largest sample count for this family")),
-    ("construct", "p_max", 10**6, _int(1)),
+    ("construct", "p_max", lambda b: _p_max(b["steps"]), _int(1)),
     ("density", "horizon", 2 * 10**5, _int(1, _MAX_DENSITY_HORIZON)),
     ("density", "coefficient", 0.5, _positive),
     ("density", "radius", 0.3, _positive),
@@ -240,10 +251,8 @@ _LIMITS = (
     # stay below eta / 2; at one angle |D'| = 12606 took 0.16 s and 16383 took 0.22 s
     ("syndetic", "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size of D'",
      lambda p: p["horizon"] * (2 * math.asin(p["eta"] / 4) / math.pi) ** p["angle_count"], 1 << 14),
-    # each block's covering scan may run to p_max: 10**7 powers of an
-    # uncoverable net took 5.1 s over 8 terms, 5.0 s over one with 7 fixed angles
     ("construct", "p_max * steps, the powers the covering scans may test",
-     lambda p: p["p_max"] * p["steps"], 1 << 23),
+     lambda p: p["p_max"] * p["steps"], _MAX_COVERING_POWERS),
     # the invariance gap keeps two float64 moduli per probe and trial
     ("invariance", "trials * probes, the number of moduli per batch",
      lambda p: p["trials"] * p["probes"], 1 << 24),
@@ -341,9 +350,11 @@ def validate_config(text: str, horizon=None, seed=None):
     kind, weight, eps = op.get("kind"), op.get("weight"), op["eps"]
     if kind not in ("scaled_backward_shift", "perturbed_diagonal"):
         errors.append(f"unknown operator kind {kind!r}")
-    elif kind == "scaled_backward_shift" and not (_is_number(weight) and weight > 1):
+    # the summary records a given weight or eps, so each is checked whatever the kind
+    weight_ok = _is_number(weight) and weight > 1
+    if not weight_ok and ("weight" in op or kind == "scaled_backward_shift"):
         errors.append("shift weight must be a number > 1")
-    elif kind == "perturbed_diagonal" and not (_is_number(eps) and eps >= 0):
+    if not (_is_number(eps) and eps >= 0):
         errors.append("perturbation eps must be a number >= 0")
     if not pipelines:
         errors.append("no pipelines requested")

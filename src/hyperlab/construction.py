@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _blocks, _unit_phases
-from .density import _ball, _factor, _inside, _quad_form
+from ._kernels import _ball, _blocks, _distances, _factor, _inside, _quad_form, _unit_phases
 from .diophantine import ReturnTimeSet, covering_scan
 from .eigenfields import EigenExpansion, EigenFamily
 from .linspace import StateVector
@@ -134,8 +133,8 @@ def _fresh_members(family, used, anchor: int, count: int, gamma: float):
     """(index, distance) of the ``count`` unused family members nearest to
     member ``anchor`` in vector distance, all within gamma; None if too few
     exist."""
-    mat = family.vectors
-    dists = np.linalg.norm(mat - mat[:, [anchor]], axis=0)
+    members = np.arange(len(family))
+    dists = _distances(family.vectors, members, np.full_like(members, anchor))
     order = np.argsort(dists)
     order = order[~np.isin(order, list(used))][:count]
     if order.size < count or dists[order[-1]] >= gamma:
@@ -281,8 +280,6 @@ def _assemble_terms(state, alphas, delta, rho):
 def _certify_expectation(terms, rng, trials) -> float:
     """Upper 99% confidence bound on E||Phi_n|| by Monte Carlo."""
     k = len(terms)
-    if k == 0:
-        return 0.0
     coeffs, f = terms.coeffs[None, :], _factor(terms.terms.vectors)
     norms = np.empty(trials)
 
@@ -365,26 +362,25 @@ def run_construction(
         [x * c for x, c in zip(chi.tolist(), terms.coeffs.tolist())], terms.terms
     )
 
-    certificates = []
-    total_norms = []
+    # with no terms, the factor is 0 x 0 and every norm is 0
     k = len(terms)
-    if k:
-        f = _factor(terms.terms.vectors)
-        omega = sample_steinhaus(rng, cert_samples * k).reshape(cert_samples, k)
-        weights = omega * terms.coeffs[None, :]
-        total_norms = np.sqrt(_quad_form(weights, f))
-        for b in state.blocks:
-            rate = _visit_rate(b, terms, weights, f)
-            floor = 1.0 - (5.0 / 3.0) * 2.0 ** (-b.index)
-            se = math.sqrt(max(rate * (1 - rate), 1e-12) / cert_samples)
-            certificates.append(
-                BlockCertificate(
-                    b.index, b.expected_norm_bound, b.budget, rate, floor, se
-                )
+    f = _factor(terms.terms.vectors)
+    omega = sample_steinhaus(rng, cert_samples * k).reshape(cert_samples, k)
+    weights = omega * terms.coeffs[None, :]
+    total_norms = np.sqrt(_quad_form(weights, f))
+    certificates = []
+    for b in state.blocks:
+        rate = _visit_rate(b, terms, weights, f)
+        floor = 1.0 - (5.0 / 3.0) * 2.0 ** (-b.index)
+        se = math.sqrt(max(rate * (1 - rate), 1e-12) / cert_samples)
+        certificates.append(
+            BlockCertificate(
+                b.index, b.expected_norm_bound, b.budget, rate, floor, se
             )
+        )
     report = ConstructionReport(
         certificates=tuple(certificates),
-        total_norm_estimate=float(np.mean(total_norms)) if k else 0.0,
+        total_norm_estimate=float(np.mean(total_norms)),
         total_norm_budget=sum(4.0**-n for n in range(1, n_steps + 1)),
     )
     return state, phi, report

@@ -2,10 +2,10 @@
 
 Inputs are eigen-expansions, so every orbit power acts on unimodular
 eigenvalues and stays bounded no matter how large the operator norm is.
-Whether an orbit point lies in a target ball is decided in one place,
-:func:`_inside`, through the norm factor of :func:`_factor`: the visit
-scan here, the construction's visit certificate and its norm estimate
-all call it, and :func:`recheck_visit` is the direct reference.
+Whether an orbit point lies in a target ball is decided in one place, the
+ball test :func:`_kernels._inside`: the visit scan here, the
+construction's visit certificate and its norm estimate all call it, and
+:func:`recheck_visit` is the direct reference.
 The scan and the certificate cut their work by :func:`_kernels._blocks`,
 and the scan keeps a block's hits as one byte per power and target until
 it joins them into visit times.
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _blocks, _unit_phases
-from .diophantine import _distinct
+from ._kernels import _ball, _blocks, _distinct, _factor, _inside, _unit_phases
 from .eigenfields import EigenExpansion
 from .linspace import StateVector
 
@@ -56,47 +55,14 @@ class VisitRecord:
             raise ValueError("visit times must lie in [0, horizon)")
 
 
-def _factor(vectors) -> np.ndarray:
-    """The k x min(k, d) norm factor F of the d x k term matrix X whose
-    columns are ``vectors``, with ||X w|| = ||w F|| for every coefficient
-    row w: X^T itself when k >= d, else R^T from X = QR.  A row's norm then
-    costs min(k, d) * k multiplies, never k**2 or d * k."""
-    d, k = vectors.shape
-    return vectors.T if k >= d else np.linalg.qr(vectors, mode="r").T
-
-
-def _quad_form(w, f) -> np.ndarray:
-    """||X w||**2 for every row w of the coefficient array, from the norm
-    factor f of :func:`_factor`: the BLAS product y = w f and a real dot
-    product of y's interleaved real and imaginary parts with themselves,
-    so no conjugate copy or complex result is made."""
-    y = np.ascontiguousarray(w, dtype=complex) @ f
-    return np.einsum("ni,ni->n", y.view(float), y.view(float))
-
-
-def _ball(vectors, center, r_sq: float) -> tuple:
-    """(X* c, ||c||**2, r**2) of the ball with center c and squared radius
-    r_sq, for the term matrix X whose columns are ``vectors``: what
-    :func:`_inside` needs of a ball."""
-    return vectors.conj().T @ center, float(np.real(np.vdot(center, center))), r_sq
-
-
-def _inside(w, f, balls) -> list:
-    """For each ball of :func:`_ball`, the mask of the rows w of the
-    coefficient array with ||X w - c|| < r, from the norm factor f of
-    :func:`_factor`: ||w f||**2 - 2 Re(w . conj(X* c)) + ||c||**2 < r**2.
-    The quadratic term is computed once for all the balls."""
-    quad = _quad_form(w, f)
-    return [quad - 2.0 * (w @ h.conj()).real + c_sq < r_sq for h, c_sq, r_sq in balls]
-
-
 def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     """One VisitRecord per target: all n < N with
     ||T**n x - center|| < radius.
 
-    Membership is decided by :func:`_inside`, so a step's quadratic term
-    costs k * min(k, d) multiplies for k terms in C^d, as one BLAS
-    product with the norm factor of :func:`_factor`.  The coefficient
+    Membership is decided by :func:`_kernels._inside`, so a step's
+    quadratic term costs k * min(k, d) multiplies for k terms in C^d, as
+    one BLAS product with the norm factor of :func:`_kernels._factor`
+    (0 x 0 for no terms, whose orbit stays at the origin).  The coefficient
     rows and the quadratic term of a block of powers are shared by all
     targets; each target adds only its cross term.  :func:`_kernels._blocks`
     cuts the horizon into groups of _STEP powers, k * _STEP terms each, so
@@ -109,13 +75,6 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    if not len(x):
-        return [
-            VisitRecord(
-                np.arange(N if float(np.linalg.norm(t.center.entries)) < t.radius else 0), N, t
-            )
-            for t in targets
-        ]
     mat = x.terms.vectors
     f = _factor(mat)
     balls = [_ball(mat, t.center.entries, t.radius**2) for t in targets]
@@ -164,7 +123,7 @@ def visit_times(x: EigenExpansion, target: TargetBall, N: int) -> VisitRecord:
 
 def recheck_visit(x: EigenExpansion, target: TargetBall, n: int) -> bool:
     """Direct recomputation of a single membership in C^d, from x.power(n):
-    the reference for the norm-factor route of :func:`_inside`."""
+    the reference for the norm-factor route of :func:`_kernels._inside`."""
     moved = x.power(n).entries - target.center.entries
     return float(np.linalg.norm(moved)) < target.radius
 

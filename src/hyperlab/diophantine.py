@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _cuts, chord_to
+from ._kernels import _cuts, _distinct, chord_to
 
 _CHUNK = 65536
 # every scan's first chunk; each next one is twice as long, up to _CHUNK,
@@ -66,15 +66,6 @@ class TorusTarget:
 def _phase_fracs(z) -> np.ndarray:
     """Phase of each unimodular z as a fraction of a turn, in [0, 1)."""
     return (np.angle(np.asarray(z, dtype=complex)) / (2 * np.pi)) % 1.0
-
-
-def _distinct(values) -> np.ndarray:
-    """The distinct entries of ``values``, a new read-only int64 array in
-    ascending order, from one sort (np.unique took 80 times as long)."""
-    times = np.sort(np.asarray(values, dtype=np.int64), axis=None)
-    times = times[np.diff(times, prepend=times[:1] - 1) != 0]
-    times.flags.writeable = False
-    return times
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,10 +22,10 @@ import numpy as np
 import pytest
 
 from hyperlab import _kernels, construction, density
-from hyperlab._kernels import _BLOCK, _blocks
+from hyperlab._kernels import _BLOCK, _blocks, _factor, _quad_form
 from hyperlab.cli import run_experiment, validate_config
 from hyperlab.construction import ConstructionTarget, run_construction
-from hyperlab.density import _STEP, TargetBall, _factor, _quad_form, _scan
+from hyperlab.density import _STEP, TargetBall, _scan
 from hyperlab.diophantine import ReturnTimeSet
 from hyperlab.eigenfields import EigenExpansion, _field_2B, sample_2B_family
 from hyperlab.ergodicity import CorrelationSpec, correlation_monte_carlo, witness_report

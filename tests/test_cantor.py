@@ -366,10 +366,28 @@ def test_seed_order_does_not_change_the_field(w, d, count, depth):
 def test_build_is_the_same_under_a_small_block_budget(monkeypatch, w, d, count, depth):
     seed = sample_2B_family(w, d, count)
     outcome = build_outcome(seed, depth)
-    # blocks of two or three columns, more than the 16 elements the gather
-    # buffers start with, so the build grows them
+    # blocks of two or three columns, into the gather buffers that the
+    # build grows from empty
     monkeypatch.setattr(_kernels, "_BLOCK", 16)
     assert build_outcome(seed, depth) == outcome
+
+
+@pytest.mark.parametrize("budget", [_kernels._BLOCK, 2**9])
+@pytest.mark.parametrize("d, k", [(64, 512), (16, 64), (64, 4096), (3, 5)])
+def test_column_distances_equal_the_norm_of_the_difference(monkeypatch, budget, d, k):
+    rng = np.random.default_rng(d * k)
+    mat = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+    monkeypatch.setattr(_kernels, "_BLOCK", budget)
+    members = np.arange(k)
+    for anchor in rng.choice(k, 5):
+        got = _kernels._distances(mat, members, np.full(k, anchor))
+        assert np.array_equal(got, np.linalg.norm(mat - mat[:, [anchor]], axis=0))
+    # row-major gathers: mat[:, cand] is column-major, and numpy sums a
+    # contiguous axis pairwise, in another order
+    cand, parents = rng.integers(k, size=(2, 3 * k))
+    a, b = np.take(mat, cand, axis=1), np.take(mat, parents, axis=1)
+    got = _kernels._distances(mat, cand, parents, [np.empty(1, complex), np.empty(1, complex)])
+    assert np.array_equal(got, np.linalg.norm(a - b, axis=0))
 
 
 @pytest.mark.parametrize("w, d", list(itertools.product([1.25, 1.5, 2.0, 3.0], [4, 8, 64])))

@@ -894,6 +894,47 @@ def test_limits_accept_their_ceiling_and_refuse_one_more(pipeline, params, key, 
     assert errors(largest + 1) == [f"pipelines.{pipeline}.{what}, must be <= {ceiling}"]
 
 
+@pytest.mark.parametrize("count", [1, 8, 9, 100])
+def test_the_default_construct_p_max_fits_under_its_ceiling(count):
+    # validation only: nothing here is run
+    raw = _holes_config({"construct": {"targets": [TARGET] * count}})
+    cfg, errors = validate_config(json.dumps(raw))
+    assert not errors, errors
+    assert cfg.params["construct"]["p_max"] == min(10**6, 2**23 // count)
+
+
+@pytest.mark.parametrize(
+    "construct",
+    # with no targets, steps resolves to None
+    [{"targets": [TARGET], "steps": 0}, {"targets": [TARGET], "steps": "abc"}, {"targets": []}],
+    ids=["steps=0", "steps=abc", "no-targets"],
+)
+def test_the_default_construct_p_max_leaves_a_refused_steps_to_its_check(construct):
+    _, errors = validate_config(json.dumps(_holes_config({"construct": construct})))
+    assert errors and not [e for e in errors if "p_max" in e]
+
+
+@pytest.mark.parametrize(
+    "operator, error",
+    [
+        ({"kind": "perturbed_diagonal", "weight": "abc"}, "shift weight must be a number > 1"),
+        ({"kind": "perturbed_diagonal", "weight": 1}, "shift weight must be a number > 1"),
+        (
+            {"kind": "scaled_backward_shift", "weight": 2, "eps": "abc"},
+            "perturbation eps must be a number >= 0",
+        ),
+        (
+            {"kind": "scaled_backward_shift", "weight": 2, "eps": -1},
+            "perturbation eps must be a number >= 0",
+        ),
+    ],
+    ids=["diagonal-weight=abc", "diagonal-weight=1", "shift-eps=abc", "shift-eps=-1"],
+)
+def test_validate_checks_a_given_weight_and_eps_whatever_the_kind(operator, error):
+    raw = {**_holes_config({"cantor": {"depth": 1}}), "operator": operator}
+    assert validate_config(json.dumps(raw)) == (None, [error])
+
+
 def test_horizon_override_meets_the_ceilings():
     # run --horizon passes its value to validate_config; nothing here is run
     text = json.dumps(_holes_config({"syndetic": {}, "density": {}}))
@@ -1098,8 +1139,8 @@ _PIPELINE_MODULES = {
     "syndetic": ["diophantine"],
     "ergodicity": ["ergodicity", "steinhaus"],
     "cantor": ["cantor"],
-    "construct": ["construction", "density", "diophantine", "steinhaus"],
-    "density": ["density", "diophantine"],
+    "construct": ["construction", "diophantine", "steinhaus"],
+    "density": ["density"],
     "invariance": ["steinhaus"],
 }
 # the pipelines that draw, each from a generator it makes on its stream
@@ -1161,7 +1202,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import hyperlab
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "hyperlab"))
-print(hyperlab.density.visit_times.__module__, "hyperlab.diophantine" in sys.modules)
+print(hyperlab.density.visit_times.__module__, "hyperlab._kernels" in sys.modules)
 try:
     hyperlab.no_such_module
 except AttributeError as exc:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hyperlab import _kernels, construction
+from hyperlab._kernels import _factor, _quad_form
 from hyperlab.construction import (
     ConstructionState,
     ConstructionTarget,
@@ -12,7 +13,7 @@ from hyperlab.construction import (
     run_construction,
     split_coefficient,
 )
-from hyperlab.density import TargetBall, _factor, _quad_form, recheck_visit
+from hyperlab.density import TargetBall, recheck_visit
 from hyperlab.eigenfields import sample_2B_family
 from hyperlab.operators import make_scaled_backward_shift
 from hyperlab.steinhaus import sample_steinhaus

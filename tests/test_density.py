@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from hyperlab._kernels import _BLOCK, _unit_phases
+from hyperlab._kernels import _BLOCK, _factor, _quad_form, _unit_phases
 from hyperlab.cli import _MAX_DENSITY_HORIZON
 from hyperlab.construction import _visit_rate
 from hyperlab.density import (
@@ -12,8 +12,6 @@ from hyperlab.density import (
     TargetBall,
     VisitRecord,
     _coefficient_rows,
-    _factor,
-    _quad_form,
     default_windows,
     fhc_harness,
     lower_density_estimate,
