@@ -132,6 +132,51 @@ def _distances(mat, cand, parents, bufs=None) -> np.ndarray:
     return dists
 
 
+def _gap_distances(delta, weight: float, d: int) -> np.ndarray:
+    """||E(t + D) - E(t)|| for each angle gap D of ``delta``, where E(t) is
+    the unit column of the truncated field of weight * B at dimension d,
+    sum_{n<d} (exp(2 pi i t) / weight)**n e_n over its norm: the distance
+    depends on the gap alone, so no column is made.
+
+    With q = weight**-2, x = pi D, s_m = sin(m x) and z = exp(2 i x), the
+    square is 4 sum_{n<d} q**n s_n**2 / sum_{n<d} q**n, whose closed form is
+    (2 q Re[(1 - z) (1 - (q z)**(d-1)) / (1 - q z)] - 4 q**d s_{d-1}**2)
+    / (1 - q**d), each factor written without cancellation.  The two terms
+    of the numerator cancel to a relative error of about 1e-16 over
+    (d (1 - q))**2, so where d (1 - q) < 1 the sum of its nonnegative terms
+    is taken instead, a block of :func:`_cuts` of d terms at a time.  Both
+    stay within 1e-14 relative of an 80-bit direct sum for
+    1 + 1e-6 <= weight <= 4 and d <= 1024, and d = 1 gives exactly 0.
+    """
+    # the gap mod 1, exactly: sin(pi D) loses digits near D = +-1
+    x = np.asarray(delta, dtype=float)
+    x = np.pi * (x - np.rint(x))
+    q = weight**-2.0
+    # 1 - q, with weight - 1 exact
+    p = (weight - 1.0) * (weight + 1.0) / (weight * weight)
+    if d * p < 1.0:
+        n, out = np.arange(d), np.empty(x.size)
+        qn = q**n
+        for start, stop in _cuts(x.size, d):
+            terms = np.sin(np.multiply.outer(x[start:stop], n))
+            np.multiply(np.square(terms, out=terms), qn, out=terms)
+            np.add.reduce(terms, axis=1, out=out[start:stop])
+        return np.sqrt(4.0 * out / qn.sum())
+    # log q, so that q**m and 1 - q**m keep their digits as q nears 1
+    log_q = -2.0 * np.log1p(weight - 1.0)
+    q_last = np.exp((d - 1) * log_q)
+    x_last = (d - 1) * x
+    s, s_last = np.sin(x), np.sin(x_last)
+    # 1 - z = u + iv, 1 - (qz)**(d-1) = a + ib and 1 - qz = g + ih
+    u, v = 2.0 * s * s, -np.sin(2.0 * x)
+    a = 2.0 * q_last * s_last * s_last - np.expm1((d - 1) * log_q)
+    b = -q_last * np.sin(2.0 * x_last)
+    g, h = p + q * u, q * v
+    re = ((u * a - v * b) * g + (u * b + v * a) * h) / (g * g + h * h)
+    sq = (2.0 * q * re - 4.0 * np.exp(d * log_q) * s_last * s_last) / -np.expm1(d * log_q)
+    return np.sqrt(sq)
+
+
 def _factor(vectors) -> np.ndarray:
     """The k x min(k, d) norm factor F of the d x k term matrix X whose
     columns are ``vectors``, with ||X w|| = ||w F|| for every coefficient

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _distances, chord_to
-from .eigenfields import EigenFamily, _has_duplicates
+from ._kernels import _distances, _gap_distances, chord_to
+from .eigenfields import EigenFamily, _has_duplicates, _sqrt_prime_family
 
 
 class CantorBuildError(ValueError):
@@ -34,7 +34,9 @@ class CantorBuildError(ValueError):
 @dataclass(frozen=True, eq=False)
 class CantorField:
     """A full binary tree of the given depth over ``seed_family``:
-    ``nodes[j]`` is the seed index of breadth-first node j's eigenpair."""
+    ``nodes[j]`` is the index in ``seed_family`` of breadth-first node j's
+    eigenpair.  A build from the shift's angles keeps only the tree's
+    members in ``seed_family``."""
 
     depth: int
     seed_family: EigenFamily
@@ -75,8 +77,16 @@ def _seed_angles(thetas, depth: int) -> np.ndarray:
     return thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
 
 
-def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
+def build_cantor_field(seed, depth: int) -> CantorField:
     """Grow the full binary tree of the halving construction to ``depth``.
+
+    ``seed`` is an :class:`EigenFamily`, whose columns give the vector
+    distances, or the shift's (angles, weight, dimension).  From angles,
+    a vector distance is taken from the angle gap alone
+    (:func:`_kernels._gap_distances`), and the field is made only at the
+    tree's 2**depth distinct members, which become the field's
+    ``seed_family``: each column and residual is the one a family of all
+    the angles would hold, so the tree and its bytes are the same.
 
     The root is seed member 0.  Right children are searched among unused
     seed members inside the node's territory arc, aiming at a
@@ -97,8 +107,21 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    thetas = seed.thetas
-    mat = seed.vectors
+    if isinstance(seed, EigenFamily):
+        thetas = seed.thetas
+        # the gather buffers of every vector distance of the build, grown by
+        # _kernels._distances and kept, since fresh ones per search cost page faults
+        bufs = []
+
+        def distances(cand, parents):
+            return _distances(seed.vectors, cand, parents, bufs)
+
+    else:
+        thetas, weight, d = seed
+        thetas = np.asarray(thetas, dtype=float)
+
+        def distances(cand, parents):
+            return _gap_distances(thetas[cand] - thetas[parents], weight, d)
 
     # signed angle offsets from the root; all construction arithmetic is
     # done on these unwrapped coordinates
@@ -107,7 +130,7 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     # one side of a node are one contiguous run of this order
     by_offset = np.argsort(offsets, kind="stable")
     sorted_offsets = offsets[by_offset]
-    available = np.ones(len(seed), dtype=bool)
+    available = np.ones(thetas.size, dtype=bool)
     available[0] = False
     size = 2 ** (depth + 1) - 1
     nodes = np.zeros(size, dtype=np.intp)
@@ -118,16 +141,13 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
     off = np.zeros(size)
     lo = np.full(size, -0.5)
     hi = np.full(size, 0.5)
-    # the gather buffers of every vector distance of the build, grown by
-    # _kernels._distances and kept, since fresh ones per search cost page faults
-    bufs = []
 
     def best(picks, parents, owner, cand, chords, bound):
         """Set picks[i] to the best candidate of node i (``owner``, right
         child of seed member ``parents[i]``) among the ``cand`` (chord gaps
         ``chords``) that stay under the vector bound; nodes with no such
         candidate keep their -1."""
-        dists = _distances(mat, cand, parents[owner], bufs)
+        dists = distances(cand, parents[owner])
         keep = dists < bound
         owner, cand, chords, dists = owner[keep], cand[keep], chords[keep], dists[keep]
         # both gaps become the children's budgets, so take the candidate
@@ -205,7 +225,7 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
                 unused = np.flatnonzero(available & (np.abs(offsets) <= _reach(depth)))
                 chord = chord_to(offsets[unused], off[j]).min(initial=np.inf)
                 parents = np.full_like(unused, nodes[j])
-                dist = _distances(mat, unused, parents, bufs).min(initial=np.inf)
+                dist = distances(unused, parents).min(initial=np.inf)
                 raise CantorBuildError(
                     f"no admissible right child for node {_label(j)!r} at level {level} "
                     f"(need chord < {bound:.3g}, vector distance < {bound:.3g}; nearest unused "
@@ -231,6 +251,10 @@ def build_cantor_field(seed: EigenFamily, depth: int) -> CantorField:
         lo[left[~up]] = off_v[~up] - buf_left[~up]
         hi[right[~up]] = off[right[~up]] + buf_right[~up]
 
+    if not isinstance(seed, EigenFamily):
+        # the root and the right children, in seed order
+        members, nodes = np.unique(nodes, return_inverse=True)
+        seed = _sqrt_prime_family(weight, d, thetas[members])
     nodes.setflags(write=False)
     field = CantorField(depth, seed, nodes)
     _check_field_invariants(field)

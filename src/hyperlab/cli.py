@@ -33,6 +33,7 @@ that completes instead of exiting with it; a refusal still raises
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -72,8 +73,9 @@ _MAX_DIMENSION = 1024
 # a family or Cantor seed takes its sqrt-prime angles from a prime sieve of
 # about 20 bytes per angle
 _MAX_FAMILY_COUNT = 1 << 20
-# complex entries of a family or Cantor seed (d x count) and of the visit
-# certificate's weights (cert_samples x terms), 16 bytes each
+# complex entries of a family (d x count) and of the visit certificate's
+# weights (cert_samples x terms), 16 bytes each; a Cantor seed_count keeps
+# the family count's ceiling
 _MAX_ENTRIES = 1 << 24
 # the keys of a config and of its operator and family objects
 _KEYS = {
@@ -204,7 +206,8 @@ _PARAMS = (
     ("ergodicity", "angles", [1.0, float(np.sqrt(2) % 1)], _numbers),
     ("ergodicity", "N", 10**5, _int(1000, _MAX_ERGODICITY_HORIZON)),
     ("cantor", "depth", 6, _int(0)),
-    # the shift's seed is its field at the first seed_count sqrt-prime angles
+    # the shift's seed: the first seed_count sqrt-prime angles, of which the
+    # build reads those within its reach, and the field only at the tree's members
     ("cantor", "seed_count", lambda b: b["family size"], _int(1, "largest family count")),
     ("construct", "targets", None, "target"),
     ("construct", "steps", lambda b: b["number of targets"], _int(1, "number of targets")),
@@ -343,7 +346,7 @@ def validate_config(text: str, horizon=None, seed=None):
     for where, given in (("config", raw), ("operator", operator), ("family", family)):
         _unknown_keys(where, given, _KEYS[where], errors)
     op, count = {"eps": 0.1, **operator}, {**_FAMILY, **family}["count"]
-    # a family or Cantor seed of count sqrt-prime angles is d x count
+    # a family of count sqrt-prime angles is d x count
     max_count = min(_MAX_FAMILY_COUNT, _MAX_ENTRIES // dim)
     if not _is_int(count, 1, max_count):
         return None, errors + [f"family count must be an integer >= 1 and <= {max_count}"]
@@ -418,12 +421,16 @@ def validate_config(text: str, horizon=None, seed=None):
 
 
 def _operator_and_family(cfg: ExperimentConfig) -> tuple:
+    """The run's operator, and a once-only builder of its eigen family,
+    which only the runners that read the family call: building it draws
+    nothing, so no stream depends on whether it was built."""
     params, d = cfg.params["operator"], cfg.dimension
     if params["kind"] == "scaled_backward_shift":
         op = ops.make_scaled_backward_shift(params["weight"], d)
-        return op, ef.sample_2B_family(op.weight, d, cfg.params["family"]["count"])
+        count = cfg.params["family"]["count"]
+        return op, functools.cache(lambda: ef.sample_2B_family(op.weight, d, count))
     op = ops.make_perturbed_diagonal(ef.qindependent_angles(d), params["eps"], d)
-    return op, ef.diagonal_family(op)
+    return op, functools.cache(lambda: ef.diagonal_family(op))
 
 
 def _complexes(rows) -> list:
@@ -530,12 +537,14 @@ def _run_cantor(cfg, op, family, params, stream, out, ctx):
 
     depth = params["depth"]
     if op.kind == ops.SCALED_BACKWARD_SHIFT:
-        # the shift's seed is the field at the first seed_count sqrt-prime
-        # angles, sampled only where the build can read it
+        # the shift's seed is its first seed_count sqrt-prime angles within
+        # the build's reach: the build takes vector distances from angle
+        # gaps and makes the field only at the tree's members
         thetas = ef.qindependent_angles(params["seed_count"])
-        seed = cantor_mod._seed_angles(thetas, depth)
-        family = ef._sqrt_prime_family(op.weight, cfg.dimension, seed)
-    field = cantor_mod.build_cantor_field(family, depth)
+        seed = (cantor_mod._seed_angles(thetas, depth), op.weight, cfg.dimension)
+    else:
+        seed = family()
+    field = cantor_mod.build_cantor_field(seed, depth)
     sep = cantor_mod.verify_cantor_separation(field)
     cantor_mod.field_to_csv(field, out / "cantor_field.csv")
     return {
@@ -561,7 +570,7 @@ def _run_construct(cfg, op, family, params, stream, out, ctx):
     ]
     state, phi, report = cons.run_construction(
         op,
-        family,
+        family(),
         targets,
         params["steps"],
         rng,
@@ -596,6 +605,7 @@ def _run_density(cfg, op, family, params, stream, out, ctx):
     # calibration: a single eigen-term whose visits to a ball around itself
     # are controlled by an explicit arc of angles
     coeff, radius, index = params["coefficient"], params["radius"], params["angle_index"]
+    family = family()
     x = ef.EigenExpansion([coeff], family.take([index]))
     center = StateVector(coeff * family.vectors[:, index])
     rec = density_mod.visit_times(x, density_mod.TargetBall(center, radius), horizon)
@@ -636,6 +646,7 @@ def _run_invariance(cfg, op, family, params, stream, out, ctx):
     from . import steinhaus as st
 
     rng = np.random.default_rng(stream)
+    family = family()
     n_terms = min(params["terms"], len(family))
     coeffs = 0.5 ** np.arange(1, n_terms + 1)
     series = ef.EigenExpansion(coeffs, family.take(slice(n_terms)))

@@ -4,9 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from hyperlab import _kernels
+from hyperlab import _kernels, cantor, eigenfields
 from hyperlab.cantor import (
     CantorBuildError,
+    _check_field_invariants,
     _seed_angles,
     build_cantor_field,
     field_to_csv,
@@ -317,16 +318,17 @@ def test_windowed_search_fails_where_full_scan_fails():
 
 def build_outcome(seed, depth):
     """What a build shows of its seed: node angles and residuals, and the
-    separation margins, or the error text of a failed build."""
+    separation margins, or the error text of a failed build.  ``seed`` is
+    a family or the shift's (angles, weight, dimension)."""
     try:
         field = build_cantor_field(seed, depth)
     except CantorBuildError as exc:
         return str(exc)
     sep = verify_cantor_separation(field)
-    i = field.nodes
+    family, i = field.seed_family, field.nodes
     return (
-        seed.thetas[i].tolist(),
-        seed.residuals[i].tolist(),
+        family.thetas[i].tolist(),
+        family.residuals[i].tolist(),
         sep.margins.tolist(),
         sep.deltas.tolist(),
         sep.delta_respected_fraction,
@@ -358,6 +360,8 @@ def test_seed_order_does_not_change_the_field(w, d, count, depth):
         assert np.array_equal(seed.vectors, prime.vectors[:, order])
         assert np.array_equal(seed.residuals, prime.residuals[order])
         assert build_outcome(seed, depth) == outcome
+        # the angle seed's gap distances give the tree of the columns
+        assert build_outcome((thetas[order], w, d), depth) == outcome
     if depth == 5:
         assert "node '0000'" in outcome
 
@@ -404,6 +408,116 @@ def test_reach_restricted_seed_gives_the_same_tree(w, d):
             assert angles[0] == thetas[0] and np.all(np.diff((angles - thetas[0]) % 1.0) > 0)
             outcome = build_outcome(full, depth)
             assert build_outcome(_sqrt_prime_family(w, d, angles), depth) == outcome, (count, depth)
+            assert build_outcome((angles, w, d), depth) == outcome, (count, depth)
             failed += isinstance(outcome, str)
             built += not isinstance(outcome, str)
     assert failed and built
+
+
+@pytest.mark.parametrize(
+    "count, depth",
+    # the README config's seed and the full-size cantor-field workload's
+    [(4096, 6), (2**15, 9)],
+)
+def test_angle_seed_gives_the_tree_and_columns_of_the_vector_seed(count, depth):
+    angles = _seed_angles(qindependent_angles(count), depth)
+    vector = build_cantor_field(_sqrt_prime_family(2.0, 64, angles), depth)
+    field = build_cantor_field((angles, 2.0, 64), depth)
+    assert field.depth == depth
+    # the family holds the tree's 2**depth members, and each column and
+    # residual is the one the vector seed held, bit for bit
+    members = vector.seed_family
+    assert len(field.seed_family) == 2**depth
+    assert np.array_equal(field.seed_family.thetas[field.nodes], members.thetas[vector.nodes])
+    assert np.array_equal(
+        field.seed_family.vectors[:, field.nodes], members.vectors[:, vector.nodes]
+    )
+    assert np.array_equal(
+        field.seed_family.residuals[field.nodes], members.residuals[vector.nodes]
+    )
+    a, b = verify_cantor_separation(field), verify_cantor_separation(vector)
+    assert a.margins.tolist() == b.margins.tolist() and a.deltas.tolist() == b.deltas.tolist()
+
+
+def test_a_halved_gap_distance_fails_the_invariant_check(monkeypatch):
+    # at w = 1.25 the vector distance is about 2.9 times the chord, so the
+    # vector bound decides which members a search admits
+    seed = (_seed_angles(qindependent_angles(512), 3), 1.25, 16)
+    field = build_cantor_field(seed, 3)
+    _check_field_invariants(field)
+    gap = _kernels._gap_distances
+    monkeypatch.setattr(cantor, "_gap_distances", lambda *args: 0.5 * gap(*args))
+    with pytest.raises(CantorBuildError, match="jump bound violated"):
+        build_cantor_field(seed, 3)
+
+
+def direct_gap_distances(delta, w, d):
+    """The 80-bit sum sqrt(4 sum q**n sin(pi n delta)**2 / sum q**n), with
+    n delta reduced mod 1 before the sine."""
+    ld = np.longdouble
+    q = ld(1) / (ld(w) * ld(w))
+    n = np.arange(d).astype(ld)
+    qn = q**n
+    t = np.multiply.outer(np.asarray(delta, dtype=ld), n)
+    sines = np.sin(np.arccos(ld(-1)) * (t - np.rint(t)))
+    return np.sqrt(4 * (sines * sines * qn).sum(axis=1) / qn.sum())
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than float64"
+)
+@pytest.mark.parametrize("d", [1, 2, 16, 64, 1024])
+@pytest.mark.parametrize("w", [1 + 1e-6, 1.001, 1.01, 1.05, 1.25, 2.0, 4.0])
+def test_gap_distances_match_the_direct_sum(w, d):
+    rng = np.random.default_rng(d)
+    delta = np.exp(rng.uniform(np.log(1e-8), np.log(0.5), 400)) * rng.choice([-1, 1], 400)
+    delta = np.r_[delta, 1e-8, -1e-8, 0.5, -0.5]
+    got = _kernels._gap_distances(delta, w, d)
+    if d == 1:
+        # a one-entry column is 1 at every angle
+        assert np.array_equal(got, np.zeros(delta.size))
+        return
+    want = direct_gap_distances(delta, w, d)
+    assert np.max(np.abs(got - want) / want) < 1e-13
+
+
+@pytest.mark.parametrize("w, d", [(1.001, 64), (1.25, 16), (2.0, 64), (1.05, 1024)])
+def test_gap_distances_match_the_column_distances(w, d):
+    thetas = np.r_[qindependent_angles(200), 1.0 - 1e-4, 1e-4]
+    vectors, _ = _field_2B(thetas, w, d)
+    # each angle's gap to its neighbour in angle order (across the wrap
+    # too), and to farther angles, of both signs
+    cand = np.argsort(thetas)
+    for shift in (1, -1, 7, thetas.size // 2):
+        parents = np.roll(cand, shift)
+        want = _kernels._distances(vectors, cand, parents)
+        got = _kernels._gap_distances(thetas[cand] - thetas[parents], w, d)
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+
+def test_a_shift_cantor_run_makes_columns_only_for_the_tree(monkeypatch, tmp_path):
+    from hyperlab.cli import run_experiment, validate_config
+
+    sizes = []
+    field_2B = eigenfields._field_2B
+
+    def counted(thetas, w, d):
+        sizes.append(np.size(thetas))
+        return field_2B(thetas, w, d)
+
+    monkeypatch.setattr(eigenfields, "_field_2B", counted)
+    cfg, errors = validate_config(
+        '{"seed": 1, "dimension": 64, "pipelines": {"cantor": {"depth": 6, "seed_count": 4096}}}'
+    )
+    assert not errors
+    assert run_experiment(cfg, tmp_path) == 0
+    assert sum(sizes) <= 2**6, sizes
+
+
+@pytest.mark.parametrize("w, d", [(1.001, 64), (1 + 1e-6, 1024)])
+def test_gap_distances_do_not_depend_on_the_block_budget(monkeypatch, w, d):
+    # d (1 - w**-2) < 1: the direct sum, a block of gaps at a time
+    delta = np.diff(qindependent_angles(300))
+    want = _kernels._gap_distances(delta, w, d)
+    monkeypatch.setattr(_kernels, "_BLOCK", 2**9)
+    assert np.array_equal(_kernels._gap_distances(delta, w, d), want)

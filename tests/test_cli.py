@@ -368,6 +368,49 @@ def test_perturbed_diagonal_config(tmp_path):
     read_summary(tmp_path / "pd")
 
 
+@pytest.mark.parametrize(
+    "kind, pipelines, builds",
+    [
+        # khinchine, syndetic, ergodicity and the shift's cantor never read the family
+        ("scaled_backward_shift", {"khinchine": {"trials": 1500}, "cantor": {"depth": 2}}, 0),
+        ("perturbed_diagonal", {"khinchine": {"trials": 1500}}, 0),
+        ("perturbed_diagonal", {"syndetic": {"horizon": 2000}, "cantor": {"depth": 0}}, 1),
+        # three readers build it once
+        (
+            "scaled_backward_shift",
+            {"density": {"horizon": 3000}, "invariance": {"trials": 1500, "terms": 8}},
+            1,
+        ),
+        (
+            "perturbed_diagonal",
+            {"density": {"horizon": 3000}, "invariance": {"trials": 1500, "terms": 8}},
+            1,
+        ),
+    ],
+)
+def test_a_run_builds_its_family_only_for_the_pipelines_that_read_it(
+    tmp_path, monkeypatch, kind, pipelines, builds
+):
+    calls = []
+    for name in ("sample_2B_family", "diagonal_family"):
+        build = getattr(ef, name)
+        monkeypatch.setattr(
+            ef, name, lambda *args, build=build: calls.append(args) or build(*args)
+        )
+    raw = {
+        "seed": 3,
+        "dimension": 12,
+        "operator": {"kind": kind, "weight": 2.0, "eps": 0.2},
+        "family": {"count": 12},
+        "pipelines": pipelines,
+    }
+    cfg, errors = validate_config(json.dumps(raw))
+    assert not errors
+    assert run_experiment(cfg, tmp_path) in (0, 1)
+    assert len(calls) == builds
+    assert set(read_summary(tmp_path)["results"]) == set(pipelines)
+
+
 def test_density_without_construction_writes_summary(tmp_path):
     cfg_raw = {
         "seed": 3,
