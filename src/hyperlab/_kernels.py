@@ -1,6 +1,7 @@
-"""Thread, phase, chord, time-set and column-geometry kernels.  :func:`_blocks`
-is the only place a thread starts; a kernel calls it only from its top, on
-the calling thread, so helpers never nest and public calls stay there."""
+"""Thread, phase, chord, time-set and column-geometry kernels, and the
+records' base classes.  :func:`_blocks` is the only place a thread starts; a
+kernel calls it only from its top, on the calling thread, so helpers never
+nest and public calls stay there."""
 
 from __future__ import annotations
 
@@ -209,3 +210,53 @@ def _inside(w, f, balls) -> list:
     The quadratic term is computed once for all the balls."""
     quad = _quad_form(w, f)
     return [quad - 2.0 * (w @ h.conj()).real + c_sq < r_sq for h, c_sq, r_sq in balls]
+
+
+class _Record:
+    """Base of the lab's records.  A record's fields are its class's
+    ``__slots__``, and its ``__init__`` is written out in the class, so
+    defining a record generates no code.  A record compares and hashes by
+    identity unless its class says otherwise."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose ``__init__`` sets every field once, through
+    :meth:`_fill`; assigning or deleting a field afterwards raises
+    AttributeError.  A record that checks or converts its fields does so
+    in ``__post_init__``, which its ``__init__`` calls last, so a tracer
+    that wraps ``__post_init__`` (``perfbench/tracer.py``) sees every
+    checked record that is built."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a read-only {type(self).__name__}")
+
+
+class _Value(_Frozen):
+    """A frozen record that compares and hashes by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())

@@ -19,11 +19,9 @@ a time, one batched right-child search per level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._kernels import _distances, _gap_distances, chord_to
+from ._kernels import _Frozen, _distances, _gap_distances, chord_to
 from .eigenfields import EigenFamily, _has_duplicates, _sqrt_prime_family
 
 
@@ -31,16 +29,16 @@ class CantorBuildError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class CantorField:
+class CantorField(_Frozen):
     """A full binary tree of the given depth over ``seed_family``:
     ``nodes[j]`` is the index in ``seed_family`` of breadth-first node j's
     eigenpair.  A build from the shift's angles keeps only the tree's
     members in ``seed_family``."""
 
-    depth: int
-    seed_family: EigenFamily
-    nodes: np.ndarray
+    __slots__ = ("depth", "seed_family", "nodes")
+
+    def __init__(self, depth: int, seed_family: EigenFamily, nodes: np.ndarray):
+        self._fill(depth, seed_family, nodes)
 
 
 def _label(j: int) -> str:
@@ -285,17 +283,22 @@ def _check_field_invariants(field: CantorField) -> None:
             raise CantorBuildError(f"duplicate angles at level {n}")
 
 
-@dataclass(frozen=True, eq=False)
-class SeparationReport:
+class SeparationReport(_Frozen):
     """Per-split results in breadth-first order of the splitting nodes:
     ``margins[j]`` is half the smallest distance between leaf eigenvalues
     below node j's two children, ``deltas[j]`` half the children's gap."""
 
-    passed: bool
-    min_margin: float
-    margins: np.ndarray
-    deltas: np.ndarray
-    delta_respected_fraction: float
+    __slots__ = ("passed", "min_margin", "margins", "deltas", "delta_respected_fraction")
+
+    def __init__(
+        self,
+        passed: bool,
+        min_margin: float,
+        margins: np.ndarray,
+        deltas: np.ndarray,
+        delta_respected_fraction: float,
+    ):
+        self._fill(passed, min_margin, margins, deltas, delta_respected_fraction)
 
 
 def verify_cantor_separation(field: CantorField) -> SeparationReport:

@@ -38,7 +38,6 @@ import importlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +45,7 @@ import numpy as np
 # what every run needs; validate_config loads each pipeline's own module
 from . import eigenfields as ef
 from . import operators as ops
+from ._kernels import _Record
 from .linspace import StateVector
 
 # the family a config that omits "family" runs, as its summary records it
@@ -85,18 +85,25 @@ _KEYS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """A validated config.  ``to_dict`` is the config the summary records;
     ``params`` maps "operator", "family" and each configured pipeline to
     its parameters with every default filled in."""
 
-    seed: int
-    dimension: int
-    operator: dict
-    family: dict
-    pipelines: dict
-    params: dict
+    __slots__ = ("seed", "dimension", "operator", "family", "pipelines", "params")
+
+    def __init__(
+        self, seed: int, dimension: int, operator: dict, family: dict, pipelines: dict, params: dict
+    ):
+        self.seed = seed
+        self.dimension = dimension
+        self.operator = operator
+        self.family = family
+        self.pipelines = pipelines
+        self.params = params
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _KEYS["config"]}
@@ -259,7 +266,19 @@ _LIMITS = (
     # the invariance gap keeps two float64 moduli per probe and trial
     ("invariance", "trials * probes, the number of moduli per batch",
      lambda p: p["trials"] * p["probes"], 1 << 24),
+    # the correlation's constant term sum |c|^2 * sum |d|^2 bounds the cross
+    # term too (Cauchy-Schwarz), so no correlation exceeds twice it, and the
+    # Cesaro sums of N of them stay finite below the ceiling, which leaves
+    # room for rounding
+    ("ergodicity", "N * sum |c|^2 * sum |d|^2, a bound on the Cesaro sums",
+     lambda p: p["N"] * _square_sum(p["c"]) * _square_sum(p["d"]), 2.0**1020),
 )
+
+
+def _square_sum(pairs) -> float:
+    """sum |re + i im|^2 over [re, im] pairs: inf, not OverflowError, past
+    the largest float."""
+    return sum(re * re + im * im for re, im in pairs)
 
 
 def _rows(table: str) -> dict:
@@ -385,7 +404,8 @@ def validate_config(text: str, horizon=None, seed=None):
         return None, errors
     failed = set()
     for name, what, cost, ceiling in _LIMITS:
-        if name in params and name not in failed and cost(params[name]) > ceiling:
+        # a NaN cost is refused too
+        if name in params and name not in failed and not cost(params[name]) <= ceiling:
             failed.add(name)
             errors.append(f"pipelines.{name}.{what}, must be <= {ceiling}")
     erg = params.get("ergodicity")

@@ -14,11 +14,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _ball, _blocks, _distances, _factor, _inside, _quad_form, _unit_phases
+from ._kernels import (
+    _Frozen,
+    _Record,
+    _Value,
+    _ball,
+    _blocks,
+    _distances,
+    _factor,
+    _inside,
+    _quad_form,
+    _unit_phases,
+)
 from .diophantine import ReturnTimeSet, covering_scan
 from .eigenfields import EigenExpansion, EigenFamily
 from .linspace import StateVector
@@ -39,12 +49,14 @@ class ConstructionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoefficientSplit:
+class CoefficientSplit(_Value):
     """Equal-part split of a coefficient: the parts reassemble exactly and
     their squared moduli sum below the requested bound."""
 
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self._fill(parts)
 
 
 def split_coefficient(a: complex, eps: float) -> CoefficientSplit:
@@ -57,21 +69,22 @@ def split_coefficient(a: complex, eps: float) -> CoefficientSplit:
     return CoefficientSplit((a / n,) * n)
 
 
-@dataclass(frozen=True)
-class ConstructionTarget:
+class ConstructionTarget(_Value):
     """Target ball: an eigencombination over the seed family (coefficient,
     family index), a radius, and the known power carrying the combination
     into the ball's center."""
 
-    coefficients: tuple  # of (complex, int)
-    radius: float
-    reach_power: int = 1
+    __slots__ = ("coefficients", "radius", "reach_power")
+
+    def __init__(self, coefficients: tuple, radius: float, reach_power: int = 1):
+        self._fill(coefficients, radius, reach_power)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coefficients",
+        self._fill(
             tuple((complex(c), int(i)) for c, i in self.coefficients),
+            self.radius,
+            self.reach_power,
         )
         if not self.radius > 0:
             raise ValueError("radius must be positive")
@@ -79,24 +92,49 @@ class ConstructionTarget:
             raise ValueError("reach power must lie in [0, 2**62), so return times fit an int64")
 
 
-@dataclass(frozen=True, eq=False)
-class Block:
-    index: int
-    terms: EigenExpansion  # over fresh distinct angles
-    center: StateVector
-    radius: float
-    reach_power: int
-    return_times: ReturnTimeSet
-    expected_norm_bound: float  # MC upper 99% confidence on E||Phi_n||
-    budget: float  # 4**-n / ||T||**max(pi_<n)
+class Block(_Frozen):
+    """One block: ``terms`` over fresh distinct angles, the target ball,
+    ``expected_norm_bound``, the Monte Carlo upper 99% confidence bound on
+    E||Phi_n||, and ``budget`` = 4**-n / ||T||**max(pi_<n)."""
+
+    __slots__ = (
+        "index",
+        "terms",
+        "center",
+        "radius",
+        "reach_power",
+        "return_times",
+        "expected_norm_bound",
+        "budget",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        terms: EigenExpansion,
+        center: StateVector,
+        radius: float,
+        reach_power: int,
+        return_times: ReturnTimeSet,
+        expected_norm_bound: float,
+        budget: float,
+    ):
+        self._fill(
+            index, terms, center, radius, reach_power, return_times, expected_norm_bound, budget
+        )
 
 
-@dataclass(eq=False)
-class ConstructionState:
-    op: OperatorSpec
-    family: EigenFamily
-    blocks: list = field(default_factory=list)
-    used: list = field(default_factory=list)  # family indices of all terms, in order
+class ConstructionState(_Record):
+    """The blocks built so far and ``used``, the family indices of all
+    their terms, in order."""
+
+    __slots__ = ("op", "family", "blocks", "used")
+
+    def __init__(self, op: OperatorSpec, family: EigenFamily, blocks=None, used=None):
+        self.op = op
+        self.family = family
+        self.blocks = [] if blocks is None else blocks
+        self.used = [] if used is None else used
 
     def max_pi(self) -> int:
         return max((b.return_times.pi_max for b in self.blocks), default=0)
@@ -300,21 +338,33 @@ def _check_block_invariants(state: ConstructionState, block: Block, picked) -> N
         raise ConstructionError("certified expectation bound above the budget")
 
 
-@dataclass(frozen=True)
-class BlockCertificate:
-    index: int
-    expected_norm_bound: float
-    budget: float
-    visit_rate: float
-    visit_floor: float
-    visit_stderr: float
+class BlockCertificate(_Value):
+    __slots__ = (
+        "index",
+        "expected_norm_bound",
+        "budget",
+        "visit_rate",
+        "visit_floor",
+        "visit_stderr",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        expected_norm_bound: float,
+        budget: float,
+        visit_rate: float,
+        visit_floor: float,
+        visit_stderr: float,
+    ):
+        self._fill(index, expected_norm_bound, budget, visit_rate, visit_floor, visit_stderr)
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
-    certificates: tuple
-    total_norm_estimate: float
-    total_norm_budget: float
+class ConstructionReport(_Value):
+    __slots__ = ("certificates", "total_norm_estimate", "total_norm_budget")
+
+    def __init__(self, certificates: tuple, total_norm_estimate: float, total_norm_budget: float):
+        self._fill(certificates, total_norm_estimate, total_norm_budget)
 
     def all_passed(self) -> bool:
         return all(

@@ -15,11 +15,9 @@ window cut points; the true liminf is not finitely computable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._kernels import _ball, _blocks, _distinct, _factor, _inside, _unit_phases
+from ._kernels import _Frozen, _ball, _blocks, _distinct, _factor, _inside, _unit_phases
 from .eigenfields import EigenExpansion
 from .linspace import StateVector
 
@@ -28,21 +26,27 @@ from .linspace import StateVector
 _STEP = 1 << 10
 
 
-@dataclass(frozen=True, eq=False)
-class TargetBall:
-    center: StateVector
-    radius: float
+class TargetBall(_Frozen):
+    __slots__ = ("center", "radius")
+
+    def __init__(self, center: StateVector, radius: float):
+        self._fill(center, radius)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be >= 0")
 
 
-@dataclass(frozen=True, eq=False)
-class VisitRecord:
-    times: np.ndarray  # read-only int64, sorted, unique, in [0, horizon)
-    horizon: int
-    target: TargetBall
+class VisitRecord(_Frozen):
+    """``times``: a read-only int64 array, sorted and unique, in
+    [0, horizon)."""
+
+    __slots__ = ("times", "horizon", "target")
+
+    def __init__(self, times: np.ndarray, horizon: int, target: TargetBall):
+        self._fill(times, horizon, target)
+        self.__post_init__()
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.int64)
@@ -50,7 +54,7 @@ class VisitRecord:
             raise ValueError("visit times must be one-dimensional")
         if times.flags.writeable or np.any(times[1:] <= times[:-1]):
             times = _distinct(times)
-        object.__setattr__(self, "times", times)
+        self._fill(times, self.horizon, self.target)
         if times.size and not (0 <= times[0] and times[-1] < self.horizon):
             raise ValueError("visit times must lie in [0, horizon)")
 
@@ -150,11 +154,11 @@ def lower_density_estimate(rec: VisitRecord, windows) -> float:
     return min(float(c) / w for c, w in zip(counts, windows))
 
 
-@dataclass(frozen=True, eq=False)
-class FhcReport:
-    records: tuple
-    proxies: tuple
-    passed: bool
+class FhcReport(_Frozen):
+    __slots__ = ("records", "proxies", "passed")
+
+    def __init__(self, records: tuple, proxies: tuple, passed: bool):
+        self._fill(records, proxies, passed)
 
 
 def fhc_harness(x: EigenExpansion, targets, N: int) -> FhcReport:

@@ -11,11 +11,9 @@ powers still left.  Covering nets re-verify every stored power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._kernels import _cuts, _distinct, chord_to
+from ._kernels import _Frozen, _Value, _cuts, _distinct, chord_to
 
 _CHUNK = 65536
 # every scan's first chunk; each next one is twice as long, up to _CHUNK,
@@ -46,17 +44,22 @@ def _within(frac: np.ndarray, mu_fracs, eta: float, kept=None) -> np.ndarray:
     return np.arange(frac.shape[1]) if kept is None else kept
 
 
-@dataclass(frozen=True)
-class TorusTarget:
-    """System of inequalities |lambda_j**p - mu_j| < eta."""
+class TorusTarget(_Value):
+    """System of inequalities |lambda_j**p - mu_j| < eta, for the
+    unimodular complex numbers mu_j of ``targets``."""
 
-    angles: tuple
-    targets: tuple  # unimodular complex numbers
-    eta: float
+    __slots__ = ("angles", "targets", "eta")
+
+    def __init__(self, angles: tuple, targets: tuple, eta: float):
+        self._fill(angles, targets, eta)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        object.__setattr__(self, "targets", tuple(complex(t) for t in self.targets))
+        self._fill(
+            tuple(float(a) for a in self.angles),
+            tuple(complex(t) for t in self.targets),
+            self.eta,
+        )
         if len(self.angles) != len(self.targets):
             raise ValueError("angles and targets must have equal length")
         if not 0 < self.eta < 2:
@@ -68,17 +71,20 @@ def _phase_fracs(z) -> np.ndarray:
     return (np.angle(np.asarray(z, dtype=complex)) / (2 * np.pi)) % 1.0
 
 
-@dataclass(frozen=True, eq=False)
-class ReturnTimeSet:
+class ReturnTimeSet(_Frozen):
     """A nonempty set of powers: a read-only ascending int64 array."""
 
-    times: np.ndarray
+    __slots__ = ("times",)
+
+    def __init__(self, times: np.ndarray):
+        self._fill(times)
+        self.__post_init__()
 
     def __post_init__(self):
         times = _distinct(self.times)
         if not times.size:
             raise ValueError("return-time set must be nonempty")
-        object.__setattr__(self, "times", times)
+        self._fill(times)
 
     @property
     def pi_max(self) -> int:
@@ -136,8 +142,7 @@ def solve_simultaneous(t: TorusTarget, p_max: int) -> int | None:
     return first_returns(t.angles, [t.targets], t.eta, p_max)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class CoveringNet:
+class CoveringNet(_Frozen):
     """Product net over the torus with one verified solving power per net
     point.
 
@@ -145,12 +150,13 @@ class CoveringNet:
     with m chosen so adjacent chord spacing is at most the requested
     resolution.  Any target tuple is within resolution/2 of some net point,
     and that point's power solves the target at tolerance eta.
+    ``cell_to_p`` is a flat array of length mesh**k.
     """
 
-    angles: tuple
-    eta: float
-    mesh: int
-    cell_to_p: np.ndarray  # flat array of length mesh**k
+    __slots__ = ("angles", "eta", "mesh", "cell_to_p")
+
+    def __init__(self, angles: tuple, eta: float, mesh: int, cell_to_p: np.ndarray):
+        self._fill(angles, eta, mesh, cell_to_p)
 
     @property
     def return_times(self) -> ReturnTimeSet:
@@ -218,11 +224,15 @@ def _verify_net(net: CoveringNet, fixed: np.ndarray, fixed_eta: float) -> None:
         raise AssertionError("covering scan violated the fixed-angle filter")
 
 
-@dataclass(frozen=True)
-class SyndeticResult:
-    times: tuple  # the set D
-    gap_bound: int  # max gap r of D within the horizon
-    violations: tuple  # elements of (D'-D') in [1, horizon] missing from D
+class SyndeticResult(_Value):
+    """The set D (``times``), its largest gap r within the horizon
+    (``gap_bound``) and the elements of (D'-D') in [1, horizon] missing
+    from D (``violations``)."""
+
+    __slots__ = ("times", "gap_bound", "violations")
+
+    def __init__(self, times: tuple, gap_bound: int, violations: tuple):
+        self._fill(times, gap_bound, violations)
 
 
 def syndetic_return_set(angles, eta: float, horizon: int) -> SyndeticResult:

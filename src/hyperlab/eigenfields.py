@@ -7,11 +7,9 @@ independent angle generation from square roots of primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._kernels import _blocks
+from ._kernels import _Frozen, _blocks
 from .linspace import StateVector
 from .operators import OperatorSpec, PERTURBED_DIAGONAL, _coupling, _diagonal, apply
 
@@ -20,14 +18,14 @@ def unimodular(theta: float) -> complex:
     return complex(np.exp(2j * np.pi * theta))
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
+class EigenPair(_Frozen):
     """Angle theta in (0,1] (eigenvalue exp(2*pi*i*theta)) plus a unit
     eigenvector and the truncation residual ||T v - lambda v||."""
 
-    theta: float
-    vector: StateVector
-    residual: float
+    __slots__ = ("theta", "vector", "residual")
+
+    def __init__(self, theta: float, vector: StateVector, residual: float):
+        self._fill(theta, vector, residual)
 
     @property
     def eigenvalue(self) -> complex:
@@ -53,8 +51,7 @@ def _has_duplicates(values: np.ndarray) -> bool:
     return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
-@dataclass(frozen=True, eq=False)
-class EigenFamily:
+class EigenFamily(_Frozen):
     """Eigenpairs stored as arrays: member j has angle thetas[j], unit
     eigenvector vectors[:, j] and truncation residual residuals[j].
 
@@ -62,9 +59,11 @@ class EigenFamily:
     the same operands whichever way the family was built.
     """
 
-    thetas: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
+    __slots__ = ("thetas", "vectors", "residuals")
+
+    def __init__(self, thetas: np.ndarray, vectors: np.ndarray, residuals: np.ndarray):
+        self._fill(thetas, vectors, residuals)
+        self.__post_init__()
 
     def __post_init__(self):
         thetas = _frozen(self.thetas, float, 1)
@@ -80,9 +79,7 @@ class EigenFamily:
         sq = sq[0::2] + sq[1::2]
         if not np.all(np.abs(np.sqrt(sq) - 1.0) <= 1e-12):
             raise ValueError("family vectors must be unit vectors")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "residuals", residuals)
+        self._fill(thetas, vectors, residuals)
 
     @classmethod
     def from_pairs(cls, pairs) -> "EigenFamily":
@@ -112,22 +109,24 @@ class EigenFamily:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class EigenExpansion:
+class EigenExpansion(_Frozen):
     """Finite combination sum_j coeffs[j] x_j over the members of a family.
 
     Powers of the operator act on the eigenvalues only, so orbits of an
     expansion stay bounded whatever the operator norm is.
     """
 
-    coeffs: np.ndarray
-    terms: EigenFamily
+    __slots__ = ("coeffs", "terms")
+
+    def __init__(self, coeffs: np.ndarray, terms: EigenFamily):
+        self._fill(coeffs, terms)
+        self.__post_init__()
 
     def __post_init__(self):
         coeffs = _frozen(self.coeffs, complex, 1)
         if coeffs.size != len(self.terms):
             raise ValueError("need one coefficient per family member")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._fill(coeffs, self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)

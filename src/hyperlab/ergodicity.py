@@ -10,25 +10,29 @@ value is the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._kernels import _blocks, _unit_phases
+from ._kernels import _Frozen, _Value, _blocks, _unit_phases
 from .eigenfields import EigenExpansion
 from .steinhaus import MCReport, _phase_rows
 
 
-@dataclass(frozen=True)
-class CorrelationSpec:
-    c: tuple  # <x*, x_p>
-    d: tuple  # <y*, x_p>
-    angles: tuple  # theta_p
+class CorrelationSpec(_Value):
+    """c_p = <x*, x_p> and d_p = <y*, x_p> for the eigenvector x_p of
+    angle theta_p = angles[p]."""
+
+    __slots__ = ("c", "d", "angles")
+
+    def __init__(self, c: tuple, d: tuple, angles: tuple):
+        self._fill(c, d, angles)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(complex(z) for z in self.c))
-        object.__setattr__(self, "d", tuple(complex(z) for z in self.d))
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        self._fill(
+            tuple(complex(z) for z in self.c),
+            tuple(complex(z) for z in self.d),
+            tuple(float(a) for a in self.angles),
+        )
         if not len(self.c) == len(self.d) == len(self.angles):
             raise ValueError("c, d and angles must have equal lengths")
 
@@ -95,15 +99,15 @@ def cesaro_average(values, N: int) -> float:
     return float(np.mean(vals))
 
 
-@dataclass(frozen=True, eq=False)
-class WitnessReport:
+class WitnessReport(_Frozen):
     """Cesaro averages over n < N of the correlation (``cesaro``) and of
     the squared cross term (``witness``), with the correlation at each
     n < N."""
 
-    cesaro: float
-    witness: float
-    correlation: np.ndarray
+    __slots__ = ("cesaro", "witness", "correlation")
+
+    def __init__(self, cesaro: float, witness: float, correlation: np.ndarray):
+        self._fill(cesaro, witness, correlation)
 
 
 def witness_report(spec: CorrelationSpec, N: int) -> WitnessReport:

@@ -8,16 +8,19 @@ construction and safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._kernels import _Frozen
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+
+class StateVector(_Frozen):
     """Finite-truncation element of a complex sequence space."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        self._fill(entries)
+        self.__post_init__()
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=complex)
@@ -26,7 +29,7 @@ class StateVector:
         if not np.all(np.isfinite(arr)):
             raise ValueError("entries must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        self._fill(arr)
 
     @property
     def dim(self) -> int:

@@ -8,28 +8,33 @@ weights eps * 4**-k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from ._kernels import _Frozen
 
 SCALED_BACKWARD_SHIFT = "scaled_backward_shift"
 PERTURBED_DIAGONAL = "perturbed_diagonal"
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorSpec:
+class OperatorSpec(_Frozen):
     """A linear operator with an application rule and a norm bound.
 
     ``norm_bound`` always dominates the true operator norm on the truncated
     space (it equals w for the scaled backward shift).
     """
 
-    kind: str
-    dim: int
-    norm_bound: float
-    weight: float | None = None
-    angles: np.ndarray | None = None
-    eps: float | None = None
+    __slots__ = ("kind", "dim", "norm_bound", "weight", "angles", "eps")
+
+    def __init__(
+        self,
+        kind: str,
+        dim: int,
+        norm_bound: float,
+        weight: float | None = None,
+        angles: np.ndarray | None = None,
+        eps: float | None = None,
+    ):
+        self._fill(kind, dim, norm_bound, weight, angles, eps)
 
 
 def _coupling(op: OperatorSpec) -> np.ndarray:

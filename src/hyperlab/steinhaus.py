@@ -9,20 +9,18 @@ ids give independent blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._kernels import _blocks, _unit_phases
+from ._kernels import _Value, _blocks, _unit_phases
 from .eigenfields import EigenExpansion
 from .operators import OperatorSpec, _apply
 
 
-@dataclass(frozen=True)
-class MCReport:
-    estimate: float
-    stderr: float
-    trials: int
+class MCReport(_Value):
+    __slots__ = ("estimate", "stderr", "trials")
+
+    def __init__(self, estimate: float, stderr: float, trials: int):
+        self._fill(estimate, stderr, trials)
 
 
 def sample_steinhaus(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -97,6 +95,10 @@ def khinchine_report(coeffs, trials: int, rng: np.random.Generator) -> MCReport:
     scale = float(np.max(np.maximum(np.abs(coeffs.real), np.abs(coeffs.imag)), initial=0.0))
     if not scale > 0:
         raise ValueError("need coefficients with a nonzero l2 norm")
+    if np.isinf(1.0 / scale):
+        # numpy divides by a real scale as coeffs * (1 / scale), which
+        # overflows below 2**-1024; a power of two scales them exactly
+        coeffs, scale = coeffs * 2.0**64, scale * 2.0**64
     coeffs = coeffs / scale
     l2 = float(np.linalg.norm(coeffs))
     if trials < 1000:
@@ -114,13 +116,15 @@ def khinchine_report(coeffs, trials: int, rng: np.random.Generator) -> MCReport:
     )
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(_Value):
     """Per-probe moment gaps between Phi and T Phi, with combined Monte
-    Carlo standard errors."""
+    Carlo standard errors: ``rows`` holds (probe index, moment order, gap,
+    stderr) tuples."""
 
-    rows: tuple  # of (probe index, moment order, gap, stderr)
-    max_gap: float
+    __slots__ = ("rows", "max_gap")
+
+    def __init__(self, rows: tuple, max_gap: float):
+        self._fill(rows, max_gap)
 
     def within(self, k_sigma: float) -> bool:
         return all(gap <= k_sigma * se for _, _, gap, se in self.rows)

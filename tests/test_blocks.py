@@ -9,7 +9,6 @@ element budget ``_kernels._BLOCK`` that cuts them.
 """
 
 import _thread
-import dataclasses
 import importlib
 import json
 import re
@@ -349,6 +348,13 @@ def test_cross_terms_match_the_one_array_formula(monkeypatch, cores, N):
 # ---------------------------------------------------- visit certificate
 
 
+def _with(block, **changes):
+    """A copy of ``block`` with ``changes``, made by the Block constructor
+    from its slots."""
+    fields = {name: getattr(block, name) for name in construction.Block.__slots__}
+    return construction.Block(**{**fields, **changes})
+
+
 def _closest_sq_per_sample(block, terms, weights, f):
     """Reference: one distance evaluation per sampled realization, giving
     its smallest squared distance to the block's center over the return
@@ -393,7 +399,7 @@ def test_visit_rate_matches_the_sample_loop(
         # radius is the median closest approach is visited by about half,
         # so a sample moved between blocks changes the rate
         closest = _closest_sq_per_sample(b, terms, weights, f)
-        probe = dataclasses.replace(b, radius=float(np.sqrt(np.median(closest))), index=60)
+        probe = _with(b, radius=float(np.sqrt(np.median(closest))), index=60)
         for block in (b, probe):
             tol = block.radius + 2.0 ** (-(block.index - 1))
             expected = np.count_nonzero(closest < tol * tol) / weights.shape[0]
@@ -421,7 +427,7 @@ def _visit_block(family, k: int, P: int, samples: int):
         budget=1.0,
     )
     closest = _closest_sq_per_sample(block, terms, weights, f)
-    block = dataclasses.replace(block, radius=float(np.sqrt(np.median(closest))))
+    block = _with(block, radius=float(np.sqrt(np.median(closest))))
     return block, terms, weights, f
 
 
@@ -707,7 +713,7 @@ _LAYERS = (
 
 def _record_public_calls(monkeypatch) -> list:
     """Wrap every public function of the layer modules, every public method
-    and property of their classes and every dataclass __post_init__, as a
+    and property of their classes and every record's __post_init__, as a
     span tracer does, and return the list of (name, thread id) each call
     appends to.  A public call on a helper thread would start a span with
     no parent there."""

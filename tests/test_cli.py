@@ -17,7 +17,14 @@ from hyperlab import eigenfields as ef
 from hyperlab import ergodicity as ergo
 from hyperlab import operators as ops
 from hyperlab import steinhaus as st
-from hyperlab.cli import _PIPELINES, _first_difference, main, run_experiment, validate_config
+from hyperlab.cli import (
+    _PIPELINES,
+    _complexes,
+    _first_difference,
+    main,
+    run_experiment,
+    validate_config,
+)
 from hyperlab.linspace import StateVector
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -497,16 +504,55 @@ def test_depth_zero_cantor_run_writes_valid_json(tmp_path):
     assert cantor["min_margin"] is None and cantor["passed"] is True
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["overflow", "underflow"])
+@pytest.mark.parametrize(
+    "scale", [1e200, 1e-170, 5e-324], ids=["overflow", "underflow", "subnormal"]
+)
 def test_khinchine_ratio_does_not_depend_on_the_scale(tmp_path, scale):
-    # |a|**2 overflows at 1e200 and underflows at 1e-170, but one
-    # coefficient's ratio is exactly 1 at any scale
+    # |a|**2 overflows at 1e200 and underflows at 1e-170, and 1 / 5e-324
+    # overflows, but one coefficient's ratio is exactly 1 at any scale
     khinchine = {"coefficients": [[scale, 0]], "trials": 1000}
     cfg, errors = validate_config(json.dumps({"seed": 1, "pipelines": {"khinchine": khinchine}}))
     assert not errors, errors
     assert run_experiment(cfg, tmp_path) == 0
     result = read_summary(tmp_path)["results"]["khinchine"]
     assert result["estimate"] == 1.0 and result["passed"] is True
+
+
+_CESARO_SUMS = "N * sum |c|^2 * sum |d|^2, a bound on the Cesaro sums", 2.0**1020
+
+
+@pytest.mark.parametrize(
+    "c, d, N",
+    [
+        # sum |c|^2 * sum |d|^2 overflows
+        ([[1e200, 0]], [[1e200, 0]], 1000),
+        # inf * 0: the constant term is NaN
+        ([[1e200, 0]], [[0, 0]], 1000),
+        # every correlation is finite, but not the sum of N of them
+        ([[3e76, 0], [3e76, 0]], [[3e76, 0], [3e76, 0]], 1000),
+    ],
+    ids=["overflow", "nan", "sum-overflow"],
+)
+def test_validate_refuses_an_ergodicity_witness_that_overflows(c, d, N):
+    angles = [0.3, 0.5][: len(c)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = ergo.witness_report(ergo.CorrelationSpec(*map(_complexes, (c, d)), angles), N)
+    assert not (math.isfinite(report.cesaro) and math.isfinite(report.witness))
+    ergodicity = {"c": c, "d": d, "angles": angles, "N": N}
+    cfg, errors = validate_config(json.dumps({"seed": 1, "pipelines": {"ergodicity": ergodicity}}))
+    assert cfg is None
+    what, ceiling = _CESARO_SUMS
+    assert errors == [f"pipelines.ergodicity.{what}, must be <= {ceiling}"]
+
+
+def test_an_ergodicity_witness_below_the_overflow_ceiling_is_finite(tmp_path):
+    ergodicity = {"c": [[1e75, 0]], "d": [[1e75, 0]], "angles": [0.3], "N": 1000}
+    cfg, errors = validate_config(json.dumps({"seed": 1, "pipelines": {"ergodicity": ergodicity}}))
+    assert not errors, errors
+    assert run_experiment(cfg, tmp_path) == 0
+    result = read_summary(tmp_path)["results"]["ergodicity"]
+    assert result["passed"] is True
+    assert result["witness"] == pytest.approx(1e300, rel=1e-12)
 
 
 # runs a workload config in a fresh interpreter and prints whether the run
@@ -902,6 +948,14 @@ _D_PRIME = "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size o
         ("diophantine", {"angle_count": 2, "targets_per_angle": 2}, "p_max", 2**25, _PHASE_TESTS),
         ("construct", {"targets": [TARGET]}, "p_max", 2**23, _COVERING_POWERS),
         ("construct", {"targets": [TARGET, TARGET]}, "p_max", 2**22, _COVERING_POWERS),
+        # N * 2**504 * 2**504 <= 2**1020
+        (
+            "ergodicity",
+            {"c": [[2.0**252, 0]], "d": [[2.0**252, 0]], "angles": [0.3]},
+            "N",
+            2**12,
+            _CESARO_SUMS,
+        ),
         (
             "syndetic",
             {"eta": 1.9, "angle_count": 1},
@@ -922,6 +976,7 @@ _D_PRIME = "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size o
         "diophantine-four-cells",
         "construct-one-step",
         "construct-two-steps",
+        "ergodicity-cesaro-sums",
         "syndetic-one-angle",
         "syndetic-two-angles",
     ],
@@ -1153,13 +1208,15 @@ def test_domain_errors_of_any_pipeline_are_reported_not_raised(
 
 # in a fresh interpreter, prints as JSON lines the hyperlab modules loaded
 # once cli is imported and once the config argv[2] is validated, then every
-# module, from any package, that its run adds
+# module, from any package, that its run adds; the records are plain
+# classes, so dataclasses is loaded at neither point
 _IMPORTS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 at_start = set(sys.modules)
 
 def loaded():
+    assert "dataclasses" not in sys.modules, "dataclasses is loaded"
     return sorted(m for m in sys.modules if m.partition(".")[0] == "hyperlab")
 
 from hyperlab import cli
@@ -1209,6 +1266,7 @@ def test_a_run_loads_only_the_modules_of_its_pipelines(tmp_path, pipeline):
     after_cli, after_validate, run_adds = map(json.loads, result.stdout.splitlines())
     assert after_cli == _hyperlab_modules(_CLI_MODULES)
     assert after_validate == _hyperlab_modules(_CLI_MODULES + _PIPELINE_MODULES[pipeline])
+    assert "dataclasses" not in run_adds
     if pipeline in _DRAWING:
         # making the generator loads numpy.random and what it imports
         assert "numpy.random" in run_adds

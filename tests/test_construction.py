@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -141,8 +140,10 @@ def test_vectorised_visit_rate_matches_per_sample_loop(rng, monkeypatch):
     # every sample visits the construction's own balls; a ball whose
     # radius is the median closest approach is visited by about half
     closest = _closest_sq_per_sample(state.blocks[0], terms, weights, f)
-    probe = dataclasses.replace(
-        state.blocks[0], radius=float(np.sqrt(np.median(closest))), index=60
+    # the first block with another radius and index, from its slots
+    fields = {name: getattr(state.blocks[0], name) for name in construction.Block.__slots__}
+    probe = construction.Block(
+        **{**fields, "radius": float(np.sqrt(np.median(closest))), "index": 60}
     )
     for b in (*state.blocks, probe):
         tol = b.radius + 2.0 ** (-(b.index - 1))

@@ -1,10 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from hyperlab import (
     cantor,
+    cli,
     construction,
     density,
     diophantine,
@@ -12,6 +11,7 @@ from hyperlab import (
     ergodicity,
     linspace,
     operators,
+    steinhaus,
 )
 from hyperlab.linspace import StateVector, norm
 
@@ -58,10 +58,14 @@ _ARRAY_RECORDS = (
     linspace.StateVector,
     operators.OperatorSpec,
     eigenfields.EigenPair,
+    eigenfields.EigenFamily,
+    eigenfields.EigenExpansion,
+    cantor.CantorField,
     cantor.SeparationReport,
     density.TargetBall,
     density.VisitRecord,
     density.FhcReport,
+    diophantine.ReturnTimeSet,
     diophantine.CoveringNet,
     ergodicity.WitnessReport,
     construction.Block,
@@ -71,11 +75,92 @@ _ARRAY_RECORDS = (
 
 @pytest.mark.parametrize("cls", _ARRAY_RECORDS, ids=lambda cls: cls.__name__)
 def test_records_of_arrays_compare_and_hash_by_identity(cls):
-    # a generated __eq__ would compare the arrays, whose truth value raises,
-    # and a generated __hash__ would hash them, which raises too
+    # an __eq__ over the fields would compare the arrays, whose truth value
+    # raises, and a __hash__ over them would hash them, which raises too
     a, b = (object.__new__(cls) for _ in range(2))
     for record in (a, b):
-        for field in dataclasses.fields(cls):
-            object.__setattr__(record, field.name, np.ones(3))
+        for name in cls.__slots__:
+            object.__setattr__(record, name, np.ones(3))
     assert a == a and not a == b and a != b
     assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+
+
+_CERTIFICATE = (1, 0.1, 0.25, 1.0, 0.5, 0.01)
+# records that compare by their fields: (class, arguments, arguments of a
+# record that differs in one field)
+_VALUE_RECORDS = (
+    (steinhaus.MCReport, (0.5, 0.01, 1000), (0.5, 0.01, 1001)),
+    (steinhaus.InvarianceReport, (((0, 1, 0.1, 0.2),), 0.1), (((0, 2, 0.1, 0.2),), 0.1)),
+    (construction.CoefficientSplit, ((0.5j, 0.5j),), ((0.5j,),)),
+    (construction.BlockCertificate, _CERTIFICATE, (2, *_CERTIFICATE[1:])),
+    (
+        construction.ConstructionReport,
+        ((construction.BlockCertificate(*_CERTIFICATE),), 0.1, 0.25),
+        ((construction.BlockCertificate(2, *_CERTIFICATE[1:]),), 0.1, 0.25),
+    ),
+    (construction.ConstructionTarget, (((0.5, 3),), 0.5), (((0.5, 3),), 0.5, 2)),
+    (diophantine.SyndeticResult, ((1, 2, 3), 1, ()), ((1, 2, 3), 1, (4,))),
+    (diophantine.TorusTarget, ((0.1, 0.2), (1, 1j), 0.5), ((0.1, 0.2), (1, -1j), 0.5)),
+    (ergodicity.CorrelationSpec, ((1,), (1j,), (0.3,)), ((1,), (1j,), (0.4,))),
+    (
+        cli.ExperimentConfig,
+        (1, 8, {}, {"count": 16}, {"cantor": {}}, {"cantor": {"depth": 1}}),
+        (1, 8, {}, {"count": 16}, {"cantor": {}}, {"cantor": {"depth": 2}}),
+    ),
+)
+# the only records whose fields may be assigned
+_MUTABLE = (construction.ConstructionState, cli.ExperimentConfig)
+
+
+@pytest.mark.parametrize(
+    "cls, args, other", _VALUE_RECORDS, ids=[row[0].__name__ for row in _VALUE_RECORDS]
+)
+def test_value_records_compare_and_hash_by_their_fields(cls, args, other):
+    a, b, c = cls(*args), cls(*args), cls(*other)
+    assert a == b and not a != b and a is not b
+    assert a != c and not a == c
+    # a record is not the tuple of its fields
+    assert a != tuple(getattr(a, name) for name in cls.__slots__)
+    if cls in _MUTABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b, c}) == 2
+    assert repr(a).startswith(f"{cls.__name__}({cls.__slots__[0]}=")
+
+
+_FROZEN = [cls for cls in _ARRAY_RECORDS if cls not in _MUTABLE]
+_FROZEN += [row[0] for row in _VALUE_RECORDS if row[0] not in _MUTABLE]
+
+
+@pytest.mark.parametrize("cls", _FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_records_refuse_assignment(cls):
+    record = object.__new__(cls)
+    for name in cls.__slots__:
+        object.__setattr__(record, name, name)
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == name
+    # slots leave no room for a field the class does not name
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "extra", 0)
+
+
+@pytest.mark.parametrize("cls", _MUTABLE, ids=lambda cls: cls.__name__)
+def test_mutable_records_take_assignment(cls):
+    record = object.__new__(cls)
+    for name in cls.__slots__:
+        setattr(record, name, name)
+        assert getattr(record, name) == name
+
+
+def test_each_construction_state_has_its_own_lists():
+    op = operators.make_scaled_backward_shift(2.0, 4)
+    a, b = (construction.ConstructionState(op, None) for _ in range(2))
+    a.blocks.append(1)
+    a.used.append(2)
+    assert b.blocks == [] and b.used == []

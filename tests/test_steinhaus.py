@@ -67,6 +67,14 @@ def test_khinchine_second_moment_is_exactly_the_l2_mass(rng):
     assert second == pytest.approx(float(np.sum(np.abs(coeffs) ** 2)), rel=0.01)
 
 
+def test_khinchine_subnormal_coefficients_give_the_report_of_their_multiple():
+    # 2**-1074 and 2**-1073 scale by a power of two to 1 and 2 exactly,
+    # where 1 / scale would overflow
+    tiny = khinchine_report([5e-324, 1e-323j], 1000, np.random.default_rng(3))
+    plain = khinchine_report([1.0, 2j], 1000, np.random.default_rng(3))
+    assert np.isfinite(tiny.estimate) and tiny == plain
+
+
 def test_khinchine_input_validation(rng):
     with pytest.raises(ValueError):
         khinchine_report([], 1000, rng)
