@@ -97,8 +97,13 @@ def _unit_phases(t, out=None) -> np.ndarray:
 
 
 def chord_to(frac: np.ndarray, target_frac) -> np.ndarray:
-    """|exp(2*pi*i*x) - exp(2*pi*i*y)| = 2 |sin(pi (x - y))|."""
-    return 2.0 * np.abs(np.sin(np.pi * (frac - target_frac)))
+    """|exp(2*pi*i*x) - exp(2*pi*i*y)| = 2 |sin(pi (x - y))| for the
+    fraction arrays x and y, which broadcast: each step writes over the
+    array of x - y, so no temporary is made."""
+    chord = np.subtract(frac, target_frac)
+    np.multiply(np.pi, chord, out=chord)
+    np.abs(np.sin(chord, out=chord), out=chord)
+    return np.multiply(2.0, chord, out=chord)
 
 
 def _distinct(values) -> np.ndarray:

@@ -250,11 +250,11 @@ _LIMITS = (
      lambda p: p["targets_per_angle"] ** p["angle_count"], _MAX_CELLS),
     # every unsolved cell tests the angle_count phases of each power a
     # coordinate at a time: at the ceiling, 2**22 powers of one unsolvable
-    # cell over 64 angles at eta 1.5 took 5.4 s, 89,478,485 powers of one cell
-    # over 3 at eta 0.001 5.1 s, 5461 of 4096 cells over 12 at eta 1.9 0.69 s
+    # cell over 64 angles at eta 1.5 took 0.3 s, 89,478,485 powers of one cell
+    # over 3 at eta 0.001 2.3 s, 5461 of 4096 cells over 12 at eta 1.9 0.1 s
     ("diophantine", "p_max * angle_count * cell count, the phase tests of the scan",
      lambda p: p["p_max"] * p["angle_count"] * p["targets_per_angle"] ** p["angle_count"], 1 << 28),
-    # a chunk of powers at a time: horizon 10**6 over 16 angles took 0.35 s
+    # a chunk of powers at a time: horizon 10**6 over 16 angles took 0.16 s
     ("syndetic", "horizon * angle_count, the size of the phase array",
      lambda p: p["horizon"] * p["angle_count"], 1 << 24),
     # the difference check is quadratic in |D'|, the powers whose chords all
@@ -272,6 +272,10 @@ _LIMITS = (
     # room for rounding
     ("ergodicity", "N * sum |c|^2 * sum |d|^2, a bound on the Cesaro sums",
      lambda p: p["N"] * _square_sum(p["c"]) * _square_sum(p["d"]), 2.0**1020),
+    # a phase n * theta of 2**52 or more has no fractional part left, and
+    # past the largest float it is inf, whose exp makes the correlation NaN
+    ("ergodicity", "N * the largest |angle|, a bound on the phases n * theta",
+     lambda p: p["N"] * max(map(abs, p["angles"]), default=0), 2**52),
 )
 
 

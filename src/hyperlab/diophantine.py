@@ -5,7 +5,8 @@ Q-independent irrational angles the joint powers equidistribute, so a
 solving power always exists and a finite scan finds the smallest one.
 Every scan takes its powers from one schedule (:func:`_powers`) and
 keeps the powers whose every phase lies within eta of its target by one
-test (:func:`_within`), which checks one coordinate at a time on the
+test (:func:`_within`, whose steps :func:`first_returns` shares among
+its targets), which computes and checks one coordinate at a time on the
 powers still left.  Covering nets re-verify every stored power.
 """
 
@@ -30,18 +31,27 @@ def _powers(p_max: int):
         start, size = start + size, min(2 * size, _CHUNK)
 
 
-def _within(frac: np.ndarray, mu_fracs, eta: float, kept=None) -> np.ndarray:
-    """The columns i among ``kept`` (default: all) of the k x n phase
-    fractions ``frac``, one row per angle and one column per power, with
-    chord_to(frac[j, i], mu_fracs[j]) < eta for every j.  Each coordinate
-    is tested on the columns the ones before it kept; with k = 0 all stay.
-    """
-    for j in range(len(frac)):
-        if kept is None:
-            kept = np.flatnonzero(chord_to(frac[j], mu_fracs[j]) < eta)
-        else:
-            kept = kept[chord_to(frac[j, kept], mu_fracs[j]) < eta]
-    return np.arange(frac.shape[1]) if kept is None else kept
+def _fracs(angle, p: np.ndarray, kept) -> np.ndarray:
+    """The phase fractions (angle * p) % 1.0 of the powers p[kept] (all of
+    p when ``kept`` is None)."""
+    return (angle * (p if kept is None else p[kept])) % 1.0
+
+
+def _passing(frac: np.ndarray, mu_frac, eta: float, kept) -> np.ndarray:
+    """The entries of ``kept`` (indices into the powers; all of them when
+    None) whose phase fraction in ``frac`` lies within eta of mu_frac."""
+    hit = chord_to(frac, mu_frac) < eta
+    return np.flatnonzero(hit) if kept is None else kept[hit]
+
+
+def _within(angles, p: np.ndarray, mu_fracs, eta: float, kept=None) -> np.ndarray:
+    """The indices i among ``kept`` (default: all) of the powers p with
+    chord_to((angles[j] * p[i]) % 1.0, mu_fracs[j]) < eta for every j.
+    Coordinate j's fractions are computed only on the powers that the
+    coordinates before it kept; with no angles all stay."""
+    for angle, mu_frac in zip(angles, mu_fracs):
+        kept = _passing(_fracs(angle, p, kept), mu_frac, eta, kept)
+    return np.arange(p.size) if kept is None else kept
 
 
 class TorusTarget(_Value):
@@ -110,9 +120,11 @@ def first_returns(angles, targets, eta: float, p_max: int) -> list[int | None]:
     |lambda_j**p - mu_j| < eta for all j, or None if the finite scan is
     exhausted; lambda_j = exp(2*pi*i*angles[j]).
 
-    One scan serves every target: each chunk of powers computes its phase
-    fractions once, and every target still unsolved takes the first power
-    of the chunk that :func:`_within` keeps for it.
+    One scan serves every target, as :func:`_within` would for each: in
+    each chunk of powers, the unsolved targets that agree on every
+    coordinate before j share coordinate j's phase fractions, and share
+    the chord test of each value that coordinate takes among them.  Every
+    target takes the first power of the chunk that its tests keep.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -127,11 +139,20 @@ def first_returns(angles, targets, eta: float, p_max: int) -> list[int | None]:
         unsolved = [i for i, q in enumerate(powers) if q is None]
         if not unsolved:
             break
-        frac = np.outer(angles, p) % 1.0
-        for i in unsolved:
-            kept = _within(frac, mu_fracs[i], eta)
-            if kept.size:
-                powers[i] = int(p[kept[0]])
+        # (targets that agree on the coordinates before j, j, the powers
+        # those coordinates kept, None for all)
+        groups = [(np.array(unsolved), 0, None)]
+        while groups:
+            rows, j, kept = groups.pop()
+            if j == angles.size:
+                for i in rows.tolist():
+                    powers[i] = int(p[0 if kept is None else kept[0]])
+                continue
+            frac, column = _fracs(angles[j], p, kept), mu_fracs[rows, j]
+            for value in set(column.tolist()):
+                passed = _passing(frac, value, eta, kept)
+                if passed.size:
+                    groups.append((rows[column == value], j + 1, passed))
     return powers
 
 
@@ -192,7 +213,7 @@ def covering_scan(
     remaining = cell_to_p.size
     strides = m ** np.arange(k - 1, -1, -1)
     for p in _powers(p_max):
-        p = p[_within(np.outer(fixed, p) % 1.0, np.zeros(fixed.size), fixed_eta)]
+        p = p[_within(fixed, p, np.zeros(fixed.size), fixed_eta)]
         frac = np.outer(angles, p) % 1.0
         flat = strides @ (np.round(frac * m).astype(np.int64) % m)
         uniq, first = np.unique(flat, return_index=True)
@@ -212,15 +233,20 @@ def covering_scan(
 
 
 def _verify_net(net: CoveringNet, fixed: np.ndarray, fixed_eta: float) -> None:
-    """Re-evaluate every stored power against its net point independently."""
-    k = len(net.angles)
-    p = net.cell_to_p
-    if k and net.mesh > 1:
-        grid = np.array(np.unravel_index(np.arange(p.size), (net.mesh,) * k)).T / net.mesh
-        frac = np.outer(p, np.asarray(net.angles)) % 1.0
-        if not np.all(chord_to(frac, grid) < net.eta):
-            raise AssertionError("covering scan produced an invalid power")
-    if not np.all(chord_to(np.outer(p, fixed) % 1.0, 0.0) < fixed_eta):
+    """Re-evaluate every stored power against its net point independently,
+    a block of cells of :func:`_kernels._cuts` at a time."""
+    k, m = len(net.angles), net.mesh
+    angles, p = np.asarray(net.angles), net.cell_to_p
+    on_net = on_filter = True
+    for start, stop in _cuts(p.size, k + fixed.size):
+        cells = p[start:stop]
+        if k and m > 1:
+            grid = np.array(np.unravel_index(np.arange(start, stop), (m,) * k)).T / m
+            on_net &= bool(np.all(chord_to(np.outer(cells, angles) % 1.0, grid) < net.eta))
+        on_filter &= bool(np.all(chord_to(np.outer(cells, fixed) % 1.0, 0.0) < fixed_eta))
+    if not on_net:
+        raise AssertionError("covering scan produced an invalid power")
+    if not on_filter:
         raise AssertionError("covering scan violated the fixed-angle filter")
 
 
@@ -248,10 +274,9 @@ def syndetic_return_set(angles, eta: float, horizon: int) -> SyndeticResult:
     d_mask, d_prime = np.zeros(horizon, dtype=bool), []
     # D' lies in D, since its chords are all below eta / 2
     for p in _powers(horizon):
-        frac = np.outer(angles, p) % 1.0
-        kept = _within(frac, one, eta)
+        kept = _within(angles, p, one, eta)
         d_mask[p[kept] - 1] = True
-        d_prime.append(p[_within(frac, one, eta / 2, kept)])
+        d_prime.append(p[_within(angles, p, one, eta / 2, kept)])
     d = np.flatnonzero(d_mask) + 1
     if d.size == 0:
         raise ValueError(f"return set empty within horizon {horizon}: eta={eta} too tight")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _Frozen, _Value, _blocks, _unit_phases
+from ._kernels import _Frozen, _Value, _blocks, _cuts, _unit_phases
 from .eigenfields import EigenExpansion
 from .steinhaus import MCReport, _phase_rows
 
@@ -116,10 +116,10 @@ def witness_report(spec: CorrelationSpec, N: int) -> WitnessReport:
     if N < 10**3:
         raise ValueError("N must be at least 10**3")
     cross = spec.cross_terms(np.arange(N))
-    correlation = spec.product_term() - spec.diagonal_term() + cross
-    return WitnessReport(
-        float(np.mean(correlation)), float(np.mean(cross)), correlation
-    )
+    witness = float(np.mean(cross))
+    # the correlation overwrites the cross term: x + (p - d) is (p - d) + x
+    correlation = np.add(cross, spec.product_term() - spec.diagonal_term(), out=cross)
+    return WitnessReport(float(np.mean(correlation)), witness, correlation)
 
 
 def nonergodicity_witness(spec: CorrelationSpec, N: int) -> float:
@@ -156,14 +156,20 @@ def correlation_monte_carlo(
     )
 
 
+# the characters of a correlation.csv row at most: an index, two float
+# reprs of up to 24 characters each and the separators
+_ROW_CHARS = 64
+
+
 def correlation_csv(correlation, path) -> None:
     """(n, correlation, running Cesaro average) rows for plotting, one per
-    entry of ``correlation``, in the csv module's excel dialect."""
+    entry of ``correlation``, in the csv module's excel dialect, written a
+    block of rows of :func:`_kernels._cuts` at a time, each row counted as
+    _ROW_CHARS elements."""
     vals = np.asarray(correlation, dtype=float)
     running = np.cumsum(vals) / np.arange(1, vals.size + 1)
-    rows = "".join(
-        f"{n},{v!r},{r!r}\r\n"
-        for n, (v, r) in enumerate(zip(vals.tolist(), running.tolist()))
-    )
     with open(path, "w", newline="") as fh:
-        fh.write("n,correlation,running_cesaro\r\n" + rows)
+        fh.write("n,correlation,running_cesaro\r\n")
+        for start, stop in _cuts(vals.size, _ROW_CHARS):
+            rows = zip(range(start, stop), vals[start:stop].tolist(), running[start:stop].tolist())
+            fh.write("".join(f"{n},{v!r},{r!r}\r\n" for n, v, r in rows))

@@ -77,16 +77,19 @@ def apply(op: OperatorSpec, x) -> np.ndarray:
     return _apply(op, x)
 
 
-def _apply(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
-    """:func:`apply` on a complex array already checked against op.dim.
-    It calls no public function, so a row-block helper thread may run it."""
+def _apply(op: OperatorSpec, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`apply` on a complex array already checked against op.dim,
+    written into ``out`` (a complex array of x's shape that does not overlap
+    x, made when not given).  It calls no public function, so a row-block
+    helper thread may run it."""
+    if out is None:
+        out = np.empty_like(x)
     if op.kind == SCALED_BACKWARD_SHIFT:
-        out = np.zeros_like(x)
-        out[..., :-1] = op.weight * x[..., 1:]
+        np.multiply(op.weight, x[..., 1:], out=out[..., :-1])
+        out[..., -1] = 0
     elif op.kind == PERTURBED_DIAGONAL:
-        out = _diagonal(op) * x
+        np.multiply(_diagonal(op), x, out=out)
         out[..., :-1] += _coupling(op) * x[..., 1:]
     else:
         raise ValueError(f"unknown operator kind {op.kind!r}")
     return out
-

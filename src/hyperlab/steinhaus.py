@@ -157,16 +157,17 @@ def invariance_gap(
 
     def sample(side):
         def block(start, stop, chi, scratch):
-            y = scratch.reshape(stop - start, d)
+            # Phi in the first half of each block's scratch, T Phi in the second
+            y, ty = scratch.reshape(2, stop - start, d)
             np.matmul(np.multiply(chi, coeffs, out=chi), vt, out=y)
             if side:
-                y = _apply(op, y)
+                y = _apply(op, y, ty)
             # one matrix-vector product per probe: a single (rows, d) @ (d, m)
             # product may round differently, and the gaps reach summary.json
             for f, out in zip(conj, moduli[side]):
                 out[start:stop] = np.abs(y @ f)
 
-        _phase_rows(rng, trials, k, block, d)
+        _phase_rows(rng, trials, k, block, 2 * d)
 
     sample(0)
     sample(1)

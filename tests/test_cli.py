@@ -545,6 +545,34 @@ def test_validate_refuses_an_ergodicity_witness_that_overflows(c, d, N):
     assert errors == [f"pipelines.ergodicity.{what}, must be <= {ceiling}"]
 
 
+_PHASES = "N * the largest |angle|, a bound on the phases n * theta", 2**52
+
+
+def test_validate_refuses_ergodicity_angles_whose_phases_overflow(tmp_path, capsys):
+    # n * 1e308 is inf for every n > 1, so the witness and the Cesaro average are NaN
+    spec = ergo.CorrelationSpec([2**-0.5] * 2, [2**-0.5] * 2, [1e308, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = ergo.witness_report(spec, 1000)
+    assert math.isnan(report.witness) and math.isnan(report.cesaro)
+    raw = {"seed": 1, "dimension": 8, "family": {"count": 16}}
+    raw["pipelines"] = {"ergodicity": {"N": 1000, "angles": [1e308, 0.5]}}
+    what, ceiling = _PHASES
+    refusal = f"pipelines.ergodicity.{what}, must be <= {ceiling}"
+    assert validate_config(json.dumps(raw)) == (None, [refusal])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    for command, status in ((["validate"], 1), (["run", "--out", str(tmp_path / "out")], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", str(path)], standalone_mode=False)
+        assert exc.value.code == status
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert not (tmp_path / "out").exists()
+    # an empty angle list costs nothing: only its length is refused
+    raw["pipelines"]["ergodicity"]["angles"] = []
+    _, errors = validate_config(json.dumps(raw))
+    assert errors == ["pipelines.ergodicity.c, d and angles must have equal lengths"]
+
+
 def test_an_ergodicity_witness_below_the_overflow_ceiling_is_finite(tmp_path):
     ergodicity = {"c": [[1e75, 0]], "d": [[1e75, 0]], "angles": [0.3], "N": 1000}
     cfg, errors = validate_config(json.dumps({"seed": 1, "pipelines": {"ergodicity": ergodicity}}))
@@ -956,6 +984,8 @@ _D_PRIME = "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size o
             2**12,
             _CESARO_SUMS,
         ),
+        # N * 2**40 <= 2**52, whatever the sign of the angle
+        ("ergodicity", {"angles": [0.3, -(2.0**40)]}, "N", 2**12, _PHASES),
         (
             "syndetic",
             {"eta": 1.9, "angle_count": 1},
@@ -977,6 +1007,7 @@ _D_PRIME = "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size o
         "construct-one-step",
         "construct-two-steps",
         "ergodicity-cesaro-sums",
+        "ergodicity-phases",
         "syndetic-one-angle",
         "syndetic-two-angles",
     ],

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hyperlab import diophantine
+from hyperlab import _kernels, diophantine
 from hyperlab.diophantine import (
     CoveringNet,
     NetCoverageError,
@@ -17,6 +17,7 @@ from hyperlab.diophantine import (
     solve_simultaneous,
     syndetic_return_set,
 )
+from hyperlab.eigenfields import qindependent_angles
 
 SQRT2 = float(np.sqrt(2) % 1)
 SQRT3 = float(np.sqrt(3) % 1)
@@ -127,18 +128,40 @@ def test_first_returns_matches_the_per_target_scan(chunk, monkeypatch):
         for _ in range(12):
             angles, targets, eta = _edge_case(rng, k)
             cases.append((angles, targets, eta, 1000))
+    # the diophantine pipeline's grid targets, whose coordinates share
+    # values, in order and as duplicated rows
+    grids = []
+    for k, per_angle, eta in ((2, 2, 0.3), (2, 3, 0.5), (3, 2, 0.5), (3, 3, 0.9), (4, 2, 1.0)):
+        targets = _grid_targets(k, per_angle)
+        rows = rng.integers(0, len(targets), size=2 * len(targets))
+        grids.append(len(cases))
+        cases.append((qindependent_angles(k), targets, eta, 20_000))
+        cases.append((qindependent_angles(k), targets[rows], eta, 20_000))
     results = []
-    for angles, targets, eta, p_max in cases:
+    for i, (angles, targets, eta, p_max) in enumerate(cases):
         got = first_returns(angles, targets, eta, p_max)
         expected = [
             per_target_scan(TorusTarget(angles, mu, eta), p_max) for mu in targets
         ]
         assert got == expected, (angles, targets, eta, p_max)
         results += got
+        if i in grids:
+            assert None not in got
+            # the chunks of powers that solve the grid targets
+            starts = [int(p[0]) for p in diophantine._powers(p_max)]
+            chunks = set(np.searchsorted(starts, got, side="right").tolist())
+            assert len(chunks) > 1 or chunk > 1000
     assert None in results and 1 in results
     if chunk < 1000:
         # targets solved in later chunks than others
         assert any(p is not None and p > chunk for p in results)
+
+
+def _grid_targets(k, per_angle):
+    """The targets of the diophantine pipeline: one row per cell of a
+    per_angle ** k grid."""
+    grid = np.exp(2j * np.pi * (np.arange(per_angle) + 0.5) / per_angle)
+    return np.array([grid[list(idx)] for idx in np.ndindex((per_angle,) * k)])
 
 
 def test_first_returns_argument_checks():
@@ -249,6 +272,28 @@ def test_growing_chunks_skip_an_early_chunk_the_fixed_angles_empty():
 def test_growing_chunks_report_the_same_uncovered_point():
     assert not _same_outcome(((SQRT2,), 0.3, 0.15), dict(p_max=20))
     assert not _same_outcome(((SQRT2, SQRT3), 0.8, 0.4), dict(p_max=diophantine._FIRST_CHUNK + 1))
+
+
+@pytest.mark.parametrize("budget", [None, 2**6])
+def test_net_verification_checks_every_block_of_cells(budget, monkeypatch):
+    if budget:
+        # 21 cells a block for two angles and one fixed angle
+        monkeypatch.setattr(_kernels, "_BLOCK", budget)
+    fixed = np.array([float(np.sqrt(5) % 1)])
+    net = covering_scan((SQRT2, SQRT3), 0.4, 0.2, fixed, 1.0, p_max=10**6)
+    assert net.mesh == 32
+    diophantine._verify_net(net, fixed, 1.0)
+    # the cell of the net point (-1, -1) given the power of the cell of (1, 1)
+    bad = net.cell_to_p.copy()
+    bad[16 * 32 + 16] = bad[0]
+    bad = CoveringNet(net.angles, net.eta, net.mesh, bad)
+    with pytest.raises(AssertionError, match="invalid power"):
+        diophantine._verify_net(bad, fixed, 1.0)
+    # no stored power meets a filter of 1e-9, and the net check comes first
+    with pytest.raises(AssertionError, match="fixed-angle filter"):
+        diophantine._verify_net(net, fixed, 1e-9)
+    with pytest.raises(AssertionError, match="invalid power"):
+        diophantine._verify_net(bad, fixed, 1e-9)
 
 
 def test_covering_scan_parameter_validation():

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from hyperlab import _kernels
+from hyperlab import ergodicity as ergo
 from hyperlab.cli import run_experiment, validate_config
 from hyperlab.ergodicity import (
     CorrelationSpec,
@@ -151,6 +153,49 @@ def test_ergodicity_run_matches_the_separate_evaluations(tmp_path, N):
     reference_csv(spec, min(N, 10**4), tmp_path / "reference.csv")
     written = (tmp_path / "correlation.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
+
+
+def one_piece_csv(correlation, path):
+    """The correlation CSV formatted as one string and written at once, as
+    correlation_csv wrote it before it took a block of rows at a time."""
+    vals = np.asarray(correlation, dtype=float)
+    running = np.cumsum(vals) / np.arange(1, vals.size + 1)
+    rows = "".join(
+        f"{n},{v!r},{r!r}\r\n"
+        for n, (v, r) in enumerate(zip(vals.tolist(), running.tolist()))
+    )
+    with open(path, "w", newline="") as fh:
+        fh.write("n,correlation,running_cesaro\r\n" + rows)
+
+
+@pytest.mark.parametrize("budget", [None, 2**9])
+def test_correlation_csv_written_by_blocks_equals_the_one_piece_text(tmp_path, budget, monkeypatch):
+    if budget:
+        monkeypatch.setattr(_kernels, "_BLOCK", budget)
+    block = _kernels._BLOCK // ergo._ROW_CHARS
+    # one block of rows, and the fewest rows that take two
+    assert len(_kernels._cuts(block, ergo._ROW_CHARS)) == 1
+    assert len(_kernels._cuts(block + 1, ergo._ROW_CHARS)) == 2
+    vals = two_pair_spec().correlation(np.arange(3 * block + 2))
+    for n in (0, 1, 2, block - 1, block, block + 1, 3 * block + 2):
+        correlation_csv(vals[:n], tmp_path / "blocks.csv")
+        one_piece_csv(vals[:n], tmp_path / "one-piece.csv")
+        written = (tmp_path / "blocks.csv").read_bytes()
+        assert written == (tmp_path / "one-piece.csv").read_bytes()
+        assert written.count(b"\r\n") == n + 1
+
+
+@pytest.mark.parametrize("N", [1000, 2 * _kernels._BLOCK + 1])
+def test_witness_report_correlation_is_the_constant_plus_the_cross_term(N):
+    rng = np.random.default_rng(N)
+    c, d = (rng.normal(size=(4, 2)) @ [1, 1j] for _ in range(2))
+    spec = CorrelationSpec(c, d, rng.random(4))
+    report = witness_report(spec, N)
+    cross = spec.cross_terms(np.arange(N))
+    expected = spec.product_term() - spec.diagonal_term() + cross
+    assert np.array_equal(report.correlation.view(np.int64), expected.view(np.int64))
+    assert report.witness == float(np.mean(cross))
+    assert report.cesaro == float(np.mean(expected))
 
 
 def test_witness_report_refuses_short_averages():

@@ -8,6 +8,9 @@ from hyperlab.eigenfields import (
     qindependent_angles,
 )
 from hyperlab.operators import (
+    _apply,
+    _coupling,
+    _diagonal,
     apply,
     make_perturbed_diagonal,
     make_scaled_backward_shift,
@@ -117,6 +120,41 @@ def test_batched_apply_equals_row_by_row_bit_for_bit(kind):
     # any leading shape maps over the last axis
     cube = batch.reshape(5, 100, d)
     assert np.array_equal(apply(op, cube).view(float), rows.reshape(5, 100, d).view(float))
+
+
+def _reference_apply(op, x):
+    """T x as a fresh array, the way _apply computed it before it took an
+    output array: kept as the reference for its bits."""
+    if op.kind == "scaled_backward_shift":
+        out = np.zeros_like(x)
+        out[..., :-1] = op.weight * x[..., 1:]
+    else:
+        out = _diagonal(op) * x
+        out[..., :-1] += _coupling(op) * x[..., 1:]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["shift", "diagonal"])
+def test_apply_into_an_output_array_equals_a_fresh_result_bit_for_bit(kind):
+    d = 64
+    op = _operators(d)[kind == "diagonal"]
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((300, d)) + 1j * rng.standard_normal((300, d))
+    x.setflags(write=False)
+    # every entry of out is written, the shift's last column included
+    out = np.full_like(x, np.nan)
+    got = _apply(op, x, out)
+    assert got is out
+    fresh = _apply(op, x)
+    assert np.array_equal(out.view(float), fresh.view(float))
+    assert np.array_equal(out.view(float), _reference_apply(op, x).view(float))
+    # a block of rows written into one half of a scratch buffer
+    scratch = np.full(2 * 300 * d, np.nan, dtype=complex)
+    y, ty = scratch.reshape(2, 300, d)
+    y[:] = x
+    _apply(op, y, ty)
+    assert np.array_equal(ty.view(float), fresh.view(float))
+    assert np.array_equal(y.view(float), x.view(float))
 
 
 def test_power_iteration_matrix_is_the_column_stacked_basis_images():
