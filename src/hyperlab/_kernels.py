@@ -115,17 +115,14 @@ def _distinct(values) -> np.ndarray:
     return times
 
 
-def _distances(mat, cand, parents, bufs=None) -> np.ndarray:
+def _distances(mat, cand, parents) -> np.ndarray:
     """||mat[:, cand[i]] - mat[:, parents[i]]|| for each i, bit for bit
     np.linalg.norm(a - b, axis=0) of the row-major gathers a and b, a block
-    of :func:`_cuts` at a time in the two buffers of the list ``bufs``
-    (empty or not given at first), grown should a block need more, so that
+    of :func:`_cuts` at a time in two buffers of the largest block, so that
     no d x candidates temporary is made."""
     d, cuts = mat.shape[0], _cuts(cand.size, mat.shape[0])
     size = d * max((stop - start for start, stop in cuts), default=0)
-    bufs = [] if bufs is None else bufs
-    if not bufs or bufs[0].size < size:
-        bufs[:] = np.empty(size, complex), np.empty(size, complex)
+    bufs = np.empty(size, complex), np.empty(size, complex)
     dists = np.empty(cand.size)
     for start, stop in cuts:
         a, b = (buf[: d * (stop - start)].reshape(d, stop - start) for buf in bufs)
@@ -219,11 +216,36 @@ def _inside(w, f, balls) -> list:
 
 class _Record:
     """Base of the lab's records.  A record's fields are its class's
-    ``__slots__``, and its ``__init__`` is written out in the class, so
-    defining a record generates no code.  A record compares and hashes by
-    identity unless its class says otherwise."""
+    ``__slots__``, and the one ``__init__`` takes them in that order, by
+    position or by name, so defining a record generates no code.  It sets
+    them through :meth:`_fill` and then calls the class's
+    ``__post_init__``, where a record that checks or converts its fields
+    does so; a tracer that wraps ``__post_init__`` on the class
+    (``perfbench/tracer.py``) sees every checked record that is built.  A
+    record compares and hashes by identity unless its class says
+    otherwise."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        slots = self.__slots__
+        if named:
+            values += tuple(named.pop(name) for name in slots[len(values) :] if name in named)
+        if named or len(values) != len(slots):
+            unknown = f" and the unknown or repeated names {', '.join(named)}" if named else ""
+            raise TypeError(
+                f"{type(self).__name__} takes the fields {', '.join(slots)}, by position"
+                f" or by name, not {len(values)} values{unknown}"
+            )
+        self._fill(*values)
+        post = getattr(type(self), "__post_init__", None)
+        if post is not None:
+            post(self)
+
+    def _fill(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -234,19 +256,10 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A record whose ``__init__`` sets every field once, through
-    :meth:`_fill`; assigning or deleting a field afterwards raises
-    AttributeError.  A record that checks or converts its fields does so
-    in ``__post_init__``, which its ``__init__`` calls last, so a tracer
-    that wraps ``__post_init__`` (``perfbench/tracer.py``) sees every
-    checked record that is built."""
+    """A record whose fields are set once, by its ``__init__``; assigning
+    or deleting a field afterwards raises AttributeError."""
 
     __slots__ = ()
-
-    def _fill(self, *values) -> None:
-        """Set the fields, in ``__slots__`` order, to ``values``."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a read-only {type(self).__name__}")

@@ -37,9 +37,6 @@ class CantorField(_Frozen):
 
     __slots__ = ("depth", "seed_family", "nodes")
 
-    def __init__(self, depth: int, seed_family: EigenFamily, nodes: np.ndarray):
-        self._fill(depth, seed_family, nodes)
-
 
 def _label(j: int) -> str:
     return format(j + 1, "b")[1:]
@@ -107,12 +104,9 @@ def build_cantor_field(seed, depth: int) -> CantorField:
         raise ValueError("depth must be >= 0")
     if isinstance(seed, EigenFamily):
         thetas = seed.thetas
-        # the gather buffers of every vector distance of the build, grown by
-        # _kernels._distances and kept, since fresh ones per search cost page faults
-        bufs = []
 
         def distances(cand, parents):
-            return _distances(seed.vectors, cand, parents, bufs)
+            return _distances(seed.vectors, cand, parents)
 
     else:
         thetas, weight, d = seed
@@ -289,16 +283,6 @@ class SeparationReport(_Frozen):
     below node j's two children, ``deltas[j]`` half the children's gap."""
 
     __slots__ = ("passed", "min_margin", "margins", "deltas", "delta_respected_fraction")
-
-    def __init__(
-        self,
-        passed: bool,
-        min_margin: float,
-        margins: np.ndarray,
-        deltas: np.ndarray,
-        delta_respected_fraction: float,
-    ):
-        self._fill(passed, min_margin, margins, deltas, delta_respected_fraction)
 
 
 def verify_cantor_separation(field: CantorField) -> SeparationReport:

@@ -92,16 +92,6 @@ class ExperimentConfig(_Record):
 
     __slots__ = ("seed", "dimension", "operator", "family", "pipelines", "params")
 
-    def __init__(
-        self, seed: int, dimension: int, operator: dict, family: dict, pipelines: dict, params: dict
-    ):
-        self.seed = seed
-        self.dimension = dimension
-        self.operator = operator
-        self.family = family
-        self.pipelines = pipelines
-        self.params = params
-
     def __eq__(self, other):
         return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
 
@@ -237,45 +227,54 @@ _PARAMS = (
 
 
 # One row per ceiling on a cost that spans several parameters of one
-# pipeline: (pipeline, what, cost of its resolved parameters, ceiling).
+# pipeline: (pipeline, what, cost of its resolved parameters p and the
+# config's bounds b, ceiling).
 # validate_config checks the rows in order once every parameter passes its
 # own check, and a pipeline's first failed row ends its checks, so a cost
 # may assume the rows before it hold.  Times are from a 2-core host.
 _LIMITS = (
     # 10**8 draws took 3.7 s
     ("khinchine", "trials * coefficient count, the number of Steinhaus draws",
-     lambda p: p["trials"] * (len(c) if isinstance(c := p["coefficients"], list) else c["equal"]),
+     lambda p, b: p["trials"]
+     * (len(c) if isinstance(c := p["coefficients"], list) else c["equal"]),
      1 << 26),
     ("diophantine", "targets_per_angle ** angle_count, the cell count",
-     lambda p: p["targets_per_angle"] ** p["angle_count"], _MAX_CELLS),
+     lambda p, b: p["targets_per_angle"] ** p["angle_count"], _MAX_CELLS),
     # every unsolved cell tests the angle_count phases of each power a
     # coordinate at a time: at the ceiling, 2**22 powers of one unsolvable
     # cell over 64 angles at eta 1.5 took 0.3 s, 89,478,485 powers of one cell
     # over 3 at eta 0.001 2.3 s, 5461 of 4096 cells over 12 at eta 1.9 0.1 s
     ("diophantine", "p_max * angle_count * cell count, the phase tests of the scan",
-     lambda p: p["p_max"] * p["angle_count"] * p["targets_per_angle"] ** p["angle_count"], 1 << 28),
+     lambda p, b: p["p_max"] * p["angle_count"] * p["targets_per_angle"] ** p["angle_count"],
+     1 << 28),
     # a chunk of powers at a time: horizon 10**6 over 16 angles took 0.16 s
     ("syndetic", "horizon * angle_count, the size of the phase array",
-     lambda p: p["horizon"] * p["angle_count"], 1 << 24),
+     lambda p, b: p["horizon"] * p["angle_count"], 1 << 24),
     # the difference check is quadratic in |D'|, the powers whose chords all
     # stay below eta / 2; at one angle |D'| = 12606 took 0.16 s and 16383 took 0.22 s
     ("syndetic", "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size of D'",
-     lambda p: p["horizon"] * (2 * math.asin(p["eta"] / 4) / math.pi) ** p["angle_count"], 1 << 14),
+     lambda p, b: p["horizon"] * (2 * math.asin(p["eta"] / 4) / math.pi) ** p["angle_count"],
+     1 << 14),
     ("construct", "p_max * steps, the powers the covering scans may test",
-     lambda p: p["p_max"] * p["steps"], _MAX_COVERING_POWERS),
+     lambda p, b: p["p_max"] * p["steps"], _MAX_COVERING_POWERS),
     # the invariance gap keeps two float64 moduli per probe and trial
     ("invariance", "trials * probes, the number of moduli per batch",
-     lambda p: p["trials"] * p["probes"], 1 << 24),
+     lambda p, b: p["trials"] * p["probes"], 1 << 24),
+    # the batches of Phi and T Phi each draw one Steinhaus variable per trial
+    # and term: at the ceiling, 2**20 trials of 32 terms and 8 probes at
+    # dimension 16 took 4.9 s
+    ("invariance", "trials * min(terms, family size) * 2, the Steinhaus draws of both batches",
+     lambda p, b: p["trials"] * min(p["terms"], b["family size"]) * 2, 1 << 26),
     # the correlation's constant term sum |c|^2 * sum |d|^2 bounds the cross
     # term too (Cauchy-Schwarz), so no correlation exceeds twice it, and the
     # Cesaro sums of N of them stay finite below the ceiling, which leaves
     # room for rounding
     ("ergodicity", "N * sum |c|^2 * sum |d|^2, a bound on the Cesaro sums",
-     lambda p: p["N"] * _square_sum(p["c"]) * _square_sum(p["d"]), 2.0**1020),
+     lambda p, b: p["N"] * _square_sum(p["c"]) * _square_sum(p["d"]), 2.0**1020),
     # a phase n * theta of 2**52 or more has no fractional part left, and
     # past the largest float it is inf, whose exp makes the correlation NaN
     ("ergodicity", "N * the largest |angle|, a bound on the phases n * theta",
-     lambda p: p["N"] * max(map(abs, p["angles"]), default=0), 2**52),
+     lambda p, b: p["N"] * max(map(abs, p["angles"]), default=0), 2**52),
 )
 
 
@@ -409,7 +408,7 @@ def validate_config(text: str, horizon=None, seed=None):
     failed = set()
     for name, what, cost, ceiling in _LIMITS:
         # a NaN cost is refused too
-        if name in params and name not in failed and not cost(params[name]) <= ceiling:
+        if name in params and name not in failed and not cost(params[name], bounds) <= ceiling:
             failed.add(name)
             errors.append(f"pipelines.{name}.{what}, must be <= {ceiling}")
     erg = params.get("ergodicity")

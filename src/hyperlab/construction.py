@@ -31,7 +31,6 @@ from ._kernels import (
 )
 from .diophantine import ReturnTimeSet, covering_scan
 from .eigenfields import EigenExpansion, EigenFamily
-from .linspace import StateVector
 from .operators import OperatorSpec
 from .steinhaus import _phase_rows, sample_steinhaus
 
@@ -55,9 +54,6 @@ class CoefficientSplit(_Value):
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple):
-        self._fill(parts)
-
 
 def split_coefficient(a: complex, eps: float) -> CoefficientSplit:
     """N = floor(|a|**2/eps) + 1 equal parts a/N; then sum(parts) == a and
@@ -77,8 +73,7 @@ class ConstructionTarget(_Value):
     __slots__ = ("coefficients", "radius", "reach_power")
 
     def __init__(self, coefficients: tuple, radius: float, reach_power: int = 1):
-        self._fill(coefficients, radius, reach_power)
-        self.__post_init__()
+        super().__init__(coefficients, radius, reach_power)
 
     def __post_init__(self):
         self._fill(
@@ -108,21 +103,6 @@ class Block(_Frozen):
         "budget",
     )
 
-    def __init__(
-        self,
-        index: int,
-        terms: EigenExpansion,
-        center: StateVector,
-        radius: float,
-        reach_power: int,
-        return_times: ReturnTimeSet,
-        expected_norm_bound: float,
-        budget: float,
-    ):
-        self._fill(
-            index, terms, center, radius, reach_power, return_times, expected_norm_bound, budget
-        )
-
 
 class ConstructionState(_Record):
     """The blocks built so far and ``used``, the family indices of all
@@ -131,10 +111,7 @@ class ConstructionState(_Record):
     __slots__ = ("op", "family", "blocks", "used")
 
     def __init__(self, op: OperatorSpec, family: EigenFamily, blocks=None, used=None):
-        self.op = op
-        self.family = family
-        self.blocks = [] if blocks is None else blocks
-        self.used = [] if used is None else used
+        super().__init__(op, family, [] if blocks is None else blocks, [] if used is None else used)
 
     def max_pi(self) -> int:
         return max((b.return_times.pi_max for b in self.blocks), default=0)
@@ -348,23 +325,9 @@ class BlockCertificate(_Value):
         "visit_stderr",
     )
 
-    def __init__(
-        self,
-        index: int,
-        expected_norm_bound: float,
-        budget: float,
-        visit_rate: float,
-        visit_floor: float,
-        visit_stderr: float,
-    ):
-        self._fill(index, expected_norm_bound, budget, visit_rate, visit_floor, visit_stderr)
-
 
 class ConstructionReport(_Value):
     __slots__ = ("certificates", "total_norm_estimate", "total_norm_budget")
-
-    def __init__(self, certificates: tuple, total_norm_estimate: float, total_norm_budget: float):
-        self._fill(certificates, total_norm_estimate, total_norm_budget)
 
     def all_passed(self) -> bool:
         return all(

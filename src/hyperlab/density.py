@@ -19,7 +19,6 @@ import numpy as np
 
 from ._kernels import _Frozen, _ball, _blocks, _distinct, _factor, _inside, _unit_phases
 from .eigenfields import EigenExpansion
-from .linspace import StateVector
 
 # powers per row of anchors in the visit scan's phase table; every scan
 # block is a multiple of it
@@ -28,10 +27,6 @@ _STEP = 1 << 10
 
 class TargetBall(_Frozen):
     __slots__ = ("center", "radius")
-
-    def __init__(self, center: StateVector, radius: float):
-        self._fill(center, radius)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.radius < 0:
@@ -43,10 +38,6 @@ class VisitRecord(_Frozen):
     [0, horizon)."""
 
     __slots__ = ("times", "horizon", "target")
-
-    def __init__(self, times: np.ndarray, horizon: int, target: TargetBall):
-        self._fill(times, horizon, target)
-        self.__post_init__()
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.int64)
@@ -156,9 +147,6 @@ def lower_density_estimate(rec: VisitRecord, windows) -> float:
 
 class FhcReport(_Frozen):
     __slots__ = ("records", "proxies", "passed")
-
-    def __init__(self, records: tuple, proxies: tuple, passed: bool):
-        self._fill(records, proxies, passed)
 
 
 def fhc_harness(x: EigenExpansion, targets, N: int) -> FhcReport:

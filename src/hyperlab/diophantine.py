@@ -60,10 +60,6 @@ class TorusTarget(_Value):
 
     __slots__ = ("angles", "targets", "eta")
 
-    def __init__(self, angles: tuple, targets: tuple, eta: float):
-        self._fill(angles, targets, eta)
-        self.__post_init__()
-
     def __post_init__(self):
         self._fill(
             tuple(float(a) for a in self.angles),
@@ -85,10 +81,6 @@ class ReturnTimeSet(_Frozen):
     """A nonempty set of powers: a read-only ascending int64 array."""
 
     __slots__ = ("times",)
-
-    def __init__(self, times: np.ndarray):
-        self._fill(times)
-        self.__post_init__()
 
     def __post_init__(self):
         times = _distinct(self.times)
@@ -176,9 +168,6 @@ class CoveringNet(_Frozen):
 
     __slots__ = ("angles", "eta", "mesh", "cell_to_p")
 
-    def __init__(self, angles: tuple, eta: float, mesh: int, cell_to_p: np.ndarray):
-        self._fill(angles, eta, mesh, cell_to_p)
-
     @property
     def return_times(self) -> ReturnTimeSet:
         return ReturnTimeSet(self.cell_to_p)
@@ -256,9 +245,6 @@ class SyndeticResult(_Value):
     from D (``violations``)."""
 
     __slots__ = ("times", "gap_bound", "violations")
-
-    def __init__(self, times: tuple, gap_bound: int, violations: tuple):
-        self._fill(times, gap_bound, violations)
 
 
 def syndetic_return_set(angles, eta: float, horizon: int) -> SyndeticResult:

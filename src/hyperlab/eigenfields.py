@@ -24,9 +24,6 @@ class EigenPair(_Frozen):
 
     __slots__ = ("theta", "vector", "residual")
 
-    def __init__(self, theta: float, vector: StateVector, residual: float):
-        self._fill(theta, vector, residual)
-
     @property
     def eigenvalue(self) -> complex:
         return unimodular(self.theta)
@@ -60,10 +57,6 @@ class EigenFamily(_Frozen):
     """
 
     __slots__ = ("thetas", "vectors", "residuals")
-
-    def __init__(self, thetas: np.ndarray, vectors: np.ndarray, residuals: np.ndarray):
-        self._fill(thetas, vectors, residuals)
-        self.__post_init__()
 
     def __post_init__(self):
         thetas = _frozen(self.thetas, float, 1)
@@ -117,10 +110,6 @@ class EigenExpansion(_Frozen):
     """
 
     __slots__ = ("coeffs", "terms")
-
-    def __init__(self, coeffs: np.ndarray, terms: EigenFamily):
-        self._fill(coeffs, terms)
-        self.__post_init__()
 
     def __post_init__(self):
         coeffs = _frozen(self.coeffs, complex, 1)

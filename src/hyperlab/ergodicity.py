@@ -23,10 +23,6 @@ class CorrelationSpec(_Value):
 
     __slots__ = ("c", "d", "angles")
 
-    def __init__(self, c: tuple, d: tuple, angles: tuple):
-        self._fill(c, d, angles)
-        self.__post_init__()
-
     def __post_init__(self):
         self._fill(
             tuple(complex(z) for z in self.c),
@@ -105,9 +101,6 @@ class WitnessReport(_Frozen):
     n < N."""
 
     __slots__ = ("cesaro", "witness", "correlation")
-
-    def __init__(self, cesaro: float, witness: float, correlation: np.ndarray):
-        self._fill(cesaro, witness, correlation)
 
 
 def witness_report(spec: CorrelationSpec, N: int) -> WitnessReport:

@@ -18,10 +18,6 @@ class StateVector(_Frozen):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries):
-        self._fill(entries)
-        self.__post_init__()
-
     def __post_init__(self):
         arr = np.array(self.entries, dtype=complex)
         if arr.ndim != 1 or arr.size < 1:

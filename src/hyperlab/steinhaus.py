@@ -19,9 +19,6 @@ from .operators import OperatorSpec, _apply
 class MCReport(_Value):
     __slots__ = ("estimate", "stderr", "trials")
 
-    def __init__(self, estimate: float, stderr: float, trials: int):
-        self._fill(estimate, stderr, trials)
-
 
 def sample_steinhaus(rng: np.random.Generator, n: int) -> np.ndarray:
     """n i.i.d. points uniform on the unit circle."""
@@ -122,9 +119,6 @@ class InvarianceReport(_Value):
     stderr) tuples."""
 
     __slots__ = ("rows", "max_gap")
-
-    def __init__(self, rows: tuple, max_gap: float):
-        self._fill(rows, max_gap)
 
     def within(self, k_sigma: float) -> bool:
         return all(gap <= k_sigma * se for _, _, gap, se in self.rows)

@@ -370,8 +370,7 @@ def test_seed_order_does_not_change_the_field(w, d, count, depth):
 def test_build_is_the_same_under_a_small_block_budget(monkeypatch, w, d, count, depth):
     seed = sample_2B_family(w, d, count)
     outcome = build_outcome(seed, depth)
-    # blocks of two or three columns, into the gather buffers that the
-    # build grows from empty
+    # gathers of two or three columns a block
     monkeypatch.setattr(_kernels, "_BLOCK", 16)
     assert build_outcome(seed, depth) == outcome
 
@@ -390,7 +389,7 @@ def test_column_distances_equal_the_norm_of_the_difference(monkeypatch, budget, 
     # contiguous axis pairwise, in another order
     cand, parents = rng.integers(k, size=(2, 3 * k))
     a, b = np.take(mat, cand, axis=1), np.take(mat, parents, axis=1)
-    got = _kernels._distances(mat, cand, parents, [np.empty(1, complex), np.empty(1, complex)])
+    got = _kernels._distances(mat, cand, parents)
     assert np.array_equal(got, np.linalg.norm(a - b, axis=0))
 
 

@@ -966,6 +966,7 @@ def _syndetic_horizon_at_the_d_prime_ceiling(eta, angle_count):
 _PHASE_TESTS = "p_max * angle_count * cell count, the phase tests of the scan", 2**28
 _COVERING_POWERS = "p_max * steps, the powers the covering scans may test", 2**23
 _D_PRIME = "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size of D'", 2**14
+_DRAWS = "trials * min(terms, family size) * 2, the Steinhaus draws of both batches", 2**26
 
 
 @pytest.mark.parametrize(
@@ -1000,6 +1001,10 @@ _D_PRIME = "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size o
             _syndetic_horizon_at_the_d_prime_ceiling(1.99, 2),
             _D_PRIME,
         ),
+        # 2**26 // 6 trials of 3 terms, one probe so the moduli stay below theirs
+        ("invariance", {"terms": 3, "probes": 1}, "trials", 2**26 // 6, _DRAWS),
+        # the run takes the family's 16 members of the 64 terms
+        ("invariance", {"terms": 64, "probes": 1}, "trials", 2**21, _DRAWS),
     ],
     ids=[
         "diophantine-one-cell",
@@ -1010,6 +1015,8 @@ _D_PRIME = "horizon * (2 asin(eta / 4) / pi) ** angle_count, the expected size o
         "ergodicity-phases",
         "syndetic-one-angle",
         "syndetic-two-angles",
+        "invariance-three-terms",
+        "invariance-family-size",
     ],
 )
 def test_limits_accept_their_ceiling_and_refuse_one_more(pipeline, params, key, largest, limit):

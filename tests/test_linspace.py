@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hyperlab import (
+    _kernels,
     cantor,
     cli,
     construction,
@@ -118,6 +119,8 @@ _MUTABLE = (construction.ConstructionState, cli.ExperimentConfig)
 def test_value_records_compare_and_hash_by_their_fields(cls, args, other):
     a, b, c = cls(*args), cls(*args), cls(*other)
     assert a == b and not a != b and a is not b
+    # the fields by name build the same record
+    assert cls(**dict(zip(cls.__slots__, args))) == a
     assert a != c and not a == c
     # a record is not the tuple of its fields
     assert a != tuple(getattr(a, name) for name in cls.__slots__)
@@ -164,3 +167,90 @@ def test_each_construction_state_has_its_own_lists():
     a.blocks.append(1)
     a.used.append(2)
     assert b.blocks == [] and b.used == []
+
+
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        # too few, too many
+        ((0.5, 0.01), {}),
+        ((0.5, 0.01, 1000, 1), {}),
+        # a missing name, an unknown one, one given by position as well
+        ((), {"estimate": 0.5, "stderr": 0.01}),
+        ((0.5, 0.01), {"trials": 1000, "samples": 1}),
+        ((0.5, 0.01), {"estimate": 0.5, "trials": 1000}),
+    ],
+)
+def test_a_record_refuses_values_that_do_not_match_its_fields(values, named):
+    with pytest.raises(TypeError, match="estimate, stderr, trials"):
+        steinhaus.MCReport(*values, **named)
+
+
+def _post_init_builds():
+    """(class, positional values) for every record class that checks or
+    converts its fields, with a family to build an expansion over."""
+    family = eigenfields.EigenFamily([0.25], [[1.0]], [0.0])
+    ball = density.TargetBall(StateVector([1.0]), 0.5)
+    return family, {
+        linspace.StateVector: ([1.0, 2.0],),
+        eigenfields.EigenFamily: ([0.25], [[1.0]], [0.0]),
+        eigenfields.EigenExpansion: ([0.5], family),
+        density.TargetBall: (StateVector([1.0]), 0.5),
+        density.VisitRecord: ([3, 1], 5, ball),
+        diophantine.ReturnTimeSet: ([3, 1],),
+        diophantine.TorusTarget: ((0.1,), (1,), 0.5),
+        construction.ConstructionTarget: (((0.5, 3),), 0.5),
+        ergodicity.CorrelationSpec: ((1,), (1j,), (0.3,)),
+    }
+
+
+def _counted_post_init(monkeypatch, cls) -> list:
+    """Wrap cls.__post_init__ on the class, as a tracer does; the list
+    returned gets one entry per call."""
+    calls, post_init = [], cls.__post_init__
+
+    def wrapper(self):
+        calls.append(self)
+        return post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", wrapper)
+    return calls
+
+
+_MODULES = (
+    cantor, cli, construction, density, diophantine, eigenfields, ergodicity, linspace, operators,
+    steinhaus,
+)
+
+
+def _records_defining(name) -> set:
+    """The record classes of the lab's modules whose class body defines name."""
+    return {
+        cls
+        for mod in _MODULES
+        for cls in vars(mod).values()
+        if isinstance(cls, type)
+        and cls.__module__ == mod.__name__
+        and issubclass(cls, _kernels._Record)
+        and name in vars(cls)
+    }
+
+
+def test_only_the_records_with_defaults_write_an_init():
+    defaults = {construction.ConstructionTarget, construction.ConstructionState}
+    assert _records_defining("__init__") == defaults | {operators.OperatorSpec}
+
+
+def test_every_checked_record_runs_its_post_init_once_per_build(monkeypatch):
+    checked = _records_defining("__post_init__")
+    family, builds = _post_init_builds()
+    assert checked == set(builds)
+    for cls, values in builds.items():
+        calls = _counted_post_init(monkeypatch, cls)
+        built = [cls(*values), cls(**dict(zip(cls.__slots__, values)))]
+        assert calls == built
+    # a build through a pipeline's path: each power is one StateVector
+    x = eigenfields.EigenExpansion([0.5], family)
+    calls = _counted_post_init(monkeypatch, linspace.StateVector)
+    vectors = [x.power(n) for n in range(3)]
+    assert calls == vectors
