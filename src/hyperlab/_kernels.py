@@ -150,10 +150,16 @@ def _gap_distances(delta, weight: float, d: int) -> np.ndarray:
     is taken instead, a block of :func:`_cuts` of d terms at a time.  Both
     stay within 1e-14 relative of an 80-bit direct sum for
     1 + 1e-6 <= weight <= 4 and d <= 1024, and d = 1 gives exactly 0.
+    Above weight 2**64 it returns the n = 1 term, 2 |sin pi D| / weight,
+    since every other is below q < 2**-128 relative; the closed form would
+    lose q * s_1**2 to subnormals from about weight 1e150 and overflow in
+    weight * weight past 1.34e154.
     """
     # the gap mod 1, exactly: sin(pi D) loses digits near D = +-1
     x = np.asarray(delta, dtype=float)
     x = np.pi * (x - np.rint(x))
+    if weight > 2.0**64:
+        return np.abs(np.sin(x)) * (2.0 / weight if d > 1 else 0.0)
     q = weight**-2.0
     # 1 - q, with weight - 1 exact
     p = (weight - 1.0) * (weight + 1.0) / (weight * weight)

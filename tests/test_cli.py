@@ -468,6 +468,19 @@ def test_cantor_seed_family_too_small_reports_failure(tmp_path, capsys):
     assert summary["passed"] is False
 
 
+def test_a_cantor_run_at_a_shift_weight_whose_square_overflows_passes(tmp_path):
+    cfg, errors = validate_config(json.dumps({
+        "seed": 1,
+        "dimension": 64,
+        "operator": {"kind": "scaled_backward_shift", "weight": 1e160},
+        "pipelines": {"cantor": {"depth": 3, "seed_count": 64}},
+    }))
+    assert not errors
+    assert run_experiment(cfg, tmp_path) == 0
+    cantor = read_summary(tmp_path)["results"]["cantor"]
+    assert cantor["passed"] is True and cantor["leaves"] == 8
+
+
 def test_perturbed_diagonal_cantor_failure_names_the_nearest_members(tmp_path):
     cfg, errors = validate_config(json.dumps({
         "seed": 1,
