@@ -57,21 +57,6 @@ def _reach(depth: int) -> float:
     return float(np.sum(np.arcsin(2.0**-n / 2.0)) / np.pi) * (1 + 1e-9) + 1e-12
 
 
-def _seed_angles(thetas, depth: int) -> np.ndarray:
-    """The angles of ``thetas`` a build to ``depth`` rooted at thetas[0]
-    can read, those within :func:`_reach` of the root, in angle order from
-    the root.
-
-    The tree depends neither on the members left out nor on the order of
-    the rest, and in this order the build's searches read near-contiguous
-    runs of columns.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
-    thetas = thetas[np.abs(offsets) <= _reach(depth)]
-    return thetas[np.argsort((thetas - thetas[0]) % 1.0, kind="stable")]
-
-
 def build_cantor_field(seed, depth: int) -> CantorField:
     """Grow the full binary tree of the halving construction to ``depth``.
 
@@ -83,11 +68,14 @@ def build_cantor_field(seed, depth: int) -> CantorField:
     ``seed_family``: each column and residual is the one a family of all
     the angles would hold, so the tree and its bytes are the same.
 
-    The root is seed member 0.  Right children are searched among unused
-    seed members inside the node's territory arc, aiming at a
+    The root is seed member 0, and the build holds only the members
+    within _reach(depth) of it, in angle order from the root, so every
+    search window is a near-contiguous run of columns; a family seed's
+    ``nodes`` still index that family.  Right children are searched among
+    unused members inside the node's territory arc, aiming at a
     deterministic target jump (ties by smaller angle).  A node with no
     admissible neighbor fails the build, naming the node and the nearest
-    chord and vector distance of the unused members within _reach(depth).
+    chord and vector distance of the unused members.
 
     The tree grows a level at a time: one search finds the right child of
     every node of a level against the members unused when the level
@@ -97,28 +85,26 @@ def build_cantor_field(seed, depth: int) -> CantorField:
     search per node would give: taking members only shrinks candidate
     sets, so a search step that found nothing still finds nothing, and a
     best member that is still unused is still the best.  Nothing depends
-    on the order of the seed members, though members in angle order make
-    every search window a near-contiguous run of columns.
+    on the order of the seed members or on those beyond the reach.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if isinstance(seed, EigenFamily):
-        thetas = seed.thetas
-
-        def distances(cand, parents):
-            return _distances(seed.vectors, cand, parents)
-
-    else:
-        thetas, weight, d = seed
-        thetas = np.asarray(thetas, dtype=float)
-
-        def distances(cand, parents):
-            return _gap_distances(thetas[cand] - thetas[parents], weight, d)
-
+    family = isinstance(seed, EigenFamily)
+    thetas, weight, d = (seed.thetas, None, None) if family else seed
+    thetas = np.asarray(thetas, dtype=float)
     # signed angle offsets from the root; all construction arithmetic is
     # done on these unwrapped coordinates
     offsets = np.mod(thetas - thetas[0] + 0.5, 1.0) - 0.5
-    # seed indices by offset: the members a jump of at most j reaches on
+    members = np.flatnonzero(np.abs(offsets) <= _reach(depth))
+    members = members[np.argsort((thetas[members] - thetas[0]) % 1.0, kind="stable")]
+    thetas, offsets = thetas[members], offsets[members]
+
+    def distances(cand, parents):
+        if family:
+            return _distances(seed.vectors, members[cand], members[parents])
+        return _gap_distances(thetas[cand] - thetas[parents], weight, d)
+
+    # member indices by offset: the members a jump of at most j reaches on
     # one side of a node are one contiguous run of this order
     by_offset = np.argsort(offsets, kind="stable")
     sorted_offsets = offsets[by_offset]
@@ -136,7 +122,7 @@ def build_cantor_field(seed, depth: int) -> CantorField:
 
     def best(picks, parents, owner, cand, chords, bound):
         """Set picks[i] to the best candidate of node i (``owner``, right
-        child of seed member ``parents[i]``) among the ``cand`` (chord gaps
+        child of member ``parents[i]``) among the ``cand`` (chord gaps
         ``chords``) that stay under the vector bound; nodes with no such
         candidate keep their -1."""
         dists = distances(cand, parents[owner])
@@ -150,7 +136,7 @@ def build_cantor_field(seed, depth: int) -> CantorField:
         picks[owner[first]] = cand[first]
 
     def search(js, bound):
-        """Seed index of each node's right child in ``js`` against the
+        """Member index of each node's right child in ``js`` against the
         members now unused, -1 where there is none.
 
         The jump prefers the roomier side of the territory, aiming near
@@ -214,7 +200,7 @@ def build_cantor_field(seed, depth: int) -> CantorField:
                 picks[i] = search(js[i : i + 1], bound)[0]
             if picks[i] < 0:
                 # how near the unused members in reach come
-                unused = np.flatnonzero(available & (np.abs(offsets) <= _reach(depth)))
+                unused = np.flatnonzero(available)
                 chord = chord_to(offsets[unused], off[j]).min(initial=np.inf)
                 parents = np.full_like(unused, nodes[j])
                 dist = distances(unused, parents).min(initial=np.inf)
@@ -243,10 +229,12 @@ def build_cantor_field(seed, depth: int) -> CantorField:
         lo[left[~up]] = off_v[~up] - buf_left[~up]
         hi[right[~up]] = off[right[~up]] + buf_right[~up]
 
-    if not isinstance(seed, EigenFamily):
-        # the root and the right children, in seed order
-        members, nodes = np.unique(nodes, return_inverse=True)
-        seed = _sqrt_prime_family(weight, d, thetas[members])
+    if family:
+        nodes = members[nodes]
+    else:
+        # the root and the right children, in angle order from the root
+        held, nodes = np.unique(nodes, return_inverse=True)
+        seed = _sqrt_prime_family(weight, d, thetas[held])
     nodes.setflags(write=False)
     field = CantorField(depth, seed, nodes)
     _check_field_invariants(field)

@@ -257,6 +257,14 @@ _LIMITS = (
      1 << 14),
     ("construct", "p_max * steps, the powers the covering scans may test",
      lambda p, b: p["p_max"] * p["steps"], _MAX_COVERING_POWERS),
+    # the ball test of the density scans squares a radius and the norm of a
+    # center, |coefficient| times a unit column, so below 2**500 each square
+    # stays finite
+    ("construct", "the largest target radius, whose square the density scan takes",
+     lambda p, b: max(t["radius"] for t in p["targets"]), 2.0**500),
+    ("density", "coefficient, whose square the ball test takes",
+     lambda p, b: p["coefficient"], 2.0**500),
+    ("density", "radius, whose square the ball test takes", lambda p, b: p["radius"], 2.0**500),
     # the invariance gap keeps two float64 moduli per probe and trial
     ("invariance", "trials * probes, the number of moduli per batch",
      lambda p, b: p["trials"] * p["probes"], 1 << 24),
@@ -560,11 +568,10 @@ def _run_cantor(cfg, op, family, params, stream, out, ctx):
 
     depth = params["depth"]
     if op.kind == ops.SCALED_BACKWARD_SHIFT:
-        # the shift's seed is its first seed_count sqrt-prime angles within
-        # the build's reach: the build takes vector distances from angle
-        # gaps and makes the field only at the tree's members
-        thetas = ef.qindependent_angles(params["seed_count"])
-        seed = (cantor_mod._seed_angles(thetas, depth), op.weight, cfg.dimension)
+        # the shift's seed is its first seed_count sqrt-prime angles: the
+        # build takes vector distances from angle gaps and makes the field
+        # only at the tree's members
+        seed = (ef.qindependent_angles(params["seed_count"]), op.weight, cfg.dimension)
     else:
         seed = family()
     field = cantor_mod.build_cantor_field(seed, depth)

@@ -137,6 +137,12 @@ def invariance_gap(
     Because the eigenvalues are unimodular and the Steinhaus law is
     rotation invariant, both moments agree exactly in distribution; the
     report quantifies the empirical gap against its Monte Carlo error.
+    Each probe's moments are taken on its moduli scaled by a power of two,
+    so the shift's far coordinates at weight 1e20, whose moduli run down
+    to 1e-140, keep a nonzero error.  From weight 1e100 the gap is real:
+    the eigenvectors' (lambda / weight)**n underflow to 0 from n = 4 (from
+    n = 3 at 1e160), so T v differs from lambda v at the coordinate before,
+    and its probe fails.
     """
     probes = np.asarray(probes, dtype=complex)
     if probes.ndim != 2 or probes.shape[0] < 1:
@@ -167,15 +173,17 @@ def invariance_gap(
     sample(1)
     rows = []
     max_gap = 0.0
-    for idx, (fa, fb) in enumerate(zip(*moduli)):
+    for idx in range(len(probes)):
+        # both batches' moduli of a probe, scaled in place by 2**-e to put
+        # the largest in [0.5, 1): a power of two is exact, and the moments
+        # of moduli far below 1 no longer underflow
+        pair = moduli[:, idx]
+        e = int(np.frexp(pair.max())[1])
+        np.ldexp(pair, -e, out=pair)
         for order in (1, 2):
-            xa, xb = fa**order, fb**order
-            gap = abs(float(np.mean(xa) - np.mean(xb)))
-            se = float(
-                np.sqrt(
-                    np.var(xa, ddof=1) / trials + np.var(xb, ddof=1) / trials
-                )
-            )
-            rows.append((idx, order, gap, se))
+            xa, xb = pair**order
+            gap = float(np.ldexp(abs(np.mean(xa) - np.mean(xb)), e * order))
+            se = np.sqrt(np.var(xa, ddof=1) / trials + np.var(xb, ddof=1) / trials)
+            rows.append((idx, order, gap, float(np.ldexp(se, e * order))))
             max_gap = max(max_gap, gap)
     return InvarianceReport(tuple(rows), max_gap)

@@ -8,7 +8,6 @@ from hyperlab import _kernels, cantor, eigenfields
 from hyperlab.cantor import (
     CantorBuildError,
     _check_field_invariants,
-    _seed_angles,
     build_cantor_field,
     field_to_csv,
     verify_cantor_separation,
@@ -393,23 +392,38 @@ def test_column_distances_equal_the_norm_of_the_difference(monkeypatch, budget, 
     assert np.array_equal(got, np.linalg.norm(a - b, axis=0))
 
 
+def failed_node(outcome):
+    """A build outcome with a failure's text cut before the nearest members."""
+    return outcome.split("; nearest")[0] if isinstance(outcome, str) else outcome
+
+
 @pytest.mark.parametrize("w, d", list(itertools.product([1.25, 1.5, 2.0, 3.0], [4, 8, 64])))
-def test_reach_restricted_seed_gives_the_same_tree(w, d):
-    # the cantor pipeline's seed: the members within _reach(depth) of the
-    # root, in angle order from the root, against the whole family in
-    # prime order
+def test_reach_restricted_seed_gives_the_same_tree(monkeypatch, w, d):
+    # a build holds only the members within _reach(depth) of the root; with
+    # the reach patched to 0.5 it holds every member, and the tree is the
+    # same from a family, from its angles and from the family shuffled
+    rng = np.random.default_rng(d)
     failed = built = 0
     for count in (1, 3, 16, 100, 512, 4096):
         thetas = qindependent_angles(count)
-        full = _sqrt_prime_family(w, d, thetas)
+        # the root stays member 0
+        shuffled = thetas[np.r_[0, 1 + rng.permutation(count - 1)]]
+        seeds = (
+            _sqrt_prime_family(w, d, thetas),
+            (thetas, w, d),
+            _sqrt_prime_family(w, d, shuffled),
+        )
         for depth in range(9):
-            angles = _seed_angles(thetas, depth)
-            assert angles[0] == thetas[0] and np.all(np.diff((angles - thetas[0]) % 1.0) > 0)
-            outcome = build_outcome(full, depth)
-            assert build_outcome(_sqrt_prime_family(w, d, angles), depth) == outcome, (count, depth)
-            assert build_outcome((angles, w, d), depth) == outcome, (count, depth)
-            failed += isinstance(outcome, str)
-            built += not isinstance(outcome, str)
+            outcomes = [build_outcome(seed, depth) for seed in seeds]
+            assert outcomes == outcomes[:1] * 3, (count, depth)
+            with monkeypatch.context() as m:
+                m.setattr(cantor, "_reach", lambda depth: 0.5)
+                whole = [build_outcome(seed, depth) for seed in seeds]
+            # a failure names the same node; only the nearest members it
+            # reports, those in reach, differ
+            assert all(failed_node(o) == failed_node(outcomes[0]) for o in whole), (count, depth)
+            failed += isinstance(outcomes[0], str)
+            built += not isinstance(outcomes[0], str)
     assert failed and built
 
 
@@ -419,7 +433,8 @@ def test_reach_restricted_seed_gives_the_same_tree(w, d):
     [(4096, 6), (2**15, 9)],
 )
 def test_angle_seed_gives_the_tree_and_columns_of_the_vector_seed(count, depth):
-    angles = _seed_angles(qindependent_angles(count), depth)
+    # the cantor pipeline's seed: the first count sqrt-prime angles
+    angles = qindependent_angles(count)
     vector = build_cantor_field(_sqrt_prime_family(2.0, 64, angles), depth)
     field = build_cantor_field((angles, 2.0, 64), depth)
     assert field.depth == depth
@@ -438,10 +453,23 @@ def test_angle_seed_gives_the_tree_and_columns_of_the_vector_seed(count, depth):
     assert a.margins.tolist() == b.margins.tolist() and a.deltas.tolist() == b.deltas.tolist()
 
 
+@pytest.mark.parametrize("depth", [3, 7])
+def test_a_family_seed_s_nodes_index_the_family_it_was_given(depth):
+    # the build reads the members in reach in angle order from the root,
+    # which is not the family's order
+    family = sample_2B_family(2.0, 64, 4096)
+    field = build_cantor_field(family, depth)
+    assert field.seed_family is family
+    angles = build_cantor_field((family.thetas, 2.0, 64), depth)
+    members = angles.seed_family
+    assert np.array_equal(family.thetas[field.nodes], members.thetas[angles.nodes])
+    assert np.array_equal(family.vectors[:, field.nodes], members.vectors[:, angles.nodes])
+
+
 def test_a_halved_gap_distance_fails_the_invariant_check(monkeypatch):
     # at w = 1.25 the vector distance is about 2.9 times the chord, so the
     # vector bound decides which members a search admits
-    seed = (_seed_angles(qindependent_angles(512), 3), 1.25, 16)
+    seed = (qindependent_angles(512), 1.25, 16)
     field = build_cantor_field(seed, 3)
     _check_field_invariants(field)
     gap = _kernels._gap_distances

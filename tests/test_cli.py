@@ -596,6 +596,54 @@ def test_an_ergodicity_witness_below_the_overflow_ceiling_is_finite(tmp_path):
     assert result["witness"] == pytest.approx(1e300, rel=1e-12)
 
 
+_BALL = "whose square the ball test takes"
+
+
+@pytest.mark.parametrize(
+    "pipelines, what",
+    [
+        # t.radius**2 raises OverflowError
+        ({"density": {"horizon": 100, "radius": 1e300}}, f"density.radius, {_BALL}"),
+        # inf - inf in the ball test: no power visits, and the calibration passes
+        ({"density": {"horizon": 100, "coefficient": 1e300}}, f"density.coefficient, {_BALL}"),
+        (
+            {
+                "construct": {"targets": [{"coefficients": [[0.5, 0, 3]], "radius": 1e300}]},
+                "density": {"horizon": 100, "use_construction": True},
+            },
+            "construct.the largest target radius, whose square the density scan takes",
+        ),
+    ],
+    ids=["density-radius", "density-coefficient", "construct-radius"],
+)
+def test_a_ball_whose_square_overflows_is_refused(tmp_path, capsys, pipelines, what):
+    raw = {"seed": 1, "dimension": 8, "family": {"count": 16}, "pipelines": pipelines}
+    refusal = f"pipelines.{what}, must be <= {2.0**500}"
+    assert validate_config(json.dumps(raw)) == (None, [refusal])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    for command, status in ((["validate"], 1), (["run", "--out", str(tmp_path / "out")], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", str(path)], standalone_mode=False)
+        assert exc.value.code == status
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_balls_at_the_square_ceiling_run_clean(tmp_path):
+    big = 2.0**500
+    pipelines = {
+        "construct": {"targets": [{"coefficients": [[0.5, 0, 3]], "radius": big}]},
+        "density": {"horizon": 100, "coefficient": big, "radius": big, "use_construction": True},
+    }
+    raw = {"seed": 1, "dimension": 8, "family": {"count": 16}, "pipelines": pipelines}
+    cfg, errors = validate_config(json.dumps(raw))
+    assert not errors, errors
+    assert run_experiment(cfg, tmp_path) == 0
+    assert read_summary(tmp_path)["results"]["density"]["passed"] is True
+
+
 # runs a workload config in a fresh interpreter and prints whether the run
 # imported numpy.ma, which numpy's first np.unique call does
 _NO_MA = """

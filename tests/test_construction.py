@@ -3,8 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from hyperlab import _kernels, construction
-from hyperlab._kernels import _factor, _quad_form
 from hyperlab.construction import (
     ConstructionState,
     ConstructionTarget,
@@ -15,7 +13,6 @@ from hyperlab.construction import (
 from hyperlab.density import TargetBall, recheck_visit
 from hyperlab.eigenfields import sample_2B_family
 from hyperlab.operators import make_scaled_backward_shift
-from hyperlab.steinhaus import sample_steinhaus
 
 
 def test_target_reach_power_keeps_return_times_in_int64():
@@ -106,53 +103,3 @@ def test_zero_steps_yields_empty_series(rng):
     state, phi, report = run_construction(op, fam, [], 0, rng)
     assert state.blocks == [] and len(phi) == 0
     assert report.total_norm_estimate == 0.0
-
-
-def _closest_sq_per_sample(block, terms, weights, f):
-    """Reference: one distance evaluation per sampled realization, giving
-    its smallest squared distance to the block's center over the return
-    times."""
-    p_arr = np.array(block.return_times.times)
-    lam_pow = np.exp(2j * np.pi * np.outer(p_arr, terms.terms.thetas)) - 1.0
-    c = block.center.entries
-    h = terms.terms.vectors.conj().T @ c
-    c_sq = float(np.real(np.vdot(c, c)))
-    closest = []
-    for w in weights:
-        v = lam_pow * w[None, :]
-        closest.append((_quad_form(v, f) - 2.0 * (v @ h.conj()).real + c_sq).min())
-    return np.array(closest)
-
-
-def test_vectorised_visit_rate_matches_per_sample_loop(rng, monkeypatch):
-    op = make_scaled_backward_shift(2.0, 32)
-    fam = sample_2B_family(2.0, 32, 256)
-    targets = [
-        ConstructionTarget(((0.5, 3),), 0.5, 1),
-        ConstructionTarget(((0.4, 11),), 0.5, 1),
-    ]
-    state, _, _ = run_construction(op, fam, targets, 2, rng, cert_samples=50)
-    terms = state.all_terms()
-    f = _factor(terms.terms.vectors)
-    samples = 300
-    omega = sample_steinhaus(rng, samples * len(terms)).reshape(samples, len(terms))
-    weights = omega * terms.coeffs[None, :]
-    # every sample visits the construction's own balls; a ball whose
-    # radius is the median closest approach is visited by about half
-    closest = _closest_sq_per_sample(state.blocks[0], terms, weights, f)
-    # the first block with another radius and index, from its slots
-    fields = {name: getattr(state.blocks[0], name) for name in construction.Block.__slots__}
-    probe = construction.Block(
-        **{**fields, "radius": float(np.sqrt(np.median(closest))), "index": 60}
-    )
-    for b in (*state.blocks, probe):
-        tol = b.radius + 2.0 ** (-(b.index - 1))
-        closest = _closest_sq_per_sample(b, terms, weights, f)
-        expected = np.count_nonzero(closest < tol * tol) / samples
-        assert construction._visit_rate(b, terms, weights, f) == expected
-        # blocks of at most 7 samples
-        size = 7 * len(b.return_times.times) * len(terms)
-        monkeypatch.setattr(_kernels, "_BLOCK", size)
-        assert construction._visit_rate(b, terms, weights, f) == expected
-        monkeypatch.undo()
-    assert 0 < expected < 1

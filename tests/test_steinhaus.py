@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperlab.eigenfields import EigenExpansion
+from hyperlab.eigenfields import EigenExpansion, sample_2B_family
 from hyperlab.operators import make_scaled_backward_shift
 from hyperlab.steinhaus import (
     _phase_rows,
@@ -129,3 +129,27 @@ def test_invariance_gap_within_monte_carlo_error(family32, rng):
     # no probe rows would make the check vacuous
     with pytest.raises(ValueError):
         invariance_gap(op, series, 4000, probes[:0], rng)
+
+
+def shift_invariance(w):
+    """The invariance pipeline's report on the shift at weight w: d = 64,
+    32 terms of 2**-j, 8 coordinate probes and 10**4 trials."""
+    op = make_scaled_backward_shift(w, 64)
+    series = EigenExpansion(0.5 ** np.arange(1, 33), sample_2B_family(w, 64, 32))
+    probes = np.eye(8, 64, dtype=complex)
+    return invariance_gap(op, series, 10**4, probes, np.random.default_rng(1))
+
+
+def test_invariance_gap_of_moduli_far_below_one_has_a_nonzero_error():
+    # at weight 1e20 the moduli at coordinates 4 to 7 run from about 1e-80
+    # down to 1e-140, and the variance of their squares would underflow to 0
+    report = shift_invariance(1e20)
+    assert all(se > 0 for _, _, _, se in report.rows)
+    assert report.within(3.0)
+
+
+def test_invariance_gap_at_weight_1e100_is_real():
+    # (lambda / w)**n underflows to 0 from n = 4, so T v differs from
+    # lambda v at coordinate 3
+    report = shift_invariance(1e100)
+    assert [(idx, order) for idx, order, gap, se in report.rows if not gap <= 3.0 * se] == [(3, 1)]
