@@ -56,8 +56,8 @@ _FAMILY = {"count": 256}
 _MAX_CELLS = 4096
 _MAX_ANGLES = 64
 # ceilings of the horizons: a syndetic horizon costs one byte per power for
-# the mask of D, and a density horizon one byte per power and target while
-# the scan runs and 8 bytes per visit and target in the records
+# the mask of D, and a density horizon 4 bytes per visit and target in the
+# records, plus one byte per power and target while the scan runs
 _MAX_SYNDETIC_HORIZON = 10**6
 _MAX_DENSITY_HORIZON = 10**7
 # each construct block's covering scan may run to p_max: 10**7 powers of an
@@ -638,9 +638,9 @@ def _run_density(cfg, op, family, params, stream, out, ctx):
     family = family()
     x = ef.EigenExpansion([coeff], family.take([index]))
     center = StateVector(coeff * family.vectors[:, index])
-    rec = density_mod.visit_times(x, density_mod.TargetBall(center, radius), horizon)
+    visits = density_mod.visit_times(x, density_mod.TargetBall(center, radius), horizon).times.size
     arc = 2.0 * np.arcsin(min(radius / (2 * abs(coeff)), 1.0)) / np.pi
-    frequency = len(rec.times) / horizon
+    frequency = visits / horizon
     error = abs(frequency - arc)
     calibration = {"arc_length": float(arc), "visit_frequency": frequency, "error": error}
     results = {"calibration": calibration, "passed": bool(error < 0.01)}
@@ -658,10 +658,11 @@ def _run_density(cfg, op, family, params, stream, out, ctx):
             for b in state.blocks
         ]
         fhc = density_mod.fhc_harness(phi, targets, horizon)
+        # one %-format per block over its first 10**4 times, so no visit
+        # makes a str of its own
         lines = ["block,n\n"] + [
-            f"{b.index}," + f"\n{b.index},".join(map(str, r.times[:10000].tolist())) + "\n"
+            f"{b.index},%d\n" * min(r.times.size, 10000) % tuple(r.times[:10000].tolist())
             for b, r in zip(state.blocks, fhc.records)
-            if r.times.size
         ]
         (out / "visit_times.csv").write_text("".join(lines))
         results["construction_orbit"] = {

@@ -15,6 +15,8 @@ window cut points; the true liminf is not finitely computable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._kernels import _Frozen, _ball, _blocks, _distinct, _factor, _inside, _unit_phases
@@ -34,13 +36,17 @@ class TargetBall(_Frozen):
 
 
 class VisitRecord(_Frozen):
-    """``times``: a read-only int64 array, sorted and unique, in
-    [0, horizon)."""
+    """``times``: a read-only int32 or int64 array, sorted and unique, in
+    [0, horizon).  Such an array is kept as given, so a record of the visit
+    scan holds each time once, at four bytes below 2**31 powers; any other
+    input becomes a new int64 array through :func:`_kernels._distinct`."""
 
     __slots__ = ("times", "horizon", "target")
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.int64)
+        times = self.times
+        if not (isinstance(times, np.ndarray) and times.dtype in (np.int32, np.int64)):
+            times = np.asarray(times, dtype=np.int64)
         if times.ndim != 1:
             raise ValueError("visit times must be one-dimensional")
         if times.flags.writeable or np.any(times[1:] <= times[:-1]):
@@ -65,8 +71,12 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
     from k = 32 on.  The rows come from :func:`_coefficient_rows`: one
     table of the phases of the first _STEP powers, made once per scan,
     times one anchor row per _STEP powers.  Each block stores its masks,
-    one byte per power and target, under its first group, and they are
-    joined in order.
+    one byte per power and target, under its first group.  A target's
+    times are joined by count and fill: its hits are counted block by
+    block, one read-only int32 array of that size is made (int64 past 2**31
+    powers), and each block writes the positions of its hits, plus its
+    first power, into its own slice and frees its mask.  So a visit costs
+    four bytes, and no temporary grows with the horizon.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -82,9 +92,15 @@ def _scan(x: EigenExpansion, targets: list, N: int) -> list:
         masks[start] = _inside(w, f, balls)
 
     _blocks(groups, _STEP * len(x), scan, _STEP)
+    starts, dtype = sorted(masks), np.int32 if N <= 2**31 else np.int64
     records = []
     for i, t in enumerate(targets):
-        times = np.flatnonzero(np.concatenate([masks[start][i] for start in sorted(masks)]))
+        counts = [np.count_nonzero(masks[start][i]) for start in starts]
+        times, stop = np.empty(sum(counts), dtype), 0
+        for start, count in zip(starts, counts):
+            np.add(np.flatnonzero(masks[start][i]), start * _STEP, out=times[stop : stop + count])
+            masks[start][i] = None
+            stop += count
         # read-only, so VisitRecord keeps it without a defensive copy
         times.flags.writeable = False
         records.append(VisitRecord(times, N, t))
@@ -135,13 +151,20 @@ def default_windows(N: int) -> list:
 
 
 def lower_density_estimate(rec: VisitRecord, windows) -> float:
-    """min over windows W of |times in [0, W)| / W."""
+    """min over windows W of |times in [0, W)| / W, for windows of at least
+    1: the times below W are those at most ceil(W) - 1, a cut searched for in
+    the times' own dtype, so the search makes no converted copy of them."""
     windows = list(windows)
     if not windows:
         raise ValueError("need at least one window")
     if sorted(windows) != windows or windows[-1] > rec.horizon:
         raise ValueError("windows must be ascending and at most the horizon")
-    counts = np.searchsorted(rec.times, windows).tolist()
+    if not all(w >= 1 for w in windows):
+        raise ValueError("windows must be at least 1")
+    # a cut past the dtype's range, above every time, counts them all
+    top = np.iinfo(rec.times.dtype).max
+    cuts = np.array([min(math.ceil(w) - 1, top) for w in windows], dtype=rec.times.dtype)
+    counts = np.searchsorted(rec.times, cuts, side="right").tolist()
     return min(float(c) / w for c, w in zip(counts, windows))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -52,6 +53,38 @@ def test_target_and_record_validation():
     given[0] = 7
     assert rec.times.tolist() == [0, 4, 9] and not rec.times.flags.writeable
     assert VisitRecord((), 10, ball).times.size == 0
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_record_keeps_a_sorted_read_only_integer_array_as_given(dtype):
+    ball = TargetBall(StateVector(np.zeros(4)), 1.0)
+    times = np.array([0, 4, 9], dtype=dtype)
+    times.flags.writeable = False
+    assert VisitRecord(times, 10, ball).times is times
+    # a writable array is copied, and an unsorted one sorted, into int64
+    for given in (np.array([0, 4, 9], dtype=dtype), times[::-1]):
+        rec = VisitRecord(given, 10, ball)
+        assert rec.times.dtype == np.int64 and rec.times.tolist() == [0, 4, 9]
+
+
+def test_scan_holds_each_visit_once_at_four_bytes(setup):
+    """Two balls that every power visits: the scan's traced peak, the masks
+    of the scan and the records' times included, stays at most 6 bytes per
+    power and target (joining by concatenation and an int64 flatnonzero
+    took 9.5)."""
+    op, x, ball = setup
+    N = 10**6
+    zero = StateVector(np.zeros(16))
+    tracemalloc.start()
+    try:
+        records = _scan(x, [TargetBall(zero, 2.0), TargetBall(zero, 1.5)], N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for rec in records:
+        assert rec.times.dtype == np.int32 and not rec.times.flags.writeable
+        assert np.array_equal(rec.times, np.arange(N))
+    assert peak <= 6 * N * len(records), peak / (N * len(records))
 
 
 def _brute_force_times(x, ball, N):
@@ -214,6 +247,33 @@ def test_lower_density_estimate_manual():
         lower_density_estimate(rec, [1000, 100])
     with pytest.raises(ValueError):
         lower_density_estimate(rec, [2000])
+    for below_one in ([0, 10], [-5, 10], [0.5, 10], [float("nan"), 10]):
+        with pytest.raises(ValueError, match="at least 1"):
+            lower_density_estimate(rec, below_one)
+
+
+def test_lower_density_estimate_searches_int32_times_in_place():
+    """An int32 record's proxies equal the int64 record's and the count of
+    the times below each window, non-integer windows included, and the
+    search makes no copy of the times."""
+    ball = TargetBall(StateVector(np.zeros(2)), 1.0)
+    N = 10**6
+    rng = np.random.default_rng(7)
+    times = np.union1d([0, 2, 3], rng.choice(N, 2 * 10**5, replace=False)).astype(np.int32)
+    times.flags.writeable = False
+    rec32, rec64 = VisitRecord(times, N, ball), VisitRecord(times.tolist(), N, ball)
+    assert rec32.times.dtype == np.int32 and rec64.times.dtype == np.int64
+    for windows in ([2.5, 10], default_windows(N), [1, 2.5, 3, 999.5, N]):
+        expected = min(np.searchsorted(rec64.times, w) / w for w in windows)
+        assert lower_density_estimate(rec32, windows) == expected
+        assert lower_density_estimate(rec64, windows) == expected
+    tracemalloc.start()
+    try:
+        lower_density_estimate(rec32, default_windows(N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < times.nbytes / 4, peak
 
 
 def test_fhc_harness_passes_iff_all_proxies_positive(setup):
