@@ -63,7 +63,9 @@ _MAX_DENSITY_HORIZON = 10**7
 # each construct block's covering scan may run to p_max: 10**7 powers of an
 # uncoverable net took 5.1 s over 8 terms, 5.0 s over one with 7 fixed angles
 _MAX_COVERING_POWERS = 1 << 23
-# the ergodicity witness holds a few float64 arrays of N powers at once
+# N sizes no ergodicity array: correlation.csv keeps its first 10**4 rows,
+# and the witness's closed form rounds its kernel phases pi N delta by about
+# N * 2**-53 radians
 _MAX_ERGODICITY_HORIZON = 10**7
 # the Khinchine ratio and the expectation certificate keep one float64 per trial
 _MAX_TRIALS = 10**7
@@ -275,14 +277,19 @@ _LIMITS = (
      lambda p, b: p["trials"] * min(p["terms"], b["family size"]) * 2, 1 << 26),
     # the correlation's constant term sum |c|^2 * sum |d|^2 bounds the cross
     # term too (Cauchy-Schwarz), so no correlation exceeds twice it, and the
-    # Cesaro sums of N of them stay finite below the ceiling, which leaves
-    # room for rounding
+    # running Cesaro sums of correlation.csv's min(N, 10**4) rows stay finite
+    # below the ceiling, which leaves room for rounding
     ("ergodicity", "N * sum |c|^2 * sum |d|^2, a bound on the Cesaro sums",
      lambda p, b: p["N"] * _square_sum(p["c"]) * _square_sum(p["d"]), 2.0**1020),
-    # a phase n * theta of 2**52 or more has no fractional part left, and
-    # past the largest float it is inf, whose exp makes the correlation NaN
+    # a phase n * theta of a correlation.csv row, n < min(N, 10**4), of 2**52
+    # or more has no fractional part left, and past the largest float it is
+    # inf, whose exp makes the row NaN; the witness reads only theta % 1.0
     ("ergodicity", "N * the largest |angle|, a bound on the phases n * theta",
      lambda p, b: p["N"] * max(map(abs, p["angles"]), default=0), 2**52),
+    # the witness's closed form holds a few k x k arrays of the angles' gaps,
+    # about 56 bytes per pair: at the ceiling, 1024 angles took 0.12-0.16 s and 57 MiB
+    ("ergodicity", "angle count ** 2, the pair terms of the witness",
+     lambda p, b: len(p["angles"]) ** 2, 1 << 20),
 )
 
 
@@ -553,13 +560,16 @@ def _run_ergodicity(cfg, op, family, params, stream, out, ctx):
     from . import ergodicity as ergo
 
     c, d, N = _complexes(params["c"]), _complexes(params["d"]), params["N"]
-    report = ergo.witness_report(ergo.CorrelationSpec(c, d, params["angles"]), N)
-    ergo.correlation_csv(report.correlation[: 10**4], out / "correlation.csv")
+    spec = ergo.CorrelationSpec(c, d, params["angles"])
+    report = ergo.witness_report(spec, N)
+    ergo.correlation_csv(spec.correlation(np.arange(min(N, 10**4))), out / "correlation.csv")
     return {
         "cesaro": report.cesaro,
         "witness": report.witness,
+        "limit": report.limit,
+        "bound": report.bound,
         "N": N,
-        "passed": report.witness > 0,
+        "passed": report.passed,
     }
 
 

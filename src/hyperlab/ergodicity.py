@@ -4,8 +4,9 @@ For a random series over unimodular eigenvectors, the time correlation of
 squared probe moduli splits into a constant (product term minus a diagonal
 overlap term) plus the squared modulus of a cross term
 sum_p lambda_p**n c_p conj(d_p).  Ergodicity would force the Cesaro
-average of the cross term to vanish; its strictly positive stabilized
-value is the witness.
+average of the cross term, the witness, to vanish as N grows; its limit
+is positive unless the weights cancel within each class of angles equal
+mod 1.
 """
 
 from __future__ import annotations
@@ -97,22 +98,58 @@ def cesaro_average(values, N: int) -> float:
 
 class WitnessReport(_Frozen):
     """Cesaro averages over n < N of the correlation (``cesaro``) and of
-    the squared cross term (``witness``), with the correlation at each
-    n < N."""
+    the squared cross term (``witness``); the witness's limit as N grows
+    (``limit``) and Wiener's bound on its distance from it (``bound``);
+    and whether the computed limit exceeds its own rounding error
+    (``passed``), which shows the Steinhaus measure not ergodic."""
 
-    __slots__ = ("cesaro", "witness", "correlation")
+    __slots__ = ("cesaro", "witness", "limit", "bound", "passed")
 
 
 def witness_report(spec: CorrelationSpec, N: int) -> WitnessReport:
-    """The non-ergodicity witness and the correlation's Cesaro average
-    from one evaluation of the cross term over n < N."""
+    """The non-ergodicity witness from its closed form, O(k**2) for k
+    angles whatever N: with a_p = c_p conj(d_p) and the Fejer kernel
+    K_N(delta) = (1/N) sum_{n<N} exp(2 pi i n delta)
+    = exp(i pi (N - 1) delta) sin(pi N delta) / (N sin(pi delta)),
+    the witness is sum_{p,q} a_p conj(a_q) K_N(theta_p - theta_q).
+
+    Each gap is taken between the angles' exact residues ``theta % 1.0``
+    and reduced by ``rint`` to [-1/2, 1/2], so angles equal mod 1 have a
+    gap of exactly 0 and a kernel of exactly 1.  By Wiener's lemma the
+    witness tends to the sum over these classes of |sum_{p in class}
+    a_p|**2, and it lies within sum |a_p a_q| / (N |sin(pi (theta_p -
+    theta_q))|) over pairs in different classes of that limit.
+
+    ``passed`` is limit > 4 gamma_{k+3} (sum_p |c_p| |d_p|)**2, where
+    gamma_n = n u / (1 - n u) and u = 2**-53: a forward-error bound on
+    the computed limit (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).  The limit is the witness's form with the
+    kernel's limit in place of the kernel, 1 within a class and 0 apart.
+    The complex products a_p (Lemma 3.5), its k-term class sums, their
+    products with a_p and the sum of those move it by at most
+    ((1 + sqrt(2)) k + 7) u times that square to first order, so a limit
+    that is exactly 0 never passes."""
     if N < 10**3:
         raise ValueError("N must be at least 10**3")
-    cross = spec.cross_terms(np.arange(N))
-    witness = float(np.mean(cross))
-    # the correlation overwrites the cross term: x + (p - d) is (p - d) + x
-    correlation = np.add(cross, spec.product_term() - spec.diagonal_term(), out=cross)
-    return WitnessReport(float(np.mean(correlation)), witness, correlation)
+    a = np.asarray(spec.c) * np.conj(spec.d)
+    frac = np.asarray(spec.angles, dtype=float) % 1.0
+    gap = np.subtract.outer(frac, frac)
+    gap -= np.rint(gap)
+    apart = gap != 0
+    # sums of elementwise products, not complex dot products: no other stage
+    # calls BLAS zdotu, whose code pages would add 128 KiB to a run's peak RSS
+    limit = float(np.sum(a * (~apart @ np.conj(a))).real)
+    sin = np.sin(np.pi * gap)
+    kernel = _unit_phases((N - 1) / 2 * gap)
+    kernel *= np.divide(np.sin(np.pi * N * gap), N * sin, out=np.ones_like(gap), where=apart)
+    witness = float(np.sum(a * (kernel @ np.conj(a))).real)
+    moduli = np.abs(spec.c) * np.abs(spec.d)
+    inverse = np.divide(1.0, N * np.abs(sin), out=np.zeros_like(gap), where=apart)
+    bound = float(moduli @ inverse @ moduli)
+    gamma = (frac.size + 3) * 2.0**-53 / (1 - (frac.size + 3) * 2.0**-53)
+    rounding = 4 * gamma * float(np.sum(moduli)) ** 2
+    cesaro = spec.product_term() - spec.diagonal_term() + witness
+    return WitnessReport(cesaro, witness, limit, bound, limit > rounding)
 
 
 def nonergodicity_witness(spec: CorrelationSpec, N: int) -> float:

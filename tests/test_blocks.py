@@ -27,7 +27,7 @@ from hyperlab.construction import ConstructionTarget, run_construction
 from hyperlab.density import _STEP, TargetBall, _scan
 from hyperlab.diophantine import ReturnTimeSet
 from hyperlab.eigenfields import EigenExpansion, _field_2B, sample_2B_family
-from hyperlab.ergodicity import CorrelationSpec, correlation_monte_carlo, witness_report
+from hyperlab.ergodicity import CorrelationSpec, correlation_monte_carlo
 from hyperlab.linspace import StateVector
 from hyperlab.operators import apply, make_perturbed_diagonal, make_scaled_backward_shift
 from hyperlab.steinhaus import (
@@ -764,7 +764,7 @@ def test_steinhaus_sites_call_public_functions_on_the_calling_thread_only(
         spec = CorrelationSpec.from_probes(_series(family256, 30, 9), f0, f1)
 
         def run(rng):
-            return witness_report(spec, 2 * _BLOCK + 1)
+            return spec.cross_terms(np.arange(2 * _BLOCK + 1))
 
     else:
         run, _ = _site(name, family256, 30, 20001, 9)

@@ -534,6 +534,15 @@ def test_khinchine_ratio_does_not_depend_on_the_scale(tmp_path, scale):
 _CESARO_SUMS = "N * sum |c|^2 * sum |d|^2, a bound on the Cesaro sums", 2.0**1020
 
 
+def _correlation_csv_is_finite(spec, N, tmp_path) -> bool:
+    """Whether every correlation and running Cesaro average is finite in
+    the correlation.csv of a run at N: its first min(N, 10**4) rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ergo.correlation_csv(spec.correlation(np.arange(min(N, 10**4))), tmp_path / "rows.csv")
+    rows = (tmp_path / "rows.csv").read_text().splitlines()[1:]
+    return all(math.isfinite(float(x)) for row in rows for x in row.split(",")[1:])
+
+
 @pytest.mark.parametrize(
     "c, d, N",
     [
@@ -546,11 +555,10 @@ _CESARO_SUMS = "N * sum |c|^2 * sum |d|^2, a bound on the Cesaro sums", 2.0**102
     ],
     ids=["overflow", "nan", "sum-overflow"],
 )
-def test_validate_refuses_an_ergodicity_witness_that_overflows(c, d, N):
+def test_validate_refuses_an_ergodicity_witness_that_overflows(tmp_path, c, d, N):
     angles = [0.3, 0.5][: len(c)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = ergo.witness_report(ergo.CorrelationSpec(*map(_complexes, (c, d)), angles), N)
-    assert not (math.isfinite(report.cesaro) and math.isfinite(report.witness))
+    spec = ergo.CorrelationSpec(*map(_complexes, (c, d)), angles)
+    assert not _correlation_csv_is_finite(spec, N, tmp_path)
     ergodicity = {"c": c, "d": d, "angles": angles, "N": N}
     cfg, errors = validate_config(json.dumps({"seed": 1, "pipelines": {"ergodicity": ergodicity}}))
     assert cfg is None
@@ -562,11 +570,12 @@ _PHASES = "N * the largest |angle|, a bound on the phases n * theta", 2**52
 
 
 def test_validate_refuses_ergodicity_angles_whose_phases_overflow(tmp_path, capsys):
-    # n * 1e308 is inf for every n > 1, so the witness and the Cesaro average are NaN
+    # n * 1e308 is inf for every n > 1, so the CSV's rows are NaN; the
+    # witness reads 1e308 % 1.0 = 0.0 and stays finite
     spec = ergo.CorrelationSpec([2**-0.5] * 2, [2**-0.5] * 2, [1e308, 0.5])
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = ergo.witness_report(spec, 1000)
-    assert math.isnan(report.witness) and math.isnan(report.cesaro)
+    assert not _correlation_csv_is_finite(spec, 1000, tmp_path)
+    report = ergo.witness_report(spec, 1000)
+    assert math.isfinite(report.witness) and math.isfinite(report.cesaro)
     raw = {"seed": 1, "dimension": 8, "family": {"count": 16}}
     raw["pipelines"] = {"ergodicity": {"N": 1000, "angles": [1e308, 0.5]}}
     what, ceiling = _PHASES
@@ -584,6 +593,17 @@ def test_validate_refuses_ergodicity_angles_whose_phases_overflow(tmp_path, caps
     raw["pipelines"]["ergodicity"]["angles"] = []
     _, errors = validate_config(json.dumps(raw))
     assert errors == ["pipelines.ergodicity.c, d and angles must have equal lengths"]
+
+
+def test_validate_refuses_more_angle_pairs_than_the_witness_takes():
+    # validation only: nothing here is run
+    def errors(count):
+        ergodicity = {"c": [[1, 0]] * count, "d": [[1, 0]] * count, "angles": [0.5] * count}
+        return validate_config(json.dumps(_holes_config({"ergodicity": ergodicity})))[1]
+
+    assert errors(1024) == []
+    what = "angle count ** 2, the pair terms of the witness"
+    assert errors(1025) == [f"pipelines.ergodicity.{what}, must be <= {2**20}"]
 
 
 def test_an_ergodicity_witness_below_the_overflow_ceiling_is_finite(tmp_path):

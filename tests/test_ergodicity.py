@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ from hyperlab.eigenfields import EigenExpansion, EigenFamily, EigenPair
 from hyperlab.linspace import StateVector
 
 SQRT2 = float(np.sqrt(2) % 1)
+# the closed form against the mean of the scanned cross terms over n < N,
+# at angles in [0, 1): the scan's phases n * theta carry up to N ulps, and
+# the two differed by 7e-14 relative at most in these tests up to N = 10**5
+SCAN_REL = 1e-12
 
 
 def two_pair_spec():
@@ -146,10 +151,13 @@ def test_ergodicity_run_matches_the_separate_evaluations(tmp_path, N):
         [complex(*z) for z in params["d"]],
         params["angles"],
     )
-    # JSON floats round-trip exactly, so == compares every bit
-    assert result["cesaro"] == cesaro_average(spec.correlation, N)
+    # JSON floats round-trip exactly, so == compares every bit; the scan
+    # over n < N is the closed form's reference
     assert result["witness"] == nonergodicity_witness(spec, N)
-    assert result["witness"] == float(np.mean(spec.cross_terms(np.arange(N))))
+    scan = float(np.mean(spec.cross_terms(np.arange(N))))
+    assert result["witness"] == pytest.approx(scan, rel=SCAN_REL, abs=0)
+    assert result["cesaro"] == pytest.approx(cesaro_average(spec.correlation, N), rel=SCAN_REL)
+    assert abs(result["witness"] - result["limit"]) <= result["bound"]
     reference_csv(spec, min(N, 10**4), tmp_path / "reference.csv")
     written = (tmp_path / "correlation.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
@@ -193,9 +201,93 @@ def test_witness_report_correlation_is_the_constant_plus_the_cross_term(N):
     report = witness_report(spec, N)
     cross = spec.cross_terms(np.arange(N))
     expected = spec.product_term() - spec.diagonal_term() + cross
-    assert np.array_equal(report.correlation.view(np.int64), expected.view(np.int64))
-    assert report.witness == float(np.mean(cross))
-    assert report.cesaro == float(np.mean(expected))
+    # the rows correlation.csv writes, bit for bit
+    assert np.array_equal(spec.correlation(np.arange(N)).view(np.int64), expected.view(np.int64))
+    assert report.witness == pytest.approx(float(np.mean(cross)), rel=SCAN_REL, abs=0)
+    assert report.cesaro == pytest.approx(float(np.mean(expected)), rel=SCAN_REL, abs=0)
+    assert report.cesaro == spec.product_term() - spec.diagonal_term() + report.witness
+
+
+def random_spec(rng, k):
+    """k weights over angles in a few classes equal mod 1: each angle is a
+    class's residue, a multiple of 2**-40, plus an integer in [-3, 3], so
+    the sum is exact."""
+    c, d = (rng.normal(size=(k, 2)) @ [1, 1j] for _ in range(2))
+    residues = rng.integers(0, 2**40, max(1, k - k // 3)) / 2**40
+    return CorrelationSpec(c, d, rng.choice(residues, k) + rng.integers(-3, 4, k))
+
+
+def class_limit(spec):
+    """sum over the classes of angles equal mod 1 of |sum a_p|**2, summed
+    one Python complex at a time."""
+    sums = {}
+    for c, d, theta in zip(spec.c, spec.d, spec.angles):
+        sums[theta % 1.0] = sums.get(theta % 1.0, 0) + c * d.conjugate()
+    return sum(abs(z) ** 2 for z in sums.values())
+
+
+@pytest.mark.parametrize("N", [10**3, 10**4, 10**5])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_witness_closed_form_matches_the_scan_within_the_wiener_bound_of_its_limit(N, k):
+    rng = np.random.default_rng([N, k])
+    for _ in range(3):
+        spec = random_spec(rng, k)
+        report = witness_report(spec, N)
+        # e(n theta) = e(n (theta % 1)) at integer n, and the scan over the
+        # residues rounds its phases n * theta by fewer bits
+        residues = CorrelationSpec(spec.c, spec.d, np.mod(spec.angles, 1.0))
+        scan = float(np.mean(residues.cross_terms(np.arange(N))))
+        assert report.witness == pytest.approx(scan, rel=SCAN_REL, abs=0)
+        assert report.limit == pytest.approx(class_limit(spec), rel=1e-14, abs=0)
+        mass = float(np.sum(np.abs(spec.c) * np.abs(spec.d)))
+        assert abs(report.witness - report.limit) <= report.bound + 1e-14 * mass**2
+        assert report.passed
+
+
+def test_witness_of_angles_equal_mod_1_is_their_class_limit():
+    # one class: the kernel is exactly 1 at every gap, whatever N
+    spec = CorrelationSpec((0.5, 0.5), (1.0, 1.0), (0.375, 2.375))
+    for N in (10**3, 10**7):
+        report = witness_report(spec, N)
+        assert (report.witness, report.limit, report.bound) == (1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "params, passed",
+    [
+        ({"c": [[1, 0], [-1, 0]], "d": [[1, 0], [1, 0]], "angles": [0.25, 1.25]}, False),
+        # 0.1 + 0.2 - 0.3 rounds to 5.6e-17, so the computed limit is 3.1e-33
+        (
+            {"c": [[0.1, 0], [0.2, 0], [-0.3, 0]], "d": [[1, 0]] * 3, "angles": [0.25, 1.25, 2.25]},
+            False,
+        ),
+        # criterion 4's spec
+        ({}, True),
+    ],
+    ids=["two-terms-cancel", "three-terms-cancel", "default"],
+)
+def test_the_gate_fails_weights_that_cancel_within_their_class(tmp_path, params, passed):
+    raw = {"seed": 1, "dimension": 8, "family": {"count": 16}}
+    raw["pipelines"] = {"ergodicity": {**params, "N": 10**5}}
+    cfg, errors = validate_config(json.dumps(raw))
+    assert not errors, errors
+    assert run_experiment(cfg, tmp_path) == (0 if passed else 1)
+    result = json.loads((tmp_path / "summary.json").read_text())["results"]["ergodicity"]
+    assert result["passed"] is passed
+    assert abs(result["witness"] - result["limit"]) <= result["bound"] + 1e-15
+
+
+def test_witness_report_holds_no_array_that_grows_with_N():
+    spec = two_pair_spec()
+    peaks = []
+    for N in (10**3, 10**7):
+        tracemalloc.start()
+        try:
+            witness_report(spec, N)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 def test_witness_report_refuses_short_averages():
